@@ -172,7 +172,7 @@ def cmd_tune(args) -> int:
         patience=args.patience,
     )
     exec_backends = ((args.backend,) if args.backend is not None
-                     else ("auto", "batch", "interp"))
+                     else ("auto", "interp"))
     engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     tuner = Tuner(machine, db=TuningDB(db_dir), budget=budget)

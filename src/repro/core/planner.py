@@ -33,7 +33,8 @@ class JigsawPlan:
     time_fusion: int
     use_sdf: bool = True
     #: preferred SIMD-machine execution backend ("auto" | "codegen" |
-    #: "batch" | "interp").  An execution-time preference only: it does not change
+    #: "interp"; "batch" is a retired alias of "codegen").  An
+    #: execution-time preference only: it does not change
     #: the generated program, so it participates in plan lookup keys but
     #: never in :meth:`cache_token` (program cache entries are shared
     #: across backends).

@@ -8,7 +8,7 @@ clean, once under injection — and verify
 * every site class actually took at least one injected fault,
 * the faulted run's results are **bitwise identical** to the clean
   run's (every recovery path — retry, quarantine + recompile,
-  batch→interp, process→thread→serial — preserves exact results), and
+  codegen→interp, process→thread→serial — preserves exact results), and
 * every injected fault is visible in the observability taxonomy.
 
 This module imports the service layer, so it is *not* re-exported from
@@ -42,7 +42,6 @@ CHAOS_SITE_KINDS: Dict[str, Tuple[str, ...]] = {
     "cache.disk_read": ("raise", "corrupt", "delay"),
     "cache.disk_write": ("raise", "corrupt", "delay"),
     "compile.kernel": ("raise", "delay"),
-    "exec.batch_closure": ("raise", "delay"),
     "exec.codegen_kernel": ("raise", "delay"),
     "pool.task_start": ("raise", "delay", "kill"),
     "server.batch_flush": ("raise", "delay"),
@@ -53,14 +52,12 @@ CHAOS_SITE_KINDS: Dict[str, Tuple[str, ...]] = {
 
 #: sites whose rules must fire on the very first hit: the workload only
 #: guarantees a small number of hits there (and a ``raise`` at
-#: ``exec.batch_closure`` / ``exec.codegen_kernel`` disables that engine
-#: for the rest of the call, so only hit 0 is reachable).  The server
-#: sites join because the serving stage only guarantees a handful of
-#: enqueues/flushes.
+#: ``exec.codegen_kernel`` disables that engine for the rest of the
+#: call, so only hit 0 is reachable).  The server sites join because the
+#: serving stage only guarantees a handful of enqueues/flushes.
 _FIRST_HIT_SITES = ("cache.disk_read", "cache.disk_write",
-                    "compile.kernel", "exec.batch_closure",
-                    "exec.codegen_kernel", "server.batch_flush",
-                    "server.enqueue")
+                    "compile.kernel", "exec.codegen_kernel",
+                    "server.batch_flush", "server.enqueue")
 
 #: the workload stages ``run_chaos`` can execute, and the catalogue
 #: sites each one guarantees to hit at least once (the coverage check
@@ -68,8 +65,8 @@ _FIRST_HIT_SITES = ("cache.disk_read", "cache.disk_write",
 STAGES: Tuple[str, ...] = ("pipeline", "server")
 _STAGE_SITES: Dict[str, Tuple[str, ...]] = {
     "pipeline": ("cache.disk_read", "cache.disk_write", "compile.kernel",
-                 "exec.batch_closure", "exec.codegen_kernel",
-                 "pool.task_start", "shard.exchange", "tile.sweep"),
+                 "exec.codegen_kernel", "pool.task_start",
+                 "shard.exchange", "tile.sweep"),
     "server": ("server.batch_flush", "server.enqueue", "compile.kernel",
                "cache.disk_write", "pool.task_start", "tile.sweep"),
 }
@@ -166,7 +163,7 @@ TAXONOMY_PREFIXES = (
     "shard.pool_restarts",
     "cache.disk_quarantined",
     "cache.disk_write_faults",
-    "exec.batch_fallback",
+    "exec.codegen_fallback",
     "server.admission.rejected",
     "server.batch.failures",
     "server.deadline_missed",
@@ -189,12 +186,10 @@ def _workload(spec: StencilSpec, machine: MachineConfig, cache_dir: str,
               stages: Sequence[str] = STAGES) -> Dict[str, np.ndarray]:
     """The canonical chaos workload: compile through three cache
     generations (miss → store → disk load), execute on the SIMD machine
-    (once on the default codegen→batch→interp ladder, once pinned to the
-    batch engine so ``exec.batch_closure`` stays reachable even when the
-    codegen engine absorbs its fault without degrading), then sweep on
-    each parallel backend — and, in the ``server`` stage, drive the
-    async serving layer with a small mixed-tenant load.  Returns
-    labelled result arrays for bitwise comparison."""
+    (the codegen→interp ladder), then sweep on each parallel backend —
+    and, in the ``server`` stage, drive the async serving layer with a
+    small mixed-tenant load.  Returns labelled result arrays for bitwise
+    comparison."""
 
     def service(**kw) -> KernelService:
         return KernelService(machine, cache_dir=cache_dir,
@@ -212,8 +207,6 @@ def _workload(spec: StencilSpec, machine: MachineConfig, cache_dir: str,
             kernel = service().compile(spec, size)
         grid = kernel.grid_like(size, seed=data_seed)
         results["machine"] = kernel.run(grid, steps).interior.copy()
-        results["machine.batch"] = kernel.run(
-            grid, steps, backend="batch").interior.copy()
         for backend in backends:
             svc = service(run_backend=backend)
             g = Grid.random(size, spec.radius, seed=data_seed)

@@ -42,7 +42,6 @@ SITES = (
     "cache.disk_read",     #: KernelCache loading a persisted entry
     "cache.disk_write",    #: KernelCache persisting an entry
     "compile.kernel",      #: vector-program generation (cache miss path)
-    "exec.batch_closure",  #: one batched sweep on the SIMD machine
     "exec.codegen_kernel",  #: one emitted-source sweep (codegen engine)
     "pool.task_start",     #: a parallel-executor task beginning
     "server.batch_flush",  #: a server micro-batch leaving the queue

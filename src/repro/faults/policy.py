@@ -7,7 +7,7 @@ Three reactions to a failed task, in escalating order of tolerance:
 * ``"retry"``   — retry the same task up to the retry budget with
   exponential backoff, then propagate;
 * ``"degrade"`` — retry first, then walk a degradation ladder
-  (batch→interp for compiles, process→thread→serial for sweeps) before
+  (codegen→interp for compiles, process→thread→serial for sweeps) before
   giving up.
 
 :func:`call_with_timeout` bounds one blocking call by running it on a

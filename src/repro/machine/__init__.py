@@ -19,9 +19,8 @@ from .isa import (
     classify,
 )
 from .machine import SimdMachine
-from .batch import BatchedProgram, BatchFallback, analytic_trace
 from .codegen import CodegenFallback, CodegenProgram, emitted_source, get_codegen
-from .trace import TraceCounter
+from .trace import TraceCounter, analytic_trace
 from .costs import CostTable, cost_table_for
 from .pipeline import PipelineModel, PipelineEstimate
 from .memory import CacheHierarchyModel, MemoryEstimate
@@ -43,8 +42,6 @@ __all__ = [
     "Op",
     "classify",
     "SimdMachine",
-    "BatchedProgram",
-    "BatchFallback",
     "CodegenFallback",
     "CodegenProgram",
     "analytic_trace",

@@ -1,11 +1,9 @@
 """Source-level code generation backend for vector programs.
 
-The batch backend (:mod:`repro.machine.batch`) already collapses the
-x loop into whole-row tensors, but it still dispatches one Python
-closure per instruction per outer-loop environment — for a 512x512
-grid that is hundreds of thousands of closure calls per sweep, and the
-numpy fixed cost on its small ``(trips, width)`` operands dominates.
-This module removes both overheads by *emitting source*:
+The interpreter dispatches every instruction once per x-iteration in
+pure Python, yet a program's body is *static*: the same instruction
+sequence runs at every x offset, only the addresses advance by a fixed
+stride.  This module exploits that regularity by *emitting source*:
 
 * the whole loop nest is flattened — every register becomes one tensor
   of shape ``(*outer_trips, trips, width)``, so a single numpy op per
@@ -16,7 +14,7 @@ This module removes both overheads by *emitting source*:
   non-negative) or a hoisted flat int64 gather-index constant;
 * every shuffle is lowered to a precomputed last-axis gather whose
   index vector is derived from the scalar semantics themselves
-  (:func:`repro.machine.batch._probe_shuffle`);
+  (:func:`_probe_shuffle`);
 * single-use arithmetic values are inlined into their consumer, so
   MUL+FMA chains fold back into ``c0*v0 + (c1*v1 + ...)`` expressions
   exactly as the paper's C codegen would write them;
@@ -29,16 +27,26 @@ The emitted text is ``compile()``d + ``exec()``d once per (program,
 array shapes) pair and cached; each sweep is then a single call into
 specialized straight-line code.
 
+**Strip-mining.**  A sweep over more than :data:`SLAB_POINTS` output
+points runs the same kernel over contiguous row-slab views
+``arr[k0 : k0 + b + 2h]`` of every array, with the outermost loop
+narrowed to ``b`` rows.  Outer environments are independent and loads
+never alias stores, so the slabs compose to exactly the full sweep; a
+grid needs at most two specializations (full slab, remainder).
+
 **Bitwise identity.**  Gathers, strided views and shuffles are exact
 element copies; ADD/SUB/MUL/FMA are the same IEEE ops applied to the
 same operand values (inlining only substitutes a pure expression for
 its value, and the flattened tensors hold, per (env, x) coordinate,
 exactly the values the interpreter's registers hold at that
-iteration).  Loop-carried registers reuse the batch backend's peeling
-scheme verbatim — shifted rows, bytes-exact convergence, fallback on a
-true recurrence — emitted as a rounds loop in the generated source.
-The differential harness asserts interp == batch == codegen bitwise
-for every scheme, dtype and random spec.
+iteration).  Loop-carried registers (Algorithm 1's ``v0``/``vp0``, the
+sliding windows of Reorg/Folding/LBV) are peeled into shifted rows:
+every scheme's carry chains are finite renames of fresh loads, so
+"execute the body, shift the carried values down one row" reaches a
+bytes-exact fixed point in chain-depth rounds; a true recurrence raises
+a ``recurrence`` fallback after ``len(carried) + 2`` rounds.  The
+differential harness asserts interp == codegen bitwise for every
+scheme, dtype and random spec.
 
 **Fallback taxonomy.**  :class:`CodegenFallback` carries a ``reason``
 the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
@@ -50,15 +58,17 @@ the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
 * ``memory``     — hoisted index constants would exceed
   :data:`MEMORY_GUARD` elements;
 * ``recurrence`` — a loop-carried register never reaches a fixed
-  point (the scan/prefix case, exactly as in the batch backend).
+  point (the scan/prefix case).
 
-On any of these the driver degrades codegen -> batch -> interp;
-correctness never depends on this backend succeeding.
+On any of these the driver degrades codegen -> interp; correctness
+never depends on this backend succeeding.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -66,18 +76,21 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import IsaError, MachineError
-from .batch import BatchedProgram, _probe_shuffle, _split_affine
-from .isa import Op
+from .isa import Affine, Instr, Op, execute_alu
 
 #: cap on the total number of hoisted gather-index elements per
 #: specialization; beyond this the int64 constants would rival the
-#: grids themselves and the batch backend is the better engine
+#: grids themselves and the interpreter is the safer engine
 MEMORY_GUARD = 1 << 24
+
+#: output points per strip-mined slab; a sweep over more points runs the
+#: kernel slab by slab along the outermost loop (see module docstring)
+SLAB_POINTS = 1 << 20
 
 
 class CodegenFallback(Exception):
     """The program (or these concrete arrays) cannot run on the codegen
-    backend; the caller should degrade to the batch backend.  ``reason``
+    backend; the caller should degrade to the interpreter.  ``reason``
     is one of ``compile | layout | memory | recurrence``."""
 
     def __init__(self, reason: str, message: str) -> None:
@@ -93,6 +106,52 @@ def _as_view(flat: np.ndarray, offset: int, shape: Tuple[int, ...],
     return np.lib.stride_tricks.as_strided(
         flat[offset:], shape=shape,
         strides=tuple(s * itemsize for s in strides))
+
+
+def _split_affine(aff: Affine, x_var: str
+                  ) -> Tuple[int, int, Tuple[Tuple[str, int], ...]]:
+    """``(const, x_coefficient, outer_terms)`` of one address expression."""
+    coeff = sum(c for var, c in aff.terms if var == x_var)
+    return aff.const, coeff, tuple(t for t in aff.terms if t[0] != x_var)
+
+
+def _probe_shuffle(instr: Instr, width: int, epl: int):
+    """Derive a shuffle's last-axis gather from its scalar semantics.
+
+    The scalar executor is run once on *index-valued* registers (source
+    ``k`` holds ``k*width+1 .. (k+1)*width``); the output spells out, per
+    destination element, which source element it selects (0 marks a
+    zeroed lane, e.g. PERM2F128's zero bit).  The flattened execution is
+    then a fancy-index gather — exact by construction, for any opcode
+    and any immediate.
+    """
+    n = len(instr.srcs)
+    names = tuple(f"__s{k}" for k in range(n))
+    probe = dataclasses.replace(instr, srcs=names)
+    regs = {name: np.arange(k * width + 1, (k + 1) * width + 1,
+                            dtype=np.float64)
+            for k, name in enumerate(names)}
+    execute_alu(probe, regs, width, epl=epl, dtype=np.float64)
+    codes = regs[instr.dst].astype(np.int64)
+    zero_cols = np.nonzero(codes == 0)[0]
+    gather = np.clip(codes - 1, 0, n * width - 1)
+    src_of = gather // width        # which source each element reads
+    col_of = gather % width         # which element of that source
+    return src_of, col_of, zero_cols
+
+
+def _find_carried(program) -> Tuple[str, ...]:
+    """Registers read before their first body write *and* written in the
+    body — their value crosses x-iterations."""
+    written: set = set()
+    early: List[str] = []
+    for instr in program.body:
+        for src in instr.srcs:
+            if src not in written and src not in early:
+                early.append(src)
+        if instr.dst:
+            written.add(instr.dst)
+    return tuple(r for r in early if r in written)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +228,7 @@ class CodegenProgram:
         self._loop_pos = {l.var: j for j, l in enumerate(self.outer_loops)}
         self._xs = (np.arange(self.trips, dtype=np.int64) * self.x_step
                     + self.x_start)
-        self.carried = BatchedProgram._find_carried(program)
+        self.carried = _find_carried(program)
         self._max_rounds = len(self.carried) + 2
         self.nodes: List[_Node] = []
         self.refs: List[_MemRef] = []
@@ -179,7 +238,9 @@ class CodegenProgram:
         self._undefined_carry: Optional[str] = None
         self._build()
         self._count_uses()
+        self.array_names = sorted({r.array for r in self.refs})
         self._specs: Dict[tuple, _Specialized] = {}
+        self._slab_progs: Dict[int, "CodegenProgram"] = {}
 
     # -- static analysis ---------------------------------------------------
 
@@ -191,7 +252,7 @@ class CodegenProgram:
 
     def _split_mem(self, instr):
         """Static split of a memory operand; rejects x-dependence off
-        the unit-stride axis (same condition as the batch backend)."""
+        the unit-stride axis."""
         mem = instr.mem
         outer = []
         for aff in mem.index[:-1]:
@@ -354,7 +415,7 @@ class CodegenProgram:
 
     def _env_at(self, flat_index: int) -> dict:
         """Reconstruct the loop environment of one flattened outer index
-        (for error messages that mirror the batch backend's)."""
+        (for error messages that mirror the interpreter's)."""
         if not self.outer_dims:
             return {}
         multi = np.unravel_index(flat_index, self.outer_dims)
@@ -425,21 +486,20 @@ class CodegenProgram:
     def specialize(self, arrays: Mapping[str, np.ndarray]) -> _Specialized:
         """Emit + compile the specialized sweep function for these
         arrays' shapes (cached)."""
-        names = sorted({r.array for r in self.refs})
-        for name in names:
+        for name in self.array_names:
             if name not in arrays:
                 raise MachineError(f"unknown array {name!r} in program "
                                    f"{self.program.name!r}")
-        key = tuple((name, arrays[name].shape) for name in names)
+        self._validate_layout(arrays)
+        key = tuple((name, arrays[name].shape) for name in self.array_names)
         spec = self._specs.get(key)
         if spec is None:
-            self._validate_layout(arrays, names)
             spec = self._emit(arrays, key)
             self._specs[key] = spec
         return spec
 
-    def _validate_layout(self, arrays, names) -> None:
-        for name in names:
+    def _validate_layout(self, arrays) -> None:
+        for name in self.array_names:
             arr = arrays[name]
             if arr.dtype != self.dtype:
                 raise CodegenFallback(
@@ -453,33 +513,70 @@ class CodegenProgram:
                     f"addressing needs a contiguous buffer")
 
     def run(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Execute one full sweep.  Raises :class:`CodegenFallback` when
-        the arrays' layout defeats flattening or a loop-carried
-        recurrence fails to converge (deferred stores make the failed
-        attempt harmless); the caller then degrades to the batch
-        backend."""
+        """Execute one full sweep, slab by slab above :data:`SLAB_POINTS`.
+        Raises :class:`CodegenFallback` when the layout defeats flattening
+        or a recurrence fails to converge; the interpreter's rerun then
+        rewrites anything an earlier slab committed with equal values."""
         if self._undefined_carry is not None:
             raise IsaError(
                 f"read of undefined register {self._undefined_carry!r}")
-        names = sorted({r.array for r in self.refs})
-        self._validate_layout(arrays, names)
-        spec = self.specialize(arrays)
-        spec.fn(arrays)
+        rows = self._slab_rows()
+        if rows is None:
+            return self.specialize(arrays).fn(arrays)
+        trips, step = self.outer_dims[0], self.outer_loops[0].step
+        for k0 in range(0, trips, rows):
+            b = min(rows, trips - k0)
+            cut = (trips - k0 - b) * step  # array rows after this window
+            views = {name: arrays[name][k0 * step:len(arrays[name]) - cut]
+                     for name in self.array_names}
+            self._slab_program(b).specialize(views).fn(views)
+
+    def _slab_rows(self) -> Optional[int]:
+        """Outer-loop trips per slab; ``None`` runs unsliced (the sweep
+        fits one slab, or an address is not ``var + const`` on axis 0
+        with ``var`` the outermost loop, absent from every other axis)."""
+        if not self.outer_dims:
+            return None
+        per_row = max(1, math.prod(self.outer_dims[1:]) * self.trips
+                      * self.program.block)
+        rows = max(1, SLAB_POINTS // per_row)
+        if rows >= self.outer_dims[0]:
+            return None
+        var = self.outer_loops[0].var
+        for ref in self.refs:
+            others = [terms for _, terms in ref.outer[1:]] + [ref.last[2]]
+            if (not ref.outer or ref.outer[0][1] != ((var, 1),)
+                    or any(v == var for terms in others for v, _ in terms)):
+                return None
+        return rows
+
+    def _slab_program(self, rows: int) -> "CodegenProgram":
+        """This program with its outermost loop narrowed to ``rows``
+        trips (memoized: a grid needs a full slab and a remainder)."""
+        if rows not in self._slab_progs:
+            head, *rest = self.program.loops
+            head = dataclasses.replace(head, stop=head.start + rows * head.step)
+            self._slab_progs[rows] = CodegenProgram(
+                dataclasses.replace(self.program, loops=(head, *rest)))
+        return self._slab_progs[rows]
 
     # -- emission ----------------------------------------------------------
 
     def _emit(self, arrays, key) -> _Specialized:
         width = self.width
         sites = [self._resolve_ref(ref, arrays) for ref in self.refs]
+        store_plan = self._plan_stores(sites)
+        # only gathers and non-view scatters hoist an index constant
         budget = sum(
             s["starts"].size * width for s in sites
-            if s["view"] is None or s["ref"].is_store)
+            if s["view"] is None
+            or (s["ref"].is_store and store_plan[id(s["ref"])] != "direct"))
         if budget > MEMORY_GUARD:
             raise CodegenFallback(
                 "memory",
                 f"hoisted index constants would need {budget} elements "
-                f"(guard: {MEMORY_GUARD}); batch backend is cheaper here")
-        store_plan = self._plan_stores(sites)
+                f"(guard: {MEMORY_GUARD}); the interpreter runs this "
+                f"sweep instead")
 
         ns = {"np": np, "_as_view": _as_view,
               "CodegenFallback": CodegenFallback,
@@ -492,8 +589,7 @@ class CodegenProgram:
             ns[name] = value
             return name
 
-        arr_names = sorted({r.array for r in self.refs})
-        arr_var = {name: f"_a{i}" for i, name in enumerate(arr_names)}
+        arr_var = {name: f"_a{i}" for i, name in enumerate(self.array_names)}
         site_of = {id(s["ref"]): s for s in sites}
 
         pro_lines: List[str] = []
@@ -567,7 +663,7 @@ class CodegenProgram:
         commit_lines = self._emit_commits(store_plan, sites, arr_var, hoist)
 
         src = self._assemble(arr_var, pro_lines, body_lines, commit_lines,
-                             arrays, key)
+                             key)
         code = compile(src, f"<codegen:{self.program.name}>", "exec")
         exec(code, ns)
         return _Specialized(key=key, fn=ns["_sweep"], source=src)
@@ -649,7 +745,7 @@ class CodegenProgram:
         return lines
 
     def _assemble(self, arr_var, pro_lines, body_lines, commit_lines,
-                  arrays, key) -> str:
+                  key) -> str:
         p = self.program
         lines = [
             f"# codegen: {p.name} [{p.scheme}] width={p.width} "
@@ -738,4 +834,4 @@ def emitted_source(program, arrays: Mapping[str, np.ndarray]) -> str:
 
 
 __all__ = ["CodegenFallback", "CodegenProgram", "MEMORY_GUARD",
-           "emitted_source", "get_codegen"]
+           "SLAB_POINTS", "emitted_source", "get_codegen"]

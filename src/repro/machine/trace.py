@@ -8,9 +8,10 @@ the Figure-8 hotspot breakdown.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from .isa import Instr, InstrClass, Op
 
@@ -96,6 +97,22 @@ class TraceCounter:
         return ("TraceCounter(" +
                 ", ".join(f"{k}={v:.3g}" for k, v in pv.items()) +
                 f", vectors={self.vectors}, steps={self.steps})")
+
+
+def analytic_trace(program, counter: Optional[TraceCounter] = None) -> TraceCounter:
+    """Executed-instruction counts of one full sweep, computed statically
+    — exactly what :meth:`SimdMachine.run` tallies (prologue once per
+    outer-loop entry, body once per x-iteration)."""
+    counter = counter if counter is not None else TraceCounter()
+    n_outer = math.prod(loop.trip_count for loop in program.loops[:-1])
+    body_runs = program.total_body_runs()
+    for instr in program.prologue:
+        counter.add(instr, times=n_outer)
+    for instr in program.body:
+        counter.add(instr, times=body_runs)
+    counter.vectors += program.vectors_per_iter * body_runs
+    counter.steps = program.steps_per_iter
+    return counter
 
 
 def mix_of(instrs: Iterable[Instr]) -> TraceCounter:

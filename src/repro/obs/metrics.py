@@ -2,9 +2,9 @@
 
 Instruments are created on first use (``registry.counter("cache.hits")``)
 and are process-wide aggregates — no per-label cardinality machinery;
-call sites that need a breakdown (e.g. the batch-fallback reason
+call sites that need a breakdown (e.g. the codegen-fallback reason
 taxonomy) encode it in the instrument name
-(``exec.batch_fallback.reason.mem_hook``).
+(``exec.codegen_fallback.reason.mem_hook``).
 
 Histograms keep exact ``count``/``sum``/``min``/``max`` plus power-of-two
 buckets (keyed ``"<=2^e"`` by the exponent of the upper bound), so the

@@ -180,7 +180,7 @@ class KernelService:
         self.run_backend = run_backend
         #: SIMD-machine execution backend stamped on every compiled
         #: kernel (see :data:`repro.vectorize.driver.EXEC_BACKENDS`);
-        #: ``auto`` degrades codegen -> batch -> interp at run time
+        #: ``auto`` degrades codegen -> interp at run time
         self.exec_backend = exec_backend
         if tuning_db is None:
             # disk-backed caches get a disk-backed tuning DB next to the
@@ -255,7 +255,7 @@ class KernelService:
         interpreter backend on a *private in-memory cache* — a wedged
         shared cache (e.g. an in-flight compile stuck past its timeout
         still holding the key lock) cannot block it, and interp is
-        bitwise identical to the batch engine, so degrading never
+        bitwise identical to the codegen engine, so degrading never
         changes results."""
         backend = backend or self.exec_backend
         degraded = [("interp", lambda: self._compile_once(

@@ -12,7 +12,7 @@ talking to anyone, then returns exactly the slab rows.  Two engines:
 * **program** — the compiled vector pipeline: a local program is lowered
   for the window's geometry (memoized per worker process) and driven by
   :func:`~repro.vectorize.driver.run_program` with its full
-  codegen → batch → interp degradation ladder.  The local boundary fill
+  codegen → interp degradation ladder.  The local boundary fill
   writes garbage into neighbor-fed ghosts, but garbage creeps inward at
   one fused radius per sweep and the pad is sized to absorb exactly
   ``s`` sub-steps of creep, so the slab stays bitwise exact.

@@ -7,7 +7,7 @@ kernel cache lowers for the actual workload geometry, and tiled
 configurations by :class:`~repro.parallel.simulator.MulticoreModel` with
 the candidate's blocking.  Because the analytic models predict
 *hypothetical hardware* throughput while trials measure *Python
-wall-clock*, scores are scaled by per-engine wall-clock priors (batch
+wall-clock*, scores are scaled by per-engine wall-clock priors (codegen
 execution ≈20× the interpreter per ``benchmarks/bench_machine.py``; the
 numpy paths orders of magnitude beyond both).  The priors only order
 candidates for pruning — empirical timing always has the last word.
@@ -53,11 +53,9 @@ from .space import TuneConfig
 #: *ordering* before the empirical stage; see the module docstring.
 WALLCLOCK_PRIORS: Dict[str, float] = {
     "machine/interp": 1.0,
-    "machine/batch": 20.0,
     "machine/auto": 20.0,
     "machine/codegen": 20.0,
     "scheme/interp": 1.0,
-    "scheme/batch": 20.0,
     "scheme/auto": 20.0,
     "scheme/codegen": 20.0,
     "numpy": 400.0,

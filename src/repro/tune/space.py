@@ -260,7 +260,7 @@ def enumerate_space(
     shape: Sequence[int],
     *,
     engines: Sequence[str] = ENGINES,
-    exec_backends: Sequence[str] = ("auto", "batch", "interp"),
+    exec_backends: Sequence[str] = ("auto", "interp"),
     run_backends: Sequence[str] = ("thread",),
     max_workers: Optional[int] = None,
     tile_options_per_axis: int = 3,
@@ -271,9 +271,9 @@ def enumerate_space(
     ``engines`` / ``exec_backends`` / ``run_backends`` restrict the
     families considered (the CLI's ``--backend interp`` maps straight to
     ``exec_backends=("interp",)``).  The machine-engine default searches
-    ``auto`` (the codegen→batch→interp ladder), pinned ``batch``, and
-    pinned ``interp`` — ``codegen`` resolves identically to ``auto`` and
-    would only duplicate trial points.  ``schemes`` names the registry
+    ``auto`` (the codegen→interp ladder) and pinned ``interp`` —
+    ``codegen`` (and its retired alias ``batch``) resolves identically
+    to ``auto`` and would only duplicate trial points.  ``schemes`` names the registry
     schemes the scheme engine enumerates (default
     :data:`DEFAULT_SCHEMES`).  Illegal points never appear: infeasible
     ITM depths, machine-engine x extents below one ``2W`` block, tiles

@@ -17,20 +17,18 @@ import numpy as np
 
 from .. import faults, obs
 from ..errors import VectorizeError
-from ..machine.batch import BatchFallback, analytic_trace, get_batched
 from ..machine.codegen import CodegenFallback, get_codegen
 from ..machine.machine import SimdMachine
-from ..machine.trace import TraceCounter
+from ..machine.trace import TraceCounter, analytic_trace
 from ..stencils.boundary import fill_halo
 from ..stencils.grid import Grid
 from .program import VectorProgram
 
-#: execution backends accepted by :func:`run_program`:
-#: ``"auto"``/``"codegen"`` (emitted-source engine with automatic
-#: degradation codegen -> batch -> interp — the fallbacks are a
-#: correctness guarantee, not an option), ``"batch"`` (whole-row tensor
-#: closures, degrading to the interpreter), ``"interp"`` (force the
-#: per-instruction interpreter).
+#: execution backends accepted by :func:`run_program`: ``"auto"`` /
+#: ``"codegen"`` (emitted source, degrading to the interpreter — a
+#: correctness guarantee, not an option) and ``"interp"``.  ``"batch"``,
+#: a retired engine, is an alias of ``"codegen"`` for one release,
+#: counted under ``exec.backend_alias.batch``.
 EXEC_BACKENDS: Tuple[str, ...] = ("auto", "codegen", "batch", "interp")
 
 
@@ -113,12 +111,12 @@ def run_program(
     ``backend`` selects the execution engine (:data:`EXEC_BACKENDS`).
     The default emits one specialized straight-line source function per
     program (:mod:`repro.machine.codegen`) and degrades codegen ->
-    batch -> interp whenever an engine cannot apply: a per-access
-    ``mem_hook`` is attached (the cache simulator needs ordered
-    accesses), the layout defeats flattening, or a loop-carried
-    recurrence fails to peel.  All engines produce bitwise-identical
-    grids; with a ``counter``, codegen/batch sweeps are tallied
-    analytically (exactly matching the interpreter's executed counts).
+    interp whenever codegen cannot apply: a per-access ``mem_hook`` is
+    attached (the cache simulator needs ordered accesses), the layout
+    defeats flattening, or a loop-carried recurrence fails to peel.
+    Both engines produce bitwise-identical grids; with a ``counter``,
+    codegen sweeps are tallied analytically (exactly matching the
+    interpreter's executed counts).
     """
     s = program.steps_per_iter
     if steps < 0:
@@ -136,28 +134,24 @@ def run_program(
             f"unknown execution backend {backend!r}; known: {EXEC_BACKENDS}"
         )
     check_program_grid(program, grid)
+    if backend == "batch":
+        if obs.enabled():
+            obs.counter("exec.backend_alias.batch").inc()
+        backend = "codegen"
     if steps == 0:
         return grid.copy()
     codegen = None
-    batched = None
     if backend != "interp":
         if mem_hook is not None:
             # per-access hooks need ordered accesses; a gather has none
-            _count_fallback(
-                "codegen" if backend in ("auto", "codegen") else "batch",
-                "mem_hook")
+            _count_fallback("mem_hook")
         else:
-            if backend in ("auto", "codegen"):
-                try:
-                    codegen = get_codegen(program)
-                except CodegenFallback as exc:
-                    _count_fallback("codegen", exc.reason)
-            if codegen is None:
-                try:
-                    batched = get_batched(program)
-                except BatchFallback:
-                    _count_fallback("batch", "compile")
-    machine = None
+            try:
+                codegen = get_codegen(program)
+            except CodegenFallback as exc:
+                _count_fallback(exc.reason)
+    machine = SimdMachine(program.width, elem_bytes=program.elem_bytes,
+                          mem_hook=mem_hook)
     nx = grid.shape[-1]
     covered = program.x_loop.trip_count * program.block
     tail = nx - covered
@@ -179,43 +173,15 @@ def run_program(
                     codegen.run(arrays)
                     if counter is not None:
                         analytic_trace(program, counter)
-                except CodegenFallback as exc:
-                    # layout/memory/recurrence: degrade to the batch
-                    # engine for this and later sweeps (deferred stores
-                    # make the failed attempt harmless)
+                except (CodegenFallback, faults.FaultInjected) as exc:
+                    # rerun this and later sweeps on the interpreter: it
+                    # is bitwise identical to codegen and rewrites
+                    # whatever a failed attempt committed
                     codegen = None
-                    _count_fallback("codegen", exc.reason)
-                except faults.FaultInjected:
-                    # injected fault before the kernel touched arrays:
-                    # finish on the next engine, which is bitwise
-                    # identical to this one.
-                    codegen = None
-                    _count_fallback("codegen", "fault")
-                if codegen is None:
-                    try:
-                        batched = get_batched(program)
-                    except BatchFallback:
-                        _count_fallback("batch", "compile")
-            if codegen is None and batched is not None:
-                try:
-                    faults.fault_point("exec.batch_closure")
-                    batched.run(arrays)
-                    if counter is not None:
-                        analytic_trace(program, counter)
-                except BatchFallback:
-                    batched = None  # a true recurrence; stay on interp
-                    _count_fallback("batch", "recurrence")
-                except faults.FaultInjected:
-                    # injected fault before the closure touched arrays:
-                    # finish this (and later) sweeps on the interpreter,
-                    # which is bitwise identical to the batch engine.
-                    batched = None
-                    _count_fallback("batch", "fault")
-            if codegen is None and batched is None:
-                if machine is None:
-                    machine = SimdMachine(program.width,
-                                          elem_bytes=program.elem_bytes,
-                                          mem_hook=mem_hook)
+                    _count_fallback(exc.reason
+                                    if isinstance(exc, CodegenFallback)
+                                    else "fault")
+            if codegen is None:
                 machine.run(program, arrays, counter=counter)
             if tail:
                 _apply_tail(program.tail_spec, cur, nxt, covered, scratch)
@@ -225,19 +191,17 @@ def run_program(
                 obs.histogram("exec.sweep_ms").observe(
                     (time.perf_counter() - t0) * 1e3)
         if observing:
-            espan.set(engine="codegen" if codegen is not None
-                      else "batch" if batched is not None else "interp")
+            espan.set(engine="codegen" if codegen is not None else "interp")
     return cur
 
 
-def _count_fallback(engine: str, reason: str) -> None:
-    """Tally one degradation out of ``engine`` under its reason.  The
+def _count_fallback(reason: str) -> None:
+    """Tally one codegen -> interp degradation under its reason.  The
     taxonomy (``mem_hook`` | ``compile`` | ``layout`` | ``memory`` |
-    ``recurrence`` | ``fault``) is documented in docs/architecture.md;
-    silent fallbacks were invisible before."""
+    ``recurrence`` | ``fault``) is documented in docs/architecture.md."""
     if obs.enabled():
-        obs.counter(f"exec.{engine}_fallback").inc()
-        obs.counter(f"exec.{engine}_fallback.reason.{reason}").inc()
+        obs.counter("exec.codegen_fallback").inc()
+        obs.counter(f"exec.codegen_fallback.reason.{reason}").inc()
 
 
 def _apply_tail(spec, cur: Grid, nxt: Grid, covered: int,

@@ -14,8 +14,12 @@ Three layers of guarantees:
 * **fallback taxonomy** — every :class:`CodegenFallback` reason
   (``compile`` | ``layout`` | ``memory`` | ``recurrence`` | ``mem_hook``)
   fires where documented, deferred stores keep failed attempts
-  side-effect free, and the driver degrades codegen -> batch -> interp
-  with the per-engine reason counters.
+  side-effect free, and the driver degrades codegen -> interp with the
+  per-reason counters.
+* **strip-mining** — sweeps above :data:`repro.machine.codegen.
+  SLAB_POINTS` run slab by slab along the outermost loop, bitwise equal
+  to the interpreter, and a view-only program far above the old index
+  budget stays on codegen.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.machine.machine import SimdMachine
 from repro.schemes import generate, scheme_halo
 from repro.stencils import library
 from repro.stencils.grid import Grid
+from repro.stencils.spec import star
 from repro.vectorize.driver import run_program
 from repro.vectorize.program import Loop, ProgramBuilder
 
@@ -189,9 +194,74 @@ class TestEmissionUnits:
         a1, a2 = _run_both(prog, factory)
         assert np.array_equal(a2["out"], a1["out"])
 
+    def test_straight_line_body(self):
+        b = ProgramBuilder(4)
+        v = b.load(b.mem(Affine.var("x")))
+        two = b.broadcast(2.0)
+        r = b.mul(two, v)
+        b.store(r, b.mem(Affine.var("x"), array="out"))
+        prog = b.build(name="copy2", scheme="t",
+                       loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
+
+        def factory():
+            return {"a": np.arange(16.0), "out": np.zeros(16)}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+        assert np.array_equal(a2["out"], 2 * np.arange(16.0))
+
+    def test_carried_register_peeling(self):
+        """A prologue-seeded register slid by the body (the Algorithm-1
+        window) must peel into shifted rows, matching the interpreter."""
+        b = ProgramBuilder(4)
+        b.in_prologue()
+        b.load_to("carry", b.mem(Affine.var("x")))
+        b.in_body()
+        b.store("carry", b.mem(Affine.var("x"), array="out"))
+        b.load_to("carry", b.mem(Affine.var("x", const=4)))
+        prog = b.build(name="p", scheme="t", loops=[Loop("x", 0, 16, 4)],
+                       vectors_per_iter=1)
+        assert CodegenProgram(prog).carried == ("carry",)
+
+        def factory():
+            return {"a": np.arange(20.0) ** 2, "out": np.zeros(16)}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
+    def test_carry_chain_of_depth_two(self):
+        """mov-slide chains (w0 <- w1 <- fresh load) need one peel round
+        per link; convergence must still be exact."""
+        b = ProgramBuilder(4)
+        b.in_prologue()
+        b.load_to("w0", b.mem(Affine.var("x")))
+        b.load_to("w1", b.mem(Affine.var("x", const=4)))
+        b.in_body()
+        r = b.add("w0", "w1")
+        b.store(r, b.mem(Affine.var("x"), array="out"))
+        b.mov_to("w0", "w1")
+        b.load_to("w1", b.mem(Affine.var("x", const=8)))
+        prog = b.build(name="p", scheme="t", loops=[Loop("x", 0, 24, 4)],
+                       vectors_per_iter=1)
+        assert set(CodegenProgram(prog).carried) == {"w0", "w1"}
+
+        def factory():
+            return {"a": np.linspace(0.0, 1.0, 32), "out": np.zeros(24)}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
     def test_get_codegen_is_memoized(self):
         prog, _ = _jigsaw_case("star-2d9p")
         assert get_codegen(prog) is get_codegen(prog)
+
+    def test_get_codegen_memoizes_per_program(self):
+        """One cached engine per program object: a 1-D star lowering
+        reuses its engine and never shares the 2-D kernel's."""
+        spec = star(1, 1, center=-2.0, arm=[1.0])
+        halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
+        grid = Grid.random((40,), halo, seed=0)
+        prog = generate("jigsaw", spec, GENERIC_AVX2, grid)
+        other, _ = _jigsaw_case("star-2d9p")
+        assert get_codegen(prog) is get_codegen(prog)
+        assert get_codegen(prog) is not get_codegen(other)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +291,14 @@ def _copy_program():
                    vectors_per_iter=1)
 
 
+def _reversed_copy_program():
+    b = ProgramBuilder(4)
+    v = b.load(b.mem(Affine.var("x", coeff=-1, const=12)))
+    b.store(v, b.mem(Affine.var("x"), array="out"))
+    return b.build(name="rev", scheme="t", loops=[Loop("x", 0, 16, 4)],
+                   vectors_per_iter=1)
+
+
 class TestFallbackTaxonomy:
     def test_recurrence_raises_with_untouched_output(self):
         prog = _scan_program()
@@ -230,6 +308,17 @@ class TestFallbackTaxonomy:
         assert ei.value.reason == "recurrence"
         # deferred stores: the failed attempt must not have scribbled
         assert np.array_equal(arrays["out"], np.zeros(16))
+
+    def test_true_recurrence_refusal_repeats_on_cached_engine(self):
+        """The cached engine must refuse the accumulator on every run,
+        not just the first, and never scribble on the output."""
+        engine = get_codegen(_scan_program())
+        arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
+        for _ in range(2):
+            with pytest.raises(CodegenFallback) as ei:
+                engine.run(arrays)
+            assert ei.value.reason == "recurrence"
+            assert np.array_equal(arrays["out"], np.zeros(16))
 
     def test_dtype_mismatch_is_layout_fallback(self):
         arrays = {"a": np.arange(16, dtype=np.float32),
@@ -245,11 +334,23 @@ class TestFallbackTaxonomy:
         assert ei.value.reason == "layout"
 
     def test_index_budget_is_memory_fallback(self, monkeypatch):
+        """A reversed x walk cannot be a view, so its load hoists a
+        gather-index constant that the budget counts."""
         monkeypatch.setattr(codegen_mod, "MEMORY_GUARD", 0)
         arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
         with pytest.raises(CodegenFallback) as ei:
-            CodegenProgram(_copy_program()).run(arrays)
+            CodegenProgram(_reversed_copy_program()).run(arrays)
         assert ei.value.reason == "memory"
+
+    def test_view_only_program_hoists_nothing(self, monkeypatch):
+        """Strided-view loads and direct view stores materialize no
+        index constant, so even a zero budget keeps them on codegen."""
+        monkeypatch.setattr(codegen_mod, "MEMORY_GUARD", 0)
+
+        def factory():
+            return {"a": np.arange(16.0) + 0.5, "out": np.zeros(16)}
+        a1, a2 = _run_both(_copy_program(), factory)
+        assert np.array_equal(a2["out"], a1["out"])
 
     def test_prologue_store_is_compile_fallback(self):
         b = ProgramBuilder(4)
@@ -295,17 +396,74 @@ class TestDriverDegradation:
         with pytest.raises(VectorizeError):
             run_program(prog, grid, prog.steps_per_iter, backend="vliw")
 
+    def test_unknown_backend_rejected_before_running(self):
+        """An unknown engine name fails fast and leaves the grid alone."""
+        spec = star(2, 1, center=-4.0, arm=[1.0], name="fb-probe")
+        halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
+        grid = Grid.random((4, 24), halo, seed=3)
+        prog = generate("jigsaw", spec, GENERIC_AVX2, grid)
+        before = grid.data.copy()
+        with pytest.raises(VectorizeError, match="unknown execution backend"):
+            run_program(prog, grid, 1, backend="simd")
+        assert np.array_equal(grid.data, before)
+
+    def test_recurrence_under_auto_falls_back_silently(self, observing):
+        """backend="auto" on a non-peelable program transparently
+        returns the interpreter's result."""
+        prog = _scan_program()
+        grid = Grid.random((16,), 0, seed=2)
+        expect = run_program(prog, grid, 1, backend="interp")
+        got = run_program(prog, grid, 1, backend="auto")
+        assert np.array_equal(got.data, expect.data)
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["exec.codegen_fallback.reason.recurrence"] == 1
+
+    def test_mem_hook_under_auto_forces_interpreter(self):
+        """With backend="auto" a per-access hook still needs ordered
+        accesses, so the interpreter runs and yields the codegen grid."""
+        spec = star(2, 1, center=-4.0, arm=[1.0], name="fb-probe")
+        halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
+        grid = Grid.random((4, 24), halo, seed=3)
+        prog = generate("jigsaw", spec, GENERIC_AVX2, grid)
+        accesses = []
+
+        def hook(array, offset, nbytes, is_store):
+            accesses.append((array, offset, nbytes, is_store))
+        hooked = run_program(prog, grid, 1, mem_hook=hook, backend="auto")
+        assert accesses, "hook must observe the interpreter's accesses"
+        plain = run_program(prog, grid, 1, backend="codegen")
+        assert np.array_equal(hooked.data, plain.data)
+
     def test_recurrence_walks_the_full_ladder(self, observing):
-        """codegen (recurrence) -> batch (recurrence) -> interp, with one
-        reason counter per degraded engine and interp-identical output."""
+        """codegen (recurrence) -> interp, with one reason counter and
+        interp-identical output."""
         prog = _scan_program()
         grid = Grid.random((16,), 0, seed=1)
         expect = run_program(prog, grid, 1, backend="interp")
         got = run_program(prog, grid, 1, backend="codegen")
         assert np.array_equal(got.data, expect.data)
         counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["exec.codegen_fallback"] == 1
         assert counters["exec.codegen_fallback.reason.recurrence"] == 1
-        assert counters["exec.batch_fallback.reason.recurrence"] == 1
+
+    def test_steps_zero_short_circuits(self):
+        prog, grid = _jigsaw_case("star-2d9p")
+        before = grid.data.copy()
+        got = run_program(prog, grid, 0)
+        assert got is not grid
+        assert np.array_equal(got.data, before)
+        assert np.array_equal(grid.data, before)  # input untouched
+
+    def test_batch_is_a_counted_alias_of_codegen(self, observing):
+        """The retired ``batch`` backend name still runs, on codegen."""
+        prog, grid = _jigsaw_case("star-2d9p", seed=5)
+        steps = prog.steps_per_iter
+        want = run_program(prog, grid, steps, backend="interp")
+        got = run_program(prog, grid, steps, backend="batch")
+        assert np.array_equal(got.data, want.data)
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["exec.backend_alias.batch"] == 1
+        assert "exec.codegen_fallback" not in counters
 
     def test_mem_hook_forces_interp(self, observing):
         """A per-access hook needs the interpreter's ordered accesses;
@@ -466,6 +624,20 @@ class TestStoreCommitModes:
         a1, a2 = _run_both(prog, factory)
         assert np.array_equal(a2["out"], a1["out"])
 
+    def test_unit_stride_store_lets_later_rows_win(self):
+        """Store stride 1 < width 4: every x row overlaps the next, so
+        the commit must let later iterations overwrite earlier ones."""
+        b = ProgramBuilder(4)
+        v = b.load(b.mem(Affine.var("x")))
+        b.store(v, b.mem(Affine.var("x"), array="out"))
+        prog = b.build(name="overlap", scheme="t",
+                       loops=[Loop("x", 0, 8, 1)], vectors_per_iter=1)
+
+        def factory():
+            return {"a": np.arange(12.0), "out": np.zeros(12)}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
     def test_interleaved_double_store_is_layout_fallback(self):
         b = ProgramBuilder(4)
         v = b.load(b.mem(Affine.var("x")))
@@ -542,3 +714,81 @@ class TestShuffleEmission:
             return {"a": np.arange(20.0) ** 2, "out": np.zeros(16)}
         a1, a2 = _run_both(prog, factory)
         assert np.array_equal(a2["out"], a1["out"])
+
+
+# ---------------------------------------------------------------------------
+# strip-mining
+# ---------------------------------------------------------------------------
+
+class TestStripMining:
+    def _case(self, kernel, shape, scheme="jigsaw", seed=3):
+        spec = library.get(kernel)
+        halo = scheme_halo(scheme, spec, GENERIC_AVX2)
+        grid = Grid.random(shape, halo, seed=seed)
+        return generate(scheme, spec, GENERIC_AVX2, grid), grid
+
+    def test_golden_geometries_are_one_slab(self):
+        """Grids up to the slab bound run unsliced, so the emitted source
+        the goldens pin is the whole sweep."""
+        prog, _ = _jigsaw_case("star-2d9p")
+        assert get_codegen(prog)._slab_rows() is None
+
+    def test_slabs_with_remainder_match_interp(self, monkeypatch):
+        """Seven outer rows in slabs of three: two full slabs share one
+        specialization and the remainder gets the second."""
+        prog, grid = self._case("box-2d9p", (7, 40))
+        cg = CodegenProgram(prog)
+        per_row = cg.trips * prog.block
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", 3 * per_row)
+        assert cg._slab_rows() == 3
+        arrays = {prog.input_array: grid.data,
+                  prog.output_array: grid.like().data}
+        want = {k: v.copy() for k, v in arrays.items()}
+        SimdMachine(prog.width).run(prog, want)
+        cg.run(arrays)
+        assert np.array_equal(arrays[prog.output_array],
+                              want[prog.output_array])
+        assert sorted(cg._slab_progs) == [1, 3]
+        assert cg._specs == {}  # the full program never specialized
+
+    def test_three_d_slabs_through_the_driver(self, monkeypatch, observing):
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", 1)
+        prog, grid = self._case("heat-3d", (5, 4, 24))
+        want = run_program(prog, grid, 2, backend="interp")
+        got = run_program(prog, grid, 2, backend="codegen")
+        assert np.array_equal(got.data, want.data)
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert "exec.codegen_fallback" not in counters
+
+    def test_address_not_shifting_with_outer_loop_runs_unsliced(
+            self, monkeypatch):
+        """An axis-0 address that scales the outer variable cannot be
+        re-based per slab; the sweep must run whole."""
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", 1)
+        b = ProgramBuilder(4)
+        v = b.load(b.mem(Affine.var("y", coeff=2), Affine.var("x")))
+        b.store(v, b.mem(Affine.var("y"), Affine.var("x"), array="out"))
+        prog = b.build(name="y2", scheme="t",
+                       loops=[Loop("y", 0, 3, 1), Loop("x", 0, 8, 4)],
+                       vectors_per_iter=1)
+        assert CodegenProgram(prog)._slab_rows() is None
+
+        def factory():
+            return {"a": np.arange(40.0).reshape(5, 8),
+                    "out": np.zeros((3, 8))}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
+    def test_view_direct_program_far_above_old_guard(self, monkeypatch,
+                                                     observing):
+        """heat-2d's loads are strided views and its stores direct view
+        stores, so no index constant counts against the budget: a guard
+        far below the grid size (which the old per-store count tripped)
+        leaves every sweep on codegen."""
+        monkeypatch.setattr(codegen_mod, "MEMORY_GUARD", 64)
+        prog, grid = self._case("heat-2d", (64, 256))
+        want = run_program(prog, grid, 2, backend="interp")
+        got = run_program(prog, grid, 2, backend="codegen")
+        assert np.array_equal(got.data, want.data)
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert "exec.codegen_fallback" not in counters

@@ -7,16 +7,17 @@ grids; for each, the **jigsaw**, **multiple-loads** (``auto``) and
 steps on the cycle-exact SIMD interpreter and compared against the numpy
 reference sweep within a small ulp budget (the schemes reassociate the
 same sums, so bitwise equality is only expected up to rounding).  Every
-case additionally runs on the batched execution backend
-(:mod:`repro.machine.batch`) **and** the emitted-source codegen backend
-(:mod:`repro.machine.codegen`), which must both match the interpreter
-**bitwise** — all three backends execute the same instruction stream, so
-no rounding slack is allowed between them.  A separate axis re-runs
-cases with observability recording enabled (:mod:`repro.obs`) and
-asserts that tracing never perturbs any backend's output bitwise.
-Further axes cover the hardened runtime layers: sharded execution
-(random shard counts and temporal blocks must reproduce the serial
-reference bitwise) and fault-injection chaos over the executor, batch,
+case additionally runs on the emitted-source codegen backend
+(:mod:`repro.machine.codegen`), which must match the interpreter
+**bitwise** — both backends execute the same instruction stream, so no
+rounding slack is allowed between them.  A strip-mining axis shrinks the
+codegen slab bound so every sweep runs slab by slab (with remainder
+slabs, deep temporal halos and scalar tails) and must stay bitwise.  A
+separate axis re-runs cases with observability recording enabled
+(:mod:`repro.obs`) and asserts that tracing never perturbs any backend's
+output bitwise.  Further axes cover the hardened runtime layers: sharded
+execution (random shard counts and temporal blocks must reproduce the
+serial reference bitwise) and fault-injection chaos over the executor,
 codegen and shard recovery paths.  The new scheme families — temporal
 (vertical time fusion) and redundancy elimination (column-sum hoisting)
 — run under the same contract on every generated spec plus the
@@ -40,6 +41,8 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32
 from repro.faults import FaultPlan, FaultRule, inject
+from repro.machine import codegen as codegen_mod
+from repro.machine.codegen import get_codegen
 from repro.parallel.executor import run_parallel
 from repro.schemes import generate, scheme_halo
 from repro.stencils import apply_steps
@@ -108,10 +111,10 @@ def _assert_ulp_close(got: np.ndarray, want: np.ndarray, *, spec, steps,
 
 def _differential_case(machine, dtype, spec, steps, seed):
     """Run every scheme for one random case against the reference, on
-    all three execution backends.  The interpreter, the batched engine
-    and the codegen engine must agree **bitwise** (they execute the same
-    instruction stream); only the comparison against the numpy reference
-    carries an ulp budget."""
+    both execution backends.  The interpreter and the codegen engine
+    must agree **bitwise** (they execute the same instruction stream);
+    only the comparison against the numpy reference carries an ulp
+    budget."""
     width = machine.vector_elems
     nx = 6 * width  # divisible by every scheme block (W and 2W)
     shape = (3,) * (spec.ndim - 1) + (nx,)
@@ -123,12 +126,11 @@ def _differential_case(machine, dtype, spec, steps, seed):
             reference = apply_steps(spec, grid, steps)
         program = generate(scheme, spec, machine, grid)
         got = run_program(program, grid, steps, backend="interp")
-        for backend in ("batch", "codegen"):
-            other = run_program(program, grid, steps, backend=backend)
-            assert np.array_equal(other.data, got.data), (
-                f"{scheme}/{spec.tag}: {backend} backend diverged bitwise "
-                f"from the interpreter after {steps} step(s)"
-            )
+        other = run_program(program, grid, steps, backend="codegen")
+        assert np.array_equal(other.data, got.data), (
+            f"{scheme}/{spec.tag}: codegen backend diverged bitwise "
+            f"from the interpreter after {steps} step(s)"
+        )
         _assert_ulp_close(got.interior, reference.interior, spec=spec,
                           steps=steps, scheme=scheme)
 
@@ -155,7 +157,7 @@ NEW_SCHEMES = ("temporal", "redundancy")
 
 def _new_scheme_case(machine, dtype, spec, sweeps, seed):
     """Temporal fusion and redundancy elimination against the reference,
-    bitwise across all three execution backends.  Temporal programs fuse
+    bitwise across both execution backends.  Temporal programs fuse
     ``steps_per_iter`` time steps per sweep, so the step count is a
     multiple of the program's depth and the outer extents are sized to
     the fused halo (periodic refills need ``halo <= interior``)."""
@@ -168,12 +170,11 @@ def _new_scheme_case(machine, dtype, spec, sweeps, seed):
         program = generate(scheme, spec, machine, grid)
         steps = sweeps * program.steps_per_iter
         got = run_program(program, grid, steps, backend="interp")
-        for backend in ("batch", "codegen"):
-            other = run_program(program, grid, steps, backend=backend)
-            assert np.array_equal(other.data, got.data), (
-                f"{scheme}/{spec.tag}: {backend} backend diverged bitwise "
-                f"from the interpreter after {steps} step(s)"
-            )
+        other = run_program(program, grid, steps, backend="codegen")
+        assert np.array_equal(other.data, got.data), (
+            f"{scheme}/{spec.tag}: codegen backend diverged bitwise "
+            f"from the interpreter after {steps} step(s)"
+        )
         reference = apply_steps(spec, grid, steps)
         _assert_ulp_close(got.interior, reference.interior, spec=spec,
                           steps=steps, scheme=scheme)
@@ -218,7 +219,7 @@ def test_budget_meets_acceptance_floor():
 def test_backends_agree_with_prologue_carry():
     """Jigsaw's loop-carried butterfly window (Algorithm 1's v0/vp0,
     seeded in the prologue and slid at the end of each body) must survive
-    the batch backend's carried-register peeling bitwise."""
+    the codegen backend's carried-register peeling bitwise."""
     spec = star(2, 2, center=-3.25, arm=[0.5, 0.125], name="carry-probe")
     halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
     grid = Grid.random((5, 48), halo, seed=11)
@@ -226,8 +227,8 @@ def test_backends_agree_with_prologue_carry():
     assert program.prologue, "probe must exercise a prologue"
     for steps in (1, 3):
         interp = run_program(program, grid, steps, backend="interp")
-        batch = run_program(program, grid, steps, backend="batch")
-        assert np.array_equal(batch.data, interp.data)
+        codegen = run_program(program, grid, steps, backend="codegen")
+        assert np.array_equal(codegen.data, interp.data)
 
 
 def test_backends_agree_on_tail_strip():
@@ -242,8 +243,67 @@ def test_backends_agree_on_tail_strip():
     program = generate("jigsaw", spec, GENERIC_AVX2, grid)
     assert program.loops[-1].trip_count * program.loops[-1].step < nx
     interp = run_program(program, grid, 2, backend="interp")
-    batch = run_program(program, grid, 2, backend="batch")
-    assert np.array_equal(batch.data, interp.data)
+    codegen = run_program(program, grid, 2, backend="codegen")
+    assert np.array_equal(codegen.data, interp.data)
+
+
+# -- the strip-mining axis -----------------------------------------------------
+#
+# Sweeps above codegen's slab bound run slab by slab along the outermost
+# loop.  Shrinking the bound to a few outer rows makes every case here
+# strip-mined, with a remainder slab whenever the row count does not
+# divide the outer extent.
+
+SLAB_SETTINGS = settings(
+    max_examples=min(EXAMPLES, 20),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@SLAB_SETTINGS
+@given(spec=random_specs.filter(lambda s: s.ndim >= 2),
+       rows=st.integers(min_value=1, max_value=3),
+       f32=st.booleans(), tail=st.booleans(),
+       sweeps=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_strip_mined_codegen_matches_interp_bitwise(spec, rows, f32, tail,
+                                                    sweeps, seed):
+    """Every scheme family — temporal (``s*r``-deep halos) and
+    redundancy included — on 2-D/3-D grids, float32 and float64, with
+    and without a scalar tail strip: strip-mined codegen must equal the
+    interpreter bitwise without ever falling back."""
+    machine, dtype = ((GENERIC_AVX2_F32, np.float32) if f32
+                      else (GENERIC_AVX2, np.float64))
+    nx = 6 * machine.vector_elems + (3 if tail else 0)
+    saved = codegen_mod.SLAB_POINTS
+    was_enabled = obs.enabled()
+    obs.enable(reset=True)
+    try:
+        for scheme in DIFF_SCHEMES + NEW_SCHEMES:
+            halo = scheme_halo(scheme, spec, machine)
+            shape = ((max(7, halo[0]),)
+                     + tuple(max(3, h) for h in halo[1:-1]) + (nx,))
+            grid = Grid.random(shape, halo, seed=seed, dtype=dtype)
+            program = generate(scheme, spec, machine, grid)
+            steps = sweeps * program.steps_per_iter
+            want = run_program(program, grid, steps, backend="interp")
+            cg = get_codegen(program)
+            per_row = (int(np.prod(cg.outer_dims[1:])) * cg.trips
+                       * program.block)
+            codegen_mod.SLAB_POINTS = rows * per_row
+            assert cg._slab_rows() == rows, (scheme, spec.tag)
+            got = run_program(program, grid, steps, backend="codegen")
+            codegen_mod.SLAB_POINTS = saved
+            assert np.array_equal(got.data, want.data), (
+                f"{scheme}/{spec.tag}: strip-mined codegen ({rows} rows "
+                f"per slab) diverged bitwise after {steps} step(s)")
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert "exec.codegen_fallback" not in counters, counters
+    finally:
+        codegen_mod.SLAB_POINTS = saved
+        if not was_enabled:
+            obs.disable()
 
 
 @DIFF_SETTINGS
@@ -260,7 +320,7 @@ def test_tracing_never_changes_results(spec, steps, seed):
     grid = Grid.random(shape, halo, seed=seed)
     program = generate("jigsaw", spec, machine, grid)
     plain = {b: run_program(program, grid, steps, backend=b)
-             for b in ("interp", "batch", "codegen")}
+             for b in ("interp", "codegen")}
     was_enabled = obs.enabled()
     obs.enable(reset=True)
     try:
@@ -274,7 +334,7 @@ def test_tracing_never_changes_results(spec, steps, seed):
         if not was_enabled:
             obs.disable()
     snap = obs.snapshot()
-    assert snap["metrics"]["counters"].get("exec.sweeps", 0) >= 3 * steps
+    assert snap["metrics"]["counters"].get("exec.sweeps", 0) >= 2 * steps
 
 
 # -- the chaos axis ------------------------------------------------------------
@@ -324,40 +384,6 @@ def test_executor_fault_recovery_never_changes_results(rules, seed):
         )
 
 
-batch_fault_rules = st.lists(
-    st.builds(
-        FaultRule,
-        site=st.just("exec.batch_closure"),
-        kind=st.sampled_from(("raise", "delay")),
-        after=st.integers(min_value=0, max_value=3),
-        times=st.integers(min_value=1, max_value=2),
-        delay_s=st.just(0.001),
-    ),
-    min_size=1, max_size=2)
-
-
-@CHAOS_SETTINGS
-@given(spec=random_specs, rules=batch_fault_rules,
-       steps=st.integers(min_value=1, max_value=3),
-       seed=st.integers(min_value=0, max_value=2**16))
-def test_batch_fault_degrades_to_interp_bitwise(spec, rules, steps, seed):
-    """A faulted batch closure must hand the sweep to the interpreter
-    mid-run without perturbing a single bit on either backend request."""
-    machine = GENERIC_AVX2
-    halo = scheme_halo("jigsaw", spec, machine)
-    shape = (3,) * (spec.ndim - 1) + (6 * machine.vector_elems,)
-    grid = Grid.random(shape, halo, seed=seed)
-    program = generate("jigsaw", spec, machine, grid)
-    for backend in ("batch", "auto"):
-        clean = run_program(program, grid, steps, backend=backend)
-        with inject(FaultPlan(rules=tuple(rules), seed=seed)):
-            faulted = run_program(program, grid, steps, backend=backend)
-        assert np.array_equal(clean.data, faulted.data), (
-            f"{spec.tag}/{backend}: batch-closure fault recovery diverged "
-            f"bitwise (plan: {[r.to_dict() for r in rules]})"
-        )
-
-
 codegen_fault_rules = st.lists(
     st.builds(
         FaultRule,
@@ -378,7 +404,7 @@ def test_codegen_fault_degrades_down_ladder_bitwise(spec, rules, steps,
                                                     seed):
     """Random faults over the codegen path — at kernel compilation
     (``compile.kernel``, retried by the service) and at the emitted-source
-    sweep (``exec.codegen_kernel``, degraded to the batch engine) — must
+    sweep (``exec.codegen_kernel``, degraded to the interpreter) — must
     never perturb a bit of the final grid."""
     from repro.service import KernelService
     machine = GENERIC_AVX2

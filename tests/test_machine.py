@@ -5,10 +5,9 @@ import pytest
 
 from repro.config import GENERIC_AVX2
 from repro.errors import MachineError
-from repro.machine.batch import analytic_trace
 from repro.machine.isa import Affine, Instr, MemRef, Op
 from repro.machine.machine import SimdMachine
-from repro.machine.trace import TraceCounter
+from repro.machine.trace import TraceCounter, analytic_trace
 from repro.schemes import SCHEMES, generate, scheme_halo
 from repro.stencils.grid import Grid
 from repro.stencils.spec import star
@@ -119,9 +118,10 @@ class TestLoopCarriedState:
 
 
 class TestAnalyticTrace:
-    """The batch backend never executes instructions one at a time, so its
-    trace is computed statically (:func:`repro.machine.batch.analytic_trace`);
-    it must tally *exactly* what the interpreter counts."""
+    """The codegen backend never executes instructions one at a time, so
+    its trace is computed statically (:func:`repro.machine.trace.
+    analytic_trace`); it must tally *exactly* what the interpreter
+    counts."""
 
     def _assert_traces_equal(self, analytic, interp):
         assert analytic.by_class == interp.by_class
@@ -168,8 +168,17 @@ class TestAnalyticTrace:
         grid = Grid.random(shape, halo, seed=5)
         prog = generate(scheme, spec, GENERIC_AVX2, grid)
         interp = measure_trace(prog, grid, backend="interp")
-        analytic = measure_trace(prog, grid, backend="batch")
+        analytic = measure_trace(prog, grid, backend="codegen")
         self._assert_traces_equal(analytic, interp)
+
+    def test_analytic_trace_fresh_counter(self):
+        spec = star(1, 1, center=-2.0, arm=[1.0])
+        halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
+        grid = Grid.random((40,), halo, seed=0)
+        prog = generate("jigsaw", spec, GENERIC_AVX2, grid)
+        tc = analytic_trace(prog)
+        assert tc.vectors == prog.vectors_per_iter * prog.total_body_runs()
+        assert tc.steps == prog.steps_per_iter
 
 
 class TestTraceCounting:

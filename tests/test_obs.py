@@ -210,28 +210,28 @@ class TestInstrumentedStack:
         halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
         grid = Grid.random((64,), halo, seed=3)
         program = generate("jigsaw", spec, GENERIC_AVX2, grid)
-        run_program(program, grid, program.steps_per_iter, backend="batch",
+        run_program(program, grid, program.steps_per_iter, backend="codegen",
                     mem_hook=lambda *a, **k: None)
         counters = obs.snapshot()["metrics"]["counters"]
-        assert counters["exec.batch_fallback"] == 1
-        assert counters["exec.batch_fallback.reason.mem_hook"] == 1
+        assert counters["exec.codegen_fallback"] == 1
+        assert counters["exec.codegen_fallback.reason.mem_hook"] == 1
         assert counters["exec.sweeps"] >= 1
 
     def test_fallback_reason_compile(self, observing, monkeypatch):
-        from repro.machine.batch import BatchFallback
+        from repro.machine.codegen import CodegenFallback
         from repro.vectorize import driver
 
         def boom(program):
-            raise BatchFallback("forced")
+            raise CodegenFallback("compile", "forced")
 
-        monkeypatch.setattr(driver, "get_batched", boom)
+        monkeypatch.setattr(driver, "get_codegen", boom)
         spec = library.get("heat-1d")
         halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
         grid = Grid.random((64,), halo, seed=3)
         program = generate("jigsaw", spec, GENERIC_AVX2, grid)
-        run_program(program, grid, program.steps_per_iter, backend="batch")
+        run_program(program, grid, program.steps_per_iter, backend="codegen")
         counters = obs.snapshot()["metrics"]["counters"]
-        assert counters["exec.batch_fallback.reason.compile"] == 1
+        assert counters["exec.codegen_fallback.reason.compile"] == 1
 
     def test_profile_cli_covers_all_stages(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"

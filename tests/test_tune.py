@@ -546,6 +546,35 @@ class TestIntegration:
             assert k.plan.time_fusion == winner.config.time_fusion
             assert k.plan.use_sdf == winner.config.use_sdf
 
+    def test_stored_batch_winner_still_applies(self, tmp_path):
+        """A winner recorded while ``batch`` was an engine still loads
+        from disk and applies; the run resolves it to codegen."""
+        import numpy as np
+        from repro import obs
+        from repro.service import CompileRequest, KernelService
+        from repro.tune import workload_key
+        cfg = TuneConfig(engine="machine", time_fusion=1, use_sdf=False,
+                         exec_backend="batch")
+        key = workload_key(HEAT1D, MACHINE, (256,))
+        TuningDB(str(tmp_path)).put(make_record(key, config=cfg))
+        svc = KernelService(MACHINE, tuning_db=TuningDB(str(tmp_path)))
+        k, = svc.compile_many([CompileRequest(HEAT1D, (256,))], tune="db")
+        assert k.plan.time_fusion == 1 and k.plan.use_sdf is False
+        assert k.exec_backend() == "batch"
+        grid = k.grid_like((256,), seed=2)
+        want = k.run(grid, 2, backend="interp")
+        was = obs.enabled()
+        obs.enable(reset=True)
+        try:
+            got = k.run(grid, 2)
+            counters = obs.snapshot()["metrics"]["counters"]
+        finally:
+            if not was:
+                obs.disable()
+        assert np.array_equal(got.data, want.data)
+        assert counters["exec.backend_alias.batch"] == 1
+        assert "exec.codegen_fallback" not in counters
+
     def test_service_untuned_compile_unchanged(self):
         from repro.service import CompileRequest, KernelService
         svc = KernelService(MACHINE)
