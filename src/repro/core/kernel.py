@@ -104,8 +104,7 @@ class CompiledKernel:
                     executor: str = "process",
                     boundary: str = "periodic", value: float = 0.0,
                     backend: Optional[str] = None,
-                    workers: Optional[int] = None,
-                    retries: int = 2, pool_restarts: int = 2) -> Grid:
+                    workers: Optional[int] = None) -> Grid:
         """Sharded execution: the outer axis is partitioned into ``shards``
         slabs, each advanced by this kernel's compiled pipeline in its own
         worker, with deep-halo exchange every ``temporal_block`` sub-steps
@@ -127,8 +126,7 @@ class CompiledKernel:
                             else self.plan.time_fusion),
             executor=executor, workers=workers, boundary=boundary,
             value=value, recipe=recipe,
-            exec_backend=backend or self.exec_backend(),
-            retries=retries, pool_restarts=pool_restarts)
+            exec_backend=backend or self.exec_backend())
 
     def run_numpy(self, grid: Grid, steps: int, *, boundary: str = "periodic",
                   value: float = 0.0) -> Grid:

@@ -23,14 +23,18 @@ the input grid, never on scheduling, and patches land in disjoint output
 slices — so any worker count, and either backend, produces identical
 grids from the same inputs (guarded by ``tests/test_parallel.py``).
 
-Failure model (see ``docs/architecture.md``): a tile task that fails with
-a :class:`~repro.errors.ReproError` (which includes injected faults) is
-recomputed serially in the parent — :func:`apply_tile` zeroes its output
-slice first, so recomputation is idempotent and bitwise identical.  A
-crashed process pool (``BrokenProcessPool``, e.g. a killed worker) is
-restarted up to ``pool_restarts`` times with the phase's unfinished tiles
-resubmitted; past that budget the parent computes the stragglers itself.
-Phases completed before a crash are never redone — the per-phase barrier
+Both callers of the pool, this tile executor and the shard runner
+(:mod:`repro.shard.runner`), dispatch through one :class:`SupervisedPool`:
+one barrier of independent tasks at a time, then recovery (see
+``docs/architecture.md``).  A task that fails with a
+:class:`~repro.errors.ReproError` (injected faults included) is
+recomputed in the parent, with :data:`TASK_RETRIES` further attempts
+if that fails too; recomputation is idempotent, because
+:func:`apply_tile` zeroes its output slice first.  A crashed process pool (``BrokenProcessPool``, e.g. a
+killed worker) is restarted up to :data:`POOL_RESTARTS` times per run
+with the unfinished tasks resubmitted; past that budget the parent
+finishes the run itself, and the next run starts a fresh pool.  Barriers
+completed before a crash are never redone, so the per-phase barrier
 doubles as a recovery checkpoint.
 """
 
@@ -40,7 +44,8 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +59,13 @@ from ..tiling.schedule import TileSchedule, build_schedule
 
 #: executor backends accepted by :func:`run_parallel`.
 BACKENDS: Tuple[str, ...] = ("thread", "process")
+
+#: extra in-parent attempts at a failed task after the first recompute
+#: (also bounds the shard runner's gather retries)
+TASK_RETRIES = 2
+#: process-pool restarts per run after a worker loss; past them the
+#: parent finishes the run itself
+POOL_RESTARTS = 2
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -96,15 +108,10 @@ def apply_tile(spec: StencilSpec, grid: Grid, out: Grid, tile: Tile) -> None:
         np.add(dst, c * grid.data[sl], out=dst)
 
 
-def _sweep_tile_patch(args) -> np.ndarray:
+def _sweep_tile_patch(spec: StencilSpec, grid: Grid, tile: Tile,
+                      actions: Tuple[faults.FaultAction, ...]) -> np.ndarray:
     """Process-pool worker: compute one tile's sweep on a private copy of
-    the grid and return the dense patch (module-level for picklability).
-
-    ``actions`` are faults the *parent* decided at submission time —
-    workers cannot see the parent's injector, so triggered actions ride
-    along with the task and are replayed here (the only place a ``kill``
-    fault really exits)."""
-    spec, grid, tile, actions = args
+    the grid and return the dense patch (module-level for picklability)."""
     for action in actions:
         faults.perform_shipped(action)
     out = grid.like()
@@ -112,126 +119,136 @@ def _sweep_tile_patch(args) -> np.ndarray:
     return np.ascontiguousarray(out.data[tile.slices(out.halo)])
 
 
-def _retry_tile(spec: StencilSpec, grid: Grid, out: Grid, tile: Tile,
-                retries: int) -> None:
-    """Serial in-parent recomputation of a failed tile, with a bounded
-    retry budget (later attempts count fresh fault-site hits, so a rule
-    with a finite ``times`` eventually lets the tile through)."""
-    obs.counter("parallel.task_retries").inc()
-    last: Optional[ReproError] = None
-    for _ in range(retries + 1):
-        try:
-            apply_tile(spec, grid, out, tile)
-            return
-        except ReproError as exc:
-            last = exc
-    raise last  # retry budget exhausted: surface the final failure
+def _thread_task(local: Callable[[Any], None], task: Any) -> None:
+    """Thread-pool task: a thread worker shares the parent's injector, so
+    it takes its own ``pool.task_start`` hit."""
+    faults.fault_point("pool.task_start")
+    local(task)
 
 
-class _PoolBox:
-    """Holder for a restartable process pool (a crashed
-    ``ProcessPoolExecutor`` is unusable; recovery needs a fresh one)."""
+class SupervisedPool:
+    """A worker pool that runs barriers of independent tasks and recovers
+    every failure bitwise (see the module docstring).
 
-    def __init__(self, workers: int) -> None:
+    A caller supplies, per :meth:`barrier`, the tasks plus three
+    functions: ``local(task)`` computes a task in this process and lands
+    its result (thread workers and every in-parent recomputation run
+    it); ``remote(task, actions)`` is a picklable module-level callable
+    that replays the shipped fault ``actions`` and returns the task's
+    result from a process worker; ``land(task, result)`` writes that
+    result.  ``sites`` are the fault sites a process-backend task
+    consumes, decided in the parent in submission order; ``prefix``
+    names the ``{prefix}.task_retries`` / ``{prefix}.pool_restarts``
+    counters.
+
+    The executor starts lazily and lives until :meth:`close`; call
+    :meth:`reset` at the start of each run to refill the restart budget.
+    """
+
+    def __init__(self, backend: str, workers: int, *, prefix: str,
+                 sites: Tuple[str, ...] = ("pool.task_start",)) -> None:
+        self.backend = backend
         self.workers = workers
-        self.pool = ProcessPoolExecutor(max_workers=workers,
-                                        mp_context=pool_context())
+        self.sites = sites
+        self._retries = f"{prefix}.task_retries"
+        self._restarts = f"{prefix}.pool_restarts"
+        self._executor = None
+        self._restarts_left = POOL_RESTARTS
 
-    def restart(self) -> None:
-        self.pool.shutdown(wait=False, cancel_futures=True)
-        self.pool = ProcessPoolExecutor(max_workers=self.workers,
-                                        mp_context=pool_context())
+    def reset(self) -> None:
+        """Start a new run with the full restart budget.  A pool the
+        previous run gave up on was already dropped, so the next
+        submission starts a fresh one without counting a loss."""
+        self._restarts_left = POOL_RESTARTS
 
-    def shutdown(self) -> None:
-        self.pool.shutdown()
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
+    def __enter__(self) -> "SupervisedPool":
+        return self
 
-def _decide_task_faults(inj) -> Tuple[faults.FaultAction, ...]:
-    """Consume this task's fault-site hits in the parent, in submission
-    order — the deterministic stand-in for worker-side ``fault_point``
-    calls the injector cannot observe across the process boundary."""
-    if inj is None:
-        return ()
-    actions = []
-    for site in ("pool.task_start", "tile.sweep"):
-        action = inj.decide(site)
-        if action is not None:
-            actions.append(action)
-    return tuple(actions)
+    def __exit__(self, *exc) -> None:
+        self.close()
 
+    def _pool(self):
+        if self._executor is None:
+            if self.backend == "process":
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=pool_context())
+            else:
+                self._executor = ThreadPoolExecutor(max_workers=self.workers)
+        return self._executor
 
-def _run_phase_process(box: _PoolBox, spec: StencilSpec, cur: Grid,
-                       nxt: Grid, phase: Sequence[Tile], retries: int,
-                       restarts_left: int) -> int:
-    """One phase on the process pool; returns the remaining restart
-    budget (negative = degraded to in-parent execution for the rest of
-    the run).  Loops until every tile of the phase has landed."""
-    if restarts_left < 0:
-        for tile in phase:
-            _retry_tile(spec, cur, nxt, tile, retries)
-        return restarts_left
-    pending: List[Tile] = list(phase)
-    while pending:
-        inj = faults.active()
-        futures: List[Tuple] = []
-        unsubmitted: List[Tile] = []
-        try:
-            for tile in pending:
-                futures.append((box.pool.submit(
-                    _sweep_tile_patch,
-                    (spec, cur, tile, _decide_task_faults(inj))), tile))
-        except BrokenProcessPool:
-            # the pool died before this phase's submissions finished
-            unsubmitted = pending[len(futures):]
-        still_pending: List[Tile] = list(unsubmitted)
-        broken = bool(unsubmitted)
-        for fut, tile in futures:
+    def _decide(self, inj) -> Tuple[faults.FaultAction, ...]:
+        """Consume one process task's fault-site hits in the parent, in
+        submission order: the deterministic stand-in for worker-side
+        ``fault_point`` calls the injector cannot observe across the
+        process boundary.  Triggered actions ride along with the task."""
+        if inj is None:
+            return ()
+        return tuple(a for a in map(inj.decide, self.sites) if a is not None)
+
+    def barrier(self, tasks: Sequence[Any], local: Callable[[Any], None],
+                remote: Callable, land: Callable[[Any, Any], None]) -> None:
+        """Run ``tasks`` to completion: on return every result has landed."""
+        thread = self.backend == "thread"
+        pending = list(tasks)
+        while pending:
+            if self._restarts_left < 0:
+                # restart budget spent: the parent finishes the run
+                for task in pending:
+                    self._recompute(local, task)
+                return
+            inj = faults.active()
+            pool = self._pool()
+            futures = []
+            lost: List[Any] = []
             try:
-                patch = fut.result()
-            except faults.FaultInjected:
-                # the worker replayed a raise-style fault: recompute here
-                _retry_tile(spec, cur, nxt, tile, retries)
+                for task in pending:
+                    futures.append((
+                        pool.submit(_thread_task, local, task) if thread
+                        else pool.submit(remote, task, self._decide(inj)),
+                        task))
             except BrokenProcessPool:
-                broken = True
-                still_pending.append(tile)
-            else:
-                nxt.data[tile.slices(nxt.halo)] = patch
-        pending = still_pending
-        if broken and pending:
-            obs.counter("parallel.pool_restarts").inc()
-            obs.counter("parallel.fallback.reason.worker_lost").inc()
-            if restarts_left > 0:
-                restarts_left -= 1
-                box.restart()
-            else:
-                # restart budget exhausted: degrade to the parent for
-                # this phase and every later one
-                restarts_left = -1
-                for tile in pending:
-                    _retry_tile(spec, cur, nxt, tile, retries)
-                pending = []
-    return restarts_left
+                # the pool died before this barrier's submissions finished
+                lost = pending[len(futures):]
+            failed = []
+            for fut, task in futures:
+                try:
+                    result = fut.result()
+                except ReproError:
+                    failed.append(task)
+                except BrokenProcessPool:
+                    lost.append(task)
+                else:
+                    if not thread:  # thread tasks landed their own result
+                        land(task, result)
+            for task in failed:
+                self._recompute(local, task)
+            if lost:
+                # a worker died: drop the pool, resubmit the unfinished
+                # tasks to a fresh one (or, past the budget, to the parent)
+                obs.counter(self._restarts).inc()
+                obs.counter("parallel.fallback.reason.worker_lost").inc()
+                self._executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = None
+                self._restarts_left -= 1
+            pending = lost
 
-
-def _run_phase_thread(pool: ThreadPoolExecutor, spec: StencilSpec,
-                      cur: Grid, nxt: Grid, phase: Sequence[Tile],
-                      retries: int) -> None:
-    """One phase on the thread pool; failed tiles are recomputed
-    serially in the caller after the barrier."""
-
-    def task(tile: Tile) -> None:
-        faults.fault_point("pool.task_start")
-        apply_tile(spec, cur, nxt, tile)
-
-    futures = [(pool.submit(task, tile), tile) for tile in phase]
-    failed: List[Tile] = []
-    for fut, tile in futures:
-        try:
-            fut.result()
-        except ReproError:
-            failed.append(tile)
-    for tile in failed:
-        _retry_tile(spec, cur, nxt, tile, retries)
+    def _recompute(self, local: Callable[[Any], None], task: Any) -> None:
+        """In-parent recomputation of a failed task, with a bounded retry
+        budget (later attempts count fresh fault-site hits, so a rule
+        with a finite ``times`` eventually lets the task through)."""
+        obs.counter(self._retries).inc()
+        for attempt in range(TASK_RETRIES + 1):
+            try:
+                local(task)
+                return
+            except ReproError:
+                if attempt == TASK_RETRIES:
+                    raise  # retry budget exhausted: surface the failure
 
 
 def run_parallel(
@@ -245,8 +262,6 @@ def run_parallel(
     value: float = 0.0,
     schedule: Optional[TileSchedule] = None,
     backend: str = "thread",
-    retries: int = 2,
-    pool_restarts: int = 2,
     shards: Optional[int] = None,
     temporal_block: int = 1,
 ) -> Grid:
@@ -256,10 +271,8 @@ def run_parallel(
     ``workers``.  A custom ``schedule`` overrides the default
     single-phase blocking.  ``backend`` selects the executor (see the
     module docstring); results are bitwise identical across backends and
-    worker counts.  ``retries`` bounds in-parent recomputations of a
-    failed tile; ``pool_restarts`` bounds process-pool resurrections
-    after a worker loss (past it, the parent computes remaining tiles
-    itself).  Every recovery path is bitwise identical to a clean run.
+    worker counts, and every recovery path of the :class:`SupervisedPool`
+    is bitwise identical to a clean run.
 
     ``shards=N`` switches to the halo-exchange shard runner
     (:mod:`repro.shard`): the grid is partitioned into N outer-axis
@@ -283,7 +296,6 @@ def run_parallel(
             spec, grid, steps, shards=shards,
             temporal_block=temporal_block, executor=backend,
             workers=workers, boundary=boundary, value=value,
-            retries=retries, pool_restarts=pool_restarts,
         )
     if workers < 1:
         raise TilingError("workers must be >= 1")
@@ -291,10 +303,6 @@ def run_parallel(
         raise TilingError(
             f"unknown executor backend {backend!r}; known: {BACKENDS}"
         )
-    if retries < 0:
-        raise TilingError("retries must be >= 0")
-    if pool_restarts < 0:
-        raise TilingError("pool_restarts must be >= 0")
     if schedule is None:
         if tile_shape is None:
             chunk = max(1, -(-grid.shape[0] // max(1, workers)))
@@ -302,25 +310,21 @@ def run_parallel(
         schedule = build_schedule(grid.shape, tile_shape)
     cur = grid.copy()
     nxt = grid.like()
-    if backend == "process":
-        box = _PoolBox(workers)
-        restarts_left = pool_restarts
-        try:
-            for _ in range(steps):
-                fill_halo(cur, boundary, value=value)
-                for phase in schedule.phases:
-                    # barrier per phase: every tile lands before the next
-                    # phase starts, and a completed phase is never redone.
-                    restarts_left = _run_phase_process(
-                        box, spec, cur, nxt, phase, retries, restarts_left)
-                cur, nxt = nxt, cur
-        finally:
-            box.shutdown()
-        return cur
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+
+    def local(tile: Tile) -> None:
+        apply_tile(spec, cur, nxt, tile)
+
+    def land(tile: Tile, patch: np.ndarray) -> None:
+        nxt.data[tile.slices(nxt.halo)] = patch
+
+    with SupervisedPool(backend, workers, prefix="parallel",
+                        sites=("pool.task_start", "tile.sweep")) as pool:
         for _ in range(steps):
             fill_halo(cur, boundary, value=value)
+            remote = partial(_sweep_tile_patch, spec, cur)
             for phase in schedule.phases:
-                _run_phase_thread(pool, spec, cur, nxt, phase, retries)
+                # barrier per phase: every tile lands before the next
+                # phase starts, and a completed phase is never redone
+                pool.barrier(phase, local, remote, land)
             cur, nxt = nxt, cur
     return cur

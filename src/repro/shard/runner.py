@@ -1,24 +1,20 @@
 """The shard runner: superstep loop, dispatch, checkpoint/restart.
 
-:class:`ShardRunner` owns a persistent worker pool (thread or pinned
-spawn-safe process pool) and drives the deep-halo schedule: per
+:class:`ShardRunner` owns a persistent
+:class:`~repro.parallel.executor.SupervisedPool` (thread or pinned
+spawn-safe process backend) and drives the deep-halo schedule: per
 superstep it gathers every shard's padded window from the authoritative
-grid (:mod:`repro.shard.exchange`), dispatches the windows to
-:func:`~repro.shard.worker.run_shard_task`, scatters the returned slabs
-into the output buffer, and swaps.  The swap is the synchronization
-barrier *and* the recovery checkpoint — exactly the phase-barrier role
-:func:`~repro.parallel.executor.run_parallel` plays for tiles:
-
-* a task that fails with a :class:`~repro.errors.ReproError` (injected
-  faults included) is recomputed in the parent from the same window —
-  idempotent, because windows are private copies and slabs land in
-  disjoint output slices;
-* a killed worker (``BrokenProcessPool``) triggers a pool restart with
-  the unfinished shards regathered and resubmitted, up to
-  ``pool_restarts`` times; past the budget the parent degrades to
-  computing stragglers itself;
-* a faulted *gather* (``shard.exchange``) is retried against the
-  authoritative grid, which the superstep never mutates.
+grid (:mod:`repro.shard.exchange`), runs the windows as one pool barrier
+through :func:`~repro.shard.worker.run_shard_task`, scatters the returned
+slabs into the output buffer, and swaps.  The swap is the synchronization
+barrier *and* the recovery checkpoint, the role the phase barrier plays
+for :func:`~repro.parallel.executor.run_parallel`'s tiles.  The pool's
+recovery covers the tasks (in-parent recompute from the same private
+window, pool restarts with the unfinished shards resubmitted, then
+degrade-to-parent; counted under ``shard.*``); the runner itself retries
+a faulted *gather* (``shard.exchange``) against the authoritative grid,
+which the superstep never mutates, up to
+:data:`~repro.parallel.executor.TASK_RETRIES` times.
 
 Every recovery path replays the same arithmetic on the same inputs, so
 faulted runs stay bitwise identical to clean ones — the property
@@ -27,15 +23,15 @@ faulted runs stay bitwise identical to clean ones — the property
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .. import faults, obs
-from ..errors import ReproError, TilingError
-from ..parallel.executor import BACKENDS, _PoolBox
+from ..errors import TilingError
+from ..parallel import executor as pool_mod
+from ..parallel.executor import BACKENDS, SupervisedPool
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
 from .exchange import gather_window, scatter_slab, window_bytes
@@ -49,8 +45,10 @@ class ShardRunner:
     Construct once, call :meth:`run` many times: the worker pool (and,
     for the program engine, each worker's compiled local program)
     persists across runs, so repeated sweeps pay the pool spin-up and
-    per-window compilation once.  Use as a context manager or call
-    :meth:`close`.
+    per-window compilation once.  Each run gets the full
+    :data:`~repro.parallel.executor.POOL_RESTARTS` budget, and a pool a
+    degraded run gave up on is replaced without counting a loss.  Use as
+    a context manager or call :meth:`close`.
     """
 
     def __init__(
@@ -63,8 +61,6 @@ class ShardRunner:
         workers: Optional[int] = None,
         recipe: Optional[KernelRecipe] = None,
         exec_backend: str = "auto",
-        retries: int = 2,
-        pool_restarts: int = 2,
     ) -> None:
         if shards < 1:
             raise TilingError("shards must be >= 1")
@@ -75,10 +71,6 @@ class ShardRunner:
                 f"unknown executor backend {executor!r}; known: {BACKENDS}")
         if workers is not None and workers < 1:
             raise TilingError("workers must be >= 1")
-        if retries < 0:
-            raise TilingError("retries must be >= 0")
-        if pool_restarts < 0:
-            raise TilingError("pool_restarts must be >= 0")
         if recipe is not None:
             if spec.ndim < 2:
                 raise TilingError(
@@ -95,19 +87,11 @@ class ShardRunner:
         self.workers = min(shards, workers) if workers else shards
         self.recipe = recipe
         self.exec_backend = exec_backend
-        self.retries = retries
-        self.pool_restarts = pool_restarts
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._pool_box: Optional[_PoolBox] = None
+        self._pool = SupervisedPool(executor, self.workers, prefix="shard")
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown()
-            self._thread_pool = None
-        if self._pool_box is not None:
-            self._pool_box.shutdown()
-            self._pool_box = None
+        self._pool.close()
 
     def __enter__(self) -> "ShardRunner":
         return self
@@ -141,17 +125,22 @@ class ShardRunner:
         observing = obs.enabled()
         cur = grid.copy()
         nxt = grid.like()
-        restarts_left = self.pool_restarts
+
+        def land(task: Tuple[ShardJob, np.ndarray], slab: np.ndarray) -> None:
+            scatter_slab(nxt, bounds[task[0].index], slab)
+
+        def local(task: Tuple[ShardJob, np.ndarray]) -> None:
+            land(task, run_shard_task(self.spec, task))
+
+        remote = partial(run_shard_task, self.spec)
+        self._pool.reset()
         for step_idx, s_eff in enumerate(plan.supersteps(steps)):
             with obs.span("shard.superstep", step=step_idx,
                           sub_steps=s_eff, shards=plan.shards):
-                tasks = self._gather_all(cur, plan, s_eff,
+                bounds = [plan.bounds(i, s_eff) for i in range(plan.shards)]
+                tasks = self._gather_all(cur, plan, bounds, s_eff,
                                          boundary=boundary, value=value)
-                if self.executor == "process":
-                    restarts_left = self._dispatch_process(
-                        tasks, nxt, restarts_left)
-                else:
-                    self._dispatch_thread(tasks, nxt)
+                self._pool.barrier(tasks, local, remote, land)
             if observing:
                 obs.counter("shard.supersteps").inc()
                 obs.counter("shard.redundant_points").inc(
@@ -162,28 +151,27 @@ class ShardRunner:
         return cur
 
     # -- exchange ------------------------------------------------------------
-    def _gather_all(self, cur: Grid, plan: ShardPlan, s_eff: int, *,
+    def _gather_all(self, cur: Grid, plan: ShardPlan,
+                    bounds: List[ShardBounds], s_eff: int, *,
                     boundary: str, value: float
-                    ) -> List[Tuple[ShardBounds, ShardJob, np.ndarray]]:
+                    ) -> List[Tuple[ShardJob, np.ndarray]]:
         tasks = []
-        for i in range(plan.shards):
-            b = plan.bounds(i, s_eff)
-            payload = self._gather(cur, plan, b)
+        for i, b in enumerate(bounds):
             job = ShardJob(index=i, s_eff=s_eff,
                            lo_pad=b.lo_pad, hi_pad=b.hi_pad,
                            lo_edge=b.lo_edge, hi_edge=b.hi_edge,
                            boundary=boundary, value=value,
                            recipe=self.recipe,
                            exec_backend=self.exec_backend)
-            tasks.append((b, job, payload))
+            tasks.append((job, self._gather(cur, plan, b)))
         return tasks
 
     def _gather(self, cur: Grid, plan: ShardPlan,
                 b: ShardBounds) -> np.ndarray:
         """One window gather with a bounded retry against the (immutable
         within the superstep) authoritative grid."""
-        last: Optional[ReproError] = None
-        for _ in range(self.retries + 1):
+        last: Optional[faults.FaultInjected] = None
+        for _ in range(pool_mod.TASK_RETRIES + 1):
             try:
                 with obs.span("shard.exchange", shard=b.slab.index):
                     payload = gather_window(cur, plan, b)
@@ -196,101 +184,6 @@ class ShardRunner:
                     window_bytes(b, cur))
             return payload
         raise last
-
-    # -- dispatch ------------------------------------------------------------
-    def _recompute(self, job: ShardJob, payload: np.ndarray) -> np.ndarray:
-        """Serial in-parent recomputation of a failed shard task, with a
-        bounded retry budget (mirrors the tile executor's ``_retry_tile``)."""
-        obs.counter("shard.task_retries").inc()
-        last: Optional[ReproError] = None
-        for _ in range(self.retries + 1):
-            try:
-                return run_shard_task((self.spec, job, payload, ()))
-            except ReproError as exc:
-                last = exc
-        raise last
-
-    def _dispatch_thread(self, tasks, nxt: Grid) -> None:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(max_workers=self.workers)
-
-        def task(job: ShardJob, payload: np.ndarray) -> np.ndarray:
-            faults.fault_point("pool.task_start")
-            return run_shard_task((self.spec, job, payload, ()))
-
-        futures = [(self._thread_pool.submit(task, job, payload), b, job,
-                    payload) for b, job, payload in tasks]
-        failed = []
-        for fut, b, job, payload in futures:
-            try:
-                patch = fut.result()
-            except ReproError:
-                failed.append((b, job, payload))
-            else:
-                scatter_slab(nxt, b, patch)
-        for b, job, payload in failed:
-            scatter_slab(nxt, b, self._recompute(job, payload))
-
-    @staticmethod
-    def _decide_task_faults(inj) -> Tuple[faults.FaultAction, ...]:
-        """Consume this task's ``pool.task_start`` hit in the parent (the
-        deterministic stand-in for the worker-side call; see
-        :mod:`repro.faults.injector`)."""
-        if inj is None:
-            return ()
-        action = inj.decide("pool.task_start")
-        return (action,) if action is not None else ()
-
-    def _dispatch_process(self, tasks, nxt: Grid, restarts_left: int) -> int:
-        """One superstep on the process pool; returns the remaining
-        restart budget (negative = degraded to the parent for the rest
-        of the run).  Loops until every shard's slab has landed."""
-        if restarts_left < 0:
-            for b, job, payload in tasks:
-                scatter_slab(nxt, b, self._recompute(job, payload))
-            return restarts_left
-        if self._pool_box is None:
-            self._pool_box = _PoolBox(self.workers)
-        pending = list(tasks)
-        while pending:
-            inj = faults.active()
-            futures = []
-            unsubmitted = []
-            try:
-                for b, job, payload in pending:
-                    futures.append((self._pool_box.pool.submit(
-                        run_shard_task,
-                        (self.spec, job, payload,
-                         self._decide_task_faults(inj))), b, job, payload))
-            except BrokenProcessPool:
-                unsubmitted = pending[len(futures):]
-            still_pending = list(unsubmitted)
-            broken = bool(unsubmitted)
-            for fut, b, job, payload in futures:
-                try:
-                    patch = fut.result()
-                except faults.FaultInjected:
-                    # the worker replayed a raise-style fault: recompute
-                    # here from the same (still checkpointed) window
-                    scatter_slab(nxt, b, self._recompute(job, payload))
-                except BrokenProcessPool:
-                    broken = True
-                    still_pending.append((b, job, payload))
-                else:
-                    scatter_slab(nxt, b, patch)
-            pending = still_pending
-            if broken and pending:
-                obs.counter("shard.pool_restarts").inc()
-                obs.counter("parallel.fallback.reason.worker_lost").inc()
-                if restarts_left > 0:
-                    restarts_left -= 1
-                    self._pool_box.restart()
-                else:
-                    restarts_left = -1
-                    for b, job, payload in pending:
-                        scatter_slab(nxt, b, self._recompute(job, payload))
-                    pending = []
-        return restarts_left
 
 
 def run_sharded(
@@ -306,13 +199,10 @@ def run_sharded(
     value: float = 0.0,
     recipe: Optional[KernelRecipe] = None,
     exec_backend: str = "auto",
-    retries: int = 2,
-    pool_restarts: int = 2,
 ) -> Grid:
     """One-shot convenience wrapper: build a :class:`ShardRunner`, run,
     tear the pool down.  For repeated runs hold a runner instead."""
     with ShardRunner(spec, shards=shards, temporal_block=temporal_block,
                      executor=executor, workers=workers, recipe=recipe,
-                     exec_backend=exec_backend, retries=retries,
-                     pool_restarts=pool_restarts) as runner:
+                     exec_backend=exec_backend) as runner:
         return runner.run(grid, steps, boundary=boundary, value=value)

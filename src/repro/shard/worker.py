@@ -140,9 +140,12 @@ def run_program_local(program, grid: Grid, job: ShardJob) -> Grid:
                        value=job.value, backend=job.exec_backend)
 
 
-def run_shard_task(args) -> np.ndarray:
-    """Pool entry point: replay shipped faults, sweep, return the slab."""
-    spec, job, payload, actions = args
+def run_shard_task(spec: StencilSpec, task: Tuple[ShardJob, np.ndarray],
+                   actions: Tuple[faults.FaultAction, ...] = ()
+                   ) -> np.ndarray:
+    """Pool entry point: replay shipped faults, sweep one ``(job,
+    window)`` task, return the slab."""
+    job, payload = task
     for action in actions:
         faults.perform_shipped(action)
     if job.recipe is not None:

@@ -43,6 +43,7 @@ from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32
 from repro.faults import FaultPlan, FaultRule, inject
 from repro.machine import codegen as codegen_mod
 from repro.machine.codegen import get_codegen
+from repro.parallel import executor
 from repro.parallel.executor import run_parallel
 from repro.schemes import generate, scheme_halo
 from repro.stencils import apply_steps
@@ -375,9 +376,11 @@ def test_executor_fault_recovery_never_changes_results(rules, seed):
         clean = run_parallel(spec, grid, 2, workers=3, backend=backend)
         # retry budget covers the worst case of every fault landing on
         # one tile (3 rules x times<=2 = 6 faults < 7 attempts)
-        with inject(FaultPlan(rules=tuple(rules), seed=seed)):
+        with pytest.MonkeyPatch.context() as mp, \
+                inject(FaultPlan(rules=tuple(rules), seed=seed)):
+            mp.setattr(executor, "TASK_RETRIES", 6)
             faulted = run_parallel(spec, grid, 2, workers=3,
-                                   backend=backend, retries=6)
+                                   backend=backend)
         assert np.array_equal(clean.data, faulted.data), (
             f"{backend}: fault recovery diverged bitwise "
             f"(plan: {[r.to_dict() for r in rules]})"
@@ -479,11 +482,12 @@ def test_shard_fault_recovery_never_changes_results(rules, seed):
     spec = star(2, 1, center=0.5, arm=[0.125], name="shard-chaos-probe")
     grid = Grid.random((18, 24), spec.radius, seed=seed)
     clean = run_sharded(spec, grid, 4, shards=3, temporal_block=2)
-    # 3 rules x times<=2 = 6 faults; retries=6 bounds the worst case of
-    # every fault landing on one shard's gather or task
-    with inject(FaultPlan(rules=tuple(rules), seed=seed)):
-        faulted = run_sharded(spec, grid, 4, shards=3, temporal_block=2,
-                              retries=6)
+    # 3 rules x times<=2 = 6 faults; TASK_RETRIES=6 bounds the worst case
+    # of every fault landing on one shard's gather or task
+    with pytest.MonkeyPatch.context() as mp, \
+            inject(FaultPlan(rules=tuple(rules), seed=seed)):
+        mp.setattr(executor, "TASK_RETRIES", 6)
+        faulted = run_sharded(spec, grid, 4, shards=3, temporal_block=2)
     assert np.array_equal(clean.interior, faulted.interior), (
         f"shard fault recovery diverged bitwise "
         f"(plan: {[r.to_dict() for r in rules]})"

@@ -30,6 +30,7 @@ from repro.faults import (
     fault_point,
     inject,
 )
+from repro.parallel import executor
 from repro.parallel.executor import run_parallel
 from repro.service import KernelService, SweepJob
 from repro.stencils import library
@@ -304,27 +305,24 @@ class TestExecutorHardening:
         assert counters["parallel.pool_restarts"] >= 1
         assert counters["parallel.fallback.reason.worker_lost"] >= 1
 
-    def test_restart_budget_exhausted_degrades_to_parent(self, observing):
+    def test_restart_budget_exhausted_degrades_to_parent(self, observing,
+                                                         monkeypatch):
         # more kills than the restart budget: the parent finishes the
         # phase serially instead of looping on resurrection
         clean = _run_grids("process")
+        monkeypatch.setattr(executor, "POOL_RESTARTS", 1)
         with inject(_plan(FaultRule("pool.task_start", kind="kill",
                                     times=8))):
-            faulted = _run_grids("process", pool_restarts=1)
+            faulted = _run_grids("process")
         assert np.array_equal(clean.data, faulted.data)
         counters = obs.snapshot()["metrics"]["counters"]
         assert counters["parallel.pool_restarts"] >= 1
 
-    def test_retry_budget_exhausted_raises(self):
+    def test_retry_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(executor, "TASK_RETRIES", 1)
         with inject(_plan(FaultRule("tile.sweep", times=1000))):
             with pytest.raises(FaultInjected):
-                _run_grids("thread", retries=1)
-
-    @pytest.mark.parametrize("kw", [{"retries": -1}, {"pool_restarts": -1}])
-    def test_negative_budgets_rejected(self, kw):
-        grid = Grid.random((16, 16), SPEC.radius, seed=0)
-        with pytest.raises(ReproError):
-            run_parallel(SPEC, grid, 1, **kw)
+                _run_grids("thread")
 
 
 class TestCacheHardening:

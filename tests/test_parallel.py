@@ -5,13 +5,16 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import AMD_EPYC_7V13, GENERIC_AVX2, INTEL_XEON_6230R
 from repro.errors import ModelError, TilingError
+from repro.faults import FaultPlan, FaultRule, inject
 from repro.parallel.executor import pool_context, run_parallel
 from repro.parallel.simulator import MulticoreModel, ParallelSetup
 from repro.parallel.topology import (allocate_cores, partition_axis,
                                      shard_neighbors)
 from repro.schemes import model_cost
+from repro.shard import run_sharded
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 from repro.stencils.library import table3_config
@@ -302,3 +305,70 @@ class TestExecutorDeterminism:
         b = run_parallel(spec, g, 2, workers=4, backend="process",
                          tile_shape=(4, 12, 12))
         assert np.array_equal(a.data, b.data)
+
+
+POOL_SPEC = library.get("heat-2d")
+POOL_GRID = Grid.random((12, 16), 1, seed=21)
+
+
+def _pool_tiles() -> Grid:
+    """3 tiles x 2 steps = 6 process-pool tasks."""
+    return run_parallel(POOL_SPEC, POOL_GRID, 2, workers=2,
+                        tile_shape=(4, 16), backend="process")
+
+
+def _pool_shards() -> Grid:
+    """2 shards x 2 supersteps = 4 process-pool tasks."""
+    return run_sharded(POOL_SPEC, POOL_GRID, 4, shards=2, temporal_block=2,
+                       executor="process")
+
+
+#: each pool caller's counter prefix -> (run, task count)
+POOL_CALLERS = {"parallel": (_pool_tiles, 6), "shard": (_pool_shards, 4)}
+EVERY_TASK = [(prefix, k) for prefix, (_, n) in POOL_CALLERS.items()
+              for k in range(n)]
+
+
+class TestSupervisedPool:
+    """Both pool callers recover a fault at every task index of a small
+    process-backend run: a killed worker costs exactly one pool restart,
+    a raising task exactly one in-parent recompute, and neither changes
+    a bit of the result."""
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return {prefix: run().interior.copy()
+                for prefix, (run, _) in POOL_CALLERS.items()}
+
+    @staticmethod
+    def _faulted(prefix, kind, k):
+        rule = FaultRule("pool.task_start", kind=kind, after=k, times=1)
+        was = obs.enabled()
+        obs.enable(reset=True)
+        try:
+            with inject(FaultPlan(rules=(rule,), seed=0)) as inj:
+                out = POOL_CALLERS[prefix][0]()
+            counters = obs.snapshot()["metrics"]["counters"]
+        finally:
+            if not was:
+                obs.disable()
+            obs.reset()
+        assert inj.injected_by_site() == {"pool.task_start": 1}
+        return out, counters
+
+    @pytest.mark.parametrize("prefix,k", EVERY_TASK)
+    def test_kill_at_every_task_index(self, clean, prefix, k):
+        out, counters = self._faulted(prefix, "kill", k)
+        assert np.array_equal(out.interior, clean[prefix])
+        assert counters.get(f"{prefix}.pool_restarts") == 1
+        assert counters.get("parallel.fallback.reason.worker_lost") == 1
+        # the lost tasks went to the restarted pool, not to the parent
+        assert f"{prefix}.task_retries" not in counters
+
+    @pytest.mark.parametrize("prefix,k", EVERY_TASK)
+    def test_raise_at_every_task_index(self, clean, prefix, k):
+        out, counters = self._faulted(prefix, "raise", k)
+        assert np.array_equal(out.interior, clean[prefix])
+        assert counters.get(f"{prefix}.task_retries") == 1
+        assert f"{prefix}.pool_restarts" not in counters
+        assert "parallel.fallback.reason.worker_lost" not in counters

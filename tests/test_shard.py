@@ -17,6 +17,7 @@ from repro.core import compile_kernel
 from repro.core.jigsaw import required_halo
 from repro.errors import ReproError, TilingError
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.parallel import executor
 from repro.parallel.executor import run_parallel
 from repro.service import KernelService, SweepJob
 from repro.shard import (KernelRecipe, ShardRunner, make_shard_plan,
@@ -209,10 +210,6 @@ class TestRunnerValidation:
             ShardRunner(HEAT2D, shards=2, executor="mpi")
         with pytest.raises(TilingError):
             ShardRunner(HEAT2D, shards=2, workers=0)
-        with pytest.raises(TilingError):
-            ShardRunner(HEAT2D, shards=2, retries=-1)
-        with pytest.raises(TilingError):
-            ShardRunner(HEAT2D, shards=2, pool_restarts=-1)
 
     def test_run_validation(self):
         g = Grid.random((16, 16), HEAT2D.radius, seed=0)
@@ -326,13 +323,14 @@ class TestFaultRecovery:
         assert inj.injected_by_site().get("shard.exchange", 0) >= 1
         assert np.array_equal(ref.interior, out.interior)
 
-    def test_exchange_retry_budget_exhausted_raises(self):
+    def test_exchange_retry_budget_exhausted_raises(self, monkeypatch):
         g = Grid.random((16, 12), HEAT2D.radius, seed=10)
         plan = FaultPlan(rules=(FaultRule(site="shard.exchange",
                                           kind="raise", times=99),), seed=0)
+        monkeypatch.setattr(executor, "TASK_RETRIES", 1)
         with faults.inject(plan):
             with pytest.raises(faults.FaultInjected):
-                run_sharded(HEAT2D, g, 2, shards=2, retries=1)
+                run_sharded(HEAT2D, g, 2, shards=2)
 
     def test_thread_task_fault_recomputed_bitwise(self):
         g = Grid.random((17, 12), HEAT2D.radius, seed=11)
@@ -355,21 +353,52 @@ class TestFaultRecovery:
         assert inj.injected_by_site().get("pool.task_start", 0) >= 1
         assert np.array_equal(ref.interior, out.interior)
 
-    def test_restart_budget_exhaustion_degrades_to_parent(self):
+    def test_restart_budget_exhaustion_degrades_to_parent(self, monkeypatch):
         g = Grid.random((16, 12), HEAT2D.radius, seed=13)
         ref = apply_steps(HEAT2D, g, 4)
         # kill every task start: the pool breaks repeatedly, the budget
         # runs out, and the parent must finish the run itself
         plan = FaultPlan(rules=(FaultRule(site="pool.task_start",
                                           kind="kill", times=99),), seed=0)
+        monkeypatch.setattr(executor, "POOL_RESTARTS", 1)
         obs.enable(reset=True)
         try:
             with faults.inject(plan):
                 out = run_sharded(HEAT2D, g, 4, shards=2, temporal_block=2,
-                                  executor="process", pool_restarts=1)
+                                  executor="process")
             counters = obs.snapshot()["metrics"]["counters"]
         finally:
             obs.disable()
         assert np.array_equal(ref.interior, out.interior)
         assert counters["shard.pool_restarts"] >= 1
         assert counters["shard.task_retries"] >= 1
+
+    def test_reused_runner_repairs_pool_after_degraded_run(self,
+                                                           monkeypatch):
+        # a run that spends its restart budget leaves the pool broken;
+        # the next run must start a fresh one without counting a loss
+        # (no phantom restart, no worker_lost, no parent recomputes)
+        g = Grid.random((16, 12), HEAT2D.radius, seed=14)
+        ref = apply_steps(HEAT2D, g, 4)
+        plan = FaultPlan(rules=(FaultRule(site="pool.task_start",
+                                          kind="kill"),), seed=0)
+        monkeypatch.setattr(executor, "POOL_RESTARTS", 0)
+        names = ("shard.pool_restarts", "shard.task_retries",
+                 "parallel.fallback.reason.worker_lost")
+        obs.enable(reset=True)
+        try:
+            with ShardRunner(HEAT2D, shards=2, temporal_block=2,
+                             executor="process") as runner:
+                with faults.inject(plan):
+                    out = runner.run(g, 4)
+                assert np.array_equal(ref.interior, out.interior)
+                counters = obs.snapshot()["metrics"]["counters"]
+                degraded = {n: counters.get(n, 0) for n in names}
+                assert degraded["shard.pool_restarts"] == 1
+                for _ in range(3):
+                    out = runner.run(g, 4)
+                    assert np.array_equal(ref.interior, out.interior)
+                counters = obs.snapshot()["metrics"]["counters"]
+        finally:
+            obs.disable()
+        assert {n: counters.get(n, 0) for n in names} == degraded
