@@ -15,10 +15,11 @@ comparison cannot flake on a separate re-run.  Asserts:
   simulated-machine default by orders of magnitude.
 
 The second gate covers the *online* tuner: a cold service driven by
-:class:`repro.tune.OnlineTuner` must converge to within 5% of the
-offline-tuned throughput for the same search space — without ever
-blocking a request (a live load against ``online_tune=True`` finishes
-with zero failures and zero rejections, bitwise-verified).  Its record
+:class:`repro.tune.OnlineTuner` must converge to within 5% of the best
+offline-measured throughput over the same space (the tiled and shard
+executors the server runs) — without ever blocking a request (a live
+load against ``online_tune=True`` finishes with zero failures and zero
+rejections, bitwise-verified).  Its record
 (``mode: "online"``) is appended to the same artifact.
 ``BENCH_TUNE_ONLINE_REQUESTS`` shrinks the live phase for CI.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -131,13 +133,11 @@ from repro.server import (  # noqa: E402
 from repro.service import KernelService  # noqa: E402
 from repro.tune import OnlineTuneConfig  # noqa: E402
 from repro.tune.engine import measure as measure_trial  # noqa: E402
+from repro.tune.online import ONLINE_ENGINES  # noqa: E402
 
 ONLINE_KERNEL, ONLINE_SHAPE = "heat-1d", (1024,)
-#: the space both searches cover (``shard`` excluded: the online tuner
-#: never spins process pools inside idle slots)
-ONLINE_ENGINES = ("machine", "numpy", "tiled")
-ONLINE_BACKENDS = ("auto", "interp")
 CONVERGENCE_FLOOR = 0.95  #: online incumbent keeps >= 95% of offline rate
+REMEASURE_ROUNDS = 31     #: alternating re-measure rounds per side
 
 
 def _online_requests() -> int:
@@ -148,18 +148,22 @@ def measure_online() -> dict:
     machine = GENERIC_AVX2
     spec = library.get(ONLINE_KERNEL)
 
-    # the offline reference: a full blocking search over the same space
+    # the offline reference: a full blocking search over the same space.
+    # The search always times the planner's machine-engine default too,
+    # which the server never runs, so the reference is its best trial
+    # inside the online space.
     budget = TuneBudget(max_trials=6, warmup=0, repeats=2,
                         trial_timeout_s=60.0, patience=6)
     offline = Tuner(machine, db=TuningDB(None), budget=budget).tune(
-        spec, ONLINE_SHAPE, steps=2,
-        engines=ONLINE_ENGINES, exec_backends=ONLINE_BACKENDS)
+        spec, ONLINE_SHAPE, steps=2, engines=ONLINE_ENGINES)
+    offline_best = max((t for t in offline.trials
+                        if t.ok and t.config.engine in ONLINE_ENGINES),
+                       key=lambda t: t.mstencil_s)
 
     # a cold service converges through idle-slot exploration alone
     svc = KernelService(machine)
     tuner = svc.online_tuner(config=OnlineTuneConfig(
-        trial_steps=2, repeats=2, engines=ONLINE_ENGINES,
-        exec_backends=ONLINE_BACKENDS))
+        trial_steps=2, repeats=2))
     tuner.observe(spec, ONLINE_SHAPE, steps=2)
     with observed():
         steps_taken = 0
@@ -167,25 +171,28 @@ def measure_online() -> dict:
             tuner.step()
             steps_taken += 1
     stats = tuner.stats()
-    incumbent = svc.tuned_config(spec, ONLINE_SHAPE)
-    if incumbent is None:  # no promotion: still serving the default
-        incumbent = default_config(spec, machine)
+    incumbent = tuner.incumbent(spec, ONLINE_SHAPE)
 
-    # back-to-back re-measure on one fresh harness (identical configs
-    # trivially tie — no re-run, the ratio cannot flake on noise)
-    if incumbent.as_dict() == offline.best.config.as_dict():
-        offline_rate = online_rate = offline.best.mstencil_s
+    # re-measure both on one fresh harness, in alternating rounds of
+    # 64-sweep runs so host drift hits both sides alike: one-tile sweeps
+    # of 1024 points take well under a millisecond, and a back-to-back
+    # pair flaked (identical configs trivially tie — no re-run)
+    if incumbent.as_dict() == offline_best.config.as_dict():
+        offline_rate = online_rate = offline_best.mstencil_s
     else:
-        harness = TuneBudget(max_trials=1, warmup=1, repeats=3,
+        harness = TuneBudget(max_trials=1, warmup=1, repeats=1,
                              trial_timeout_s=60.0)
         cache = KernelCache(None)
-        off = measure_trial(spec, machine, offline.best.config,
-                            ONLINE_SHAPE, steps=4, budget=harness,
-                            cache=cache)
-        on = measure_trial(spec, machine, incumbent, ONLINE_SHAPE,
-                           steps=4, budget=harness, cache=cache)
-        assert off.ok and on.ok, (off.error, on.error)
-        offline_rate, online_rate = off.mstencil_s, on.mstencil_s
+        sides = {"offline": offline_best.config, "online": incumbent}
+        rates: dict = {side: [] for side in sides}
+        for r in range(REMEASURE_ROUNDS):
+            for side in (sorted(sides) if r % 2 else sorted(sides)[::-1]):
+                t = measure_trial(spec, machine, sides[side], ONLINE_SHAPE,
+                                  steps=64, budget=harness, cache=cache)
+                assert t.ok, t.error
+                rates[side].append(t.mstencil_s)
+        offline_rate = statistics.median(rates["offline"])
+        online_rate = statistics.median(rates["online"])
 
     # the live phase: tuning on, a full load, nothing ever blocked
     requests = _online_requests()
@@ -193,8 +200,7 @@ def measure_online() -> dict:
                       shape=ONLINE_SHAPE, steps=2, seeds=2)
     server = StencilServer(machine=machine, online_tune=True,
                            online_tune_config=OnlineTuneConfig(
-                               trial_steps=2, engines=ONLINE_ENGINES,
-                               exec_backends=ONLINE_BACKENDS))
+                               trial_steps=2))
     report = run_load_sync(lcfg, server=server,
                            references=reference_results(lcfg, machine))
     live = server.online_tuner.stats()
@@ -204,7 +210,7 @@ def measure_online() -> dict:
         "kernel": ONLINE_KERNEL,
         "shape": list(ONLINE_SHAPE),
         "machine": machine.name,
-        "offline_config": offline.best.config.label(),
+        "offline_config": offline_best.config.label(),
         "offline_mstencil_s": offline_rate,
         "online_config": incumbent.label(),
         "online_mstencil_s": online_rate,

@@ -321,29 +321,16 @@ def _cmd_run_inner(args) -> int:
                 f"no tuned configuration stored for {spec.name} @ "
                 f"{'x'.join(map(str, args.size))} on {machine.name}; run "
                 f"`repro tune {args.kernel} --shape ...` first")
-        if tuned_cfg.engine == "tiled":
+        if tuned_cfg.engine in ("tiled", "shard"):
             from .parallel.executor import run_parallel
             grid = Grid.random(args.size, spec.radius, seed=0, dtype=dtype)
             t0 = time.perf_counter()
             run_parallel(spec, grid, args.steps,
-                         tile_shape=tuned_cfg.tile_shape,
-                         workers=tuned_cfg.workers,
-                         backend=tuned_cfg.run_backend)
+                         backend=tuned_cfg.run_backend,
+                         **tuned_cfg.run_kwargs())
             dt = time.perf_counter() - t0
-            _report_run(spec, args.size, args.steps, dt, "tiled executor",
-                        f"tuned: {tuned_cfg.label()}")
-            return 0
-        if tuned_cfg.engine == "shard":
-            from .parallel.executor import run_parallel
-            grid = Grid.random(args.size, spec.radius, seed=0, dtype=dtype)
-            t0 = time.perf_counter()
-            run_parallel(spec, grid, args.steps,
-                         shards=tuned_cfg.shards,
-                         temporal_block=tuned_cfg.temporal_block,
-                         workers=tuned_cfg.shards,
-                         backend=tuned_cfg.run_backend)
-            dt = time.perf_counter() - t0
-            _report_run(spec, args.size, args.steps, dt, "shard executor",
+            _report_run(spec, args.size, args.steps, dt,
+                        f"{tuned_cfg.engine} executor",
                         f"tuned: {tuned_cfg.label()}")
             return 0
         if tuned_cfg.engine == "scheme":
@@ -820,9 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "ceiling), coalesced by deadline-aware "
                     "micro-batching, and executed through the kernel "
                     "service. Under load the server degrades "
-                    "gracefully: batch shedding, then the interp "
-                    "compile backend (bitwise identical), then fast "
-                    "rejection.")
+                    "gracefully: batch shedding, then fast rejection.")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (default: an ephemeral port, printed "

@@ -26,16 +26,19 @@ grids from the same inputs (guarded by ``tests/test_parallel.py``).
 Both callers of the pool, this tile executor and the shard runner
 (:mod:`repro.shard.runner`), dispatch through one :class:`SupervisedPool`:
 one barrier of independent tasks at a time, then recovery (see
-``docs/architecture.md``).  A task that fails with a
-:class:`~repro.errors.ReproError` (injected faults included) is
-recomputed in the parent, with :data:`TASK_RETRIES` further attempts
-if that fails too; recomputation is idempotent, because
-:func:`apply_tile` zeroes its output slice first.  A crashed process pool (``BrokenProcessPool``, e.g. a
-killed worker) is restarted up to :data:`POOL_RESTARTS` times per run
-with the unfinished tasks resubmitted; past that budget the parent
-finishes the run itself, and the next run starts a fresh pool.  Barriers
-completed before a crash are never redone, so the per-phase barrier
-doubles as a recovery checkpoint.
+``docs/architecture.md``).  A thread-backend barrier of one task runs
+inline in the caller, and grids below :data:`MIN_TILE_POINTS` per
+worker default to fewer tiles, so a small grid never starts a pool.
+A task that fails with a :class:`~repro.errors.ReproError` (injected
+faults included) is recomputed in the parent, with
+:data:`TASK_RETRIES` further attempts if that fails too;
+recomputation is idempotent, because :func:`apply_tile` zeroes its
+output slice first.  A crashed process pool (``BrokenProcessPool``,
+e.g. a killed worker) is restarted up to :data:`POOL_RESTARTS` times
+per run with the unfinished tasks resubmitted; past that budget the
+parent finishes the run itself, and the next run starts a fresh pool.
+Barriers completed before a crash are never redone, so the per-phase
+barrier doubles as a recovery checkpoint.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ TASK_RETRIES = 2
 #: process-pool restarts per run after a worker loss; past them the
 #: parent finishes the run itself
 POOL_RESTARTS = 2
+#: fewest grid points worth one tile of their own: smaller grids run as
+#: one tile, which the thread backend sweeps inline without a pool
+MIN_TILE_POINTS = 2 ** 15
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -92,6 +98,14 @@ def pool_context() -> multiprocessing.context.BaseContext:
             f"available: {multiprocessing.get_all_start_methods()}"
         )
     return multiprocessing.get_context(method)
+
+
+def default_tile(shape: Sequence[int], workers: int) -> Tuple[int, ...]:
+    """The default tiling: the outermost axis split into
+    ``min(workers, points // MIN_TILE_POINTS)`` slabs (at least one)."""
+    points = int(np.prod(shape))
+    tiles = max(1, min(workers, points // MIN_TILE_POINTS))
+    return (-(-shape[0] // tiles),) + tuple(shape[1:])
 
 
 def apply_tile(spec: StencilSpec, grid: Grid, out: Grid, tile: Tile) -> None:
@@ -192,9 +206,16 @@ class SupervisedPool:
 
     def barrier(self, tasks: Sequence[Any], local: Callable[[Any], None],
                 remote: Callable, land: Callable[[Any, Any], None]) -> None:
-        """Run ``tasks`` to completion: on return every result has landed."""
+        """Run ``tasks`` to completion: on return every result has landed.
+        A lone thread-backend task runs inline in the caller."""
         thread = self.backend == "thread"
         pending = list(tasks)
+        if thread and len(pending) == 1:
+            try:
+                _thread_task(local, pending[0])
+            except ReproError:
+                self._recompute(local, pending[0])
+            return
         while pending:
             if self._restarts_left < 0:
                 # restart budget spent: the parent finishes the run
@@ -267,9 +288,10 @@ def run_parallel(
 ) -> Grid:
     """``steps`` parallel Jacobi sweeps; returns a new grid.
 
-    ``tile_shape`` defaults to splitting the outermost axis across
-    ``workers``.  A custom ``schedule`` overrides the default
-    single-phase blocking.  ``backend`` selects the executor (see the
+    ``tile_shape`` defaults to :func:`default_tile`: the outermost axis
+    split across ``workers``, one tile per :data:`MIN_TILE_POINTS` at
+    most.  A custom ``schedule`` overrides the default single-phase
+    blocking.  ``backend`` selects the executor (see the
     module docstring); results are bitwise identical across backends and
     worker counts, and every recovery path of the :class:`SupervisedPool`
     is bitwise identical to a clean run.
@@ -305,8 +327,7 @@ def run_parallel(
         )
     if schedule is None:
         if tile_shape is None:
-            chunk = max(1, -(-grid.shape[0] // max(1, workers)))
-            tile_shape = (chunk,) + grid.shape[1:]
+            tile_shape = default_tile(grid.shape, workers)
         schedule = build_schedule(grid.shape, tile_shape)
     cur = grid.copy()
     nxt = grid.like()

@@ -8,7 +8,9 @@ rejects them through :class:`~repro.server.admission.AdmissionController`
 compatible admitted jobs into micro-batches, and executes each batch as
 one :meth:`~repro.service.KernelService.compile_many` /
 :meth:`~repro.service.KernelService.run_many` call on a thread-pool
-executor so the event loop never blocks on kernel work.
+executor so the event loop never blocks on kernel work.  (The compile
+only warms the shared kernel cache: every batch executes through
+:func:`~repro.parallel.executor.run_parallel`.)
 
 **Micro-batching.**  Jobs with the same batch key (stencil spec, shape,
 steps, boundary) join one open batch.  A batch flushes when it fills
@@ -25,10 +27,7 @@ happened to open first.
 1. occupancy >= ``shed_occupancy`` — batch size is shed to a quarter of
    ``max_batch`` so each flush returns sooner (lower per-batch latency,
    faster feedback to the admission gate);
-2. occupancy >= ``interp_occupancy`` — compiles pin the interpreter
-   backend (skipping codegen emission keeps the compile path cheap;
-   interp is bitwise-identical, so results never change);
-3. occupancy at 1.0 — admission rejects with
+2. occupancy at 1.0 — admission rejects with
    :class:`~repro.server.admission.ServerOverloaded` (the fast path:
    nothing is enqueued, nothing times out).
 
@@ -40,16 +39,16 @@ run returns bitwise-identical responses.
 
 **Online autotuning** (``online_tune=True``).  A background
 :class:`~repro.tune.online.OnlineTuner` watches every admitted workload
-and explores contender configurations from the autotuner search space —
-but only while the server is completely idle (no admitted request in
-flight, no batch open), so a trial can never delay a request.
-Promoted winners (bitwise-verified against the incumbent, compile cache
-pre-warmed) land in the service's shared
-:class:`~repro.tune.db.TuningDB`; each batch then runs on the stored
-winner for its workload — plan-aware winners steer the compile, tiled
-and sharded winners steer the executor.  Under the forced-interp
-overload rung tuned compiles are skipped (cheapness wins during
-overload; results are bitwise-identical either way).
+and explores the tiled and sharded executor configurations the server
+runs — but only while the server is completely idle (no admitted
+request in flight, no batch open), so a trial can never delay a
+request.  Promoted winners (bitwise-verified against the incumbent)
+land in the service's shared :class:`~repro.tune.db.TuningDB`; each
+batch then runs on the stored winner for its workload, applied whole:
+its tile shape or shard layout and its worker count reach
+``run_parallel`` exactly as the trial ran them.  A stored winner the
+server cannot run as measured (another engine or run backend) is
+ignored.
 
 Everything is instrumented under the ``server.*`` taxonomy (see
 ``docs/architecture.md``, Serving layer).
@@ -62,7 +61,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..config import GENERIC_AVX2, MachineConfig
@@ -183,7 +182,6 @@ class StencilServer:
         max_batch: int = 16,
         deadline_margin_s: float = 0.002,
         shed_occupancy: float = 0.5,
-        interp_occupancy: float = 0.75,
         executor_workers: int = 4,
         fault_retries: int = 3,
         online_tune: bool = False,
@@ -202,12 +200,6 @@ class StencilServer:
             raise ReproError("deadline_margin_s must be >= 0")
         if not 0.0 < shed_occupancy <= 1.0:
             raise ReproError("shed_occupancy must be in (0, 1]")
-        if not 0.0 < interp_occupancy <= 1.0:
-            raise ReproError("interp_occupancy must be in (0, 1]")
-        if shed_occupancy > interp_occupancy:
-            raise ReproError(
-                "shed_occupancy must not exceed interp_occupancy "
-                "(shedding is the milder rung)")
         if not isinstance(executor_workers, int) or executor_workers < 1:
             raise ReproError("executor_workers must be an integer >= 1")
         if not isinstance(fault_retries, int) or fault_retries < 0:
@@ -235,7 +227,6 @@ class StencilServer:
         self.max_batch = max_batch
         self.deadline_margin_s = deadline_margin_s
         self.shed_occupancy = shed_occupancy
-        self.interp_occupancy = interp_occupancy
         self.executor_workers = executor_workers
         self.fault_retries = fault_retries
         self.online_tune = online_tune
@@ -382,12 +373,6 @@ class StencilServer:
             return max(1, self.max_batch // SHED_DIVISOR)
         return self.max_batch
 
-    def _force_interp(self) -> bool:
-        if self.occupancy() >= self.interp_occupancy:
-            obs.counter("server.overload.force_interp").inc()
-            return True
-        return False
-
     # -- flushing --------------------------------------------------------------
     async def _flush_loop(self) -> None:
         while True:
@@ -413,55 +398,47 @@ class StencilServer:
         obs.counter("server.batch.flushes").inc()
         self.flush_log.append(batch.key)
         eff = self._effective_max_batch()
-        force_interp = self._force_interp()
         for i in range(0, len(batch.jobs), eff):
             chunk = batch.jobs[i:i + eff]
             obs.histogram("server.batch.size").observe(len(chunk))
             fut = self._loop.run_in_executor(
-                self._executor, obs.propagate(self._execute_batch),
-                chunk, force_interp)
+                self._executor, obs.propagate(self._execute_batch), chunk)
             fut.add_done_callback(
                 lambda f, c=chunk: self._finish(c, f))
 
-    def _execute_batch(self, chunk: Sequence[_Pending],
-                       force_interp: bool) -> List[Grid]:
+    def _execute_batch(self, chunk: Sequence[_Pending]) -> List[Grid]:
         """One flushed chunk, on an executor thread: compile once through
         the shared cache, then run every job (the service's retry /
         degrade ladders guard both calls).
 
         With online tuning on, the batch runs on the stored winner for
-        its workload (``tune="db"`` — a pure lookup, zero trials): a
-        plan-aware winner steers the compile, a tiled/shard winner
-        steers the executor.  Every engine is bitwise-identical, so a
-        promotion mid-stream never changes responses."""
+        its workload (a pure lookup, zero trials).  Every placement is
+        bitwise-identical, so a promotion mid-stream never changes
+        responses."""
         self._retry_faults("server.batch_flush")
         job0 = chunk[0].job
-        tuned = None
-        if self.online_tuner is not None and not force_interp:
-            tuned = self.service.tuned_config(job0.spec, job0.shape,
-                                              boundary=job0.boundary)
-            if tuned is not None:
-                obs.counter("tune.online.applied").inc()
+        where = self._placement(job0)
         with obs.span("server.batch", kernel=job0.spec.name,
                       jobs=len(chunk)):
-            if force_interp:
-                self.service.compile(job0.spec, job0.shape,
-                                     backend="interp")
-            else:
-                self.service.compile_many(
-                    [CompileRequest(job0.spec, job0.shape)],
-                    tune="db" if tuned is not None else False)
-            tile = tuned.tile_shape if (
-                tuned is not None and tuned.engine == "tiled") else None
-            shards = tuned.shards if (
-                tuned is not None and tuned.engine == "shard") else None
-            blocks = tuned.temporal_block if shards is not None else 1
+            self.service.compile_many(
+                [CompileRequest(job0.spec, job0.shape)])
             return self.service.run_many(
                 [SweepJob(p.job.spec, p.job.materialize(), p.job.steps,
                           boundary=p.job.boundary, value=p.job.value,
-                          tile_shape=tile, shards=shards,
-                          temporal_block=blocks)
+                          **where)
                  for p in chunk])
+
+    def _placement(self, job: StencilJob) -> Dict[str, Any]:
+        """The ``SweepJob`` executor keywords of the servable stored
+        winner for ``job``'s workload (empty: the served default)."""
+        if self.online_tuner is None:
+            return {}
+        winner = self.online_tuner.winner(job.spec, job.shape,
+                                          boundary=job.boundary)
+        if winner is None:
+            return {}
+        obs.counter("tune.online.applied").inc()
+        return winner.run_kwargs()
 
     def _finish(self, chunk: Sequence[_Pending], fut) -> None:
         """Executor-side completion: hop back to the loop thread."""

@@ -8,7 +8,8 @@ once), and an execution configuration for the tiled numpy path:
 
 * :meth:`compile_many` — deduplicates a batch of compile requests by
   content key and compiles the distinct ones concurrently on a thread
-  pool (the SVD and numpy work release the GIL);
+  pool (the SVD and numpy work release the GIL; a lone distinct request
+  compiles inline);
 * :meth:`run_many` — dispatches a batch of sweep jobs through
   :func:`repro.parallel.executor.run_parallel`, each job tiled across the
   service's workers on the configured backend (thread pool by default,
@@ -99,7 +100,7 @@ class SweepJob:
     """One batch-execution job: ``steps`` Jacobi sweeps of ``spec`` over
     ``grid`` — tiled across the executor by default, or sharded along the
     outer axis (``shards=N``) with halo exchange every ``temporal_block``
-    sub-steps."""
+    sub-steps.  ``workers`` overrides the service's ``run_workers``."""
 
     spec: StencilSpec
     grid: Grid
@@ -109,8 +110,11 @@ class SweepJob:
     tile_shape: Optional[Tuple[int, ...]] = field(default=None)
     shards: Optional[int] = field(default=None)
     temporal_block: int = 1
+    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.workers is not None and self.workers < 1:
+            raise ReproError("workers must be >= 1")
         if self.shards is not None and self.tile_shape is not None:
             raise ReproError(
                 "shards= is mutually exclusive with tile_shape=")
@@ -295,21 +299,21 @@ class KernelService:
         self,
         requests: Sequence[Union[CompileRequest, Tuple]],
         *,
-        tune: Union[bool, str] = False,
+        tune: bool = False,
     ) -> List[CompiledKernel]:
         """Compile a batch, deduplicating identical requests and lowering
-        the distinct ones concurrently.  Results are returned in request
-        order; duplicate requests share one compiled kernel.
+        the distinct ones concurrently (a single distinct request
+        compiles inline).  Results are returned in request order;
+        duplicate requests share one compiled kernel.
 
         With ``tune=True`` each request's plan options are replaced by the
         autotuned winner for its workload: a :class:`~repro.tune.TuningDB`
         hit applies instantly (zero trials), a miss runs the tuner under
         the service's ``tune_budget`` first and stores the winner for next
-        time.  ``tune="db"`` applies stored winners *only* — a miss keeps
-        the request's own plan options and never runs a trial (the
-        serving path: the online tuner fills the database from idle
-        slots instead).  Tuned winners on a non-plan engine (pure
-        numpy/tiled execution) only pin plan options, not the executor."""
+        time.  Tuned winners on a non-plan engine (pure numpy/tiled
+        execution) only pin plan options, not the executor."""
+        if not isinstance(tune, bool):
+            raise ReproError(f"tune must be a bool, got {tune!r}")
         reqs = [r if isinstance(r, CompileRequest) else CompileRequest(*r)
                 for r in requests]
         with obs.span("service.compile_many", requests=len(reqs)) as s:
@@ -320,7 +324,10 @@ class KernelService:
                 distinct.setdefault(key, (r, kwargs))
             s.set(distinct=len(distinct))
             compiled: Dict[Tuple, CompiledKernel] = {}
-            if distinct:
+            if len(distinct) == 1:
+                (k, (r, kwargs)), = distinct.items()
+                compiled[k] = self.compile(r.spec, r.shape, **kwargs)
+            elif distinct:
                 workers = min(self.compile_workers, len(distinct))
                 # obs.propagate keeps pool-thread spans nested under this
                 # compile_many span instead of opening new roots
@@ -334,21 +341,15 @@ class KernelService:
             return [compiled[key] for key, _ in resolved]
 
     def _resolve(self, r: CompileRequest, *,
-                 tune: Union[bool, str]) -> Tuple[Tuple, Dict]:
+                 tune: bool) -> Tuple[Tuple, Dict]:
         """The deduplication key and effective compile kwargs for one
         request (tuned overrides already applied)."""
-        if tune not in (False, True, "db"):
-            raise ReproError(
-                f"tune must be False, True or 'db', got {tune!r}")
         kwargs: Dict = {"time_fusion": r.time_fusion, "use_sdf": r.use_sdf,
                         "backend": self.exec_backend}
         if tune:
-            if tune == "db":
-                cfg = self.tuned_config(r.spec, r.shape)
-            else:
-                cfg = self.tuner().tune(r.spec, r.shape,
-                                        budget=self.tune_budget).best.config
-            if cfg is not None and cfg.is_plan_aware:
+            cfg = self.tuner().tune(r.spec, r.shape,
+                                    budget=self.tune_budget).best.config
+            if cfg.is_plan_aware:
                 kwargs = {"time_fusion": cfg.time_fusion,
                           "use_sdf": cfg.use_sdf,
                           "backend": cfg.plan_backend}
@@ -371,15 +372,6 @@ class KernelService:
         """Autotune one workload through the service's database (see
         :meth:`repro.tune.Tuner.tune` for keywords)."""
         return self.tuner().tune(spec, tuple(shape), **kwargs)
-
-    def tuned_config(self, spec: StencilSpec, shape: Sequence[int], *,
-                     boundary: str = "periodic"):
-        """The stored winner for this workload, or ``None`` — a pure
-        database lookup, zero trials (the serving hot path)."""
-        rec = self.tuning_db.lookup(spec, self.machine,
-                                    tuple(int(n) for n in shape),
-                                    boundary=boundary)
-        return rec.config if rec is not None else None
 
     def online_tuner(self, *, config=None, idle=None):
         """An :class:`~repro.tune.online.OnlineTuner` exploring this
@@ -410,7 +402,10 @@ class KernelService:
 
     def _run_once(self, job: SweepJob, *, backend: str,
                   workers: Optional[int] = None) -> Grid:
-        """One unguarded sweep-job execution."""
+        """One unguarded sweep-job execution (``workers`` overrides the
+        job's own count, which overrides ``run_workers``)."""
+        if workers is None:
+            workers = job.workers or self.run_workers
         t0 = time.perf_counter()
         with obs.span("service.run", kernel=job.spec.name, steps=job.steps):
             result = run_parallel(
@@ -418,7 +413,7 @@ class KernelService:
                 tile_shape=job.tile_shape,
                 shards=job.shards,
                 temporal_block=job.temporal_block,
-                workers=self.run_workers if workers is None else workers,
+                workers=workers,
                 boundary=job.boundary,
                 value=job.value,
                 backend=backend,

@@ -337,25 +337,13 @@ def measure(
             def run_once() -> None:
                 run_program(program, grid, steps_eff, boundary=boundary,
                             backend=config.exec_backend)
-        elif config.engine == "shard":
+        else:  # tiled or shard
             grid = Grid.random(shape, spec.radius, seed=seed, dtype=dtype)
 
             def run_once() -> None:
-                run_parallel(spec, grid, steps_eff,
-                             shards=config.shards,
-                             temporal_block=config.temporal_block,
-                             workers=config.shards,
-                             boundary=boundary,
-                             backend=config.run_backend)
-        else:
-            grid = Grid.random(shape, spec.radius, seed=seed, dtype=dtype)
-
-            def run_once() -> None:
-                run_parallel(spec, grid, steps_eff,
-                             tile_shape=config.tile_shape,
-                             workers=config.workers,
-                             boundary=boundary,
-                             backend=config.run_backend)
+                run_parallel(spec, grid, steps_eff, boundary=boundary,
+                             backend=config.run_backend,
+                             **config.run_kwargs())
 
         for _ in range(budget.warmup):
             if out_of_time():

@@ -5,17 +5,22 @@ configuration for this workload?" with a blocking search; a live service
 cannot afford that.  :class:`OnlineTuner` instead runs the bandit-style
 explore/exploit split production autotuners use:
 
-* **Serving always uses the incumbent** — the planner's default
-  configuration until the shared :class:`~repro.tune.db.TuningDB` has a
-  winner, then that winner.  No request ever waits on a trial.
+* **Serving always uses the incumbent** — the served default (the
+  default tile for the shape on the service's ``run_workers`` and
+  ``run_backend``) until the shared :class:`~repro.tune.db.TuningDB`
+  has a winner the server can run, then that winner.  No request ever
+  waits on a trial.
 * **Exploration rides idle capacity.**  Each :meth:`OnlineTuner.step`
   is one *opportunity* to run a budgeted empirical trial of a contender
   configuration; it declines (and counts ``tune.online.gated``) unless
   the ``idle`` predicate says the owner has nothing better to do — the
   :class:`~repro.server.core.StencilServer` wires this to "no admitted
   request is in flight and no batch is open".
-* **Candidates come from the offline search space**
-  (:func:`~repro.tune.space.enumerate_space`), chosen epsilon-greedily:
+* **The space is what the server executes**: the :data:`ONLINE_ENGINES`
+  (tiled and sharded :func:`~repro.parallel.executor.run_parallel`) of
+  the offline search space (:func:`~repro.tune.space.enumerate_space`)
+  on the service's own ``run_backend``.  Candidates are chosen
+  epsilon-greedily:
   with probability ``1 - epsilon`` the best *model-ranked* untried
   candidate (greedy by the stage-1 analytic score), with probability
   ``epsilon`` a uniformly random untried one.  The choice stream is a
@@ -26,9 +31,10 @@ explore/exploit split production autotuners use:
   in same-harness trials and (b) producing *bitwise-identical* results
   to the incumbent on a seeded verification sweep.  Winners land in the
   shared database through :meth:`TuningDB.promote` (per-writer delta
-  files — concurrent promoters cannot lose updates) and the compile
-  cache is pre-warmed for plan-aware winners, so the first request
-  served on a new incumbent never pays its compile.
+  files — concurrent promoters cannot lose updates).  The server
+  applies a winner whole — its tile shape or shard layout and its
+  worker count, exactly as the trial ran it
+  (:meth:`~repro.tune.space.TuneConfig.run_kwargs`).
 
 Everything lands under the ``tune.online.*`` obs taxonomy and in
 :meth:`OnlineTuner.stats` (which works even with obs disabled).
@@ -46,17 +52,16 @@ import numpy as np
 
 from .. import obs
 from ..errors import ReproError, TuneError
-from ..parallel.executor import run_parallel
+from ..parallel.executor import default_tile, run_parallel
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
 from .db import TuningRecord, workload_key
 from .engine import Trial, TuneBudget, measure, rank_candidates
-from .space import TuneConfig, default_config, enumerate_space
+from .space import TuneConfig, enumerate_space
 
-#: engines the online space explores by default.  ``shard`` is excluded:
-#: spinning a process pool inside an idle slot costs more than a slot is
-#: worth, and the offline tuner still covers it.
-DEFAULT_ONLINE_ENGINES: Tuple[str, ...] = ("machine", "numpy", "tiled")
+#: the engines the online space explores: exactly the executors the
+#: server runs (tiles or shards through ``run_parallel``)
+ONLINE_ENGINES: Tuple[str, ...] = ("tiled", "shard")
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,6 @@ class OnlineTuneConfig:
     confirm_trials: int = 1         #: re-measurements of the leader at the end
     verify_steps: int = 2           #: sweeps of the bitwise verification run
     verify_seed: int = 517          #: seeded grid the verification sweeps
-    engines: Tuple[str, ...] = DEFAULT_ONLINE_ENGINES
-    exec_backends: Tuple[str, ...] = ("auto", "interp")
     poll_interval_s: float = 0.02   #: background-thread nap between steps
 
     def __post_init__(self) -> None:
@@ -164,10 +167,11 @@ class OnlineTuner:
     """Budgeted idle-slot exploration over one service's workloads.
 
     ``service`` is duck-typed — anything with ``machine``, ``cache``,
-    ``tuning_db`` and ``compile()`` works (in production it is a
-    :class:`~repro.service.KernelService`).  ``idle`` is the occupancy
-    gate: trials only run while it returns ``True``.  ``None`` means
-    always idle (offline convergence runs and tests).
+    ``tuning_db``, ``run_workers`` and ``run_backend`` works (in
+    production it is a :class:`~repro.service.KernelService`).
+    ``idle`` is the occupancy gate: trials only run while it returns
+    ``True``.  ``None`` means always idle (offline convergence runs and
+    tests).
 
     Thread-safety: :meth:`observe` may be called from any thread (the
     server calls it on the event loop); :meth:`step` is intended for one
@@ -200,7 +204,7 @@ class OnlineTuner:
             "workloads": 0, "steps": 0, "gated": 0, "trials": 0,
             "trial_failures": 0, "explore": 0, "greedy": 0,
             "promotions": 0, "verified": 0, "verify_failures": 0,
-            "prewarmed": 0, "converged": 0,
+            "converged": 0,
         }
 
     # -- intake ----------------------------------------------------------------
@@ -216,11 +220,10 @@ class OnlineTuner:
         # first sighting: resolve the incumbent outside the lock (the DB
         # read may touch disk)
         record = self.db.get(key)
-        if record is not None:
+        if record is not None and self._servable(record.config):
             incumbent, incumbent_score = record.config, record.mstencil_s
         else:
-            incumbent, incumbent_score = default_config(spec,
-                                                        self.machine), None
+            incumbent, incumbent_score = self.served_default(shape), None
         state = _Workload(spec, shape, max(1, int(steps)), boundary, key,
                           incumbent, incumbent_score)
         with self._lock:
@@ -231,16 +234,38 @@ class OnlineTuner:
             self._counts["workloads"] += 1
         obs.counter("tune.online.workloads").inc()
 
-    def incumbent(self, spec: StencilSpec, shape: Sequence[int], *,
-                  boundary: str = "periodic") -> TuneConfig:
-        """The configuration requests should run on right now: the
-        current DB winner, else the planner default."""
+    def _servable(self, config: TuneConfig) -> bool:
+        """Whether the server runs ``config`` as it was measured: an
+        online engine on the service's own run backend."""
+        return (config.engine in ONLINE_ENGINES
+                and config.run_backend == self.service.run_backend)
+
+    def served_default(self, shape: Sequence[int]) -> TuneConfig:
+        """What the server runs without a winner: the default tile on
+        ``run_workers`` workers and the service's run backend."""
+        workers = self.service.run_workers
+        return TuneConfig(engine="tiled",
+                          tile_shape=default_tile(tuple(shape), workers),
+                          workers=workers,
+                          run_backend=self.service.run_backend)
+
+    def winner(self, spec: StencilSpec, shape: Sequence[int], *,
+               boundary: str = "periodic") -> Optional[TuneConfig]:
+        """The stored winner for this workload if the server can run it
+        as measured, else ``None`` — a pure database lookup."""
         record = self.db.lookup(spec, self.machine,
                                 tuple(int(n) for n in shape),
                                 boundary=boundary)
-        if record is not None:
+        if record is not None and self._servable(record.config):
             return record.config
-        return default_config(spec, self.machine)
+        return None
+
+    def incumbent(self, spec: StencilSpec, shape: Sequence[int], *,
+                  boundary: str = "periodic") -> TuneConfig:
+        """The configuration requests run on right now: the servable DB
+        winner, else the served default."""
+        return (self.winner(spec, shape, boundary=boundary)
+                or self.served_default(shape))
 
     # -- the exploration step --------------------------------------------------
     def step(self) -> Optional[OnlineTrial]:
@@ -363,8 +388,8 @@ class OnlineTuner:
         if state.candidates is not None:
             return
         space = enumerate_space(state.spec, self.machine, state.shape,
-                                engines=self.config.engines,
-                                exec_backends=self.config.exec_backends)
+                                engines=ONLINE_ENGINES,
+                                run_backends=(self.service.run_backend,))
         ranked = rank_candidates(state.spec, self.machine, space,
                                  state.shape, steps=state.steps,
                                  cache=self.cache)
@@ -424,7 +449,6 @@ class OnlineTuner:
                                promoted=False, verified=False)
         self._counts["verified"] += 1
         obs.counter("tune.online.verified").inc()
-        self._prewarm(state, leader.config)
         record = TuningRecord(
             key=state.key, config=leader.config,
             mstencil_s=leader.mstencil_s, seconds=leader.seconds,
@@ -444,17 +468,13 @@ class OnlineTuner:
                            promoted=landed, verified=True)
 
     def _verify(self, state: _Workload, contender: TuneConfig) -> bool:
-        """Bitwise gate: what the contender would *serve* must equal
-        what the incumbent serves, exactly, on a seeded verification
-        sweep.
+        """Bitwise gate: what the contender would serve must equal what
+        the incumbent serves, exactly, on a seeded verification sweep.
 
-        The serving path executes through the tiled/sharded reference
-        executor (:func:`~repro.parallel.executor.run_parallel`), which
-        is bitwise-invariant across tile shapes, worker counts, shard
-        counts and temporal blocks by design — so any difference means
-        a broken configuration, and it is never promoted.  (Plan-aware
-        winners steer the *compile*, not the served numerics, so they
-        verify against the same reference sweep.)"""
+        Both run through :func:`~repro.parallel.executor.run_parallel`,
+        which is bitwise-invariant across tile shapes, worker counts,
+        shard counts and temporal blocks by design — so any difference
+        means a broken configuration, and it is never promoted."""
         try:
             want = self._run_config(state, state.incumbent)
             got = self._run_config(state, contender)
@@ -464,46 +484,16 @@ class OnlineTuner:
 
     def _run_config(self, state: _Workload,
                     config: TuneConfig) -> np.ndarray:
-        """The interior ``config`` would serve for the seeded
-        verification workload (mirrors the server's
-        ``run_many``/``run_parallel`` dispatch)."""
-        steps = self.config.verify_steps
+        """The interior ``config`` serves for the seeded verification
+        workload (the server's ``run_many`` dispatch of a winner)."""
         dtype = (np.float32 if self.machine.element_bytes == 4
                  else np.float64)
         grid = Grid.random(state.shape, state.spec.radius,
                            seed=self.config.verify_seed, dtype=dtype)
-        if config.engine == "shard":
-            out = run_parallel(state.spec, grid, steps,
-                               shards=config.shards,
-                               temporal_block=config.temporal_block,
-                               workers=config.shards,
-                               boundary=state.boundary,
-                               backend=config.run_backend)
-        elif config.engine == "tiled":
-            out = run_parallel(state.spec, grid, steps,
-                               tile_shape=config.tile_shape,
-                               workers=config.workers,
-                               boundary=state.boundary,
-                               backend=config.run_backend)
-        else:
-            out = run_parallel(state.spec, grid, steps,
-                               boundary=state.boundary)
+        out = run_parallel(state.spec, grid, self.config.verify_steps,
+                           boundary=state.boundary,
+                           backend=config.run_backend, **config.run_kwargs())
         return out.interior.copy()
-
-    def _prewarm(self, state: _Workload, config: TuneConfig) -> None:
-        """Compile the winner into the shared cache *before* promotion,
-        so no request ever pays the new incumbent's compile."""
-        if not config.is_plan_aware:
-            return  # tiled/shard winners reach no new compiled plan
-        try:
-            self.service.compile(state.spec, state.shape,
-                                 time_fusion=config.time_fusion,
-                                 use_sdf=config.use_sdf,
-                                 backend=config.plan_backend)
-        except ReproError:
-            return  # the trial already ran it; a warm miss is harmless
-        self._counts["prewarmed"] += 1
-        obs.counter("tune.online.prewarmed").inc()
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> Dict[str, int]:
@@ -516,5 +506,5 @@ class OnlineTuner:
         return out
 
 
-__all__ = ["DEFAULT_ONLINE_ENGINES", "OnlineTrial", "OnlineTuneConfig",
+__all__ = ["ONLINE_ENGINES", "OnlineTrial", "OnlineTuneConfig",
            "OnlineTuner"]

@@ -213,6 +213,17 @@ class TuneConfig:
         return {"time_fusion": self.time_fusion, "use_sdf": self.use_sdf,
                 "backend": self.plan_backend}
 
+    def run_kwargs(self) -> Dict[str, Any]:
+        """Keyword arguments for
+        :func:`~repro.parallel.executor.run_parallel` (and
+        :class:`~repro.service.SweepJob`) that execute a tiled or shard
+        configuration; a shard run takes one worker per shard."""
+        if self.engine == "shard":
+            return {"shards": self.shards,
+                    "temporal_block": self.temporal_block,
+                    "workers": self.shards}
+        return {"tile_shape": self.tile_shape, "workers": self.workers}
+
     def label(self) -> str:
         """Compact human-readable form for tables and logs."""
         if self.engine == "tiled":

@@ -373,13 +373,15 @@ def test_executor_fault_recovery_never_changes_results(rules, seed):
     spec = star(2, 1, center=0.5, arm=[0.125], name="chaos-probe")
     grid = Grid.random((24, 32), spec.radius, seed=seed)
     for backend in ("thread", "process"):
-        clean = run_parallel(spec, grid, 2, workers=3, backend=backend)
+        clean = run_parallel(spec, grid, 2, workers=3, tile_shape=(8, 32),
+                             backend=backend)
         # retry budget covers the worst case of every fault landing on
         # one tile (3 rules x times<=2 = 6 faults < 7 attempts)
         with pytest.MonkeyPatch.context() as mp, \
                 inject(FaultPlan(rules=tuple(rules), seed=seed)):
             mp.setattr(executor, "TASK_RETRIES", 6)
             faulted = run_parallel(spec, grid, 2, workers=3,
+                                   tile_shape=(8, 32),
                                    backend=backend)
         assert np.array_equal(clean.data, faulted.data), (
             f"{backend}: fault recovery diverged bitwise "

@@ -268,7 +268,8 @@ class TestPolicyHelpers:
 
 def _run_grids(backend: str, **kw):
     grid = Grid.random((40, 40), SPEC.radius, seed=5)
-    return run_parallel(SPEC, grid, 3, workers=4, backend=backend, **kw)
+    return run_parallel(SPEC, grid, 3, workers=4, tile_shape=(10, 40),
+                        backend=backend, **kw)
 
 
 class TestExecutorHardening:

@@ -9,7 +9,9 @@ from repro import obs
 from repro.config import AMD_EPYC_7V13, GENERIC_AVX2, INTEL_XEON_6230R
 from repro.errors import ModelError, TilingError
 from repro.faults import FaultPlan, FaultRule, inject
-from repro.parallel.executor import pool_context, run_parallel
+from repro.parallel import executor
+from repro.parallel.executor import (MIN_TILE_POINTS, default_tile,
+                                     pool_context, run_parallel)
 from repro.parallel.simulator import MulticoreModel, ParallelSetup
 from repro.parallel.topology import (allocate_cores, partition_axis,
                                      shard_neighbors)
@@ -252,6 +254,64 @@ class TestExecutor:
             run_parallel(spec, g, 1, workers=0)
 
 
+class TestDefaultTiling:
+    """The default tile count follows grid points: a small grid is one
+    tile, swept inline without a pool, and a large one still splits
+    across the workers."""
+
+    SPEC = library.get("heat-2d")
+
+    @pytest.fixture()
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-tile run built a thread pool")
+
+        monkeypatch.setattr(executor, "ThreadPoolExecutor", refuse)
+
+    def test_tile_count_follows_grid_points(self):
+        assert default_tile((32, 32), 4) == (32, 32)
+        assert default_tile((1024, 1024), 2) == (512, 1024)
+        assert default_tile((2 * MIN_TILE_POINTS,), 8) == (MIN_TILE_POINTS,)
+        assert default_tile((3,), 4) == (3,)
+
+    def test_small_grid_runs_inline_bitwise(self, no_pool):
+        g = Grid.random((32, 32), 1, seed=13)
+        got = run_parallel(self.SPEC, g, 3, workers=4)
+        ref = apply_steps(self.SPEC, g, 3)
+        assert np.array_equal(got.interior, ref.interior)
+
+    def test_inline_task_fault_is_recomputed(self, no_pool):
+        g = Grid.random((32, 32), 1, seed=14)
+        clean = run_parallel(self.SPEC, g, 2, workers=4)
+        was = obs.enabled()
+        obs.enable(reset=True)
+        try:
+            with inject(FaultPlan(rules=(FaultRule("pool.task_start"),),
+                                  seed=0)) as inj:
+                got = run_parallel(self.SPEC, g, 2, workers=4)
+            counters = obs.snapshot()["metrics"]["counters"]
+        finally:
+            if not was:
+                obs.disable()
+            obs.reset()
+        assert inj.injected_by_site() == {"pool.task_start": 1}
+        assert counters.get("parallel.task_retries") == 1
+        assert np.array_equal(got.data, clean.data)
+
+    def test_large_grid_still_splits_across_workers(self, monkeypatch):
+        tiles = []
+        real = executor.apply_tile
+
+        def counting(spec, grid, out, tile):
+            tiles.append(tile)
+            real(spec, grid, out, tile)
+
+        monkeypatch.setattr(executor, "apply_tile", counting)
+        g = Grid.random((1024, 1024), 1, seed=15)
+        run_parallel(self.SPEC, g, 1, workers=2)
+        assert len(tiles) == 2
+
+
 class TestExecutorDeterminism:
     """run_parallel must be bitwise deterministic: tiles are independent
     and land in disjoint output slices, so worker count and backend can
@@ -265,25 +325,29 @@ class TestExecutorDeterminism:
     def test_worker_count_bitwise_identical(self):
         g = self._grid()
         a = run_parallel(self.SPEC, g, 3, workers=1)
-        b = run_parallel(self.SPEC, g, 3, workers=8)
+        b = run_parallel(self.SPEC, g, 3, workers=8, tile_shape=(6, 48))
         assert np.array_equal(a.data, b.data)
 
     def test_thread_vs_process_backend_bitwise_identical(self):
         g = self._grid(seed=8)
-        a = run_parallel(self.SPEC, g, 2, workers=4, backend="thread")
-        b = run_parallel(self.SPEC, g, 2, workers=4, backend="process")
+        a = run_parallel(self.SPEC, g, 2, workers=4, backend="thread",
+                         tile_shape=(12, 48))
+        b = run_parallel(self.SPEC, g, 2, workers=4, backend="process",
+                         tile_shape=(12, 48))
         assert np.array_equal(a.data, b.data)
 
     def test_process_backend_worker_count_bitwise_identical(self):
         g = self._grid(seed=9)
         a = run_parallel(self.SPEC, g, 2, workers=1, backend="process")
-        b = run_parallel(self.SPEC, g, 2, workers=4, backend="process")
+        b = run_parallel(self.SPEC, g, 2, workers=4, backend="process",
+                         tile_shape=(12, 48))
         assert np.array_equal(a.data, b.data)
 
     def test_process_backend_matches_reference(self):
         spec = library.get("box-2d9p")
         g = Grid.random((32, 32), 1, seed=10)
-        got = run_parallel(spec, g, 2, workers=3, backend="process")
+        got = run_parallel(spec, g, 2, workers=3, backend="process",
+                           tile_shape=(11, 32))
         ref = apply_steps(spec, g, 2)
         assert np.allclose(got.interior, ref.interior, rtol=1e-12)
 

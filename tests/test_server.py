@@ -19,6 +19,7 @@ from repro.server.net import interior_checksum, request_tcp, serve_tcp
 from repro.service import KernelService, SweepJob
 from repro.stencils import library
 from repro.stencils.grid import Grid
+from repro.tune.space import TuneConfig
 
 SHAPE = (16, 16)
 STEPS = 2
@@ -101,8 +102,6 @@ class TestServerValidation:
         {"executor_workers": 0},
         {"fault_retries": -1},
         {"shed_occupancy": 0.0},
-        {"interp_occupancy": 1.5},
-        {"shed_occupancy": 0.9, "interp_occupancy": 0.5},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ReproError):
@@ -171,28 +170,89 @@ class TestServing:
         assert hists["server.latency_ms.tenant.zeta"]["count"] == 1
         assert metrics["gauges"]["server.queue_depth"] == 0
 
-    def test_forced_interp_backend_is_bitwise_identical(self):
+    def test_high_occupancy_is_bitwise_identical(self):
         async def go(server):
             return await asyncio.gather(
                 *(server.submit(_job(seed=s)) for s in range(3)))
 
-        # occupancy rungs so low every flush pins the interp backend
-        results = _serve(go, max_queue_depth=64, shed_occupancy=0.01,
-                         interp_occupancy=0.01)
+        # a shed rung so low every flush runs under overload
+        results = _serve(go, max_queue_depth=64, shed_occupancy=0.01)
         for s, r in enumerate(results):
             assert np.array_equal(r.grid.interior, _expected(seed=s))
 
     def test_overload_ladder_sheds_batch_size(self):
         server = StencilServer(machine=GENERIC_AVX2, max_queue_depth=10,
-                               max_batch=8, shed_occupancy=0.5,
-                               interp_occupancy=0.75)
+                               max_batch=8, shed_occupancy=0.5)
         assert server._effective_max_batch() == 8
-        assert not server._force_interp()
         server._inflight = 5  # occupancy 0.5: rung 1
         assert server._effective_max_batch() == 2
-        assert not server._force_interp()
-        server._inflight = 8  # occupancy 0.8: rung 2
-        assert server._force_interp()
+
+
+class TestServedWinner:
+    """With online tuning on, a batch runs on the stored winner only
+    when the server can execute it as it was measured — and then whole:
+    its tile or shard layout and its worker count reach run_parallel."""
+
+    def _serve_on(self, monkeypatch, config):
+        import repro.service as service_mod
+        from repro.tune import OnlineTuneConfig, TuningRecord, workload_key
+        svc = KernelService(GENERIC_AVX2, failure_policy="degrade",
+                            retries=2)
+        job = _job(seed=4)
+        # an unbeatable stored rate: no online trial can displace it
+        svc.tuning_db.put(TuningRecord(
+            key=workload_key(job.spec, GENERIC_AVX2, job.shape),
+            config=config, mstencil_s=1e12, seconds=1e-6, steps=2))
+        calls = []
+        real = service_mod.run_parallel
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_mod, "run_parallel", spy)
+
+        async def main():
+            async with StencilServer(
+                    svc, online_tune=True,
+                    online_tune_config=OnlineTuneConfig(max_trials=1)
+            ) as server:
+                return await server.submit(job)
+
+        res = asyncio.run(main())
+        assert len(calls) == 1
+        assert np.array_equal(res.grid.interior, _expected(seed=4))
+        applied = obs.snapshot()["metrics"]["counters"].get(
+            "tune.online.applied", 0)
+        return svc, applied, calls[0]
+
+    @pytest.mark.parametrize("config", [
+        TuneConfig(engine="machine", time_fusion=1),
+        TuneConfig(engine="tiled", tile_shape=(8, 16), workers=1,
+                   run_backend="process"),
+    ], ids=["machine-engine", "other-run-backend"])
+    def test_winner_the_server_cannot_run_is_ignored(self, observing,
+                                                     monkeypatch, config):
+        svc, applied, call = self._serve_on(monkeypatch, config)
+        assert applied == 0
+        assert call["workers"] == svc.run_workers
+        assert call["tile_shape"] is None and call["shards"] is None
+
+    def test_tiled_winner_applies_tile_and_workers(self, observing,
+                                                   monkeypatch):
+        _, applied, call = self._serve_on(monkeypatch, TuneConfig(
+            engine="tiled", tile_shape=(8, 16), workers=1))
+        assert applied == 1
+        assert call["tile_shape"] == (8, 16) and call["workers"] == 1
+        assert call["shards"] is None
+
+    def test_shard_winner_applies_layout_and_workers(self, observing,
+                                                     monkeypatch):
+        _, applied, call = self._serve_on(monkeypatch, TuneConfig(
+            engine="shard", shards=2, temporal_block=2))
+        assert applied == 1
+        assert call["shards"] == 2 and call["temporal_block"] == 2
+        assert call["workers"] == 2 and call["tile_shape"] is None
 
 
 class TestTokenBucket:

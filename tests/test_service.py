@@ -55,6 +55,18 @@ class TestCompile:
         (k,) = svc.compile_many([(library.get("heat-1d"), (96,))])
         assert k.grid.shape == (96,)
 
+    def test_single_distinct_request_compiles_inline(self, monkeypatch):
+        import repro.service as service_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one distinct compile built a pool")
+
+        monkeypatch.setattr(service_mod, "ThreadPoolExecutor", refuse)
+        svc = _svc()
+        req = CompileRequest(library.get("heat-2d"), (64, 96))
+        a, b = svc.compile_many([req, req])
+        assert a is b and svc.stats()["misses"] == 1
+
     def test_concurrent_compiles_share_cache(self):
         svc = _svc(compile_workers=4)
         names = ["heat-1d", "heat-2d", "box-2d9p", "star-1d5p"]

@@ -558,7 +558,7 @@ class TestIntegration:
         key = workload_key(HEAT1D, MACHINE, (256,))
         TuningDB(str(tmp_path)).put(make_record(key, config=cfg))
         svc = KernelService(MACHINE, tuning_db=TuningDB(str(tmp_path)))
-        k, = svc.compile_many([CompileRequest(HEAT1D, (256,))], tune="db")
+        k, = svc.compile_many([CompileRequest(HEAT1D, (256,))], tune=True)
         assert k.plan.time_fusion == 1 and k.plan.use_sdf is False
         assert k.exec_backend() == "batch"
         grid = k.grid_like((256,), seed=2)
