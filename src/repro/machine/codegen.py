@@ -40,13 +40,15 @@ same operand values (inlining only substitutes a pure expression for
 its value, and the flattened tensors hold, per (env, x) coordinate,
 exactly the values the interpreter's registers hold at that
 iteration).  Loop-carried registers (Algorithm 1's ``v0``/``vp0``, the
-sliding windows of Reorg/Folding/LBV) are peeled into shifted rows:
-every scheme's carry chains are finite renames of fresh loads, so
-"execute the body, shift the carried values down one row" reaches a
-bytes-exact fixed point in chain-depth rounds; a true recurrence raises
-a ``recurrence`` fallback after ``len(carried) + 2`` rounds.  The
-differential harness asserts interp == codegen bitwise for every
-scheme, dtype and random spec.
+sliding windows of Reorg/Folding/LBV) become shifted-row tensors: row 0
+is the prologue value, row ``t`` the end-of-body value of row ``t-1``.
+Lowering orders the carried registers so that each one's end-of-body
+value reads only carries already built; every scheme's carry chains are
+finite renames of fresh loads, so the body runs exactly once and each
+carry is the same IEEE result the interpreter's register holds.  A cycle
+among the carries is a true recurrence (an accumulator) and raises a
+``recurrence`` fallback.  The differential harness asserts interp ==
+codegen bitwise for every scheme, dtype and random spec.
 
 **Fallback taxonomy.**  :class:`CodegenFallback` carries a ``reason``
 the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
@@ -57,8 +59,8 @@ the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
   non-contiguous, stores that interleave between instructions);
 * ``memory``     — hoisted index constants would exceed
   :data:`MEMORY_GUARD` elements;
-* ``recurrence`` — a loop-carried register never reaches a fixed
-  point (the scan/prefix case).
+* ``recurrence`` — loop-carried registers depend on each other in a
+  cycle (the scan/prefix case).
 
 On any of these the driver degrades codegen -> interp; correctness
 never depends on this backend succeeding.
@@ -160,7 +162,7 @@ def _find_carried(program) -> Tuple[str, ...]:
 
 class _Node:
     """One SSA value: a load, shuffle, constant, arithmetic op, or the
-    per-round carry of a loop-carried register."""
+    shifted-row tensor of a loop-carried register."""
 
     __slots__ = ("vid", "kind", "op", "args", "shape", "section",
                  "uses", "pinned", "data", "instr", "text")
@@ -210,7 +212,9 @@ class CodegenProgram:
     Construction performs the shape-independent analysis and raises
     :class:`CodegenFallback` (reason ``compile``) for programs that
     cannot be flattened; concrete array layouts are handled lazily by
-    :meth:`specialize`.
+    :meth:`specialize`.  ``recurrence`` is ``None`` unless the carried
+    registers form a cycle, in which case every run raises
+    :class:`CodegenFallback` (reason ``recurrence``).
     """
 
     def __init__(self, program) -> None:
@@ -229,7 +233,6 @@ class CodegenProgram:
         self._xs = (np.arange(self.trips, dtype=np.int64) * self.x_step
                     + self.x_start)
         self.carried = _find_carried(program)
-        self._max_rounds = len(self.carried) + 2
         self.nodes: List[_Node] = []
         self.refs: List[_MemRef] = []
         self._heads: Dict[str, int] = {}    # carried reg -> prologue vid
@@ -238,6 +241,8 @@ class CodegenProgram:
         self._undefined_carry: Optional[str] = None
         self._build()
         self._count_uses()
+        self._load_ref = {r.vid: r for r in self.refs if not r.is_store}
+        self._order, self.recurrence = self._schedule()
         self.array_names = sorted({r.array for r in self.refs})
         self._specs: Dict[tuple, _Specialized] = {}
         self._slab_progs: Dict[int, "CodegenProgram"] = {}
@@ -392,6 +397,44 @@ class CodegenProgram:
                 if arg.section != node.section:
                     arg.pinned = True
 
+    def _schedule(self) -> Tuple[List[int], Optional[str]]:
+        """``(emission order, recurrence)``.  The order is the prologue,
+        then each carried register (after the body nodes its end-of-body
+        value needs) in dependency order, then the rest of the body.  A
+        carry whose final value reads itself, directly or through other
+        carries, is a true recurrence: the message is kept for
+        :meth:`specialize` to refuse every run with."""
+        needs: Dict[str, List[int]] = {}
+        deps: Dict[str, set] = {}
+        for name in self.carried:
+            seen, stack = set(), [self._finals[name]]
+            while stack:
+                vid = stack.pop()
+                node = self.nodes[vid]
+                if vid in seen or node.section != "body":
+                    continue
+                seen.add(vid)
+                stack.extend(node.args)
+            needs[name] = sorted(seen)
+            deps[name] = {v for v in seen if self.nodes[v].kind == "carry"}
+        pending = list(self.carried)
+        order = [n.vid for n in self.nodes if n.section == "pro"]
+        placed = set(order)
+        while pending:
+            name = next((n for n in pending if deps[n] <= placed), None)
+            if name is None:
+                return order, (
+                    f"{self.program.name}: loop-carried registers "
+                    f"{tuple(pending)} depend on each other in a cycle "
+                    f"(true recurrence)")
+            for vid in needs[name] + [self._carry_vid[name]]:
+                if vid not in placed:
+                    order.append(vid)
+                    placed.add(vid)
+            pending.remove(name)
+        order += [n.vid for n in self.nodes if n.vid not in placed]
+        return order, None
+
     # -- specialization ----------------------------------------------------
 
     def _grid(self, const: int, terms) -> np.ndarray:
@@ -491,6 +534,8 @@ class CodegenProgram:
                 raise MachineError(f"unknown array {name!r} in program "
                                    f"{self.program.name!r}")
         self._validate_layout(arrays)
+        if self.recurrence is not None:
+            raise CodegenFallback("recurrence", self.recurrence)
         key = tuple((name, arrays[name].shape) for name in self.array_names)
         spec = self._specs.get(key)
         if spec is None:
@@ -515,8 +560,9 @@ class CodegenProgram:
     def run(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Execute one full sweep, slab by slab above :data:`SLAB_POINTS`.
         Raises :class:`CodegenFallback` when the layout defeats flattening
-        or a recurrence fails to converge; the interpreter's rerun then
-        rewrites anything an earlier slab committed with equal values."""
+        or the carried registers form a recurrence; the interpreter's
+        rerun then rewrites anything an earlier slab committed with equal
+        values."""
         if self._undefined_carry is not None:
             raise IsaError(
                 f"read of undefined register {self._undefined_carry!r}")
@@ -578,9 +624,7 @@ class CodegenProgram:
                 f"(guard: {MEMORY_GUARD}); the interpreter runs this "
                 f"sweep instead")
 
-        ns = {"np": np, "_as_view": _as_view,
-              "CodegenFallback": CodegenFallback,
-              "_DT": self.dtype}
+        ns = {"np": np, "_as_view": _as_view, "_DT": self.dtype}
         consts = itertools.count()
         vars_ = itertools.count()
 
@@ -608,19 +652,29 @@ class CodegenProgram:
             idx = s["starts"][..., None] + cols
             return f"{a}[{hoist(idx)}]"
 
-        for node in self.nodes:
+        for vid in self._order:
+            node = self.nodes[vid]
             sec = node.section
             if node.kind == "const":
                 value = np.full((1,) * (len(node.shape) - 1) + (width,),
                                 node.data, dtype=self.dtype)
                 node.text = hoist(value)
             elif node.kind == "carry":
-                node.text = f"_c{node.data}"
+                # row 0 from the prologue, row t the final value of row t-1
+                name = self.carried[node.data]
+                c = f"_c{node.data}"
+                fin = self.nodes[self._finals[name]]
+                shift = ("[..., :-1, :]" if fin.shape[-2] == self.trips
+                         else "[..., :1, :]")
+                out(sec).extend([
+                    f"{c} = np.empty({node.shape}, _DT)",
+                    f"{c}[..., :1, :] = {self.nodes[self._heads[name]].text}",
+                    f"{c}[..., 1:, :] = {fin.text}{shift}",
+                ])
+                node.text = c
             elif node.kind == "load":
-                ref = next(r for r in self.refs
-                           if not r.is_store and r.vid == node.vid)
                 v = f"_v{next(vars_)}"
-                out(sec).append(f"{v} = {load_expr(ref)}")
+                out(sec).append(f"{v} = {load_expr(self._load_ref[vid])}")
                 node.text = v
             elif node.kind == "shuffle":
                 groups, zero_cols = node.data
@@ -768,50 +822,13 @@ class CodegenProgram:
         if pro_lines:
             block(["# prologue (all outer environments at once)"], 4)
             block(pro_lines, 4)
-        if not self.carried:
-            if body_lines:
-                block(["# body (flattened loop nest)"], 4)
-                block(body_lines, 4)
-        else:
-            shape = self.outer_dims + (self.trips, self.width)
-            init = ["# loop-carried registers: peel into shifted rows"]
-            for name in self.carried:
-                j = self.nodes[self._carry_vid[name]].data
-                head = self.nodes[self._heads[name]].text
-                init.append(f"_c{j} = np.zeros({shape}, _DT)")
-                init.append(f"_c{j}[..., :1, :] = {head}")
-            block(init, 4)
-            block([f"for _round in range({self._max_rounds}):"], 4)
-            block(body_lines, 8)
-            conv = ["_cv = True"]
-            for name in self.carried:
-                j = self.nodes[self._carry_vid[name]].data
-                head = self.nodes[self._heads[name]].text
-                fin = self.nodes[self._finals[name]]
-                shift = ("[..., :-1, :]" if fin.shape[-2] == self.trips
-                         else "[..., :1, :]")
-                conv += [
-                    f"_n{j} = np.empty({shape}, _DT)",
-                    f"_n{j}[..., :1, :] = {head}",
-                    f"_n{j}[..., 1:, :] = {fin.text}{shift}",
-                    f"_cv = _cv and (_n{j}.tobytes() == _c{j}.tobytes())",
-                ]
-            conv.append("if _cv:")
-            conv.append("    break")
-            for name in self.carried:
-                j = self.nodes[self._carry_vid[name]].data
-                conv.append(f"_c{j} = _n{j}")
-            block(conv, 8)
-            block(["else:"], 4)
-            msg = (f"{p.name}: loop-carried registers {self.carried} "
-                   f"did not reach a fixed point in {self._max_rounds} "
-                   f"rounds (true recurrence)")
-            block([f"raise CodegenFallback('recurrence', {msg!r})"], 8)
+        if body_lines:
+            block(["# body (flattened loop nest)"], 4)
+            block(body_lines, 4)
         if commit_lines:
             block(["# deferred stores (committed in interpreter order)"], 4)
             block(commit_lines, 4)
-        if not (entry or pro_lines or body_lines or commit_lines
-                or self.carried):
+        if not (entry or pro_lines or body_lines or commit_lines):
             block(["pass"], 4)
         return "\n".join(lines) + "\n"
 

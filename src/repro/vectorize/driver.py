@@ -113,7 +113,8 @@ def run_program(
     program (:mod:`repro.machine.codegen`) and degrades codegen ->
     interp whenever codegen cannot apply: a per-access ``mem_hook`` is
     attached (the cache simulator needs ordered accesses), the layout
-    defeats flattening, or a loop-carried recurrence fails to peel.
+    defeats flattening, or the loop-carried registers form a true
+    recurrence.
     Both engines produce bitwise-identical grids; with a ``counter``,
     codegen sweeps are tallied analytically (exactly matching the
     interpreter's executed counts).

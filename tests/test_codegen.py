@@ -31,8 +31,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.config import GENERIC_AVX2
-from repro.errors import VectorizeError
+from repro.config import GENERIC_AVX2, PAPER_MACHINES
+from repro.errors import ReproError, VectorizeError
 from repro.machine import codegen as codegen_mod
 from repro.machine.codegen import (
     CodegenFallback,
@@ -42,7 +42,7 @@ from repro.machine.codegen import (
 )
 from repro.machine.isa import Affine
 from repro.machine.machine import SimdMachine
-from repro.schemes import generate, scheme_halo
+from repro.schemes import SCHEMES, generate, model_grid, scheme_halo
 from repro.stencils import library
 from repro.stencils.grid import Grid
 from repro.stencils.spec import star
@@ -228,8 +228,8 @@ class TestEmissionUnits:
         assert np.array_equal(a2["out"], a1["out"])
 
     def test_carry_chain_of_depth_two(self):
-        """mov-slide chains (w0 <- w1 <- fresh load) need one peel round
-        per link; convergence must still be exact."""
+        """mov-slide chains (w0 <- w1 <- fresh load) are built carry by
+        carry, w1 before w0; the result must still be exact."""
         b = ProgramBuilder(4)
         b.in_prologue()
         b.load_to("w0", b.mem(Affine.var("x")))
@@ -486,6 +486,97 @@ class TestDriverDegradation:
         a = run_program(prog, grid, steps, backend="interp")
         b = run_program(prog, grid, steps, backend="codegen")
         assert np.array_equal(a.data, b.data)
+
+
+# ---------------------------------------------------------------------------
+# static carry schedule
+# ---------------------------------------------------------------------------
+
+def _lowered_cases():
+    """Every (scheme, kernel, machine) the registry lowers, on the
+    scheme's model grid."""
+    for machine in PAPER_MACHINES:
+        for scheme in SCHEMES:
+            for kernel in library.names():
+                spec = library.get(kernel)
+                try:
+                    grid = model_grid(scheme, spec, machine, seed=0)
+                    prog = generate(scheme, spec, machine, grid)
+                except ReproError:
+                    continue  # e.g. t4-jigsaw is 1-D only
+                yield prog, grid
+
+
+def _swap_program():
+    """Two registers swapped every iteration through a temporary: each
+    one's end-of-body value is the other's carry, a cyclic carry graph."""
+    b = ProgramBuilder(4)
+    b.in_prologue()
+    b.load_to("p", b.mem(Affine.var("x")))
+    b.load_to("q", b.mem(Affine.var("x", const=4)))
+    b.in_body()
+    v = b.load(b.mem(Affine.var("x")))
+    r = b.add(v, "p")
+    b.store(r, b.mem(Affine.var("x"), array="out"))
+    b.mov_to("t", "p")
+    b.mov_to("p", "q")
+    b.mov_to("q", "t")
+    return b.build(name="swap", scheme="t", loops=[Loop("x", 0, 16, 4)],
+                   vectors_per_iter=1)
+
+
+class TestCarrySchedule:
+    def test_library_carries_schedule_without_recurrence(self):
+        """Every scheme's carries are renames of fresh loads: all lower
+        to one pass, with no round loop in the emitted source."""
+        count = 0
+        for prog, grid in _lowered_cases():
+            cg = CodegenProgram(prog)
+            assert cg.recurrence is None, prog.name
+            arrays = {prog.input_array: grid.data,
+                      prog.output_array: grid.like().data}
+            assert "_round" not in cg.specialize(arrays).source, prog.name
+            count += 1
+        assert count > len(SCHEMES) * len(library.names())
+
+    def test_cyclic_carries_are_a_recurrence(self, observing):
+        prog = _swap_program()
+        assert CodegenProgram(prog).recurrence is not None
+        arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
+        with pytest.raises(CodegenFallback) as ei:
+            CodegenProgram(prog).run(arrays)
+        assert ei.value.reason == "recurrence"
+        assert np.array_equal(arrays["out"], np.zeros(16))
+        grid = Grid.random((16,), 0, seed=4)
+        expect = run_program(prog, grid, 1, backend="interp")
+        got = run_program(prog, grid, 1, backend="auto")
+        assert np.array_equal(got.data, expect.data)
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["exec.codegen_fallback.reason.recurrence"] == 1
+
+    def test_chain_built_against_instruction_order(self):
+        """w0 <- w1 <- w2 <- fresh load, all three read before any of
+        the movs: the schedule must build w2, then w1, then w0."""
+        b = ProgramBuilder(4)
+        b.in_prologue()
+        for k in range(3):
+            b.load_to(f"w{k}", b.mem(Affine.var("x", const=4 * k)))
+        b.in_body()
+        r = b.add(b.add("w0", "w1"), "w2")
+        b.store(r, b.mem(Affine.var("x"), array="out"))
+        b.mov_to("w0", "w1")
+        b.mov_to("w1", "w2")
+        b.load_to("w2", b.mem(Affine.var("x", const=12)))
+        prog = b.build(name="p", scheme="t", loops=[Loop("x", 0, 24, 4)],
+                       vectors_per_iter=1)
+        cg = CodegenProgram(prog)
+        assert cg.carried == ("w0", "w1", "w2")
+        assert cg.recurrence is None
+
+        def factory():
+            return {"a": np.linspace(0.0, 1.0, 40) ** 3, "out": np.zeros(24)}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
 
 
 # ---------------------------------------------------------------------------
