@@ -16,6 +16,7 @@ with a concrete grid geometry and exposes three things:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -25,6 +26,7 @@ import numpy as np
 from .. import obs
 from ..config import MachineConfig
 from ..errors import VectorizeError
+from ..machine import codegen
 from ..machine.perfmodel import KernelCost, PerformanceModel, PerfResult
 from ..machine.trace import TraceCounter
 from ..stencils.boundary import fill_halo
@@ -130,7 +132,14 @@ class CompiledKernel:
 
     def run_numpy(self, grid: Grid, steps: int, *, boundary: str = "periodic",
                   value: float = 0.0) -> Grid:
-        """Fast numpy execution of the same (fused, flattened) algorithm."""
+        """Fast numpy execution of the same (fused, flattened) algorithm.
+
+        Each fused sweep fills the halo once, then runs block by block
+        over interior rows of axis 0, at most
+        :data:`~repro.machine.codegen.SLAB_POINTS` output points per
+        block, so a block's temporaries stay cache-resident.  Every
+        output element sees the same IEEE ops in the same order whatever
+        the block size; a 1-D grid (axis 0 is x) is one block."""
         s = self.plan.time_fusion
         if steps % s:
             raise VectorizeError(
@@ -140,27 +149,29 @@ class CompiledKernel:
             raise VectorizeError(
                 "temporally merged kernels are exact only with periodic boundaries"
             )
-        fused = self.plan.fused_spec
         terms = self.plan.terms
         rx = max(max(abs(d) for d in t.v) for t in terms)
         cur = grid.copy()
         nxt = grid.like()
-        ndim = grid.ndim
-        hx = grid.halo[-1]
         nx = grid.shape[-1]
+        n0 = grid.shape[0]
+        rows = (n0 if grid.ndim == 1
+                else max(1, codegen.SLAB_POINTS // math.prod(grid.shape[1:])))
         observing = obs.enabled()
         with obs.span("execute", kernel=self.plan.spec.name,
                       backend="numpy", steps=steps) as espan:
             for _ in range(steps // s):
                 t0 = time.perf_counter() if observing else 0.0
                 fill_halo(cur, boundary, value=value)
-                out = nxt.interior
-                out.fill(0.0)
-                for term in terms:
-                    g = self._flatten_numpy(cur, term, rx)
-                    for dx, c in term.v.items():
-                        lo = rx + dx
-                        np.add(out, c * g[..., lo:lo + nx], out=out)
+                for k0 in range(0, n0, rows):
+                    k1 = min(n0, k0 + rows)
+                    out = nxt.interior[k0:k1]
+                    out.fill(0.0)
+                    for term in terms:
+                        g = self._flatten_numpy(cur, term, rx, k0, k1)
+                        for dx, c in term.v.items():
+                            lo = rx + dx
+                            np.add(out, c * g[..., lo:lo + nx], out=out)
                 cur, nxt = nxt, cur
                 if observing:
                     obs.counter("exec.sweeps").inc()
@@ -170,19 +181,21 @@ class CompiledKernel:
                 espan.set(engine="numpy")
         return cur
 
-    def _flatten_numpy(self, grid: Grid, term, rx: int) -> np.ndarray:
-        """Algorithm 2's Flattening on numpy views: the x axis keeps an
-        ``rx`` margin so the subsequent 1-D pass can shift within it."""
+    def _flatten_numpy(self, grid: Grid, term, rx: int, k0: int,
+                       k1: int) -> np.ndarray:
+        """Algorithm 2's Flattening on numpy views, for interior rows
+        ``k0:k1`` of axis 0 (ignored on a 1-D grid, whose axis 0 is x):
+        the x axis keeps an ``rx`` margin so the subsequent 1-D pass can
+        shift within it."""
         hx = grid.halo[-1]
         nx = grid.shape[-1]
-        shape = grid.shape[:-1] + (nx + 2 * rx,)
-        g = np.zeros(shape)
+        spans = [(0, n) for n in grid.shape[:-1]]
+        if spans:
+            spans[0] = (k0, k1)
+        g = np.zeros(tuple(b - a for a, b in spans) + (nx + 2 * rx,))
         for outer, c in term.u.items():
-            sl = []
-            for axis in range(grid.ndim - 1):
-                h, n = grid.halo[axis], grid.shape[axis]
-                o = outer[axis]
-                sl.append(slice(h + o, h + o + n))
+            sl = [slice(h + o + a, h + o + b)
+                  for (a, b), h, o in zip(spans, grid.halo, outer)]
             sl.append(slice(hx - rx, hx - rx + nx + 2 * rx))
             np.add(g, c * grid.data[tuple(sl)], out=g)
         return g

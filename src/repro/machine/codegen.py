@@ -30,9 +30,12 @@ specialized straight-line code.
 **Strip-mining.**  A sweep over more than :data:`SLAB_POINTS` output
 points runs the same kernel over contiguous row-slab views
 ``arr[k0 : k0 + b + 2h]`` of every array, with the outermost loop
-narrowed to ``b`` rows.  Outer environments are independent and loads
-never alias stores, so the slabs compose to exactly the full sweep; a
-grid needs at most two specializations (full slab, remainder).
+narrowed to ``b`` rows.  The bound is sized for cache reuse: a slab's
+register tensors stay resident in a core's L2 instead of streaming
+whole-grid temporaries through memory on every instruction.  Outer
+environments are independent and loads never alias stores, so the slabs
+compose to exactly the full sweep; a grid needs at most two
+specializations (full slab, remainder).
 
 **Bitwise identity.**  Gathers, strided views and shuffles are exact
 element copies; ADD/SUB/MUL/FMA are the same IEEE ops applied to the
@@ -86,8 +89,11 @@ from .isa import Affine, Instr, Op, execute_alu
 MEMORY_GUARD = 1 << 24
 
 #: output points per strip-mined slab; a sweep over more points runs the
-#: kernel slab by slab along the outermost loop (see module docstring)
-SLAB_POINTS = 1 << 20
+#: kernel slab by slab along the outermost loop (see module docstring).
+#: 2^15 points is 256 KiB per float64 tensor, so a slab's live tensors
+#: fit a 2 MiB L2; both this engine and ``CompiledKernel.run_numpy``
+#: read it at call time
+SLAB_POINTS = 1 << 15
 
 
 class CodegenFallback(Exception):

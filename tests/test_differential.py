@@ -12,13 +12,15 @@ case additionally runs on the emitted-source codegen backend
 **bitwise** — both backends execute the same instruction stream, so no
 rounding slack is allowed between them.  A strip-mining axis shrinks the
 codegen slab bound so every sweep runs slab by slab (with remainder
-slabs, deep temporal halos and scalar tails) and must stay bitwise.  A
-separate axis re-runs cases with observability recording enabled
-(:mod:`repro.obs`) and asserts that tracing never perturbs any backend's
-output bitwise.  Further axes cover the hardened runtime layers: sharded
-execution (random shard counts and temporal blocks must reproduce the
-serial reference bitwise) and fault-injection chaos over the executor,
-codegen and shard recovery paths.  The new scheme families — temporal
+slabs, deep temporal halos and scalar tails) and must stay bitwise; the
+same bound slabs the numpy fast path, whose row blocks must compose to
+its one-block sweep bitwise.  A separate axis re-runs cases with
+observability recording enabled (:mod:`repro.obs`) and asserts that
+tracing never perturbs any backend's output bitwise.  Further axes
+cover the hardened runtime layers: sharded execution (random shard
+counts and temporal blocks must reproduce the serial reference bitwise)
+and fault-injection chaos over the executor, codegen and shard recovery
+paths.  The new scheme families — temporal
 (vertical time fusion) and redundancy elimination (column-sum hoisting)
 — run under the same contract on every generated spec plus the
 deep-radius star and variable-coefficient library workloads.
@@ -40,6 +42,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32
+from repro.core import compile_kernel
 from repro.faults import FaultPlan, FaultRule, inject
 from repro.machine import codegen as codegen_mod
 from repro.machine.codegen import get_codegen
@@ -251,7 +254,8 @@ def test_backends_agree_on_tail_strip():
 # -- the strip-mining axis -----------------------------------------------------
 #
 # Sweeps above codegen's slab bound run slab by slab along the outermost
-# loop.  Shrinking the bound to a few outer rows makes every case here
+# loop, and run_numpy sweeps in row blocks under the same bound.
+# Shrinking the bound to a few outer rows makes every case here
 # strip-mined, with a remainder slab whenever the row count does not
 # divide the outer extent.
 
@@ -305,6 +309,41 @@ def test_strip_mined_codegen_matches_interp_bitwise(spec, rows, f32, tail,
         codegen_mod.SLAB_POINTS = saved
         if not was_enabled:
             obs.disable()
+
+
+@SLAB_SETTINGS
+@given(spec=random_specs, rows=st.integers(min_value=1, max_value=3),
+       fused=st.booleans(), dirichlet=st.booleans(),
+       sweeps=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_row_slabbed_numpy_matches_unsliced_bitwise(spec, rows, fused,
+                                                    dirichlet, sweeps, seed):
+    """The same bound slabs ``CompiledKernel.run_numpy`` along axis 0:
+    on 1-D/2-D/3-D specs, fused or not, periodic or dirichlet, a sweep
+    in blocks of ``rows`` rows must equal the one-block sweep bitwise
+    (a 1-D grid, whose axis 0 is x, stays one block)."""
+    machine = GENERIC_AVX2
+    boundary = "dirichlet" if dirichlet and not fused else "periodic"
+    fusion = "auto" if fused else 1
+    halo = compile_kernel(spec, machine, Grid((8,) * spec.ndim, 1),
+                          time_fusion=fusion, cache=False).halo()
+    outer = (max(7, halo[0]),) + tuple(max(3, h) for h in halo[1:-1])
+    shape = outer[:spec.ndim - 1] + (max(32, halo[-1]),)
+    grid = Grid.random(shape, halo, seed=seed)
+    kernel = compile_kernel(spec, machine, grid, time_fusion=fusion,
+                            cache=False)
+    steps = sweeps * kernel.plan.time_fusion
+    saved = codegen_mod.SLAB_POINTS
+    try:
+        codegen_mod.SLAB_POINTS = int(np.prod(shape))
+        whole = kernel.run_numpy(grid, steps, boundary=boundary, value=0.5)
+        codegen_mod.SLAB_POINTS = rows * int(np.prod(shape[1:]))
+        sliced = kernel.run_numpy(grid, steps, boundary=boundary, value=0.5)
+    finally:
+        codegen_mod.SLAB_POINTS = saved
+    assert np.array_equal(sliced.interior, whole.interior), (
+        f"{spec.tag}: numpy sweep in {rows}-row blocks diverged bitwise "
+        f"after {steps} step(s) ({boundary})")
 
 
 @DIFF_SETTINGS

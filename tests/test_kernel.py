@@ -6,15 +6,18 @@ import pytest
 from repro.config import GENERIC_AVX2
 from repro.errors import VectorizeError
 from repro.core import compile_kernel
+from repro.machine import codegen as codegen_mod
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 
 from _helpers import SIM_KERNELS
 
 
-def make_kernel(kernel, nx=32, fusion="auto"):
+def make_kernel(kernel, nx=32, fusion="auto", rows=6):
+    """A kernel and a matching random grid; ``rows`` is the extent of
+    axis 0 on 2-D and 3-D grids (the other outer axes get 6)."""
     spec = library.get(kernel)
-    shape = (6,) * (spec.ndim - 1) + (nx,)
+    shape = ((rows,) + (6,) * (spec.ndim - 2) if spec.ndim > 1 else ()) + (nx,)
     k0 = compile_kernel(spec, GENERIC_AVX2, Grid(shape, 16),
                         time_fusion=fusion)
     g = k0.grid_like(shape, seed=7)
@@ -94,3 +97,78 @@ def test_kernel_cost_and_estimate():
 def test_grid_like_has_kernel_halo():
     k, g = make_kernel("heat-3d")
     assert g.halo == k.halo()
+
+
+# -- row slabs -----------------------------------------------------------------
+#
+# run_numpy sweeps interior rows of axis 0 in blocks of at most
+# codegen.SLAB_POINTS output points.  The grids here have 7 rows, so a
+# 3-row bound leaves a 1-row remainder block.
+
+SLAB_CASES = [
+    ("heat-1d", 1, "periodic"), ("heat-1d", 2, "periodic"),
+    ("heat-1d", 1, "dirichlet"),
+    ("heat-2d", 1, "periodic"), ("heat-2d", 2, "periodic"),
+    ("box-2d9p", 1, "dirichlet"),
+    ("heat-3d", 1, "periodic"), ("heat-3d", 2, "periodic"),
+    ("heat-3d", 1, "dirichlet"),
+]
+
+
+def spy_blocks(monkeypatch, k):
+    """Record the ``(k0, k1)`` row block of every flatten call."""
+    blocks = []
+    flatten = k._flatten_numpy
+
+    def spy(grid, term, rx, k0, k1):
+        blocks.append((k0, k1))
+        return flatten(grid, term, rx, k0, k1)
+
+    monkeypatch.setattr(k, "_flatten_numpy", spy)
+    return blocks
+
+
+def expected_blocks(k, g, rows, steps):
+    """Blocks per flatten call: every term of every fused sweep visits
+    the row blocks in order; a 1-D grid is always one block."""
+    n0 = g.shape[0]
+    step = n0 if g.ndim == 1 else rows
+    per_sweep = [(k0, min(n0, k0 + step)) for k0 in range(0, n0, step)]
+    return [b for _ in range(steps // k.plan.time_fusion)
+            for b in per_sweep for _ in k.plan.terms]
+
+
+@pytest.mark.parametrize("kernel,fusion,boundary", SLAB_CASES)
+@pytest.mark.parametrize("slab_rows", [1, 3])
+def test_numpy_row_slabs_match_unsliced_bitwise(monkeypatch, kernel, fusion,
+                                                boundary, slab_rows):
+    k, g = make_kernel(kernel, fusion=fusion, rows=7)
+    assert k.plan.time_fusion == fusion
+    steps = 2 * fusion
+    per_row = int(np.prod(g.shape[1:]))
+    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", int(np.prod(g.shape)))
+    whole = k.run_numpy(g, steps, boundary=boundary, value=0.25)
+    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", slab_rows * per_row)
+    blocks = spy_blocks(monkeypatch, k)
+    sliced = k.run_numpy(g, steps, boundary=boundary, value=0.25)
+    assert blocks == expected_blocks(k, g, slab_rows, steps)
+    assert np.array_equal(sliced.interior, whole.interior)
+
+
+@pytest.mark.parametrize("kernel", ["heat-1d", "heat-2d", "heat-3d"])
+def test_numpy_grid_within_bound_is_one_slab(monkeypatch, kernel):
+    k, g = make_kernel(kernel, rows=7)
+    steps = 2 * k.plan.time_fusion
+    points = int(np.prod(g.shape))
+    blocks = spy_blocks(monkeypatch, k)
+    for bound in (codegen_mod.SLAB_POINTS, points):
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", bound)
+        blocks.clear()
+        k.run_numpy(g, steps)
+        assert blocks == expected_blocks(k, g, g.shape[0], steps)
+    # one point fewer splits off the last row (the x axis of a 1-D grid
+    # is never split)
+    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", points - 1)
+    blocks.clear()
+    k.run_numpy(g, steps)
+    assert blocks == expected_blocks(k, g, g.shape[0] - 1, steps)
