@@ -5,46 +5,56 @@ pure Python, yet a program's body is *static*: the same instruction
 sequence runs at every x offset, only the addresses advance by a fixed
 stride.  This module exploits that regularity by *emitting source*:
 
-* the whole loop nest is flattened — every register becomes one tensor
-  of shape ``(*outer_trips, trips, width)``, so a single numpy op per
-  instruction covers the entire sweep;
-* every LOAD/STORE address is resolved at specialization time into
-  either a zero-copy strided view of the flat array (the affine index
-  lattice *is* an `as_strided` pattern whenever all strides are
-  non-negative) or a hoisted flat int64 gather-index constant;
-* every shuffle is lowered to a precomputed last-axis gather whose
-  index vector is derived from the scalar semantics themselves
-  (:func:`_probe_shuffle`);
-* single-use arithmetic values are inlined into their consumer, so
+* the whole loop nest is flattened and every register is split into its
+  lanes — a register is a tuple of ``width`` **lane planes**, each of
+  shape ``(*outer_trips, rows)`` (``rows`` is the x trip count in the
+  body, 1 in the prologue), so a single numpy op per instruction per
+  lane covers the entire sweep with no short innermost axis;
+* every LOAD/STORE lane is resolved at specialization time into either
+  a zero-copy view of the flat array built by the ``np.ndarray``
+  constructor (the affine index lattice *is* a strided view whenever
+  all strides are non-negative) or a hoisted flat int64 gather-index
+  constant;
+* every shuffle is a *rename*: each destination lane becomes the source
+  lane the scalar semantics select (:func:`_probe_shuffle`), and a
+  zeroed lane the hoisted zero scalar, so shuffles emit no statement;
+* BROADCAST and SETZERO are hoisted scalars of the program's dtype
+  (``np.float32``/``np.float64``, never a wider type that would
+  promote float32 lanes);
+* single-use arithmetic lanes are inlined into their consumer, so
   MUL+FMA chains fold back into ``c0*v0 + (c1*v1 + ...)`` expressions
-  exactly as the paper's C codegen would write them;
+  exactly as the paper's C codegen would write them, and lanes no store
+  or carry reaches are never computed;
 * stores are deferred and committed after the body: one scatter (or
-  strided-view assignment) when the written rows are provably
-  disjoint, an in-order loop otherwise — the interpreter's
-  last-writer-wins order, vectorized.
+  view assignment) per lane when the written rows are provably
+  disjoint, an in-order loop over the lanes restacked to ``(..., width)``
+  otherwise — the interpreter's last-writer-wins order, vectorized.
 
 The emitted text is ``compile()``d + ``exec()``d once per (program,
 array shapes) pair and cached; each sweep is then a single call into
-specialized straight-line code.
+specialized straight-line code.  Both per-program tables (array-shape
+specializations, slab programs) are LRU-bounded by
+:data:`SPEC_ENTRIES`.
 
 **Strip-mining.**  A sweep over more than :data:`SLAB_POINTS` output
 points runs the same kernel over contiguous row-slab views
 ``arr[k0 : k0 + b + 2h]`` of every array, with the outermost loop
 narrowed to ``b`` rows.  The bound is sized for cache reuse: a slab's
-register tensors stay resident in a core's L2 instead of streaming
+lane planes stay resident in a core's L2 instead of streaming
 whole-grid temporaries through memory on every instruction.  Outer
 environments are independent and loads never alias stores, so the slabs
 compose to exactly the full sweep; a grid needs at most two
 specializations (full slab, remainder).
 
-**Bitwise identity.**  Gathers, strided views and shuffles are exact
+**Bitwise identity.**  Views, gathers and shuffle renames are exact
 element copies; ADD/SUB/MUL/FMA are the same IEEE ops applied to the
-same operand values (inlining only substitutes a pure expression for
-its value, and the flattened tensors hold, per (env, x) coordinate,
-exactly the values the interpreter's registers hold at that
-iteration).  Loop-carried registers (Algorithm 1's ``v0``/``vp0``, the
-sliding windows of Reorg/Folding/LBV) become shifted-row tensors: row 0
-is the prologue value, row ``t`` the end-of-body value of row ``t-1``.
+same operand values lane by lane (inlining only substitutes a pure
+expression for its value, constants are scalars of the program's dtype,
+and the lane planes hold, per (env, x) coordinate, exactly the values
+the interpreter's register lanes hold at that iteration).  Loop-carried
+registers (Algorithm 1's ``v0``/``vp0``, the sliding windows of
+Reorg/Folding/LBV) become shifted-row lane planes: row 0 is the
+prologue value, row ``t`` the end-of-body value of row ``t-1``.
 Lowering orders the carried registers so that each one's end-of-body
 value reads only carries already built; every scheme's carry chains are
 finite renames of fresh loads, so the body runs exactly once and each
@@ -74,12 +84,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..errors import IsaError, MachineError
 from .isa import Affine, Instr, Op, execute_alu
 
@@ -90,10 +102,19 @@ MEMORY_GUARD = 1 << 24
 
 #: output points per strip-mined slab; a sweep over more points runs the
 #: kernel slab by slab along the outermost loop (see module docstring).
-#: 2^15 points is 256 KiB per float64 tensor, so a slab's live tensors
+#: 2^15 points is 2^15 / block elements per lane plane — 32 KiB per
+#: float64 plane at Jigsaw's AVX2 block of 8 — so a slab's live planes
 #: fit a 2 MiB L2; both this engine and ``CompiledKernel.run_numpy``
 #: read it at call time
 SLAB_POINTS = 1 << 15
+
+#: entries kept in each per-program table (array-shape specializations,
+#: slab programs by height), least recently used evicted first; every
+#: eviction counts under ``exec.codegen.spec_evictions``
+SPEC_ENTRIES = 8
+
+#: one lane plane of one SSA value: ``(vid, lane index)``
+Lane = Tuple[int, int]
 
 
 class CodegenFallback(Exception):
@@ -106,14 +127,45 @@ class CodegenFallback(Exception):
         self.reason = reason
 
 
-def _as_view(flat: np.ndarray, offset: int, shape: Tuple[int, ...],
-             strides: Tuple[int, ...]) -> np.ndarray:
-    """Zero-copy view of ``flat`` (1-D) at an affine index lattice.
-    ``strides`` are in elements; bounds were proven at specialization."""
-    itemsize = flat.itemsize
-    return np.lib.stride_tricks.as_strided(
-        flat[offset:], shape=shape,
-        strides=tuple(s * itemsize for s in strides))
+def _carry_plane(head, tail, shape, dtype) -> np.ndarray:
+    """One lane of a loop-carried register: row 0 is the prologue value
+    ``head``, rows ``1..`` the end-of-body values ``tail`` of the rows
+    before them (either may be a scalar or a broadcastable plane)."""
+    plane = np.empty(shape, dtype)
+    plane[..., :1] = head
+    plane[..., 1:] = tail
+    return plane
+
+
+def _restack(lanes, shape, dtype) -> np.ndarray:
+    """The lanes of one register stacked back to ``(..., width)`` for an
+    ordered store commit."""
+    out = np.empty(shape, dtype)
+    for j, lane in enumerate(lanes):
+        out[..., j] = lane
+    return out
+
+
+def _tuple(parts: List[str]) -> str:
+    """Source text of a tuple display of ``parts``."""
+    return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+
+
+def _lru_get(table: OrderedDict, key):
+    """The entry under ``key`` (now most recently used), or None.  Safe
+    against a concurrent eviction: each OrderedDict call is atomic."""
+    try:
+        table.move_to_end(key)
+        return table[key]
+    except KeyError:
+        return None
+
+
+def _lru_put(table: OrderedDict, key, value) -> None:
+    table[key] = value
+    if len(table) > SPEC_ENTRIES:
+        table.popitem(last=False)
+        obs.counter("exec.codegen.spec_evictions").inc()
 
 
 def _split_affine(aff: Affine, x_var: str
@@ -124,14 +176,14 @@ def _split_affine(aff: Affine, x_var: str
 
 
 def _probe_shuffle(instr: Instr, width: int, epl: int):
-    """Derive a shuffle's last-axis gather from its scalar semantics.
+    """Derive a shuffle's lane selection from its scalar semantics.
 
     The scalar executor is run once on *index-valued* registers (source
     ``k`` holds ``k*width+1 .. (k+1)*width``); the output spells out, per
     destination element, which source element it selects (0 marks a
     zeroed lane, e.g. PERM2F128's zero bit).  The flattened execution is
-    then a fancy-index gather — exact by construction, for any opcode
-    and any immediate.
+    then a lane rename — exact by construction, for any opcode and any
+    immediate.
     """
     n = len(instr.srcs)
     names = tuple(f"__s{k}" for k in range(n))
@@ -167,24 +219,23 @@ def _find_carried(program) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 class _Node:
-    """One SSA value: a load, shuffle, constant, arithmetic op, or the
-    shifted-row tensor of a loop-carried register."""
+    """One SSA value: a load, a scalar constant, an arithmetic op, or the
+    shifted-row lane planes of a loop-carried register.  Shuffles and
+    MOVs make no node: a register is a tuple of :data:`Lane` references."""
 
-    __slots__ = ("vid", "kind", "op", "args", "shape", "section",
-                 "uses", "pinned", "data", "instr", "text")
+    __slots__ = ("vid", "kind", "op", "args", "lanes", "rows", "section",
+                 "data")
 
-    def __init__(self, vid, kind, op, args, shape, section, data, instr):
+    def __init__(self, vid, kind, op, lanes, rows, section, data):
         self.vid = vid
-        self.kind = kind        # load | shuffle | const | arith | carry
+        self.kind = kind        # load | const | arith | carry
         self.op = op
-        self.args = args        # operand vids
-        self.shape = shape      # static tensor shape
+        self.lanes = lanes      # arith: per lane, the operand Lanes
+        self.args = tuple(sorted({v for ops in lanes or ()
+                                  for v, _ in ops}))  # operand vids
+        self.rows = rows        # per lane: 0 scalar, else plane rows
         self.section = section  # "pro" | "body"
-        self.uses = 0
-        self.pinned = False     # must be materialized into a variable
-        self.data = data        # kind-specific payload
-        self.instr = instr
-        self.text = None        # expression text, set during emission
+        self.data = data        # const: the scalar; carry: its index
 
 
 @dataclass
@@ -197,7 +248,8 @@ class _MemRef:
     last: Tuple[int, int, Tuple[Tuple[str, int], ...]]
     rows: int                 # trips for body refs, 1 for prologue refs
     is_store: bool
-    vid: int                  # load: produced value; store: stored value
+    vid: int                  # load: produced node (-1 for stores)
+    lanes: Tuple[Lane, ...]   # store: the stored register's lanes
     order: int                # program order among stores
 
 
@@ -241,25 +293,29 @@ class CodegenProgram:
         self.carried = _find_carried(program)
         self.nodes: List[_Node] = []
         self.refs: List[_MemRef] = []
-        self._heads: Dict[str, int] = {}    # carried reg -> prologue vid
-        self._finals: Dict[str, int] = {}   # carried reg -> end-of-body vid
+        self._heads: Dict[str, Tuple[Lane, ...]] = {}   # prologue lanes
+        self._finals: Dict[str, Tuple[Lane, ...]] = {}  # end-of-body lanes
         self._carry_vid: Dict[str, int] = {}
         self._undefined_carry: Optional[str] = None
+        self._pinned: set = set()   # lanes that must be materialized
         self._build()
-        self._count_uses()
+        self._live, self._uses = self._liveness()
         self._load_ref = {r.vid: r for r in self.refs if not r.is_store}
         self._order, self.recurrence = self._schedule()
         self.array_names = sorted({r.array for r in self.refs})
-        self._specs: Dict[tuple, _Specialized] = {}
-        self._slab_progs: Dict[int, "CodegenProgram"] = {}
+        self._specs: "OrderedDict[tuple, _Specialized]" = OrderedDict()
+        self._slab_progs: "OrderedDict[int, CodegenProgram]" = OrderedDict()
 
     # -- static analysis ---------------------------------------------------
 
-    def _new(self, kind, op, args, shape, section, data=None, instr=None):
-        node = _Node(len(self.nodes), kind, op, tuple(args), tuple(shape),
-                     section, data, instr)
+    def _new(self, kind, op, lanes, rows, section, data=None):
+        node = _Node(len(self.nodes), kind, op, lanes, tuple(rows),
+                     section, data)
         self.nodes.append(node)
         return node.vid
+
+    def _register(self, vid) -> Tuple[Lane, ...]:
+        return tuple((vid, j) for j in range(self.width))
 
     def _split_mem(self, instr):
         """Static split of a memory operand; rejects x-dependence off
@@ -280,26 +336,27 @@ class CodegenProgram:
 
     def _build(self) -> None:
         program = self.program
-        D = len(self.outer_dims) + 2
-        const_shape = (1,) * (D - 1) + (self.width,)
-        pro_shape = self.outer_dims + (1, self.width)
-        body_shape = self.outer_dims + (self.trips, self.width)
+        width = self.width
         loaded, stored = set(), set()
-        regmap: Dict[str, int] = {}
+        regmap: Dict[str, Tuple[Lane, ...]] = {}
         store_order = itertools.count()
+
+        def const(value, section) -> Tuple[Lane, ...]:
+            # the interpreter's own broadcast, so the scalar rounds alike
+            scalar = np.full(1, value, dtype=self.dtype)[0]
+            return self._register(self._new(
+                "const", None, None, (0,) * width, section, data=scalar))
 
         def emit_instr(instr, section):
             op = instr.op
-            row_shape = pro_shape if section == "pro" else body_shape
             rows = 1 if section == "pro" else self.trips
             if op is Op.LOAD:
                 name, outer, last = self._split_mem(instr)
                 loaded.add(name)
-                vid = self._new("load", op, (), row_shape, section,
-                                instr=instr)
+                vid = self._new("load", op, None, (rows,) * width, section)
                 self.refs.append(_MemRef(instr, name, outer, last, rows,
-                                         False, vid, -1))
-                regmap[instr.dst] = vid
+                                         False, vid, (), -1))
+                regmap[instr.dst] = self._register(vid)
                 return
             if op is Op.STORE:
                 if section == "pro":
@@ -314,20 +371,16 @@ class CodegenProgram:
                     # mirror the interpreter: fault at execution time
                     raise MachineError(
                         f"{instr}: store of undefined register")
-                vid = regmap[src]
-                self.nodes[vid].pinned = True
+                self._pinned.update(regmap[src])
                 self.refs.append(_MemRef(instr, name, outer, last, rows,
-                                         True, vid, next(store_order)))
+                                         True, -1, regmap[src],
+                                         next(store_order)))
                 return
             if op is Op.BROADCAST:
-                regmap[instr.dst] = self._new(
-                    "const", op, (), const_shape, section,
-                    data=float(instr.imm), instr=instr)
+                regmap[instr.dst] = const(instr.imm, section)
                 return
             if op is Op.SETZERO:
-                regmap[instr.dst] = self._new(
-                    "const", op, (), const_shape, section, data=0.0,
-                    instr=instr)
+                regmap[instr.dst] = const(0.0, section)
                 return
             if op is Op.MOV:
                 src = instr.srcs[0]
@@ -336,34 +389,24 @@ class CodegenProgram:
                 regmap[instr.dst] = regmap[src]
                 return
             try:
-                args = tuple(regmap[s] for s in instr.srcs)
+                srcs = tuple(regmap[s] for s in instr.srcs)
             except KeyError as exc:
                 raise IsaError(
                     f"read of undefined register {exc.args[0]!r}") from None
             if op in (Op.ADD, Op.SUB, Op.MUL, Op.FMA):
-                shape = np.broadcast_shapes(
-                    *(self.nodes[a].shape for a in args))
-                regmap[instr.dst] = self._new("arith", op, args, shape,
-                                              section, instr=instr)
+                lanes = tuple(tuple(reg[j] for reg in srcs)
+                              for j in range(width))
+                lane_rows = [max(self.nodes[v].rows[k] for v, k in ops)
+                             for ops in lanes]
+                regmap[instr.dst] = self._register(
+                    self._new("arith", op, lanes, lane_rows, section))
                 return
-            # every remaining opcode is a pure element shuffle
+            # every remaining opcode is a pure element shuffle: a rename
             src_of, col_of, zero_cols = _probe_shuffle(
-                instr, self.width, self.epl)
-            groups = []
-            for k in range(len(args)):
-                cols = np.nonzero(src_of == k)[0]
-                if len(zero_cols):
-                    cols = cols[~np.isin(cols, zero_cols)]
-                if len(cols):
-                    groups.append((args[k], cols, col_of[cols]))
-            if groups:
-                shape = np.broadcast_shapes(
-                    *(self.nodes[g[0]].shape for g in groups))
-            else:
-                shape = const_shape
-            regmap[instr.dst] = self._new(
-                "shuffle", op, tuple(g[0] for g in groups), shape, section,
-                data=(groups, zero_cols), instr=instr)
+                instr, width, self.epl)
+            regmap[instr.dst] = tuple(
+                const(0.0, section)[j] if j in zero_cols
+                else srcs[src_of[j]][col_of[j]] for j in range(width))
 
         for instr in program.prologue:
             emit_instr(instr, "pro")
@@ -371,22 +414,22 @@ class CodegenProgram:
         for name in self.carried:
             if name in regmap:
                 self._heads[name] = regmap[name]
-                self.nodes[regmap[name]].pinned = True
+                self._pinned.update(regmap[name])
             else:
                 # the interpreter would fault on the first body read;
                 # surface that at run time, not silently read zeros
                 self._undefined_carry = name
             self._carry_vid[name] = self._new(
-                "carry", None, (), body_shape, "body",
+                "carry", None, None, (self.trips,) * width, "body",
                 data=len(self._carry_vid))
-            regmap[name] = self._carry_vid[name]
+            regmap[name] = self._register(self._carry_vid[name])
 
         for instr in program.body:
             emit_instr(instr, "body")
 
         for name in self.carried:
             self._finals[name] = regmap[name]
-            self.nodes[regmap[name]].pinned = True
+            self._pinned.update(regmap[name])
 
         if loaded & stored:
             raise CodegenFallback(
@@ -395,13 +438,34 @@ class CodegenProgram:
                 f"stored; flattening would reorder the interpreter's "
                 f"read-after-write sequence")
 
-    def _count_uses(self) -> None:
-        for node in self.nodes:
-            for a in node.args:
-                arg = self.nodes[a]
-                arg.uses += 1
-                if arg.section != node.section:
-                    arg.pinned = True
+    def _liveness(self):
+        """``(live lanes, use counts)``: the lanes a store reaches, through
+        arithmetic operands and carried registers, and how many live lanes
+        read each one.  A lane read across sections is pinned, so the
+        prologue computes it once."""
+        roots = [lane for ref in self.refs for lane in ref.lanes]
+        uses: Dict[Lane, int] = {}
+        live = set(roots)
+        work = list(live)
+        while work:
+            vid, j = work.pop()
+            node = self.nodes[vid]
+            if node.kind == "arith":
+                reads = node.lanes[j]
+            elif node.kind == "carry":
+                name = self.carried[node.data]
+                reads = (self._finals[name][j],) + (
+                    (self._heads[name][j],) if name in self._heads else ())
+            else:
+                continue
+            for lane in reads:
+                uses[lane] = uses.get(lane, 0) + 1
+                if self.nodes[lane[0]].section != node.section:
+                    self._pinned.add(lane)
+                if lane not in live:
+                    live.add(lane)
+                    work.append(lane)
+        return live, uses
 
     def _schedule(self) -> Tuple[List[int], Optional[str]]:
         """``(emission order, recurrence)``.  The order is the prologue,
@@ -413,7 +477,8 @@ class CodegenProgram:
         needs: Dict[str, List[int]] = {}
         deps: Dict[str, set] = {}
         for name in self.carried:
-            seen, stack = set(), [self._finals[name]]
+            seen = set()
+            stack = [vid for vid, _ in self._finals[name]]
             while stack:
                 vid = stack.pop()
                 node = self.nodes[vid]
@@ -474,7 +539,9 @@ class CodegenProgram:
     def _resolve_ref(self, ref: _MemRef, arrays) -> dict:
         """Bounds-check one memory site against concrete arrays and
         compute its flat-index lattice.  Returns a dict with the row
-        starts, the strided-view description (or None), and the array."""
+        starts (lane 0's flat index per (env, x) row), the lane-0 view
+        description ``(offset, shape, strides)`` in elements (or None),
+        and the array."""
         if ref.array not in arrays:
             raise MachineError(f"unknown array {ref.array!r} in {ref.instr}")
         arr = arrays[ref.array]
@@ -512,9 +579,9 @@ class CodegenProgram:
                     f"{ref.instr}: x range [{lo}, {hi + self.width}) out "
                     f"of bounds [0, {n_last}) with env {self._env_at(e)}")
         starts = flat_base[..., None] + last_rows
-        # strided-view eligibility: one uniform non-negative stride per
-        # lattice dimension (true by affine construction; the sign check
-        # keeps `flat[offset:]` anchored at the smallest element)
+        # view eligibility: one uniform non-negative stride per lattice
+        # dimension (true by affine construction; the sign check keeps
+        # the view's offset at its smallest element)
         dim_strides = []
         for j, loop in enumerate(self.outer_loops):
             per = sum(c * strides[a]
@@ -523,18 +590,17 @@ class CodegenProgram:
             per += sum(c for v, c in terms if v == loop.var)
             dim_strides.append(per * loop.step)
         dim_strides.append(coeff_x * self.x_step)
-        dim_strides.append(1)
         viewable = all(s >= 0 for s in dim_strides) and starts.size > 0
         view = None
         if viewable:
             view = (int(starts.reshape(-1)[0]),
-                    self.outer_dims + (len(xs), self.width),
+                    self.outer_dims + (len(xs),),
                     tuple(int(s) for s in dim_strides))
         return {"ref": ref, "arr": arr, "starts": starts, "view": view}
 
     def specialize(self, arrays: Mapping[str, np.ndarray]) -> _Specialized:
         """Emit + compile the specialized sweep function for these
-        arrays' shapes (cached)."""
+        arrays' shapes (LRU-cached, :data:`SPEC_ENTRIES` shapes)."""
         for name in self.array_names:
             if name not in arrays:
                 raise MachineError(f"unknown array {name!r} in program "
@@ -543,10 +609,10 @@ class CodegenProgram:
         if self.recurrence is not None:
             raise CodegenFallback("recurrence", self.recurrence)
         key = tuple((name, arrays[name].shape) for name in self.array_names)
-        spec = self._specs.get(key)
+        spec = _lru_get(self._specs, key)
         if spec is None:
             spec = self._emit(arrays, key)
-            self._specs[key] = spec
+            _lru_put(self._specs, key, spec)
         return spec
 
     def _validate_layout(self, arrays) -> None:
@@ -604,13 +670,15 @@ class CodegenProgram:
 
     def _slab_program(self, rows: int) -> "CodegenProgram":
         """This program with its outermost loop narrowed to ``rows``
-        trips (memoized: a grid needs a full slab and a remainder)."""
-        if rows not in self._slab_progs:
+        trips (LRU-memoized: a grid needs a full slab and a remainder)."""
+        prog = _lru_get(self._slab_progs, rows)
+        if prog is None:
             head, *rest = self.program.loops
             head = dataclasses.replace(head, stop=head.start + rows * head.step)
-            self._slab_progs[rows] = CodegenProgram(
+            prog = CodegenProgram(
                 dataclasses.replace(self.program, loops=(head, *rest)))
-        return self._slab_progs[rows]
+            _lru_put(self._slab_progs, rows, prog)
+        return prog
 
     # -- emission ----------------------------------------------------------
 
@@ -630,97 +698,115 @@ class CodegenProgram:
                 f"(guard: {MEMORY_GUARD}); the interpreter runs this "
                 f"sweep instead")
 
-        ns = {"np": np, "_as_view": _as_view, "_DT": self.dtype}
+        ns = {"np": np, "_DT": self.dtype, "_carry": _carry_plane,
+              "_restack": _restack}
         consts = itertools.count()
         vars_ = itertools.count()
+        scalars: Dict[bytes, str] = {}
+        itemsize = np.dtype(self.dtype).itemsize
 
         def hoist(value) -> str:
             name = f"_K{next(consts)}"
             ns[name] = value
             return name
 
+        def lane_view(arr_var: str, view, j: int) -> str:
+            off, shape, strides = view
+            return (f"np.ndarray({shape}, _DT, {arr_var}, "
+                    f"{(off + j) * itemsize}, "
+                    f"{tuple(s * itemsize for s in strides)})")
+
         arr_var = {name: f"_a{i}" for i, name in enumerate(self.array_names)}
         site_of = {id(s["ref"]): s for s in sites}
+        live = self._live
+        # per-lane expression text of every emitted node, by vid
+        text: Dict[int, List[str]] = {}
+
+        for node in self.nodes:
+            if node.kind == "const":
+                bits = node.data.tobytes()
+                if bits not in scalars:
+                    scalars[bits] = hoist(node.data)
+                text[node.vid] = [scalars[bits]] * width
 
         pro_lines: List[str] = []
         body_lines: List[str] = []
+        views: Dict[tuple, str] = {}    # (array, offset, shape, strides) -> var
 
         def out(section) -> List[str]:
             return pro_lines if section == "pro" else body_lines
 
-        def load_expr(ref: _MemRef) -> str:
-            s = site_of[id(ref)]
-            a = arr_var[ref.array]
-            if s["view"] is not None:
-                off, shape, strides = s["view"]
-                return f"_as_view({a}, {off}, {shape}, {strides})"
-            cols = np.arange(width, dtype=np.int64)
-            idx = s["starts"][..., None] + cols
-            return f"{a}[{hoist(idx)}]"
+        def bind(section, expr) -> str:
+            v = f"_v{next(vars_)}"
+            out(section).append(f"{v} = {expr}")
+            return v
 
         for vid in self._order:
             node = self.nodes[vid]
             sec = node.section
-            if node.kind == "const":
-                value = np.full((1,) * (len(node.shape) - 1) + (width,),
-                                node.data, dtype=self.dtype)
-                node.text = hoist(value)
+            lanes = [(vid, j) for j in range(width)]
+            if not any(lane in live for lane in lanes):
+                continue
+            if node.kind == "load":
+                ref = self._load_ref[vid]
+                s = site_of[id(ref)]
+                a = arr_var[ref.array]
+                text[vid] = [None] * width
+                for j, lane in enumerate(lanes):
+                    if lane not in live:
+                        continue
+                    if s["view"] is None:
+                        idx = s["starts"] + j
+                        text[vid][j] = bind(sec, f"{a}[{hoist(idx)}]")
+                        continue
+                    vkey = (a, s["view"][0] + j) + s["view"][1:]
+                    if vkey not in views:
+                        views[vkey] = bind(sec, lane_view(a, s["view"], j))
+                    text[vid][j] = views[vkey]
             elif node.kind == "carry":
                 # row 0 from the prologue, row t the final value of row t-1
                 name = self.carried[node.data]
+                shape = self.outer_dims + (self.trips,)
+                parts = []
+                for j, lane in enumerate(lanes):
+                    if lane not in live:
+                        parts.append("None")
+                        continue
+                    hv, hj = self._heads[name][j]
+                    fv, fj = self._finals[name][j]
+                    tail = text[fv][fj]
+                    if self.nodes[fv].rows[fj] > 1:  # else it broadcasts
+                        tail += "[..., :-1]"
+                    parts.append(f"_carry({text[hv][hj]}, {tail}, {shape}, "
+                                 f"_DT)")
                 c = f"_c{node.data}"
-                fin = self.nodes[self._finals[name]]
-                shift = ("[..., :-1, :]" if fin.shape[-2] == self.trips
-                         else "[..., :1, :]")
-                out(sec).extend([
-                    f"{c} = np.empty({node.shape}, _DT)",
-                    f"{c}[..., :1, :] = {self.nodes[self._heads[name]].text}",
-                    f"{c}[..., 1:, :] = {fin.text}{shift}",
-                ])
-                node.text = c
-            elif node.kind == "load":
-                v = f"_v{next(vars_)}"
-                out(sec).append(f"{v} = {load_expr(self._load_ref[vid])}")
-                node.text = v
-            elif node.kind == "shuffle":
-                groups, zero_cols = node.data
-                v = f"_v{next(vars_)}"
-                single = (len(groups) == 1 and len(zero_cols) == 0
-                          and len(groups[0][1]) == width)
-                if single:
-                    src = self.nodes[groups[0][0]].text
-                    take = hoist(groups[0][2].astype(np.int64))
-                    out(sec).append(f"{v} = {src}[..., {take}]")
-                else:
-                    out(sec).append(
-                        f"{v} = np.empty({node.shape}, _DT)")
-                    for gvid, cols, take in groups:
-                        src = self.nodes[gvid].text
-                        kc = hoist(cols.astype(np.int64))
-                        kt = hoist(take.astype(np.int64))
-                        out(sec).append(f"{v}[..., {kc}] = {src}[..., {kt}]")
-                    if len(zero_cols):
-                        kz = hoist(zero_cols.astype(np.int64))
-                        out(sec).append(f"{v}[..., {kz}] = 0.0")
-                node.text = v
+                out(sec).append(f"{c} = {_tuple(parts)}")
+                text[vid] = [f"{c}[{j}]" for j in range(width)]
             elif node.kind == "arith":
-                a = [self.nodes[x].text for x in node.args]
-                if node.op is Op.ADD:
-                    expr = f"({a[0]} + {a[1]})"
-                elif node.op is Op.SUB:
-                    expr = f"({a[0]} - {a[1]})"
-                elif node.op is Op.MUL:
-                    expr = f"({a[0]} * {a[1]})"
-                else:  # FMA: same evaluation as the interpreter, unfused
-                    expr = f"({a[0]} * {a[1]} + {a[2]})"
-                if node.uses > 1 or node.pinned:
-                    v = f"_v{next(vars_)}"
-                    out(sec).append(f"{v} = {expr}")
-                    node.text = v
+                exprs = []
+                for ops, lane in zip(node.lanes, lanes):
+                    if lane not in live:
+                        exprs.append("None")
+                        continue
+                    a = [text[v][k] for v, k in ops]
+                    if node.op is Op.ADD:
+                        exprs.append(f"({a[0]} + {a[1]})")
+                    elif node.op is Op.SUB:
+                        exprs.append(f"({a[0]} - {a[1]})")
+                    elif node.op is Op.MUL:
+                        exprs.append(f"({a[0]} * {a[1]})")
+                    else:  # FMA: same evaluation as the interpreter
+                        exprs.append(f"({a[0]} * {a[1]} + {a[2]})")
+                if any(lane in live and (lane in self._pinned
+                                         or self._uses.get(lane, 0) > 1)
+                       for lane in lanes):
+                    v = bind(sec, _tuple(exprs))
+                    text[vid] = [f"{v}[{j}]" for j in range(width)]
                 else:
-                    node.text = expr
+                    text[vid] = exprs
 
-        commit_lines = self._emit_commits(store_plan, sites, arr_var, hoist)
+        commit_lines = self._emit_commits(store_plan, sites, arr_var, hoist,
+                                          lane_view, text)
 
         src = self._assemble(arr_var, pro_lines, body_lines, commit_lines,
                              key)
@@ -766,7 +852,8 @@ class CodegenProgram:
             plan[id(s["ref"])] = "rowloop" if env_ok else "elemloop"
         return plan
 
-    def _emit_commits(self, plan, sites, arr_var, hoist) -> List[str]:
+    def _emit_commits(self, plan, sites, arr_var, hoist, lane_view,
+                      text) -> List[str]:
         width = self.width
         lines: List[str] = []
         stores = sorted((s for s in sites if s["ref"].is_store),
@@ -774,31 +861,29 @@ class CodegenProgram:
         for i, s in enumerate(stores):
             ref = s["ref"]
             a = arr_var[ref.array]
-            val = self.nodes[ref.vid].text
+            vals = [text[v][j] for v, j in ref.lanes]
             mode = plan[id(ref)]
-            full = self.outer_dims + (ref.rows, width)
-            cols = np.arange(width, dtype=np.int64)
             if mode == "direct":
-                if s["view"] is not None:
-                    off, shape, strides = s["view"]
-                    lines.append(
-                        f"_as_view({a}, {off}, {shape}, {strides})[...]"
-                        f" = {val}")
-                else:
-                    idx = s["starts"][..., None] + cols
-                    lines.append(f"{a}[{hoist(idx)}] = {val}")
+                for j, val in enumerate(vals):
+                    if s["view"] is not None:
+                        lines.append(
+                            f"{lane_view(a, s['view'], j)}[...] = {val}")
+                    else:
+                        lines.append(
+                            f"{a}[{hoist(s['starts'] + j)}] = {val}")
                 continue
-            idx = s["starts"][..., None] + cols
-            k = hoist(idx)
+            # ordered commits replay the interpreter's row writes over
+            # the lanes restacked to (..., width)
+            full = self.outer_dims + (ref.rows, width)
+            k = hoist(s["starts"][..., None] + np.arange(width))
             bv = f"_bv{i}"
+            lines.append(
+                f"{bv} = _restack({_tuple(vals)}, {full}, _DT)")
             if mode == "rowloop":
-                lines.append(f"{bv} = np.broadcast_to({val}, {full})")
                 lines.append(f"for _t in range({ref.rows}):")
                 lines.append(f"    {a}[{k}[..., _t, :]] = {bv}[..., _t, :]")
             else:  # elemloop: env-major row-major, the interpreter's order
-                lines.append(
-                    f"{bv} = np.broadcast_to({val}, {full})"
-                    f".reshape(-1, {width})")
+                lines.append(f"{bv} = {bv}.reshape(-1, {width})")
                 lines.append(f"_ix{i} = {k}.reshape(-1, {width})")
                 lines.append(f"for _j in range(_ix{i}.shape[0]):")
                 lines.append(f"    {a}[_ix{i}[_j]] = {bv}[_j]")
@@ -826,10 +911,10 @@ class CodegenProgram:
                  for name, var in sorted(arr_var.items())]
         block(entry, 4)
         if pro_lines:
-            block(["# prologue (all outer environments at once)"], 4)
+            block(["# prologue (lane planes of all outer environments)"], 4)
             block(pro_lines, 4)
         if body_lines:
-            block(["# body (flattened loop nest)"], 4)
+            block(["# body (flattened loop nest, one plane per lane)"], 4)
             block(body_lines, 4)
         if commit_lines:
             block(["# deferred stores (committed in interpreter order)"], 4)
@@ -857,4 +942,4 @@ def emitted_source(program, arrays: Mapping[str, np.ndarray]) -> str:
 
 
 __all__ = ["CodegenFallback", "CodegenProgram", "MEMORY_GUARD",
-           "SLAB_POINTS", "emitted_source", "get_codegen"]
+           "SLAB_POINTS", "SPEC_ENTRIES", "emitted_source", "get_codegen"]

@@ -1,21 +1,27 @@
 """Conformance suite for the emitted-source codegen backend.
 
-Three layers of guarantees:
+Five layers of guarantees:
 
 * **golden sources** — the exact text :func:`repro.machine.codegen.
   emitted_source` produces for canonical star/box kernels is committed
   under ``tests/goldens/`` and compared byte-for-byte.  Any change to
   the emission pipeline shows up as a readable source diff; rerun with
   ``pytest --regen-goldens`` to bless an intended change.
-* **emission units** — the index-precomputation split (zero-copy strided
-  views vs hoisted gather constants) and arithmetic folding (single-use
-  FMA chains inlined into one expression) hold on purpose-built
-  programs, with results checked bitwise against the interpreter.
+* **emission units** — the index-precomputation split (zero-copy lane
+  views vs hoisted gather constants), shuffles as lane renames, and
+  arithmetic folding (single-use FMA chains inlined into one expression
+  per lane) hold on purpose-built programs, with results checked
+  bitwise against the interpreter.
 * **fallback taxonomy** — every :class:`CodegenFallback` reason
   (``compile`` | ``layout`` | ``memory`` | ``recurrence`` | ``mem_hook``)
   fires where documented, deferred stores keep failed attempts
   side-effect free, and the driver degrades codegen -> interp with the
   per-reason counters.
+* **lane planes** — constant registers stored as they are, carries
+  headed by a constant, a shuffle duplicating one lane of a single-use
+  value, and constants no float32 holds exactly all stay bitwise in
+  float32 and float64 (every hoisted scalar has the program's dtype),
+  and the per-program specialization tables stay LRU-bounded.
 * **strip-mining** — sweeps above :data:`repro.machine.codegen.
   SLAB_POINTS` run slab by slab along the outermost loop, bitwise equal
   to the interpreter, and a view-only program far above the old index
@@ -85,6 +91,22 @@ def _run_both(prog, arrays_factory):
     return a1, a2
 
 
+def _hoisted(spec):
+    """The hoisted constants (``_K{n}``) a specialization's source reads."""
+    return {k: v for k, v in spec.fn.__globals__.items()
+            if re.fullmatch(r"_K\d+", k)}
+
+
+def _section(src, start, stop=None):
+    """The stripped statements of one emitted-source section: the lines
+    after the comment starting with ``start``, up to ``stop``."""
+    lines = [ln.strip() for ln in src.splitlines()]
+    i = next(n for n, ln in enumerate(lines) if ln.startswith(start)) + 1
+    j = next((n for n, ln in enumerate(lines)
+              if stop and n >= i and ln.startswith(stop)), len(lines))
+    return [ln for ln in lines[i:j] if ln]
+
+
 # ---------------------------------------------------------------------------
 # golden sources
 # ---------------------------------------------------------------------------
@@ -125,10 +147,19 @@ class TestGoldenSources:
 
 class TestEmissionUnits:
     def test_forward_strides_become_views(self):
-        """Non-negative lattice strides lower loads to zero-copy
-        ``_as_strided`` views — no index constants materialized."""
-        src = _golden_source("star-2d9p")
-        assert "_as_view(" in src
+        """Non-negative lattice strides lower every load and store lane to
+        a zero-copy ``np.ndarray`` view — a view-only program hoists no
+        index constant, only its scalar coefficients."""
+        prog, grid = _jigsaw_case("star-2d9p")
+        arrays = {prog.input_array: grid.data,
+                  prog.output_array: grid.like().data}
+        spec = CodegenProgram(prog).specialize(arrays)
+        assert "np.ndarray(" in spec.source
+        hoisted = _hoisted(spec)
+        assert hoisted
+        assert all(isinstance(v, np.generic) for v in hoisted.values()), \
+            sorted(k for k, v in hoisted.items()
+                   if not isinstance(v, np.generic))
 
     def test_negative_stride_becomes_gather(self):
         """A reversed x walk (negative row stride) cannot be a view; the
@@ -148,9 +179,9 @@ class TestEmissionUnits:
         assert np.array_equal(a2["out"], a1["out"])
 
     def test_fma_chain_folds_into_one_expression(self):
-        """Single-use FMA results are inlined into their consumer: the
-        whole chain becomes one ``a*b + (c*d + ...)`` expression instead
-        of one temporary per instruction."""
+        """Single-use FMA results are inlined into their consumer lane by
+        lane: each lane of the chain is one ``a*b + (c*d + ...)``
+        expression instead of one temporary per instruction."""
         b = ProgramBuilder(4)
         v0 = b.load(b.mem(Affine.var("x")))
         v1 = b.load(b.mem(Affine.var("x", const=1)))
@@ -163,9 +194,11 @@ class TestEmissionUnits:
                        loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
         arrays = {"a": np.arange(20.0), "out": np.zeros(16)}
         src = emitted_source(prog, arrays)
-        folded = [ln for ln in src.splitlines()
-                  if ln.count(" * ") == 2 and " + (" in ln]
-        assert folded, f"no folded FMA chain in emitted source:\n{src}"
+        lane = r"\(_K\d+ \* _v\d+ \+ \(_K\d+ \* _v\d+ \+ _K\d+\)\)"
+        node = rf"\s*_v\d+ = \(({lane}, ){{3}}{lane}\)"
+        folded = [ln for ln in src.splitlines() if re.fullmatch(node, ln)]
+        assert len(folded) == 1, \
+            f"no single folded 4-lane FMA chain in emitted source:\n{src}"
 
         def factory():
             return {"a": np.linspace(0.0, 2.0, 20), "out": np.zeros(16)}
@@ -173,8 +206,8 @@ class TestEmissionUnits:
         assert np.array_equal(a2["out"], a1["out"])
 
     def test_multi_use_value_is_materialized_once(self):
-        """A value consumed twice must bind to one ``_v`` variable, not
-        be re-evaluated per use."""
+        """A value consumed twice must bind to one ``_v`` lane tuple,
+        built once, not be re-evaluated per use."""
         b = ProgramBuilder(4)
         v = b.load(b.mem(Affine.var("x")))
         s = b.add(v, v)
@@ -184,10 +217,15 @@ class TestEmissionUnits:
                        loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
         arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
         src = emitted_source(prog, arrays)
-        # the doubly-used sum binds to one variable, evaluated once;
-        # its consumer squares the variable, not the re-inlined sum
-        assert src.count("(_v0 + _v0)") == 1, src
-        assert re.search(r"\(_v\d+ \* _v\d+\)", src), src
+        # each lane's doubly-used sum is evaluated once, inside one lane
+        # tuple; its consumer squares that tuple's lane, not the
+        # re-inlined sum
+        sums = re.findall(r"\((_v\d+) \+ \1\)", src)
+        assert len(sums) == 4 and len(set(sums)) == 4, src
+        assert len(re.findall(r"^\s*_v\d+ = \(\(_v\d+ \+ _v\d+\), ",
+                              src, re.M)) == 1, src
+        squares = re.findall(r"\((_v\d+)\[(\d)\] \* \1\[\2\]\)", src)
+        assert sorted(j for _, j in squares) == ["0", "1", "2", "3"], src
 
         def factory():
             return {"a": np.arange(16.0), "out": np.zeros(16)}
@@ -690,6 +728,7 @@ class TestStoreCommitModes:
         arrays = {"a": np.arange(20.0), "out": np.zeros(20)}
         src = emitted_source(prog, arrays)
         assert "for _t in range(" in src, src
+        assert "_restack(" in src, src
 
         def factory():
             return {"a": np.arange(20.0) ** 2, "out": np.zeros(20)}
@@ -709,6 +748,7 @@ class TestStoreCommitModes:
         arrays = {"a": np.arange(12.0), "out": np.zeros(12)}
         src = emitted_source(prog, arrays)
         assert "for _j in range(" in src, src
+        assert "_restack(" in src, src
 
         def factory():
             return {"a": np.arange(12.0) * 1.5, "out": np.zeros(12)}
@@ -729,6 +769,25 @@ class TestStoreCommitModes:
         a1, a2 = _run_both(prog, factory)
         assert np.array_equal(a2["out"], a1["out"])
 
+    def test_reversed_disjoint_store_scatters_per_lane(self):
+        """A reversed x walk on the store side cannot be a view; its
+        disjoint rows commit as one hoisted-index scatter per lane."""
+        b = ProgramBuilder(4)
+        v = b.load(b.mem(Affine.var("x")))
+        b.store(v, b.mem(Affine.var("x", coeff=-1, const=12), array="out"))
+        prog = b.build(name="rst", scheme="t",
+                       loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
+        arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
+        src = emitted_source(prog, arrays)
+        stores = _section(src, "# deferred")
+        assert len(stores) == 4 and all(
+            re.fullmatch(r"_a\d+\[_K\d+\] = _v\d+", ln) for ln in stores), src
+
+        def factory():
+            return {"a": np.arange(16.0) * 0.5, "out": np.zeros(16)}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
     def test_interleaved_double_store_is_layout_fallback(self):
         b = ProgramBuilder(4)
         v = b.load(b.mem(Affine.var("x")))
@@ -743,7 +802,9 @@ class TestStoreCommitModes:
 
 
 class TestShuffleEmission:
-    def test_single_source_shuffle_is_one_gather(self):
+    def test_single_source_shuffle_emits_no_statement(self):
+        """A shuffle is a rename: the stored lanes read the loaded lanes
+        in the probed order, and no statement computes the shuffle."""
         b = ProgramBuilder(4)
         v = b.load(b.mem(Affine.var("x")))
         s = b.shufpd(v, v, 0b0101)
@@ -752,16 +813,24 @@ class TestShuffleEmission:
                        loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
         arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
         src = emitted_source(prog, arrays)
-        assert re.search(r"_v\d+\[\.\.\., _K\d+\]", src), src
+        body = _section(src, "# body", "# deferred")
+        # one view per loaded lane and nothing else
+        assert len(body) == 4, src
+        assert all(re.fullmatch(r"_v\d+ = np\.ndarray\(.*\)", ln)
+                   for ln in body), src
+        lanes = [ln.split(" = ")[0] for ln in body]
+        stores = _section(src, "# deferred")
+        assert [ln.split(" = ")[1] for ln in stores] == \
+            [lanes[1], lanes[0], lanes[3], lanes[2]], src
 
         def factory():
             return {"a": np.arange(16.0) + 0.5, "out": np.zeros(16)}
         a1, a2 = _run_both(prog, factory)
         assert np.array_equal(a2["out"], a1["out"])
 
-    def test_lane_zeroing_shuffle(self):
-        """vperm2f128's zero bit (a ``None`` selector) must emit the
-        explicit zero-column fill."""
+    def test_zeroed_lane_reads_hoisted_zero_scalar(self):
+        """vperm2f128's zero bit (a ``None`` selector) renames the zeroed
+        lanes to one hoisted zero scalar of the program's dtype."""
         b = ProgramBuilder(4)
         v = b.load(b.mem(Affine.var("x")))
         z = b.lane_concat(v, v, (None, 0))
@@ -769,8 +838,16 @@ class TestShuffleEmission:
         prog = b.build(name="shz", scheme="t",
                        loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
         arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
-        src = emitted_source(prog, arrays)
-        assert "= 0.0" in src, src
+        spec = CodegenProgram(prog).specialize(arrays)
+        stores = _section(spec.source, "# deferred")
+        zeros = [ln.split(" = ")[1] for ln in stores[:2]]
+        assert zeros[0] == zeros[1], spec.source
+        k = _hoisted(spec)[zeros[0]]
+        assert type(k) is np.float64 and k == 0.0 \
+            and not np.signbit(k), spec.source
+        # the other two lanes are renamed load lanes, not copies
+        assert all(ln.split(" = ")[1].startswith("_v")
+                   for ln in stores[2:]), spec.source
 
         def factory():
             return {"a": np.arange(16.0) + 1.0, "out": np.ones(16)}
@@ -805,6 +882,226 @@ class TestShuffleEmission:
             return {"a": np.arange(20.0) ** 2, "out": np.zeros(16)}
         a1, a2 = _run_both(prog, factory)
         assert np.array_equal(a2["out"], a1["out"])
+
+
+# ---------------------------------------------------------------------------
+# lane planes: scalar constants, carries, renamed lanes, dtype
+# ---------------------------------------------------------------------------
+
+#: both program precisions, at AVX2 width (4 float64 or 8 float32 lanes)
+PRECISIONS = [pytest.param(8, np.float64, id="f64"),
+              pytest.param(4, np.float32, id="f32")]
+
+
+def _lane_builder(elem_bytes):
+    return ProgramBuilder(32 // elem_bytes, elem_bytes=elem_bytes)
+
+
+def _typed_run(prog, factory, dtype):
+    """``_run_both`` plus: every array keeps the program's dtype, and
+    every hoisted scalar is of that dtype (a wider scalar would promote
+    float32 lanes and round twice)."""
+    a1, a2 = _run_both(prog, factory)
+    assert all(v.dtype == dtype for v in (*a1.values(), *a2.values()))
+    arrays = factory()
+    spec = CodegenProgram(prog).specialize(arrays)
+    scalars = [v for v in _hoisted(spec).values()
+               if not isinstance(v, np.ndarray)]
+    assert scalars and all(type(v) is dtype for v in scalars), scalars
+    return a1, a2, spec
+
+
+class TestLanePlanes:
+    @pytest.mark.parametrize("elem_bytes, dtype", PRECISIONS)
+    def test_constant_registers_stored_directly(self, elem_bytes, dtype):
+        """A BROADCAST and a SETZERO register stored as they are: every
+        stored lane is the hoisted scalar itself."""
+        b = _lane_builder(elem_bytes)
+        w = b.width
+        c = b.broadcast(0.1)
+        z = b.setzero()
+        b.store(c, b.mem(Affine.var("x"), array="out"))
+        b.store(z, b.mem(Affine.var("x", const=w), array="out"))
+        prog = b.build(name="kst", scheme="t",
+                       loops=[Loop("x", 0, 8 * w, 2 * w)], vectors_per_iter=2)
+
+        def factory():
+            return {"out": np.full(8 * w, 7.0, dtype=dtype)}
+        a1, a2, spec = _typed_run(prog, factory, dtype)
+        assert np.array_equal(a2["out"], a1["out"])
+        blocks = a2["out"].reshape(-1, 2, w)
+        assert (blocks[:, 0] == dtype(0.1)).all()
+        assert (blocks[:, 1] == 0).all()
+        stores = _section(spec.source, "# deferred")
+        assert all(re.fullmatch(r".*\[\.\.\.\] = _K\d+", ln)
+                   for ln in stores), spec.source
+
+    @pytest.mark.parametrize("elem_bytes, dtype", PRECISIONS)
+    def test_carry_with_constant_head(self, elem_bytes, dtype):
+        """A window seeded in the prologue from a broadcast: the carry's
+        row 0 is the scalar, its later rows the shifted fresh loads."""
+        b = _lane_builder(elem_bytes)
+        w = b.width
+        c = b.broadcast(1.5)
+        b.in_prologue()
+        b.mov_to("win", c)
+        b.in_body()
+        v = b.load(b.mem(Affine.var("x")))
+        r = b.add(v, "win")
+        b.store(r, b.mem(Affine.var("x"), array="out"))
+        b.load_to("win", b.mem(Affine.var("x", const=w)))
+        prog = b.build(name="kcarry", scheme="t",
+                       loops=[Loop("x", 0, 6 * w, w)], vectors_per_iter=1)
+        assert CodegenProgram(prog).carried == ("win",)
+
+        def factory():
+            rng = np.random.default_rng(5)
+            return {"a": rng.standard_normal(7 * w).astype(dtype),
+                    "out": np.zeros(6 * w, dtype=dtype)}
+        a1, a2, spec = _typed_run(prog, factory, dtype)
+        assert np.array_equal(a2["out"], a1["out"])
+        assert re.search(r"_carry\(_K\d+, ", spec.source), spec.source
+
+    @pytest.mark.parametrize("trips", [0, 1, 4])
+    @pytest.mark.parametrize("elem_bytes, dtype", PRECISIONS)
+    def test_carry_with_constant_final(self, elem_bytes, dtype, trips):
+        """A window the body refills from a broadcast: every carried row
+        after the first is the scalar itself, at zero, one and several
+        trips."""
+        b = _lane_builder(elem_bytes)
+        w = b.width
+        c = b.broadcast(-0.7)
+        b.in_prologue()
+        b.load_to("win", b.mem(Affine.var("x")))
+        b.in_body()
+        r = b.add(b.load(b.mem(Affine.var("x", const=w))), "win")
+        b.store(r, b.mem(Affine.var("x"), array="out"))
+        b.mov_to("win", c)
+        prog = b.build(name="kfin", scheme="t",
+                       loops=[Loop("x", 0, trips * w, w)], vectors_per_iter=1)
+
+        def factory():
+            rng = np.random.default_rng(3)
+            return {"a": rng.standard_normal(6 * w).astype(dtype),
+                    "out": np.zeros(5 * w, dtype=dtype)}
+        a1, a2, _ = _typed_run(prog, factory, dtype)
+        assert np.array_equal(a2["out"], a1["out"])
+
+    @pytest.mark.parametrize("elem_bytes, dtype", PRECISIONS)
+    def test_shuffle_reading_one_lane_twice(self, elem_bytes, dtype):
+        """A permutation duplicating lane 0 of a single-use sum: that
+        lane now has two readers, so the sum is materialized and each
+        lane is computed once; the lane nobody reads is not computed."""
+        b = _lane_builder(elem_bytes)
+        w = b.width
+        v0 = b.load(b.mem(Affine.var("x")))
+        v1 = b.load(b.mem(Affine.var("x", const=w)))
+        s = b.add(v0, v1)
+        p = b.permpd(s, (0, 0) + tuple(range(2, w)))
+        r = b.mul(p, b.broadcast(0.3))
+        b.store(r, b.mem(Affine.var("x"), array="out"))
+        prog = b.build(name="kdup", scheme="t",
+                       loops=[Loop("x", 0, 4 * w, w)], vectors_per_iter=1)
+
+        def factory():
+            rng = np.random.default_rng(9)
+            return {"a": rng.standard_normal(5 * w).astype(dtype),
+                    "out": np.zeros(4 * w, dtype=dtype)}
+        a1, a2, spec = _typed_run(prog, factory, dtype)
+        assert np.array_equal(a2["out"], a1["out"])
+        sums = re.findall(r"\(_v\d+ \+ _v\d+\)", spec.source)
+        assert len(sums) == len(set(sums)) == w - 1, spec.source
+        lane0 = re.search(r"(_v\d+) = \((\(_v\d+ \+ _v\d+\)), None",
+                          spec.source)
+        assert lane0, spec.source
+        assert spec.source.count(f"{lane0.group(1)}[0] * ") == 2, spec.source
+
+    @pytest.mark.parametrize("elem_bytes, dtype", PRECISIONS)
+    def test_outputs_keep_program_dtype(self, elem_bytes, dtype):
+        """An FMA chain over constants no float32 holds exactly (0.1,
+        1/3): a float64 scalar would promote float32 lanes and round the
+        chain twice, so bitwise equality pins the constants' dtype."""
+        b = _lane_builder(elem_bytes)
+        w = b.width
+        loads = [b.load(b.mem(Affine.var("x", const=k))) for k in range(3)]
+        c1, c2 = b.broadcast(0.1), b.broadcast(1.0 / 3.0)
+        acc = b.mul(c1, loads[2])
+        acc = b.fma(c2, loads[1], acc)
+        acc = b.fma(c1, loads[0], acc)
+        b.store(acc, b.mem(Affine.var("x"), array="out"))
+        prog = b.build(name="kdt", scheme="t",
+                       loops=[Loop("x", 0, 32 * w, w)], vectors_per_iter=1)
+
+        def factory():
+            rng = np.random.default_rng(13)
+            return {"a": rng.uniform(-4, 4, 32 * w + 2).astype(dtype),
+                    "out": np.zeros(32 * w, dtype=dtype)}
+        a1, a2, _ = _typed_run(prog, factory, dtype)
+        assert np.array_equal(a2["out"], a1["out"])
+
+
+# ---------------------------------------------------------------------------
+# bounded specialization tables
+# ---------------------------------------------------------------------------
+
+def _scaled_copy_2d(rows):
+    b = ProgramBuilder(4)
+    v = b.load(b.mem(Affine.var("y"), Affine.var("x")))
+    r = b.mul(v, b.broadcast(0.7))
+    b.store(r, b.mem(Affine.var("y"), Affine.var("x"), array="out"))
+    return b.build(name="scale2d", scheme="t",
+                   loops=[Loop("y", 0, rows, 1), Loop("x", 0, 8, 4)],
+                   vectors_per_iter=1)
+
+
+class TestSpecializationBounds:
+    def test_many_array_shapes_stay_bounded(self, observing):
+        """Every distinct array shape is one specialization; past
+        SPEC_ENTRIES the least recently used goes, counted, and every
+        output stays bitwise."""
+        prog = _scaled_copy_2d(3)
+        cg = CodegenProgram(prog)
+        extra = 4
+        for k in range(codegen_mod.SPEC_ENTRIES + extra):
+            shape = (3 + k, 8 + k)
+
+            def factory(shape=shape):
+                return {"a": np.linspace(-1.0, 1.0, shape[0] * shape[1])
+                        .reshape(shape), "out": np.zeros(shape)}
+            a1 = factory()
+            a2 = factory()
+            SimdMachine(prog.width).run(prog, a1)
+            cg.run(a2)
+            assert np.array_equal(a2["out"], a1["out"])
+            assert len(cg._specs) <= codegen_mod.SPEC_ENTRIES
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["exec.codegen.spec_evictions"] == extra
+        # the newest shape is still cached: a rerun does not re-emit
+        newest = next(reversed(cg._specs.values()))
+        assert cg.specialize(a2) is newest
+
+    def test_many_slab_heights_stay_bounded(self, monkeypatch, observing):
+        """Every slab height is one narrowed program; the table keeps at
+        most SPEC_ENTRIES of them and the strip-mined sweeps stay
+        bitwise."""
+        rows = 20
+        prog = _scaled_copy_2d(rows)
+        cg = CodegenProgram(prog)
+        per_row = cg.trips * prog.block
+        for height in range(1, rows):
+            monkeypatch.setattr(codegen_mod, "SLAB_POINTS", height * per_row)
+            assert cg._slab_rows() == height
+
+            def factory():
+                return {"a": np.linspace(0.0, 3.0, rows * 8).reshape(rows, 8),
+                        "out": np.zeros((rows, 8))}
+            a1, a2 = factory(), factory()
+            SimdMachine(prog.width).run(prog, a1)
+            cg.run(a2)
+            assert np.array_equal(a2["out"], a1["out"])
+            assert len(cg._slab_progs) <= codegen_mod.SPEC_ENTRIES
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["exec.codegen.spec_evictions"] > 0
 
 
 # ---------------------------------------------------------------------------
