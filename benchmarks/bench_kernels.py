@@ -2,7 +2,7 @@
 
 These time the repository's actual Python code paths: the numpy fast path
 of compiled Jigsaw kernels vs the dense reference sweep, the SIMD-machine
-interpreter, and the threaded tile executor.  They demonstrate that the
+interpreter, and the threaded parallel executor.  They demonstrate that the
 SDF low-rank structure is a genuine algorithmic saving even at the numpy
 level (separable kernels run fewer array passes than dense taps)."""
 
@@ -55,8 +55,7 @@ def test_jigsaw_numpy_path_box2d(benchmark):
 def test_parallel_executor_heat2d(benchmark):
     spec = library.get("heat-2d")
     g = Grid.random((256, 256), spec.radius, seed=2)
-    out = benchmark(run_parallel, spec, g, 2, workers=4,
-                    tile_shape=(64, 256))
+    out = benchmark(run_parallel, spec, g, 2, workers=4, parts=4)
     ref = apply_steps(spec, g, 2)
     assert np.allclose(out.interior, ref.interior, rtol=1e-12)
 

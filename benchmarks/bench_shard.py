@@ -3,8 +3,9 @@
 Times ``steps`` codegen sweeps of a 2-D star kernel over a 256x512 grid
 once in a single process (the unsharded codegen engine —
 :meth:`repro.core.kernel.CompiledKernel.run`) and once per point of a
-1/2/4/8-shard curve on both the thread and the process executor (warm
-:class:`repro.shard.ShardRunner` pools, best-of-N timing), and asserts
+1/2/4/8-shard curve on both the thread and the process executor
+(:meth:`repro.core.kernel.CompiledKernel.run_sharded`, pool start
+included, best-of-N timing), and asserts
 the subsystem's contracts:
 
 * **bitwise equality, always**: sharded runs — reference engine, program
@@ -39,7 +40,7 @@ from repro.config import GENERIC_AVX2  # noqa: E402
 from repro.core import compile_kernel  # noqa: E402
 from repro.core.jigsaw import required_halo  # noqa: E402
 from repro.faults.plan import FaultPlan, FaultRule  # noqa: E402
-from repro.shard import KernelRecipe, ShardRunner, run_sharded  # noqa: E402
+from repro.shard import run_sharded  # noqa: E402
 from repro.stencils import apply_steps, library  # noqa: E402
 from repro.stencils.grid import Grid  # noqa: E402
 
@@ -70,13 +71,6 @@ def _kernel():
                           time_fusion=1)
 
 
-def _recipe(kernel) -> KernelRecipe:
-    return KernelRecipe(spec=kernel.plan.spec, machine=GENERIC_AVX2,
-                        time_fusion=kernel.plan.time_fusion,
-                        use_sdf=kernel.plan.use_sdf,
-                        exec_backend="codegen")
-
-
 def _best_of(fn, repeats: int = REPEATS) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -99,16 +93,15 @@ def measure() -> dict:
     baseline_t = _best_of(lambda: kernel.run(grid, STEPS,
                                              backend="codegen"))
 
-    recipe = _recipe(kernel)
     curve = []
     for executor in EXECUTORS:
         for shards in SHARD_CURVE:
-            with ShardRunner(spec, shards=shards,
-                             temporal_block=TEMPORAL_BLOCK,
-                             executor=executor, recipe=recipe,
-                             exec_backend="codegen") as runner:
-                runner.run(grid, STEPS)  # warm pool + per-worker programs
-                t = _best_of(lambda: runner.run(grid, STEPS))
+            def run():
+                kernel.run_sharded(grid, STEPS, shards=shards,
+                                   temporal_block=TEMPORAL_BLOCK,
+                                   executor=executor, backend="codegen")
+
+            t = _best_of(run)
             curve.append({
                 "executor": executor,
                 "shards": shards,

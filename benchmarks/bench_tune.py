@@ -174,7 +174,7 @@ def measure_online() -> dict:
     incumbent = tuner.incumbent(spec, ONLINE_SHAPE)
 
     # re-measure both on one fresh harness, in alternating rounds of
-    # 64-sweep runs so host drift hits both sides alike: one-tile sweeps
+    # 64-sweep runs so host drift hits both sides alike: one-part sweeps
     # of 1024 points take well under a millisecond, and a back-to-back
     # pair flaked (identical configs trivially tie — no re-run)
     if incumbent.as_dict() == offline_best.config.as_dict():

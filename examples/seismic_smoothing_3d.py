@@ -45,8 +45,7 @@ grid.interior[...] = depth + rng.normal(0.0, 300.0, size=(N, N, N))
 noisy_std = grid.interior.std(axis=(1, 2)).mean()
 
 t0 = time.perf_counter()
-smoothed = run_parallel(spec, grid, STEPS, workers=WORKERS,
-                        tile_shape=(16, 64, 64))
+smoothed = run_parallel(spec, grid, STEPS, workers=WORKERS, parts=WORKERS)
 elapsed = time.perf_counter() - t0
 smooth_std = smoothed.interior.std(axis=(1, 2)).mean()
 

@@ -321,7 +321,7 @@ def _cmd_run_inner(args) -> int:
                 f"no tuned configuration stored for {spec.name} @ "
                 f"{'x'.join(map(str, args.size))} on {machine.name}; run "
                 f"`repro tune {args.kernel} --shape ...` first")
-        if tuned_cfg.engine in ("tiled", "shard"):
+        if tuned_cfg.engine == "parallel":
             from .parallel.executor import run_parallel
             grid = Grid.random(args.size, spec.radius, seed=0, dtype=dtype)
             t0 = time.perf_counter()
@@ -330,7 +330,7 @@ def _cmd_run_inner(args) -> int:
                          **tuned_cfg.run_kwargs())
             dt = time.perf_counter() - t0
             _report_run(spec, args.size, args.steps, dt,
-                        f"{tuned_cfg.engine} executor",
+                        "parallel executor",
                         f"tuned: {tuned_cfg.label()}")
             return 0
         if tuned_cfg.engine == "scheme":
@@ -701,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default=None, choices=EXEC_BACKENDS,
                    help="restrict the SIMD-machine engine to one execution "
                         "backend (default: search auto, batch and interp)")
-    p.add_argument("--engines", default="machine,numpy,tiled,shard,scheme",
+    p.add_argument("--engines", default="machine,numpy,parallel,scheme",
                    help="comma-separated engine families to search "
                         "(default: %(default)s)")
     p.add_argument("--schemes", default="temporal,redundancy",

@@ -127,8 +127,7 @@ class CompiledKernel:
             temporal_block=(temporal_block if temporal_block is not None
                             else self.plan.time_fusion),
             executor=executor, workers=workers, boundary=boundary,
-            value=value, recipe=recipe,
-            exec_backend=backend or self.exec_backend())
+            value=value, recipe=recipe)
 
     def run_numpy(self, grid: Grid, steps: int, *, boundary: str = "periodic",
                   value: float = 0.0) -> Grid:

@@ -46,7 +46,6 @@ CHAOS_SITE_KINDS: Dict[str, Tuple[str, ...]] = {
     "pool.task_start": ("raise", "delay", "kill"),
     "server.batch_flush": ("raise", "delay"),
     "server.enqueue": ("raise", "delay"),
-    "shard.exchange": ("raise", "delay"),
     "tile.sweep": ("raise", "delay"),
 }
 
@@ -65,8 +64,7 @@ _FIRST_HIT_SITES = ("cache.disk_read", "cache.disk_write",
 STAGES: Tuple[str, ...] = ("pipeline", "server")
 _STAGE_SITES: Dict[str, Tuple[str, ...]] = {
     "pipeline": ("cache.disk_read", "cache.disk_write", "compile.kernel",
-                 "exec.codegen_kernel", "pool.task_start",
-                 "shard.exchange", "tile.sweep"),
+                 "exec.codegen_kernel", "pool.task_start", "tile.sweep"),
     "server": ("server.batch_flush", "server.enqueue", "compile.kernel",
                "cache.disk_write", "pool.task_start", "tile.sweep"),
 }
@@ -158,9 +156,6 @@ TAXONOMY_PREFIXES = (
     "parallel.task_retries",
     "parallel.pool_restarts",
     "parallel.fallback",
-    "shard.exchange_retries",
-    "shard.task_retries",
-    "shard.pool_restarts",
     "cache.disk_quarantined",
     "cache.disk_write_faults",
     "exec.codegen_fallback",
@@ -212,14 +207,10 @@ def _workload(spec: StencilSpec, machine: MachineConfig, cache_dir: str,
             g = Grid.random(size, spec.radius, seed=data_seed)
             out = svc.run(SweepJob(spec, g, steps))
             results[f"sweep.{backend}"] = out.interior.copy()
-            # the sharded path: 2 slabs with deep halos.  Gathers fire
-            # once per shard per superstep, and randomized rules may
-            # skip up to 3 hits (after < 4), so the block size is
-            # dropped to 1 when the step count is too small to reach 4
-            # supersteps-worth of hits.
-            tb = 2 if steps >= 4 else 1
-            out = svc.run(SweepJob(spec, g, steps, shards=2,
-                                   temporal_block=tb))
+            # the window path: 2 parts with deep halos (a temporal
+            # block ships windows on either backend)
+            out = svc.run(SweepJob(spec, g, steps, parts=2,
+                                   temporal_block=2))
             results[f"shard.{backend}"] = out.interior.copy()
     if "server" in stages:
         results.update(_server_stage(spec, machine, cache_dir,

@@ -46,8 +46,7 @@ SITES = (
     "pool.task_start",     #: a parallel-executor task beginning
     "server.batch_flush",  #: a server micro-batch leaving the queue
     "server.enqueue",      #: an admitted server request entering the queue
-    "shard.exchange",      #: one shard's halo-window gather
-    "tile.sweep",          #: one tile's Jacobi sweep
+    "tile.sweep",          #: one part's (or window sub-step's) sweep
 )
 
 #: exit status a ``kill`` fault terminates a pool worker with.

@@ -1,54 +1,61 @@
-"""Real shared-memory parallel execution of stencil sweeps.
+"""Real parallel execution of stencil sweeps: one outer-axis partitioned
+executor.
 
-Runs each phase of a :class:`~repro.tiling.schedule.TileSchedule`
-concurrently, with a barrier between phases — the OpenMP structure the
-paper's runs use, in Python form.  Jacobi sweeps with distinct in/out
-buffers make every tile of a sweep independent, so the default schedule is
-a single phase.
+:func:`run_parallel` splits the grid's outermost axis into ``parts``
+contiguous slabs (:func:`repro.parallel.topology.partition_axis`) and
+runs every sweep as one barrier of independent part tasks over a
+:class:`SupervisedPool` — the OpenMP structure the paper's multicore
+runs use, in Python form.  How a part reaches its worker follows from
+inputs the call already fixes:
 
-Two backends:
+* **in place** — on the ``"thread"`` backend, at ``temporal_block == 1``
+  and without a compiled recipe, every part sweeps the shared input and
+  output buffers directly through :func:`apply_tile` (numpy ufuncs
+  release the GIL, so parts genuinely overlap), with one halo fill and
+  one barrier per sweep;
+* **windows** — on the ``"process"`` backend, at ``temporal_block > 1``,
+  or when :meth:`repro.core.kernel.CompiledKernel.run_sharded` supplies
+  a :class:`~repro.shard.worker.KernelRecipe`, each part is shipped as a
+  private window: :func:`repro.shard.exchange.gather_window` cuts its
+  slab plus ``radius * s`` context rows per side, the worker advances
+  it ``s`` sub-steps (:func:`repro.shard.worker.run_shard_task`), and
+  :func:`repro.shard.exchange.scatter_slab` lands the slab.  Deeper
+  blocks trade redundant ghost-row work for ``s``-fold fewer barriers
+  (see :mod:`repro.shard.plan`).
 
-* ``"thread"`` (default) — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  writing tiles directly into the shared output buffer (numpy ufuncs
-  release the GIL, so tiles genuinely overlap);
-* ``"process"`` (opt-in) — a
-  :class:`~concurrent.futures.ProcessPoolExecutor`: each worker computes
-  its tile on a pickled copy of the input grid and returns the tile patch,
-  which the parent writes back.  Heavier per-sweep traffic, but immune to
-  GIL-bound tile kernels (pure-Python inner work) and a building block for
-  multi-node dispatch.
+Both paths are bitwise deterministic: a part's result depends only on
+the input grid, never on scheduling, every part writes a disjoint
+output slab, and the reference window sweep applies :func:`apply_tile`
+over a collar that shrinks one radius per sub-step, in the same tap
+order as the in-place sweep.  So any part count, worker count, temporal
+block and backend produce identical interiors (guarded by
+``tests/test_parallel.py`` and ``tests/test_shard.py``).
 
-Both backends are bitwise deterministic: a tile's result depends only on
-the input grid, never on scheduling, and patches land in disjoint output
-slices — so any worker count, and either backend, produces identical
-grids from the same inputs (guarded by ``tests/test_parallel.py``).
-
-Both callers of the pool, this tile executor and the shard runner
-(:mod:`repro.shard.runner`), dispatch through one :class:`SupervisedPool`:
-one barrier of independent tasks at a time, then recovery (see
-``docs/architecture.md``).  A thread-backend barrier of one task runs
-inline in the caller, and grids below :data:`MIN_TILE_POINTS` per
-worker default to fewer tiles, so a small grid never starts a pool.
-A task that fails with a :class:`~repro.errors.ReproError` (injected
-faults included) is recomputed in the parent, with
-:data:`TASK_RETRIES` further attempts if that fails too;
-recomputation is idempotent, because :func:`apply_tile` zeroes its
-output slice first.  A crashed process pool (``BrokenProcessPool``,
-e.g. a killed worker) is restarted up to :data:`POOL_RESTARTS` times
-per run with the unfinished tasks resubmitted; past that budget the
-parent finishes the run itself, and the next run starts a fresh pool.
-Barriers completed before a crash are never redone, so the per-phase
-barrier doubles as a recovery checkpoint.
+Recovery (see ``docs/architecture.md``): a thread-backend barrier of
+one task runs inline in the caller, and grids below
+:data:`MIN_PART_POINTS` per worker default to fewer parts, so a small
+grid never starts a pool.  A task that fails with a
+:class:`~repro.errors.ReproError` (injected faults included) is
+recomputed in the parent, with :data:`TASK_RETRIES` further attempts if
+that fails too; recomputation is idempotent, because :func:`apply_tile`
+zeroes its output slice first and a window is a private copy.  A
+crashed process pool (``BrokenProcessPool``, e.g. a killed worker) is
+restarted up to :data:`POOL_RESTARTS` times per run with the unfinished
+tasks resubmitted; past that budget the parent finishes the run itself.
+The input of a barrier is never written during it, so a completed
+barrier is never redone and doubles as a recovery checkpoint.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -58,20 +65,21 @@ from ..stencils.boundary import fill_halo
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
 from ..tiling.blocks import Tile
-from ..tiling.schedule import TileSchedule, build_schedule
+
+if TYPE_CHECKING:  # the shard package imports this module
+    from ..shard.worker import KernelRecipe
 
 #: executor backends accepted by :func:`run_parallel`.
 BACKENDS: Tuple[str, ...] = ("thread", "process")
 
 #: extra in-parent attempts at a failed task after the first recompute
-#: (also bounds the shard runner's gather retries)
 TASK_RETRIES = 2
 #: process-pool restarts per run after a worker loss; past them the
 #: parent finishes the run itself
 POOL_RESTARTS = 2
-#: fewest grid points worth one tile of their own: smaller grids run as
-#: one tile, which the thread backend sweeps inline without a pool
-MIN_TILE_POINTS = 2 ** 15
+#: fewest grid points worth one part of their own: smaller grids run as
+#: one part, which the thread backend sweeps inline without a pool
+MIN_PART_POINTS = 2 ** 15
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -81,7 +89,7 @@ def pool_context() -> multiprocessing.context.BaseContext:
     spawn-safe: workers start from a fresh interpreter, so nothing leaks
     in by fork (an inherited fault injector, a half-held lock) and tasks
     must be picklable, which is exactly the contract the fault-shipping
-    protocol and the shard runner rely on.  ``fork`` made all of that
+    protocol and the window tasks rely on.  ``fork`` made all of that
     platform-dependent (macOS/Windows never had it for pools).
 
     ``REPRO_MP_START`` overrides the method (``fork`` included, for
@@ -100,12 +108,11 @@ def pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context(method)
 
 
-def default_tile(shape: Sequence[int], workers: int) -> Tuple[int, ...]:
-    """The default tiling: the outermost axis split into
-    ``min(workers, points // MIN_TILE_POINTS)`` slabs (at least one)."""
-    points = int(np.prod(shape))
-    tiles = max(1, min(workers, points // MIN_TILE_POINTS))
-    return (-(-shape[0] // tiles),) + tuple(shape[1:])
+def default_parts(shape: Sequence[int], workers: int) -> int:
+    """The default partition: ``min(workers, points // MIN_PART_POINTS)``
+    outer-axis parts, at least one and at most one per outer row."""
+    points = math.prod(shape)
+    return max(1, min(workers, points // MIN_PART_POINTS, shape[0]))
 
 
 def apply_tile(spec: StencilSpec, grid: Grid, out: Grid, tile: Tile) -> None:
@@ -120,17 +127,6 @@ def apply_tile(spec: StencilSpec, grid: Grid, out: Grid, tile: Tile) -> None:
             for h, a, b, o in zip(grid.halo, tile.start, tile.stop, off)
         )
         np.add(dst, c * grid.data[sl], out=dst)
-
-
-def _sweep_tile_patch(spec: StencilSpec, grid: Grid, tile: Tile,
-                      actions: Tuple[faults.FaultAction, ...]) -> np.ndarray:
-    """Process-pool worker: compute one tile's sweep on a private copy of
-    the grid and return the dense patch (module-level for picklability)."""
-    for action in actions:
-        faults.perform_shipped(action)
-    out = grid.like()
-    apply_tile(spec, grid, out, tile)
-    return np.ascontiguousarray(out.data[tile.slices(out.halo)])
 
 
 def _thread_task(local: Callable[[Any], None], task: Any) -> None:
@@ -151,28 +147,19 @@ class SupervisedPool:
     that replays the shipped fault ``actions`` and returns the task's
     result from a process worker; ``land(task, result)`` writes that
     result.  ``sites`` are the fault sites a process-backend task
-    consumes, decided in the parent in submission order; ``prefix``
-    names the ``{prefix}.task_retries`` / ``{prefix}.pool_restarts``
-    counters.
+    consumes, decided in the parent in submission order.  Recoveries
+    count under ``parallel.task_retries`` / ``parallel.pool_restarts``.
 
-    The executor starts lazily and lives until :meth:`close`; call
-    :meth:`reset` at the start of each run to refill the restart budget.
+    The executor starts lazily and lives until :meth:`close`; the
+    restart budget covers the pool's whole life (one run).
     """
 
-    def __init__(self, backend: str, workers: int, *, prefix: str,
+    def __init__(self, backend: str, workers: int, *,
                  sites: Tuple[str, ...] = ("pool.task_start",)) -> None:
         self.backend = backend
         self.workers = workers
         self.sites = sites
-        self._retries = f"{prefix}.task_retries"
-        self._restarts = f"{prefix}.pool_restarts"
         self._executor = None
-        self._restarts_left = POOL_RESTARTS
-
-    def reset(self) -> None:
-        """Start a new run with the full restart budget.  A pool the
-        previous run gave up on was already dropped, so the next
-        submission starts a fresh one without counting a loss."""
         self._restarts_left = POOL_RESTARTS
 
     def close(self) -> None:
@@ -205,7 +192,8 @@ class SupervisedPool:
         return tuple(a for a in map(inj.decide, self.sites) if a is not None)
 
     def barrier(self, tasks: Sequence[Any], local: Callable[[Any], None],
-                remote: Callable, land: Callable[[Any, Any], None]) -> None:
+                remote: Optional[Callable] = None,
+                land: Optional[Callable[[Any, Any], None]] = None) -> None:
         """Run ``tasks`` to completion: on return every result has landed.
         A lone thread-backend task runs inline in the caller."""
         thread = self.backend == "thread"
@@ -251,7 +239,7 @@ class SupervisedPool:
             if lost:
                 # a worker died: drop the pool, resubmit the unfinished
                 # tasks to a fresh one (or, past the budget, to the parent)
-                obs.counter(self._restarts).inc()
+                obs.counter("parallel.pool_restarts").inc()
                 obs.counter("parallel.fallback.reason.worker_lost").inc()
                 self._executor.shutdown(wait=False, cancel_futures=True)
                 self._executor = None
@@ -262,7 +250,7 @@ class SupervisedPool:
         """In-parent recomputation of a failed task, with a bounded retry
         budget (later attempts count fresh fault-site hits, so a rule
         with a finite ``times`` eventually lets the task through)."""
-        obs.counter(self._retries).inc()
+        obs.counter("parallel.task_retries").inc()
         for attempt in range(TASK_RETRIES + 1):
             try:
                 local(task)
@@ -277,75 +265,106 @@ def run_parallel(
     grid: Grid,
     steps: int,
     *,
-    tile_shape: Optional[Sequence[int]] = None,
+    parts: Optional[int] = None,
     workers: int = 4,
     boundary: str = "periodic",
     value: float = 0.0,
-    schedule: Optional[TileSchedule] = None,
     backend: str = "thread",
-    shards: Optional[int] = None,
     temporal_block: int = 1,
+    recipe: Optional["KernelRecipe"] = None,
 ) -> Grid:
     """``steps`` parallel Jacobi sweeps; returns a new grid.
 
-    ``tile_shape`` defaults to :func:`default_tile`: the outermost axis
-    split across ``workers``, one tile per :data:`MIN_TILE_POINTS` at
-    most.  A custom ``schedule`` overrides the default single-phase
-    blocking.  ``backend`` selects the executor (see the
-    module docstring); results are bitwise identical across backends and
-    worker counts, and every recovery path of the :class:`SupervisedPool`
-    is bitwise identical to a clean run.
-
-    ``shards=N`` switches to the halo-exchange shard runner
-    (:mod:`repro.shard`): the grid is partitioned into N outer-axis
-    slabs, each swept privately with ghost rows exchanged at every
-    synchronization point; ``temporal_block=s`` widens the exchanged
-    halo to ``radius*s`` so ``s`` sweeps run per exchange.  Interiors
-    stay bitwise identical to the unsharded path.
+    ``parts`` outer-axis slabs (default :func:`default_parts`) run over
+    at most ``workers`` workers of the ``backend`` pool, in place or as
+    shipped windows (see the module docstring).  ``temporal_block=s``
+    advances each window ``s`` sub-steps per barrier on a ``radius*s``
+    deep halo.  ``recipe`` (a :class:`~repro.shard.worker.KernelRecipe`)
+    sweeps each window through the compiled vector pipeline instead of
+    the reference tap order; ``temporal_block`` and ``steps`` must then
+    be multiples of its fused depth.  Interiors are bitwise identical
+    across parts, workers, blocks and backends, and every recovery path
+    of the :class:`SupervisedPool` is bitwise identical to a clean run.
     """
+    from ..shard import exchange, worker
+    from ..shard.plan import make_shard_plan
+
     if steps < 0:
         raise TilingError("steps must be non-negative")
-    if shards is None and temporal_block != 1:
-        raise TilingError("temporal_block requires shards=N")
-    if shards is not None:
-        if tile_shape is not None or schedule is not None:
-            raise TilingError(
-                "shards= is mutually exclusive with tile_shape/schedule "
-                "(shards partition the outer axis themselves)"
-            )
-        from ..shard.runner import run_sharded  # lazy: avoids an import cycle
-        return run_sharded(
-            spec, grid, steps, shards=shards,
-            temporal_block=temporal_block, executor=backend,
-            workers=workers, boundary=boundary, value=value,
-        )
     if workers < 1:
         raise TilingError("workers must be >= 1")
     if backend not in BACKENDS:
         raise TilingError(
-            f"unknown executor backend {backend!r}; known: {BACKENDS}"
-        )
-    if schedule is None:
-        if tile_shape is None:
-            tile_shape = default_tile(grid.shape, workers)
-        schedule = build_schedule(grid.shape, tile_shape)
+            f"unknown executor backend {backend!r}; known: {BACKENDS}")
+    if parts is None:
+        parts = default_parts(grid.shape, workers)
+    plan = make_shard_plan(spec, grid.shape, shards=parts,
+                           temporal_block=temporal_block, boundary=boundary)
+    if recipe is not None:
+        tf = recipe.time_fusion
+        if spec.ndim < 2:
+            raise TilingError(
+                "the program engine partitions the outer axis of a >= 2-D "
+                "kernel; 1-D kernels run on the reference engine only")
+        if temporal_block % tf or steps % tf:
+            raise TilingError(
+                f"temporal_block={temporal_block} and steps={steps} must be "
+                f"multiples of the plan's fused depth {tf}")
+        if tf > 1 and boundary != "periodic":
+            raise TilingError(
+                "temporally merged programs are exact only with periodic "
+                "boundaries; use time_fusion=1 for dirichlet runs")
+    if steps == 0:
+        return grid.copy()
     cur = grid.copy()
     nxt = grid.like()
+    in_place = backend == "thread" and temporal_block == 1 and recipe is None
+    # process tasks consume the sites their sweep would hit in the parent
+    sites = ("pool.task_start",) + (("tile.sweep",) if recipe is None
+                                    else ())
+    with SupervisedPool(backend, min(workers, parts), sites=sites) as pool:
+        if in_place:
+            inner = tuple(grid.shape[1:])
+            tiles = [Tile((s.start,) + (0,) * len(inner), (s.stop,) + inner)
+                     for s in plan.slabs]
+            for _ in range(steps):
+                fill_halo(cur, boundary, value=value)
+                pool.barrier(
+                    tiles, lambda tile: apply_tile(spec, cur, nxt, tile))
+                cur, nxt = nxt, cur
+            return cur
 
-    def local(tile: Tile) -> None:
-        apply_tile(spec, cur, nxt, tile)
+        def land(task, slab: np.ndarray) -> None:
+            exchange.scatter_slab(nxt, task[0].bounds, slab)
 
-    def land(tile: Tile, patch: np.ndarray) -> None:
-        nxt.data[tile.slices(nxt.halo)] = patch
+        def local(task) -> None:
+            land(task, worker.run_shard_task(spec, task))
 
-    with SupervisedPool(backend, workers, prefix="parallel",
-                        sites=("pool.task_start", "tile.sweep")) as pool:
-        for _ in range(steps):
+        remote = partial(worker.run_shard_task, spec)
+        inner_points = math.prod(grid.shape[1:])
+        for step_idx, s_eff in enumerate(plan.supersteps(steps)):
+            # windows carry their own ghosts; the fill keeps the parent's
+            # halo the in-place path's, so both return equal grids
             fill_halo(cur, boundary, value=value)
-            remote = partial(_sweep_tile_patch, spec, cur)
-            for phase in schedule.phases:
-                # barrier per phase: every tile lands before the next
-                # phase starts, and a completed phase is never redone
-                pool.barrier(phase, local, remote, land)
+            with obs.span("shard.superstep", step=step_idx,
+                          sub_steps=s_eff, shards=parts):
+                tasks = []
+                for i in range(parts):
+                    b = plan.bounds(i, s_eff)
+                    with obs.span("shard.exchange", shard=i):
+                        window = exchange.gather_window(cur, plan, b)
+                    tasks.append((worker.ShardJob(
+                        bounds=b, s_eff=s_eff, boundary=boundary,
+                        value=value, recipe=recipe), window))
+                pool.barrier(tasks, local, remote, land)
+            if obs.enabled():
+                obs.counter("shard.supersteps").inc()
+                obs.counter("shard.exchange_bytes").inc(
+                    plan.exchange_rows(s_eff) * inner_points
+                    * grid.data.itemsize)
+                obs.counter("shard.redundant_points").inc(
+                    plan.redundant_rows(s_eff,
+                                        full_interior=recipe is not None)
+                    * inner_points)
             cur, nxt = nxt, cur
     return cur

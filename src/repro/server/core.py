@@ -39,13 +39,13 @@ run returns bitwise-identical responses.
 
 **Online autotuning** (``online_tune=True``).  A background
 :class:`~repro.tune.online.OnlineTuner` watches every admitted workload
-and explores the tiled and sharded executor configurations the server
+and explores the partitioned executor configurations the server
 runs — but only while the server is completely idle (no admitted
 request in flight, no batch open), so a trial can never delay a
 request.  Promoted winners (bitwise-verified against the incumbent)
 land in the service's shared :class:`~repro.tune.db.TuningDB`; each
 batch then runs on the stored winner for its workload, applied whole:
-its tile shape or shard layout and its worker count reach
+its parts, worker count and temporal block reach
 ``run_parallel`` exactly as the trial ran them.  A stored winner the
 server cannot run as measured (another engine or run backend) is
 ignored.

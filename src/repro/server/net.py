@@ -39,15 +39,34 @@ def interior_checksum(interior: np.ndarray) -> str:
         np.ascontiguousarray(interior).tobytes()).hexdigest()
 
 
+#: seeds the wire accepts: ``[0, SEED_LIMIT)``, the range numpy's
+#: ``default_rng`` takes without wrapping
+SEED_LIMIT = 2 ** 63
+
+
+def _wire_int(name: str, value: Any) -> int:
+    """A wire integer: JSON floats, bools and strings are rejected, not
+    truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ReproError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_request(payload: Dict[str, Any]) -> Tuple[StencilJob, str,
                                                      Optional[float]]:
     try:
         spec = library.get(str(payload["kernel"]))
+        shape = payload["shape"]
+        if not isinstance(shape, list):
+            raise ReproError(f"shape must be a list, got {shape!r}")
+        seed = _wire_int("seed", payload.get("seed", 0))
+        if not 0 <= seed < SEED_LIMIT:
+            raise ReproError(f"seed must be in [0, 2**63), got {seed}")
         job = StencilJob(
             spec,
-            tuple(int(n) for n in payload["shape"]),
-            int(payload.get("steps", 1)),
-            seed=int(payload.get("seed", 0)),
+            tuple(_wire_int("shape entry", n) for n in shape),
+            _wire_int("steps", payload.get("steps", 1)),
+            seed=seed,
             boundary=str(payload.get("boundary", "periodic")),
             value=float(payload.get("value", 0.0)),
         )
@@ -55,7 +74,9 @@ def _parse_request(payload: Dict[str, Any]) -> Tuple[StencilJob, str,
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ReproError(f"malformed request: {exc}") from None
-    tenant = str(payload.get("tenant", "default"))
+    tenant = payload.get("tenant", "default")
+    if not isinstance(tenant, str):
+        raise ReproError(f"tenant must be a string, got {tenant!r}")
     deadline_ms = payload.get("deadline_ms")
     deadline_s = None if deadline_ms is None else float(deadline_ms) / 1e3
     return job, tenant, deadline_s

@@ -4,16 +4,17 @@
 scale goal asks for.  It owns one machine model, one
 :class:`~repro.core.cache.KernelCache` (shared by every compile, so
 repeated and concurrent requests for the same kernel pay for compilation
-once), and an execution configuration for the tiled numpy path:
+once), and an execution configuration for the partitioned numpy path:
 
 * :meth:`compile_many` — deduplicates a batch of compile requests by
   content key and compiles the distinct ones concurrently on a thread
   pool (the SVD and numpy work release the GIL; a lone distinct request
   compiles inline);
 * :meth:`run_many` — dispatches a batch of sweep jobs through
-  :func:`repro.parallel.executor.run_parallel`, each job tiled across the
-  service's workers on the configured backend (thread pool by default,
-  the opt-in process pool for GIL-heavy tiles).
+  :func:`repro.parallel.executor.run_parallel`, each job split into
+  outer-axis parts across the service's workers on the configured
+  backend (thread pool by default, the opt-in process pool for GIL-heavy
+  sweeps).
 
 Usage::
 
@@ -33,7 +34,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import obs
@@ -98,32 +99,27 @@ class CompileRequest:
 @dataclass(frozen=True)
 class SweepJob:
     """One batch-execution job: ``steps`` Jacobi sweeps of ``spec`` over
-    ``grid`` — tiled across the executor by default, or sharded along the
-    outer axis (``shards=N``) with halo exchange every ``temporal_block``
-    sub-steps.  ``workers`` overrides the service's ``run_workers``."""
+    ``grid`` on the partitioned executor — ``parts`` outer-axis parts
+    (default: one per worker, as the grid's size allows) with halo
+    exchange every ``temporal_block`` sub-steps.  ``workers`` overrides
+    the service's ``run_workers``."""
 
     spec: StencilSpec
     grid: Grid
     steps: int
     boundary: str = "periodic"
     value: float = 0.0
-    tile_shape: Optional[Tuple[int, ...]] = field(default=None)
-    shards: Optional[int] = field(default=None)
+    parts: Optional[int] = None
     temporal_block: int = 1
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ReproError("workers must be >= 1")
-        if self.shards is not None and self.tile_shape is not None:
-            raise ReproError(
-                "shards= is mutually exclusive with tile_shape=")
-        if self.shards is not None and self.shards < 1:
-            raise ReproError("shards must be >= 1")
+        if self.parts is not None and self.parts < 1:
+            raise ReproError("parts must be >= 1")
         if self.temporal_block < 1:
             raise ReproError("temporal_block must be >= 1")
-        if self.shards is None and self.temporal_block != 1:
-            raise ReproError("temporal_block requires shards=N")
 
 
 class KernelService:
@@ -310,8 +306,8 @@ class KernelService:
         autotuned winner for its workload: a :class:`~repro.tune.TuningDB`
         hit applies instantly (zero trials), a miss runs the tuner under
         the service's ``tune_budget`` first and stores the winner for next
-        time.  Tuned winners on a non-plan engine (pure numpy/tiled
-        execution) only pin plan options, not the executor."""
+        time.  Tuned winners on a non-plan engine (the partitioned
+        executor) only pin plan options, not the executor."""
         if not isinstance(tune, bool):
             raise ReproError(f"tune must be a bool, got {tune!r}")
         reqs = [r if isinstance(r, CompileRequest) else CompileRequest(*r)
@@ -382,12 +378,12 @@ class KernelService:
 
     # -- execution -------------------------------------------------------------
     def run(self, job: SweepJob) -> Grid:
-        """Execute one sweep job on the tiled parallel executor.
+        """Execute one sweep job on the partitioned parallel executor.
 
         The run is guarded: retried/backed-off per the failure policy,
         and under ``degrade`` it walks the process → thread → serial
-        ladder (``serial`` = one thread-backend worker).  Tiling is
-        bitwise deterministic across backends and worker counts, so the
+        ladder (``serial`` = one thread-backend worker).  The executor
+        is bitwise deterministic across backends and worker counts, so the
         ladder never changes results."""
         degraded: List[Tuple[str, Callable[[], Grid]]] = []
         if self.run_backend == "process":
@@ -410,8 +406,7 @@ class KernelService:
         with obs.span("service.run", kernel=job.spec.name, steps=job.steps):
             result = run_parallel(
                 job.spec, job.grid, job.steps,
-                tile_shape=job.tile_shape,
-                shards=job.shards,
+                parts=job.parts,
                 temporal_block=job.temporal_block,
                 workers=workers,
                 boundary=job.boundary,
@@ -425,7 +420,7 @@ class KernelService:
 
     def run_many(self, jobs: Sequence[Union[SweepJob, Tuple]]) -> List[Grid]:
         """Execute a batch of sweep jobs.  Jobs run one after another,
-        each internally tiled across the service's workers (a job already
+        each internally partitioned across the service's workers (a job already
         saturates them; overlapping jobs would just thrash the pool)."""
         jobs = [j if isinstance(j, SweepJob) else SweepJob(*j) for j in jobs]
         with obs.span("service.run_many", jobs=len(jobs)):

@@ -1,30 +1,35 @@
-"""Sharded multi-process execution with halo exchange and temporal
-blocking.
+"""Sharded execution: outer-axis windows with halo exchange and
+temporal blocking.
 
-The grid is partitioned into contiguous slabs along the outermost axis
-(one per shard); each shard sweeps its slab privately — on the reference
-tap order or the compiled codegen/batch/interp pipeline — and ghost rows
-are exchanged at every synchronization point.  Temporal blocking widens
-the exchanged halo to ``radius * s`` so ``s`` sweeps run per exchange,
-amortizing synchronization the way the temporal-vectorization literature
-amortizes data movement, at the cost of redundant ghost-row
-recomputation the runner meters.
+A shard is one outer-axis part of the partitioned executor
+(:func:`repro.parallel.executor.run_parallel`).  This package holds what
+a part needs when it is shipped as a window instead of swept in place:
+the geometry (:mod:`~repro.shard.plan` — slabs, ``radius * s`` deep
+halos, supersteps), the exchange (:mod:`~repro.shard.exchange` — gather
+a window, scatter a slab) and the window workers
+(:mod:`~repro.shard.worker` — the reference tap order over a shrinking
+collar, or the compiled codegen/interp pipeline).  Temporal blocking
+widens the exchanged halo so ``s`` sweeps run per exchange, amortizing
+synchronization at the cost of redundant ghost-row recomputation the
+executor meters.
 
-Entry points: ``run_parallel(..., shards=N, temporal_block=s)``,
-:meth:`repro.core.kernel.CompiledKernel.run_sharded`,
-``repro run --shards N --temporal-block s``, and the
-:class:`ShardRunner` class for repeated runs over a warm pool.
+Entry points: ``run_parallel(..., parts=N, temporal_block=s)``,
+:func:`run_sharded` (the same call with ``shards=N``),
+:meth:`repro.core.kernel.CompiledKernel.run_sharded` and
+``repro run --shards N --temporal-block s``.
 """
 
+from .exchange import gather_window, scatter_slab
 from .plan import ShardPlan, make_shard_plan
-from .runner import ShardRunner, run_sharded
+from .runner import run_sharded
 from .worker import KernelRecipe, ShardJob
 
 __all__ = [
     "KernelRecipe",
     "ShardJob",
     "ShardPlan",
-    "ShardRunner",
+    "gather_window",
     "make_shard_plan",
     "run_sharded",
+    "scatter_slab",
 ]

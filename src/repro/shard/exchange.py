@@ -1,37 +1,31 @@
 """The halo-exchange protocol: gather windows, scatter slabs.
 
-The parent holds the authoritative grid at every superstep barrier, so
-an "exchange" is parent-mediated: :func:`gather_window` cuts one shard's
-local window — its slab plus ``r0*s`` context rows per side — out of the
+The parent holds the authoritative grid at every barrier, so an
+"exchange" is parent-mediated: :func:`gather_window` cuts one part's
+window — its slab plus ``r0*s`` context rows per side — out of the
 authoritative interior (wrapping around the domain under periodic
 boundaries, clipping to it under dirichlet), and :func:`scatter_slab`
 writes the returned slab back.  Because the parent never hands out live
-views of rows another shard writes, shards cannot race, and because the
-authoritative grid survives the superstep, any failed or killed shard
-can be regathered and recomputed bitwise identically — the checkpoint
-that backs the restart story in :mod:`repro.shard.runner`.
-
-``shard.exchange`` is the gather's fault site (one hit per shard per
-superstep): an injected raise models a lost exchange message, and the
-runner's bounded regather retry is the recovery path chaos verifies.
+views of rows another part writes, parts cannot race, and because the
+authoritative grid survives the barrier, any failed or killed task can
+be recomputed bitwise identically from its window — the checkpoint that
+backs the restart story in :mod:`repro.parallel.executor`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import faults
 from ..stencils.grid import Grid
 from .plan import ShardBounds, ShardPlan
 
 
 def gather_window(grid: Grid, plan: ShardPlan,
                   bounds: ShardBounds) -> np.ndarray:
-    """One shard's local window, copied out of the authoritative
-    interior (full inner-axis rows; the outer axis spans the padded
-    window).  The copy *is* the exchange message: workers never alias
-    the parent's buffers."""
-    faults.fault_point("shard.exchange")
+    """One part's window, copied out of the authoritative interior (full
+    inner-axis rows; the outer axis spans the padded window).  The copy
+    *is* the exchange message: workers never alias the parent's
+    buffers."""
     interior = grid.interior
     lo = bounds.slab.start - bounds.lo_pad
     hi = bounds.slab.stop + bounds.hi_pad
@@ -43,15 +37,6 @@ def gather_window(grid: Grid, plan: ShardPlan,
 
 def scatter_slab(grid: Grid, bounds: ShardBounds,
                  patch: np.ndarray) -> None:
-    """Land one shard's computed slab in the authoritative output grid
-    (disjoint slices per shard, so scatter order cannot matter)."""
+    """Land one part's computed slab in the authoritative output grid
+    (disjoint slices per part, so scatter order cannot matter)."""
     grid.interior[bounds.slab.start:bounds.slab.stop] = patch
-
-
-def window_bytes(bounds: ShardBounds, grid: Grid) -> int:
-    """Exchanged context bytes for one gather: the pad rows only (the
-    slab itself is the shard's own data, not exchange traffic)."""
-    inner = 1
-    for n in grid.shape[1:]:
-        inner *= n
-    return (bounds.lo_pad + bounds.hi_pad) * inner * grid.data.itemsize

@@ -7,10 +7,10 @@ temporal block ``s``.  The deep-halo scheme is the classic ghost-zone
 temporal blocking: each exchange ships ``pad = r0*s`` context rows per
 side, so a shard can advance ``s`` sweeps before the next exchange —
 trading redundant ghost-row recomputation (tracked by
-:meth:`redundant_points`) for ``s``-fold fewer synchronizations, the
+:meth:`ShardPlan.redundant_rows`) for ``s``-fold fewer synchronizations, the
 amortization the temporal-vectorization line of work builds on.
 
-Validity bookkeeping (:meth:`local_geometry` / :meth:`margins`): a
+Validity bookkeeping (:meth:`ShardBounds.margins`): a
 gathered context row is exact at exchange time and loses one ``r0`` band
 of validity per sub-step, so sub-step ``k`` computes the slab plus a
 ``r0*(s-k)`` collar — after ``s`` sub-steps exactly the slab is exact.
@@ -49,6 +49,15 @@ class ShardBounds:
     def extent(self) -> int:
         """Local interior rows: pads + slab."""
         return self.lo_pad + self.slab.rows + self.hi_pad
+
+    def margins(self, radius: int, k: int, s_eff: int) -> Tuple[int, int]:
+        """Rows of the window sub-step ``k`` (1-based) of ``s_eff`` skips
+        from each side: all but ``radius*(s_eff-k)`` pad rows on a
+        neighbor-fed side (validity shrinks one radius per sub-step), 0
+        on a constant-ghost domain edge."""
+        shrink = radius * (s_eff - k)
+        return (0 if self.lo_edge else self.lo_pad - shrink,
+                0 if self.hi_edge else self.hi_pad - shrink)
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,7 @@ class ShardPlan:
 
     # -- accounting ----------------------------------------------------------
     def exchange_rows(self, s_eff: int) -> int:
-        """In-domain context rows gathered across all shards for one
+        """In-domain context rows gathered across all parts for one
         superstep (the exchange traffic, in rows)."""
         total = 0
         for i in range(self.shards):
@@ -124,17 +133,9 @@ class ShardPlan:
                 if full_interior:
                     total += b.lo_pad + b.hi_pad
                     continue
-                m_lo, m_hi = self.margins(b, k, s_eff)
+                m_lo, m_hi = b.margins(self.radius, k, s_eff)
                 total += (b.lo_pad - m_lo) + (b.hi_pad - m_hi)
         return total
-
-    def margins(self, b: ShardBounds, k: int, s_eff: int) -> Tuple[int, int]:
-        """Rows of the local window sub-step ``k`` (1-based) skips from
-        each side: ``r0*k`` on a neighbor-fed side (validity shrinks one
-        radius per sub-step), 0 on a constant-ghost domain edge."""
-        m_lo = 0 if b.lo_edge else b.lo_pad - self.radius * (s_eff - k)
-        m_hi = 0 if b.hi_edge else b.hi_pad - self.radius * (s_eff - k)
-        return (m_lo, m_hi)
 
 
 def make_shard_plan(spec: StencilSpec, shape: Tuple[int, ...], *,

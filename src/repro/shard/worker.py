@@ -1,14 +1,13 @@
-"""Per-shard sweep workers (module-level, picklable, spawn-safe).
+"""Window sweep workers (module-level, picklable, spawn-safe).
 
-A worker receives one shard's local window — the slab plus ``r0*s``
-gathered context rows per side — and advances it ``s`` sub-steps without
-talking to anyone, then returns exactly the slab rows.  Two engines:
+A worker receives one part's window — the slab plus ``r0*s`` gathered
+context rows per side — and advances it ``s`` sub-steps without talking
+to anyone, then returns exactly the slab rows.  Two engines:
 
-* **reference** — shifted-view accumulation in the reference tap order
-  (:mod:`repro.stencils.reference`), computing a collar that shrinks one
-  radius per sub-step (:meth:`~repro.shard.plan.ShardPlan.margins`), so
-  the result is *bitwise* what the serial reference produces for those
-  rows;
+* **reference** — :func:`~repro.parallel.executor.apply_tile` over a
+  collar that shrinks one radius per sub-step
+  (:meth:`~repro.shard.plan.ShardBounds.margins`), so the result is
+  *bitwise* what the serial reference produces for those rows;
 * **program** — the compiled vector pipeline: a local program is lowered
   for the window's geometry (memoized per worker process) and driven by
   :func:`~repro.vectorize.driver.run_program` with its full
@@ -34,9 +33,12 @@ import numpy as np
 
 from .. import faults
 from ..config import MachineConfig
+from ..parallel.executor import apply_tile
 from ..stencils.boundary import fill_halo
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
+from ..tiling.blocks import Tile
+from .plan import ShardBounds
 
 
 @dataclass(frozen=True)
@@ -48,23 +50,18 @@ class KernelRecipe:
     machine: MachineConfig
     time_fusion: int               #: resolved ITM depth (an int, not "auto")
     use_sdf: bool
-    exec_backend: str
+    exec_backend: str              #: SIMD-machine backend of the sweep
 
 
 @dataclass(frozen=True)
 class ShardJob:
-    """One shard-superstep task (picklable; the payload rides separately)."""
+    """One window task (picklable; the window rides separately)."""
 
-    index: int
-    s_eff: int                     #: sub-steps this superstep advances
-    lo_pad: int                    #: in-domain context rows below the slab
-    hi_pad: int                    #: in-domain context rows above the slab
-    lo_edge: bool                  #: low side is a dirichlet domain edge
-    hi_edge: bool
+    bounds: ShardBounds            #: the part's slab and gathered pads
+    s_eff: int                     #: sub-steps this barrier advances
     boundary: str
     value: float
     recipe: Optional[KernelRecipe] = None  #: None = reference engine
-    exec_backend: str = "auto"
 
 
 def _machine_dtype(machine: MachineConfig):
@@ -89,55 +86,23 @@ def _local_program(recipe: KernelRecipe, shape: Tuple[int, ...]):
     return program, halo
 
 
-def _reference_sweep(spec: StencilSpec, job: ShardJob,
-                     payload: np.ndarray) -> np.ndarray:
-    """``s_eff`` shrinking-collar sub-steps in the reference tap order."""
-    cur = Grid.from_array(payload, spec.radius)
+def _collar_sweep(spec: StencilSpec, job: ShardJob, cur: Grid) -> Grid:
+    """``s_eff`` reference sub-steps, each over the rows later sub-steps
+    still need."""
+    b = job.bounds
+    inner = tuple(cur.shape[1:])
     nxt = cur.like()
-    r0 = spec.radius[0]
-    h0 = cur.halo[0]
-    extent = payload.shape[0]
-    inner = tuple(
-        slice(h, h + n) for h, n in zip(cur.halo[1:], cur.shape[1:]))
     for k in range(1, job.s_eff + 1):
         # the halo fill serves double duty: inner-axis ghosts are exact
         # (full rows travel with the window), and the outer-axis ghost is
         # the dirichlet constant on domain-edge sides — neighbor-fed
         # sides never read theirs (the collar keeps reads off it)
         fill_halo(cur, job.boundary, value=job.value)
-        shrink = r0 * (job.s_eff - k)
-        m_lo = 0 if job.lo_edge else job.lo_pad - shrink
-        m_hi = 0 if job.hi_edge else job.hi_pad - shrink
-        lo = h0 + m_lo
-        hi = h0 + extent - m_hi
-        dst = nxt.data[(slice(lo, hi),) + inner]
-        dst.fill(0.0)
-        for off, c in zip(spec.offsets, spec.coeffs):
-            sl = (slice(lo + off[0], hi + off[0]),) + tuple(
-                slice(h + o, h + o + n)
-                for h, n, o in zip(cur.halo[1:], cur.shape[1:], off[1:]))
-            np.add(dst, c * cur.data[sl], out=dst)
+        m_lo, m_hi = b.margins(spec.radius[0], k, job.s_eff)
+        apply_tile(spec, cur, nxt, Tile((m_lo,) + (0,) * len(inner),
+                                        (b.extent - m_hi,) + inner))
         cur, nxt = nxt, cur
-    slab = extent - job.lo_pad - job.hi_pad
-    return np.ascontiguousarray(
-        cur.interior[job.lo_pad:job.lo_pad + slab])
-
-
-def _program_sweep(job: ShardJob, payload: np.ndarray) -> np.ndarray:
-    """``s_eff`` sub-steps through the compiled pipeline on the local
-    window (codegen preferred, full degradation ladder)."""
-    program, halo = _local_program(job.recipe, payload.shape)
-    grid = Grid.from_array(payload, halo)
-    out = run_program_local(program, grid, job)
-    slab = payload.shape[0] - job.lo_pad - job.hi_pad
-    return np.ascontiguousarray(
-        out.interior[job.lo_pad:job.lo_pad + slab])
-
-
-def run_program_local(program, grid: Grid, job: ShardJob) -> Grid:
-    from ..vectorize.driver import run_program
-    return run_program(program, grid, job.s_eff, boundary=job.boundary,
-                       value=job.value, backend=job.exec_backend)
+    return cur
 
 
 def run_shard_task(spec: StencilSpec, task: Tuple[ShardJob, np.ndarray],
@@ -148,6 +113,13 @@ def run_shard_task(spec: StencilSpec, task: Tuple[ShardJob, np.ndarray],
     job, payload = task
     for action in actions:
         faults.perform_shipped(action)
-    if job.recipe is not None:
-        return _program_sweep(job, payload)
-    return _reference_sweep(spec, job, payload)
+    if job.recipe is None:
+        out = _collar_sweep(spec, job, Grid.from_array(payload, spec.radius))
+    else:
+        from ..vectorize.driver import run_program
+        program, halo = _local_program(job.recipe, payload.shape)
+        out = run_program(program, Grid.from_array(payload, halo), job.s_eff,
+                          boundary=job.boundary, value=job.value,
+                          backend=job.recipe.exec_backend)
+    lo = job.bounds.lo_pad
+    return np.ascontiguousarray(out.interior[lo:lo + job.bounds.slab.rows])

@@ -8,9 +8,7 @@
   executable 1-D (two phases: triangles + inverted triangles) and 2-D
   (four phases: cores, seam wedges, corners) implementations with no
   redundant computation, plus the phase/traffic accounting used for N-D
-  cost modelling;
-* :mod:`repro.tiling.schedule` — tile schedules consumed by the parallel
-  executor and the multicore model.
+  cost modelling.
 """
 
 from .blocks import BlockPartition, Tile, partition, tile_working_set
@@ -22,7 +20,6 @@ from .tessellate import (
     tessellate_nd,
     tessellation_plan,
 )
-from .schedule import TileSchedule, build_schedule
 
 __all__ = [
     "BlockPartition",
@@ -35,6 +32,4 @@ __all__ = [
     "tessellate_grid",
     "tessellate_nd",
     "tessellation_plan",
-    "TileSchedule",
-    "build_schedule",
 ]

@@ -4,7 +4,7 @@ persistent tuning database.
 The planner (:mod:`repro.core.planner`) hard-codes the paper's §4.3–§4.4
 deployment policy; this subsystem instead *searches* the repo's real
 configuration space — plan variants (ITM depth, SDF on/off), SIMD-machine
-execution backends, tile schedules and worker counts — per workload, and
+execution backends, executor parts and worker counts — per workload, and
 remembers every winner:
 
 * :mod:`~repro.tune.space` — legal-configuration enumeration;

@@ -3,10 +3,10 @@
 **Stage 1 — model guidance.**  Every candidate gets a score from the
 analytic layer the repo already trusts: plan-aware engines are costed by
 :class:`~repro.machine.perfmodel.PerformanceModel` on the program the
-kernel cache lowers for the actual workload geometry, and tiled
+kernel cache lowers for the actual workload geometry, and parallel
 configurations by :class:`~repro.parallel.simulator.MulticoreModel` with
-the candidate's blocking.  Because the analytic models predict
-*hypothetical hardware* throughput while trials measure *Python
+the candidate's cores and temporal block.  Because the analytic models
+predict *hypothetical hardware* throughput while trials measure *Python
 wall-clock*, scores are scaled by per-engine wall-clock priors (codegen
 execution ≈20× the interpreter per ``benchmarks/bench_machine.py``; the
 numpy paths orders of magnitude beyond both).  The priors only order
@@ -39,7 +39,7 @@ from ..core.kernel import CompiledKernel
 from ..errors import ReproError, TuneError
 from ..faults import failure_reason
 from ..machine.perfmodel import PerformanceModel
-from ..parallel.executor import run_parallel
+from ..parallel.executor import MIN_PART_POINTS, run_parallel
 from ..parallel.simulator import MulticoreModel, ParallelSetup
 from ..schemes import generate as generate_scheme
 from ..schemes import model_cost, model_program, scheme_halo
@@ -59,8 +59,7 @@ WALLCLOCK_PRIORS: Dict[str, float] = {
     "scheme/auto": 20.0,
     "scheme/codegen": 20.0,
     "numpy": 400.0,
-    "tiled": 400.0,
-    "shard": 400.0,
+    "parallel": 400.0,
 }
 
 
@@ -191,19 +190,15 @@ def model_score(
                                  points=points,
                                  steps=trial_steps(config, steps))
             return est.gstencil_s * prior
-        if config.engine == "shard":
-            est = MulticoreModel(machine).estimate(
-                model_cost("jigsaw", spec, machine), spec,
-                points=points, steps=steps,
-                cores=min(config.shards, machine.total_cores),
-                setup=ParallelSetup(time_depth=config.temporal_block),
-            )
-            return est.gstencil_s * prior
+        # credit at most one core per MIN_PART_POINTS points, the floor
+        # the executor's own default partition uses: smaller parts cost
+        # more in dispatch than they gain in parallel sweep time
+        cores = min(config.parts, config.workers, machine.total_cores,
+                    max(1, points // MIN_PART_POINTS))
         est = MulticoreModel(machine).estimate(
             model_cost("jigsaw", spec, machine), spec,
-            points=points, steps=steps,
-            cores=min(config.workers, machine.total_cores),
-            setup=ParallelSetup(tile_shape=config.tile_shape),
+            points=points, steps=steps, cores=cores,
+            setup=ParallelSetup(time_depth=config.temporal_block),
         )
         return est.gstencil_s * prior
     except ReproError:
@@ -337,7 +332,7 @@ def measure(
             def run_once() -> None:
                 run_program(program, grid, steps_eff, boundary=boundary,
                             backend=config.exec_backend)
-        else:  # tiled or shard
+        else:  # parallel
             grid = Grid.random(shape, spec.radius, seed=seed, dtype=dtype)
 
             def run_once() -> None:

@@ -6,7 +6,7 @@ cannot afford that.  :class:`OnlineTuner` instead runs the bandit-style
 explore/exploit split production autotuners use:
 
 * **Serving always uses the incumbent** — the served default (the
-  default tile for the shape on the service's ``run_workers`` and
+  default parts for the shape on the service's ``run_workers`` and
   ``run_backend``) until the shared :class:`~repro.tune.db.TuningDB`
   has a winner the server can run, then that winner.  No request ever
   waits on a trial.
@@ -17,7 +17,7 @@ explore/exploit split production autotuners use:
   :class:`~repro.server.core.StencilServer` wires this to "no admitted
   request is in flight and no batch is open".
 * **The space is what the server executes**: the :data:`ONLINE_ENGINES`
-  (tiled and sharded :func:`~repro.parallel.executor.run_parallel`) of
+  (the partitioned :func:`~repro.parallel.executor.run_parallel`) of
   the offline search space (:func:`~repro.tune.space.enumerate_space`)
   on the service's own ``run_backend``.  Candidates are chosen
   epsilon-greedily:
@@ -32,8 +32,8 @@ explore/exploit split production autotuners use:
   to the incumbent on a seeded verification sweep.  Winners land in the
   shared database through :meth:`TuningDB.promote` (per-writer delta
   files — concurrent promoters cannot lose updates).  The server
-  applies a winner whole — its tile shape or shard layout and its
-  worker count, exactly as the trial ran it
+  applies a winner whole — its parts, worker count and temporal block,
+  exactly as the trial ran them
   (:meth:`~repro.tune.space.TuneConfig.run_kwargs`).
 
 Everything lands under the ``tune.online.*`` obs taxonomy and in
@@ -52,16 +52,16 @@ import numpy as np
 
 from .. import obs
 from ..errors import ReproError, TuneError
-from ..parallel.executor import default_tile, run_parallel
+from ..parallel.executor import default_parts, run_parallel
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
 from .db import TuningRecord, workload_key
 from .engine import Trial, TuneBudget, measure, rank_candidates
 from .space import TuneConfig, enumerate_space
 
-#: the engines the online space explores: exactly the executors the
-#: server runs (tiles or shards through ``run_parallel``)
-ONLINE_ENGINES: Tuple[str, ...] = ("tiled", "shard")
+#: the engines the online space explores: exactly the executor the
+#: server runs (``run_parallel``)
+ONLINE_ENGINES: Tuple[str, ...] = ("parallel",)
 
 
 @dataclass(frozen=True)
@@ -241,11 +241,11 @@ class OnlineTuner:
                 and config.run_backend == self.service.run_backend)
 
     def served_default(self, shape: Sequence[int]) -> TuneConfig:
-        """What the server runs without a winner: the default tile on
+        """What the server runs without a winner: the default parts on
         ``run_workers`` workers and the service's run backend."""
         workers = self.service.run_workers
-        return TuneConfig(engine="tiled",
-                          tile_shape=default_tile(tuple(shape), workers),
+        return TuneConfig(engine="parallel",
+                          parts=default_parts(tuple(shape), workers),
                           workers=workers,
                           run_backend=self.service.run_backend)
 
@@ -472,8 +472,8 @@ class OnlineTuner:
         the incumbent serves, exactly, on a seeded verification sweep.
 
         Both run through :func:`~repro.parallel.executor.run_parallel`,
-        which is bitwise-invariant across tile shapes, worker counts,
-        shard counts and temporal blocks by design — so any difference
+        which is bitwise-invariant across part counts, worker counts,
+        temporal blocks and backends by design — so any difference
         means a broken configuration, and it is never promoted."""
         try:
             want = self._run_config(state, state.incumbent)

@@ -3,7 +3,7 @@ for one workload.
 
 A workload is ``(StencilSpec, MachineConfig, interior shape)``; a
 configuration (:class:`TuneConfig`) is one complete way to execute sweeps
-of it.  Three execution engines exist today:
+of it.  Four execution engines exist today:
 
 * ``"machine"`` — the cycle-exact SIMD machine
   (:meth:`repro.core.kernel.CompiledKernel.run`), parameterized by the
@@ -12,13 +12,10 @@ of it.  Three execution engines exist today:
 * ``"numpy"`` — the fused/flattened numpy fast path
   (:meth:`~repro.core.kernel.CompiledKernel.run_numpy`), parameterized by
   the plan only;
-* ``"tiled"`` — the parallel tile executor
+* ``"parallel"`` — the outer-axis partitioned executor
   (:func:`repro.parallel.executor.run_parallel`), parameterized by the
-  tile shape (from the :mod:`repro.tiling` ladder), the worker count and
-  the executor backend;
-* ``"shard"`` — the sharded outer-axis executor
-  (:mod:`repro.shard`), parameterized by the shard count, the temporal
-  block (sub-steps per halo exchange) and the executor backend;
+  part count, the worker count, the temporal block (sub-steps per halo
+  exchange) and the executor backend;
 * ``"scheme"`` — a named registry scheme
   (:func:`repro.schemes.generate` + the program driver), parameterized by
   the scheme name, the vertical fusion depth (``temporal`` only) and the
@@ -28,8 +25,8 @@ of it.  Three execution engines exist today:
 
 :func:`enumerate_space` rejects illegal points up front — an ITM depth
 the butterfly window cannot cover (:func:`repro.core.itm.fusable`), a
-machine-engine x extent below one vector block, a tile that does not fit
-the grid — so the search engine never wastes a trial on a configuration
+machine-engine x extent below one vector block, more parts than outer
+rows — so the search engine never wastes a trial on a configuration
 that cannot run.
 """
 
@@ -44,16 +41,19 @@ from ..core.itm import fusable
 from ..errors import ReproError, TuneError
 from ..parallel.executor import BACKENDS as RUN_BACKENDS
 from ..stencils.spec import StencilSpec
-from ..tuning import candidate_tiles
 from ..vectorize.driver import EXEC_BACKENDS
 
 #: the execution engines a configuration can select.
-ENGINES: Tuple[str, ...] = ("machine", "numpy", "tiled", "shard", "scheme")
+ENGINES: Tuple[str, ...] = ("machine", "numpy", "parallel", "scheme")
 
 #: ITM depths the space considers (filtered by :func:`fusable` per spec).
 FUSION_LADDER: Tuple[int, ...] = (1, 2, 4)
 
-#: temporal-block depths the shard engine considers (sub-steps per halo
+#: outer-axis part counts the parallel engine considers (more parts than
+#: workers can win: smaller parts stay cache-resident).
+PARTS_LADDER: Tuple[int, ...] = (1, 2, 4, 8, 16)
+
+#: temporal-block depths the parallel engine considers (sub-steps per halo
 #: exchange; deeper blocks trade redundant ghost rows for fewer barriers).
 TEMPORAL_LADDER: Tuple[int, ...] = (1, 2, 4)
 
@@ -80,11 +80,10 @@ class TuneConfig:
     time_fusion: int = 1
     use_sdf: bool = True
     exec_backend: str = "auto"             #: machine + scheme engines
-    tile_shape: Optional[Tuple[int, ...]] = None  #: tiled engine only
-    workers: int = 1                        #: tiled engine only
-    run_backend: str = "thread"             #: tiled + shard engines
-    shards: int = 1                         #: shard engine only
-    temporal_block: int = 1                 #: shard engine only
+    parts: int = 1                          #: parallel engine only
+    workers: int = 1                        #: parallel engine only
+    temporal_block: int = 1                 #: parallel engine only
+    run_backend: str = "thread"             #: parallel engine only
     scheme: Optional[str] = None            #: scheme engine only
     scheme_fusion: int = 1                  #: scheme engine, temporal only
 
@@ -120,23 +119,12 @@ class TuneConfig:
             raise TuneError(
                 f"unknown run backend {self.run_backend!r}; "
                 f"known: {RUN_BACKENDS}")
-        if self.workers < 1:
-            raise TuneError("workers must be >= 1")
-        if self.engine == "tiled":
-            if self.tile_shape is None:
-                raise TuneError("tiled configurations need a tile_shape")
-            object.__setattr__(
-                self, "tile_shape",
-                tuple(int(t) for t in self.tile_shape))
-        if self.tile_shape is not None and any(
-                t < 1 for t in self.tile_shape):
-            raise TuneError("tile extents must be >= 1")
-        if self.shards < 1:
-            raise TuneError("shards must be >= 1")
-        if self.temporal_block < 1:
-            raise TuneError("temporal_block must be >= 1")
-        if self.engine != "shard" and self.temporal_block != 1:
-            raise TuneError("temporal_block is a shard-engine field")
+        layout = (self.parts, self.workers, self.temporal_block)
+        if min(layout) < 1:
+            raise TuneError("parts, workers and temporal_block must be >= 1")
+        if self.engine != "parallel" and layout != (1, 1, 1):
+            raise TuneError(
+                "parts, workers and temporal_block are parallel-engine fields")
 
     # -- identity --------------------------------------------------------------
     @property
@@ -147,17 +135,11 @@ class TuneConfig:
 
     def as_dict(self) -> Dict[str, Any]:
         """Canonical JSON content: engine-relevant fields only."""
-        if self.engine == "tiled":
+        if self.engine == "parallel":
             return {
                 "engine": self.engine,
-                "tile_shape": list(self.tile_shape),
+                "parts": self.parts,
                 "workers": self.workers,
-                "run_backend": self.run_backend,
-            }
-        if self.engine == "shard":
-            return {
-                "engine": self.engine,
-                "shards": self.shards,
                 "temporal_block": self.temporal_block,
                 "run_backend": self.run_backend,
             }
@@ -185,16 +167,13 @@ class TuneConfig:
         if not isinstance(payload, dict):
             raise TuneError("configuration payload is not an object")
         known = {"engine", "time_fusion", "use_sdf", "exec_backend",
-                 "tile_shape", "workers", "run_backend", "shards",
-                 "temporal_block", "scheme", "scheme_fusion"}
+                 "parts", "workers", "temporal_block", "run_backend",
+                 "scheme", "scheme_fusion"}
         unknown = set(payload) - known
         if unknown:
             raise TuneError(f"unknown configuration fields {sorted(unknown)}")
-        kwargs = dict(payload)
-        if "tile_shape" in kwargs and kwargs["tile_shape"] is not None:
-            kwargs["tile_shape"] = tuple(int(t) for t in kwargs["tile_shape"])
         try:
-            return cls(**kwargs)
+            return cls(**payload)
         except (TypeError, ValueError) as exc:
             raise TuneError(f"malformed configuration: {exc}") from None
 
@@ -216,22 +195,16 @@ class TuneConfig:
     def run_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments for
         :func:`~repro.parallel.executor.run_parallel` (and
-        :class:`~repro.service.SweepJob`) that execute a tiled or shard
-        configuration; a shard run takes one worker per shard."""
-        if self.engine == "shard":
-            return {"shards": self.shards,
-                    "temporal_block": self.temporal_block,
-                    "workers": self.shards}
-        return {"tile_shape": self.tile_shape, "workers": self.workers}
+        :class:`~repro.service.SweepJob`) that execute a parallel
+        configuration."""
+        return {"parts": self.parts, "workers": self.workers,
+                "temporal_block": self.temporal_block}
 
     def label(self) -> str:
         """Compact human-readable form for tables and logs."""
-        if self.engine == "tiled":
-            tile = "x".join(map(str, self.tile_shape))
-            return f"tiled[{tile}] w={self.workers} {self.run_backend}"
-        if self.engine == "shard":
-            return (f"shard[{self.shards}] s={self.temporal_block} "
-                    f"{self.run_backend}")
+        if self.engine == "parallel":
+            return (f"parallel[{self.parts}] w={self.workers} "
+                    f"s={self.temporal_block} {self.run_backend}")
         if self.engine == "scheme":
             depth = (f" s={self.scheme_fusion}"
                      if self.scheme_fusion > 1 else "")
@@ -244,7 +217,7 @@ class TuneConfig:
 
 def worker_ladder(limit: Optional[int] = None) -> List[int]:
     """1, 2, 4, ... up to ``limit`` (default: the host's CPU count,
-    capped at 8 — beyond that the GIL-bound tile dispatch stops scaling)."""
+    capped at 8 — beyond that the GIL-bound part dispatch stops scaling)."""
     cap = limit if limit is not None else min(os.cpu_count() or 4, 8)
     out = [1]
     w = 2
@@ -274,7 +247,6 @@ def enumerate_space(
     exec_backends: Sequence[str] = ("auto", "interp"),
     run_backends: Sequence[str] = ("thread",),
     max_workers: Optional[int] = None,
-    tile_options_per_axis: int = 3,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
 ) -> List[TuneConfig]:
     """All legal configurations for ``spec`` over an interior ``shape``.
@@ -287,8 +259,8 @@ def enumerate_space(
     to ``auto`` and would only duplicate trial points.  ``schemes`` names the registry
     schemes the scheme engine enumerates (default
     :data:`DEFAULT_SCHEMES`).  Illegal points never appear: infeasible
-    ITM depths, machine-engine x extents below one ``2W`` block, tiles
-    exceeding the grid, temporal fusion depths the radius cannot support,
+    ITM depths, machine-engine x extents below one ``2W`` block, more
+    parts than outer rows, temporal fusion depths the radius cannot support,
     and redundancy elimination on specs without shifted-column sharing
     are all rejected here.
     """
@@ -339,30 +311,19 @@ def enumerate_space(
             for use_sdf in (True, False):
                 add(TuneConfig(engine="numpy", time_fusion=depth,
                                use_sdf=use_sdf))
-    if "tiled" in engines:
-        tiles = candidate_tiles(shape, per_axis_limit=tile_options_per_axis)
-        for tile in tiles:
-            if any(t > n for t, n in zip(tile, shape)):
-                continue  # a tile larger than the grid cannot partition it
-            for workers in worker_ladder(max_workers):
-                for backend in run_backends:
-                    add(TuneConfig(engine="tiled", tile_shape=tile,
-                                   workers=workers, run_backend=backend))
-    if "shard" in engines:
-        # 1 shard duplicates the serial engines; the outer extent bounds
-        # the partition (one row per shard at least).  The ladder follows
-        # the *modeled* machine, not the host: shard workers are whole
-        # processes doing numpy sweeps (not GIL-bound tile dispatch), and
-        # the tuner ranks configurations for the target machine.
-        shard_cap = (max_workers if max_workers is not None
-                     else min(machine.total_cores, 8))
-        for shards in worker_ladder(shard_cap):
-            if shards == 1 or shards > shape[0]:
+    if "parallel" in engines:
+        # one part runs no windows, so deeper blocks only pay for copies
+        for parts in PARTS_LADDER:
+            if parts > shape[0]:
                 continue
-            for s in TEMPORAL_LADDER:
-                for backend in run_backends:
-                    add(TuneConfig(engine="shard", shards=shards,
-                                   temporal_block=s, run_backend=backend))
+            for workers in worker_ladder(max_workers):
+                if workers > parts:
+                    continue
+                for s in TEMPORAL_LADDER if parts > 1 else (1,):
+                    for backend in run_backends:
+                        add(TuneConfig(engine="parallel", parts=parts,
+                                       workers=workers, temporal_block=s,
+                                       run_backend=backend))
     if "scheme" in engines:
         from ..schemes import scheme_block, scheme_halo
         from ..vectorize.redundancy import has_sharing
@@ -401,6 +362,7 @@ __all__ = [
     "DEFAULT_SCHEMES",
     "ENGINES",
     "FUSION_LADDER",
+    "PARTS_LADDER",
     "SCHEME_FUSION_LADDER",
     "TEMPORAL_LADDER",
     "TuneConfig",

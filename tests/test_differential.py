@@ -412,15 +412,14 @@ def test_executor_fault_recovery_never_changes_results(rules, seed):
     spec = star(2, 1, center=0.5, arm=[0.125], name="chaos-probe")
     grid = Grid.random((24, 32), spec.radius, seed=seed)
     for backend in ("thread", "process"):
-        clean = run_parallel(spec, grid, 2, workers=3, tile_shape=(8, 32),
+        clean = run_parallel(spec, grid, 2, workers=3, parts=3,
                              backend=backend)
         # retry budget covers the worst case of every fault landing on
-        # one tile (3 rules x times<=2 = 6 faults < 7 attempts)
+        # one part (3 rules x times<=2 = 6 faults < 7 attempts)
         with pytest.MonkeyPatch.context() as mp, \
                 inject(FaultPlan(rules=tuple(rules), seed=seed)):
             mp.setattr(executor, "TASK_RETRIES", 6)
-            faulted = run_parallel(spec, grid, 2, workers=3,
-                                   tile_shape=(8, 32),
+            faulted = run_parallel(spec, grid, 2, workers=3, parts=3,
                                    backend=backend)
         assert np.array_equal(clean.data, faulted.data), (
             f"{backend}: fault recovery diverged bitwise "
@@ -502,7 +501,7 @@ def test_sharded_matches_serial_bitwise(spec, shards, temporal_block,
 shard_fault_rules = st.lists(
     st.builds(
         FaultRule,
-        site=st.sampled_from(("shard.exchange", "pool.task_start")),
+        site=st.sampled_from(("tile.sweep", "pool.task_start")),
         kind=st.sampled_from(("raise", "delay")),
         after=st.integers(min_value=0, max_value=5),
         times=st.integers(min_value=1, max_value=2),
@@ -515,16 +514,16 @@ shard_fault_rules = st.lists(
 @given(rules=shard_fault_rules,
        seed=st.integers(min_value=0, max_value=2**16))
 def test_shard_fault_recovery_never_changes_results(rules, seed):
-    """Random fault plans over the shard runner's sites — a lost halo
-    exchange (regathered from the superstep checkpoint) or a failed shard
-    task (recomputed in the parent) — must leave the sharded sweep
-    bitwise identical to the clean run."""
+    """Random fault plans over the window path's sites — a failed window
+    sweep or a failed task start (both recomputed in the parent from the
+    gathered window) — must leave the sharded sweep bitwise identical to
+    the clean run."""
     from repro.shard import run_sharded
     spec = star(2, 1, center=0.5, arm=[0.125], name="shard-chaos-probe")
     grid = Grid.random((18, 24), spec.radius, seed=seed)
     clean = run_sharded(spec, grid, 4, shards=3, temporal_block=2)
     # 3 rules x times<=2 = 6 faults; TASK_RETRIES=6 bounds the worst case
-    # of every fault landing on one shard's gather or task
+    # of every fault landing on one shard's task
     with pytest.MonkeyPatch.context() as mp, \
             inject(FaultPlan(rules=tuple(rules), seed=seed)):
         mp.setattr(executor, "TASK_RETRIES", 6)

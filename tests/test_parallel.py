@@ -10,7 +10,7 @@ from repro.config import AMD_EPYC_7V13, GENERIC_AVX2, INTEL_XEON_6230R
 from repro.errors import ModelError, TilingError
 from repro.faults import FaultPlan, FaultRule, inject
 from repro.parallel import executor
-from repro.parallel.executor import (MIN_TILE_POINTS, default_tile,
+from repro.parallel.executor import (MIN_PART_POINTS, default_parts,
                                      pool_context, run_parallel)
 from repro.parallel.simulator import MulticoreModel, ParallelSetup
 from repro.parallel.topology import (allocate_cores, partition_axis,
@@ -20,7 +20,6 @@ from repro.shard import run_sharded
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 from repro.stencils.library import table3_config
-from repro.tiling.schedule import build_schedule
 
 
 class TestTopology:
@@ -210,15 +209,14 @@ class TestExecutor:
         spec = library.get(kernel)
         shape = (16,) * spec.ndim
         g = Grid.random(shape, spec.radius, seed=1)
-        got = run_parallel(spec, g, 3, workers=4,
-                           tile_shape=(8,) * spec.ndim)
+        got = run_parallel(spec, g, 3, workers=4, parts=4)
         ref = apply_steps(spec, g, 3)
         assert np.allclose(got.interior, ref.interior, rtol=1e-12, atol=1e-14)
 
     def test_dirichlet(self):
         spec = library.get("heat-2d")
         g = Grid.random((16, 16), 1, seed=2)
-        got = run_parallel(spec, g, 2, workers=2, tile_shape=(8, 8),
+        got = run_parallel(spec, g, 2, workers=2, parts=2,
                            boundary="dirichlet", value=0.5)
         ref = apply_steps(spec, g, 2, boundary="dirichlet", value=0.5)
         assert np.allclose(got.interior, ref.interior, rtol=1e-12)
@@ -227,14 +225,6 @@ class TestExecutor:
         spec = library.get("heat-2d")
         g = Grid.random((16, 16), 1, seed=3)
         got = run_parallel(spec, g, 2, workers=4)
-        ref = apply_steps(spec, g, 2)
-        assert np.allclose(got.interior, ref.interior, rtol=1e-12)
-
-    def test_custom_schedule(self):
-        spec = library.get("heat-2d")
-        g = Grid.random((16, 16), 1, seed=4)
-        sched = build_schedule((16, 16), (8, 8), time_depth=2)
-        got = run_parallel(spec, g, 2, workers=2, schedule=sched)
         ref = apply_steps(spec, g, 2)
         assert np.allclose(got.interior, ref.interior, rtol=1e-12)
 
@@ -252,11 +242,17 @@ class TestExecutor:
             run_parallel(spec, g, -1)
         with pytest.raises(TilingError):
             run_parallel(spec, g, 1, workers=0)
+        with pytest.raises(TilingError):
+            run_parallel(spec, g, 1, parts=0)
+        with pytest.raises(TilingError):
+            run_parallel(spec, g, 1, parts=33)  # more parts than rows
+        with pytest.raises(TilingError):
+            run_parallel(spec, g, 1, temporal_block=0)
 
 
 class TestDefaultTiling:
-    """The default tile count follows grid points: a small grid is one
-    tile, swept inline without a pool, and a large one still splits
+    """The default part count follows grid points: a small grid is one
+    part, swept inline without a pool, and a large one still splits
     across the workers."""
 
     SPEC = library.get("heat-2d")
@@ -264,15 +260,16 @@ class TestDefaultTiling:
     @pytest.fixture()
     def no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a one-tile run built a thread pool")
+            raise AssertionError("a one-part run built a thread pool")
 
         monkeypatch.setattr(executor, "ThreadPoolExecutor", refuse)
 
     def test_tile_count_follows_grid_points(self):
-        assert default_tile((32, 32), 4) == (32, 32)
-        assert default_tile((1024, 1024), 2) == (512, 1024)
-        assert default_tile((2 * MIN_TILE_POINTS,), 8) == (MIN_TILE_POINTS,)
-        assert default_tile((3,), 4) == (3,)
+        assert default_parts((32, 32), 4) == 1
+        assert default_parts((1024, 1024), 2) == 2
+        assert default_parts((2 * MIN_PART_POINTS,), 8) == 2
+        assert default_parts((3,), 4) == 1
+        assert default_parts((3, 2 * MIN_PART_POINTS), 8) == 3  # one a row
 
     def test_small_grid_runs_inline_bitwise(self, no_pool):
         g = Grid.random((32, 32), 1, seed=13)
@@ -313,9 +310,9 @@ class TestDefaultTiling:
 
 
 class TestExecutorDeterminism:
-    """run_parallel must be bitwise deterministic: tiles are independent
-    and land in disjoint output slices, so worker count and backend can
-    never change a single bit of the result."""
+    """run_parallel must be bitwise deterministic: parts are independent
+    and land in disjoint output slabs, so part count, worker count and
+    backend can never change a single bit of the result."""
 
     SPEC = library.get("heat-2d")
 
@@ -325,29 +322,29 @@ class TestExecutorDeterminism:
     def test_worker_count_bitwise_identical(self):
         g = self._grid()
         a = run_parallel(self.SPEC, g, 3, workers=1)
-        b = run_parallel(self.SPEC, g, 3, workers=8, tile_shape=(6, 48))
+        b = run_parallel(self.SPEC, g, 3, workers=8, parts=8)
         assert np.array_equal(a.data, b.data)
 
     def test_thread_vs_process_backend_bitwise_identical(self):
         g = self._grid(seed=8)
         a = run_parallel(self.SPEC, g, 2, workers=4, backend="thread",
-                         tile_shape=(12, 48))
+                         parts=4)
         b = run_parallel(self.SPEC, g, 2, workers=4, backend="process",
-                         tile_shape=(12, 48))
+                         parts=4)
         assert np.array_equal(a.data, b.data)
 
     def test_process_backend_worker_count_bitwise_identical(self):
         g = self._grid(seed=9)
         a = run_parallel(self.SPEC, g, 2, workers=1, backend="process")
         b = run_parallel(self.SPEC, g, 2, workers=4, backend="process",
-                         tile_shape=(12, 48))
+                         parts=4)
         assert np.array_equal(a.data, b.data)
 
     def test_process_backend_matches_reference(self):
         spec = library.get("box-2d9p")
         g = Grid.random((32, 32), 1, seed=10)
         got = run_parallel(spec, g, 2, workers=3, backend="process",
-                           tile_shape=(11, 32))
+                           parts=3)
         ref = apply_steps(spec, g, 2)
         assert np.allclose(got.interior, ref.interior, rtol=1e-12)
 
@@ -365,9 +362,9 @@ class TestExecutorDeterminism:
         spec = library.get("heat-3d")
         g = Grid.random((12, 12, 12), 1, seed=12)
         a = run_parallel(spec, g, 2, workers=4, backend="thread",
-                         tile_shape=(4, 12, 12))
+                         parts=3)
         b = run_parallel(spec, g, 2, workers=4, backend="process",
-                         tile_shape=(4, 12, 12))
+                         parts=3)
         assert np.array_equal(a.data, b.data)
 
 
@@ -375,43 +372,44 @@ POOL_SPEC = library.get("heat-2d")
 POOL_GRID = Grid.random((12, 16), 1, seed=21)
 
 
-def _pool_tiles() -> Grid:
-    """3 tiles x 2 steps = 6 process-pool tasks."""
-    return run_parallel(POOL_SPEC, POOL_GRID, 2, workers=2,
-                        tile_shape=(4, 16), backend="process")
+def _pool_parts() -> Grid:
+    """3 parts x 2 steps = 6 process-pool tasks at temporal block 1."""
+    return run_parallel(POOL_SPEC, POOL_GRID, 2, workers=2, parts=3,
+                        backend="process")
 
 
 def _pool_shards() -> Grid:
-    """2 shards x 2 supersteps = 4 process-pool tasks."""
+    """2 shards x 2 supersteps = 4 process-pool tasks at temporal
+    block 2."""
     return run_sharded(POOL_SPEC, POOL_GRID, 4, shards=2, temporal_block=2,
                        executor="process")
 
 
-#: each pool caller's counter prefix -> (run, task count)
-POOL_CALLERS = {"parallel": (_pool_tiles, 6), "shard": (_pool_shards, 4)}
-EVERY_TASK = [(prefix, k) for prefix, (_, n) in POOL_CALLERS.items()
+#: each pool entry point -> (run, task count)
+POOL_CALLERS = {"parallel": (_pool_parts, 6), "shard": (_pool_shards, 4)}
+EVERY_TASK = [(caller, k) for caller, (_, n) in POOL_CALLERS.items()
               for k in range(n)]
 
 
 class TestSupervisedPool:
-    """Both pool callers recover a fault at every task index of a small
+    """Both entry points recover a fault at every task index of a small
     process-backend run: a killed worker costs exactly one pool restart,
     a raising task exactly one in-parent recompute, and neither changes
     a bit of the result."""
 
     @pytest.fixture(scope="class")
     def clean(self):
-        return {prefix: run().interior.copy()
-                for prefix, (run, _) in POOL_CALLERS.items()}
+        return {caller: run().interior.copy()
+                for caller, (run, _) in POOL_CALLERS.items()}
 
     @staticmethod
-    def _faulted(prefix, kind, k):
+    def _faulted(caller, kind, k):
         rule = FaultRule("pool.task_start", kind=kind, after=k, times=1)
         was = obs.enabled()
         obs.enable(reset=True)
         try:
             with inject(FaultPlan(rules=(rule,), seed=0)) as inj:
-                out = POOL_CALLERS[prefix][0]()
+                out = POOL_CALLERS[caller][0]()
             counters = obs.snapshot()["metrics"]["counters"]
         finally:
             if not was:
@@ -420,19 +418,19 @@ class TestSupervisedPool:
         assert inj.injected_by_site() == {"pool.task_start": 1}
         return out, counters
 
-    @pytest.mark.parametrize("prefix,k", EVERY_TASK)
-    def test_kill_at_every_task_index(self, clean, prefix, k):
-        out, counters = self._faulted(prefix, "kill", k)
-        assert np.array_equal(out.interior, clean[prefix])
-        assert counters.get(f"{prefix}.pool_restarts") == 1
+    @pytest.mark.parametrize("caller,k", EVERY_TASK)
+    def test_kill_at_every_task_index(self, clean, caller, k):
+        out, counters = self._faulted(caller, "kill", k)
+        assert np.array_equal(out.interior, clean[caller])
+        assert counters.get("parallel.pool_restarts") == 1
         assert counters.get("parallel.fallback.reason.worker_lost") == 1
         # the lost tasks went to the restarted pool, not to the parent
-        assert f"{prefix}.task_retries" not in counters
+        assert "parallel.task_retries" not in counters
 
-    @pytest.mark.parametrize("prefix,k", EVERY_TASK)
-    def test_raise_at_every_task_index(self, clean, prefix, k):
-        out, counters = self._faulted(prefix, "raise", k)
-        assert np.array_equal(out.interior, clean[prefix])
-        assert counters.get(f"{prefix}.task_retries") == 1
-        assert f"{prefix}.pool_restarts" not in counters
+    @pytest.mark.parametrize("caller,k", EVERY_TASK)
+    def test_raise_at_every_task_index(self, clean, caller, k):
+        out, counters = self._faulted(caller, "raise", k)
+        assert np.array_equal(out.interior, clean[caller])
+        assert counters.get("parallel.task_retries") == 1
+        assert "parallel.pool_restarts" not in counters
         assert "parallel.fallback.reason.worker_lost" not in counters

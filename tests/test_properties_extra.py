@@ -118,12 +118,12 @@ def test_cache_sim_invariants(accesses):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 1000))
-def test_parallel_executor_arbitrary_tiles(ty, tx, seed):
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 1000))
+def test_parallel_executor_arbitrary_tiles(parts, workers, seed):
     from repro.parallel.executor import run_parallel
     from repro.stencils import library
     spec = library.get("heat-2d")
     g = Grid.random((12, 18), 1, seed=seed)
-    got = run_parallel(spec, g, 2, workers=3, tile_shape=(ty, tx))
+    got = run_parallel(spec, g, 2, workers=workers, parts=parts)
     ref = apply_steps(spec, g, 2)
     assert np.allclose(got.interior, ref.interior, rtol=1e-12)

@@ -191,7 +191,7 @@ class TestServing:
 class TestServedWinner:
     """With online tuning on, a batch runs on the stored winner only
     when the server can execute it as it was measured — and then whole:
-    its tile or shard layout and its worker count reach run_parallel."""
+    its parts, worker count and temporal block reach run_parallel."""
 
     def _serve_on(self, monkeypatch, config):
         import repro.service as service_mod
@@ -228,7 +228,7 @@ class TestServedWinner:
 
     @pytest.mark.parametrize("config", [
         TuneConfig(engine="machine", time_fusion=1),
-        TuneConfig(engine="tiled", tile_shape=(8, 16), workers=1,
+        TuneConfig(engine="parallel", parts=4, workers=1,
                    run_backend="process"),
     ], ids=["machine-engine", "other-run-backend"])
     def test_winner_the_server_cannot_run_is_ignored(self, observing,
@@ -236,23 +236,25 @@ class TestServedWinner:
         svc, applied, call = self._serve_on(monkeypatch, config)
         assert applied == 0
         assert call["workers"] == svc.run_workers
-        assert call["tile_shape"] is None and call["shards"] is None
+        assert call["parts"] is None and call["temporal_block"] == 1
 
     def test_tiled_winner_applies_tile_and_workers(self, observing,
                                                    monkeypatch):
+        # an in-place layout: more parts than workers, no temporal block
         _, applied, call = self._serve_on(monkeypatch, TuneConfig(
-            engine="tiled", tile_shape=(8, 16), workers=1))
+            engine="parallel", parts=4, workers=1))
         assert applied == 1
-        assert call["tile_shape"] == (8, 16) and call["workers"] == 1
-        assert call["shards"] is None
+        assert call["parts"] == 4 and call["workers"] == 1
+        assert call["temporal_block"] == 1
 
     def test_shard_winner_applies_layout_and_workers(self, observing,
                                                      monkeypatch):
+        # a window layout: a temporal block ships deep-halo windows
         _, applied, call = self._serve_on(monkeypatch, TuneConfig(
-            engine="shard", shards=2, temporal_block=2))
+            engine="parallel", parts=2, workers=2, temporal_block=2))
         assert applied == 1
-        assert call["shards"] == 2 and call["temporal_block"] == 2
-        assert call["workers"] == 2 and call["tile_shape"] is None
+        assert call["parts"] == 2 and call["temporal_block"] == 2
+        assert call["workers"] == 2
 
 
 class TestTokenBucket:
@@ -535,6 +537,34 @@ class TestTcpFrontEnd:
         assert ok0["shape"] == list(SHAPE) and ok0["batch_size"] >= 1
         for bad in (bad_kernel, bad_shape):
             assert not bad["ok"] and bad["reason"] == "bad_request"
+
+    @pytest.mark.parametrize("field,value", [
+        ("steps", 2.7), ("steps", True), ("steps", "2"),
+        ("seed", -1), ("seed", 2 ** 63), ("seed", 1.0), ("seed", False),
+        ("shape", [32.0, 32]), ("shape", [True, 32]), ("shape", "32x32"),
+        ("tenant", ["x"]), ("tenant", 7),
+    ])
+    def test_non_integer_wire_fields_are_bad_requests(self, field, value):
+        # floats, bools and out-of-range seeds are refused, never
+        # truncated or coerced; a valid request still runs bitwise
+        good = {"kernel": "heat-2d", "shape": list(SHAPE), "steps": STEPS,
+                "seed": 0}
+
+        async def main():
+            async with StencilServer(machine=GENERIC_AVX2) as server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                responses = await request_tcp("127.0.0.1", port, [
+                    {**good, field: value}, good])
+                tcp.close()
+                await tcp.wait_closed()
+                return responses
+
+        bad, ok = asyncio.run(main())
+        assert not bad["ok"] and bad["reason"] == "bad_request", bad
+        assert field in bad["error"]
+        assert ok["ok"]
+        assert ok["checksum"] == interior_checksum(_expected(seed=0))
 
     def test_rejection_carries_reason_on_the_wire(self):
         async def main():

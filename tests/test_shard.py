@@ -20,8 +20,7 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.parallel import executor
 from repro.parallel.executor import run_parallel
 from repro.service import KernelService, SweepJob
-from repro.shard import (KernelRecipe, ShardRunner, make_shard_plan,
-                         run_sharded)
+from repro.shard import KernelRecipe, make_shard_plan, run_sharded
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 
@@ -183,14 +182,16 @@ class TestProgramEngineBitwise:
             k.run_sharded(g, 2, shards=2, executor="thread")
 
     def test_block_must_be_multiple_of_fused_depth(self):
+        g = Grid.random((16, 64), HEAT2D.radius, seed=15)
         with pytest.raises(TilingError):
-            ShardRunner(HEAT2D, shards=2, temporal_block=3,
+            run_sharded(HEAT2D, g, 6, shards=2, temporal_block=3,
                         recipe=_recipe(HEAT2D, time_fusion=2))
 
     def test_program_engine_rejects_1d(self):
         spec = library.get("heat-1d")
+        g = Grid.random((64,), spec.radius, seed=16)
         with pytest.raises(TilingError):
-            ShardRunner(spec, shards=2, recipe=_recipe(spec))
+            run_sharded(spec, g, 2, shards=2, recipe=_recipe(spec))
 
     def test_fused_dirichlet_rejected(self):
         k = self._kernel(HEAT2D, (20, 64), time_fusion=2)
@@ -202,50 +203,50 @@ class TestProgramEngineBitwise:
 
 class TestRunnerValidation:
     def test_constructor_validation(self):
+        g = Grid.random((16, 16), HEAT2D.radius, seed=0)
         with pytest.raises(TilingError):
-            ShardRunner(HEAT2D, shards=0)
+            run_sharded(HEAT2D, g, 2, shards=0)
         with pytest.raises(TilingError):
-            ShardRunner(HEAT2D, shards=2, temporal_block=0)
+            run_sharded(HEAT2D, g, 2, shards=2, temporal_block=0)
         with pytest.raises(TilingError):
-            ShardRunner(HEAT2D, shards=2, executor="mpi")
+            run_sharded(HEAT2D, g, 2, shards=2, executor="mpi")
         with pytest.raises(TilingError):
-            ShardRunner(HEAT2D, shards=2, workers=0)
+            run_sharded(HEAT2D, g, 2, shards=2, workers=0)
 
     def test_run_validation(self):
         g = Grid.random((16, 16), HEAT2D.radius, seed=0)
-        with ShardRunner(HEAT2D, shards=2) as r:
-            with pytest.raises(TilingError):
-                r.run(g, -1)
-
-    def test_run_parallel_shards_exclusive_with_tiling(self):
-        g = Grid.random((16, 16), HEAT2D.radius, seed=0)
         with pytest.raises(TilingError):
-            run_parallel(HEAT2D, g, 2, shards=2, tile_shape=(8, 8))
-        with pytest.raises(TilingError):
-            run_parallel(HEAT2D, g, 2, temporal_block=2)  # needs shards
+            run_sharded(HEAT2D, g, -1, shards=2)
 
     def test_runner_reusable_across_runs(self):
+        # every call owns its pool and shuts it down: repeated runs stay
+        # bitwise and leave no worker thread behind
+        import threading
         g = Grid.random((16, 16), HEAT2D.radius, seed=1)
         ref = apply_steps(HEAT2D, g, 2)
-        with ShardRunner(HEAT2D, shards=3, temporal_block=2) as r:
-            for _ in range(3):
-                out = r.run(g, 2)
-                assert np.array_equal(ref.interior, out.interior)
+        before = threading.active_count()
+        for _ in range(3):
+            out = run_sharded(HEAT2D, g, 2, shards=3, temporal_block=2)
+            assert np.array_equal(ref.interior, out.interior)
+        assert threading.active_count() == before
 
 
 class TestRunParallelDelegation:
+    """``run_sharded`` is ``run_parallel`` with ``parts=shards``: the
+    window path (temporal blocking) and the in-place path agree."""
+
     def test_shards_kwarg_matches_reference(self):
         g = Grid.random((18, 16), HEAT2D.radius, seed=2)
         ref = apply_steps(HEAT2D, g, 4)
-        got = run_parallel(HEAT2D, g, 4, shards=3, temporal_block=2)
+        got = run_parallel(HEAT2D, g, 4, parts=3, temporal_block=2)
         assert np.array_equal(ref.interior, got.interior)
 
     def test_sharded_matches_tiled_bitwise(self):
-        # both paths reproduce the serial reference bit-for-bit, so they
-        # must match each other too
+        # windows and in-place parts both reproduce the serial reference
+        # bit-for-bit, so they must match each other too
         g = Grid.random((16, 16), HEAT2D.radius, seed=3)
-        a = run_parallel(HEAT2D, g, 3, shards=2)
-        b = run_parallel(HEAT2D, g, 3, tile_shape=(8, 8), workers=2)
+        a = run_sharded(HEAT2D, g, 3, shards=2, temporal_block=2)
+        b = run_parallel(HEAT2D, g, 3, parts=4, workers=2)
         assert np.array_equal(a.interior, b.interior)
 
 
@@ -254,19 +255,17 @@ class TestServiceIntegration:
         svc = KernelService(GENERIC_AVX2)
         g = Grid.random((18, 18), HEAT2D.radius, seed=4)
         ref = apply_steps(HEAT2D, g, 4)
-        out = svc.run(SweepJob(HEAT2D, g, 4, shards=3, temporal_block=2))
+        out = svc.run(SweepJob(HEAT2D, g, 4, parts=3, temporal_block=2))
         assert np.array_equal(ref.interior, out.interior)
 
     def test_sweepjob_validation(self):
         g = Grid.random((16, 16), HEAT2D.radius, seed=5)
         with pytest.raises(ReproError):
-            SweepJob(HEAT2D, g, 2, shards=2, tile_shape=(8, 8))
+            SweepJob(HEAT2D, g, 2, parts=0)
         with pytest.raises(ReproError):
-            SweepJob(HEAT2D, g, 2, shards=0)
+            SweepJob(HEAT2D, g, 2, parts=2, temporal_block=0)
         with pytest.raises(ReproError):
-            SweepJob(HEAT2D, g, 2, temporal_block=2)  # needs shards
-        with pytest.raises(ReproError):
-            SweepJob(HEAT2D, g, 2, shards=2, temporal_block=0)
+            SweepJob(HEAT2D, g, 2, workers=0)
 
 
 class TestObservability:
@@ -298,7 +297,7 @@ class TestObservability:
         g = Grid.random((16, 16), HEAT2D.radius, seed=8)
         obs.enable(reset=True)
         try:
-            run_sharded(HEAT2D, g, 2, shards=2)
+            run_sharded(HEAT2D, g, 2, shards=2, temporal_block=2)
             spans = obs.snapshot()["spans"]
         finally:
             obs.disable()
@@ -313,24 +312,26 @@ class TestObservability:
 
 
 class TestFaultRecovery:
-    def test_exchange_fault_retried_bitwise(self):
+    def test_window_sweep_fault_recomputed_bitwise(self):
+        # a fault inside one window's sub-step sweep: the task is
+        # recomputed in the parent from the same gathered window
         g = Grid.random((17, 12), HEAT2D.radius, seed=9)
         ref = apply_steps(HEAT2D, g, 4)
-        plan = FaultPlan(rules=(FaultRule(site="shard.exchange",
+        plan = FaultPlan(rules=(FaultRule(site="tile.sweep",
                                           kind="raise", after=1),), seed=0)
         with faults.inject(plan) as inj:
             out = run_sharded(HEAT2D, g, 4, shards=3, temporal_block=2)
-        assert inj.injected_by_site().get("shard.exchange", 0) >= 1
+        assert inj.injected_by_site().get("tile.sweep", 0) >= 1
         assert np.array_equal(ref.interior, out.interior)
 
-    def test_exchange_retry_budget_exhausted_raises(self, monkeypatch):
+    def test_window_retry_budget_exhausted_raises(self, monkeypatch):
         g = Grid.random((16, 12), HEAT2D.radius, seed=10)
-        plan = FaultPlan(rules=(FaultRule(site="shard.exchange",
+        plan = FaultPlan(rules=(FaultRule(site="tile.sweep",
                                           kind="raise", times=99),), seed=0)
         monkeypatch.setattr(executor, "TASK_RETRIES", 1)
         with faults.inject(plan):
             with pytest.raises(faults.FaultInjected):
-                run_sharded(HEAT2D, g, 2, shards=2)
+                run_sharded(HEAT2D, g, 2, shards=2, temporal_block=2)
 
     def test_thread_task_fault_recomputed_bitwise(self):
         g = Grid.random((17, 12), HEAT2D.radius, seed=11)
@@ -370,35 +371,38 @@ class TestFaultRecovery:
         finally:
             obs.disable()
         assert np.array_equal(ref.interior, out.interior)
-        assert counters["shard.pool_restarts"] >= 1
-        assert counters["shard.task_retries"] >= 1
+        assert counters["parallel.pool_restarts"] >= 1
+        assert counters["parallel.task_retries"] >= 1
 
     def test_reused_runner_repairs_pool_after_degraded_run(self,
                                                            monkeypatch):
-        # a run that spends its restart budget leaves the pool broken;
-        # the next run must start a fresh one without counting a loss
-        # (no phantom restart, no worker_lost, no parent recomputes)
+        # a run that spends its restart budget gives its pool up; the
+        # next runs start fresh pools without counting a loss (no
+        # phantom restart, no worker_lost, no parent recomputes)
         g = Grid.random((16, 12), HEAT2D.radius, seed=14)
         ref = apply_steps(HEAT2D, g, 4)
         plan = FaultPlan(rules=(FaultRule(site="pool.task_start",
                                           kind="kill"),), seed=0)
         monkeypatch.setattr(executor, "POOL_RESTARTS", 0)
-        names = ("shard.pool_restarts", "shard.task_retries",
+        names = ("parallel.pool_restarts", "parallel.task_retries",
                  "parallel.fallback.reason.worker_lost")
+
+        def run():
+            return run_sharded(HEAT2D, g, 4, shards=2, temporal_block=2,
+                               executor="process")
+
         obs.enable(reset=True)
         try:
-            with ShardRunner(HEAT2D, shards=2, temporal_block=2,
-                             executor="process") as runner:
-                with faults.inject(plan):
-                    out = runner.run(g, 4)
+            with faults.inject(plan):
+                out = run()
+            assert np.array_equal(ref.interior, out.interior)
+            counters = obs.snapshot()["metrics"]["counters"]
+            degraded = {n: counters.get(n, 0) for n in names}
+            assert degraded["parallel.pool_restarts"] == 1
+            for _ in range(2):
+                out = run()
                 assert np.array_equal(ref.interior, out.interior)
-                counters = obs.snapshot()["metrics"]["counters"]
-                degraded = {n: counters.get(n, 0) for n in names}
-                assert degraded["shard.pool_restarts"] == 1
-                for _ in range(3):
-                    out = runner.run(g, 4)
-                    assert np.array_equal(ref.interior, out.interior)
-                counters = obs.snapshot()["metrics"]["counters"]
+            counters = obs.snapshot()["metrics"]["counters"]
         finally:
             obs.disable()
         assert {n: counters.get(n, 0) for n in names} == degraded

@@ -7,7 +7,6 @@ from repro.errors import TilingError
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 from repro.tiling.blocks import Tile, partition, tile_working_set
-from repro.tiling.schedule import build_schedule
 from repro.tiling.tessellate import (
     TessellationPlan,
     tessellate_1d,
@@ -138,29 +137,6 @@ class TestTessellate1D:
     def test_rejects_narrow_tile(self):
         with pytest.raises(TilingError):
             tessellate_1d(library.get("star-1d7p"), np.zeros(32), 2, tile=4)
-
-
-class TestSchedule:
-    def test_jacobi_single_phase(self):
-        sched = build_schedule((16, 16), (8, 8))
-        assert sched.n_phases == 1
-        assert sched.n_tiles == 4
-        assert sched.max_parallelism() == 4
-
-    def test_time_tiled_checkerboard_phases(self):
-        sched = build_schedule((32, 32), (8, 8),
-                               spec=library.get("heat-2d"), time_depth=2)
-        assert sched.n_phases == 4
-        assert sched.n_tiles == 16
-
-    def test_all_tiles_partition(self):
-        sched = build_schedule((16, 12), (8, 8), time_depth=2)
-        total = sum(t.points for t in sched.all_tiles())
-        assert total == 16 * 12
-
-    def test_bad_depth_rejected(self):
-        with pytest.raises(TilingError):
-            build_schedule((16,), (8,), time_depth=0)
 
 
 class TestTessellate2D:

@@ -60,22 +60,24 @@ class TestTuneConfig:
         with pytest.raises(TuneError):
             TuneConfig(exec_backend="cuda")
         with pytest.raises(TuneError):
-            TuneConfig(engine="tiled")  # tile_shape required
+            TuneConfig(engine="tiled")  # the retired tile family
         with pytest.raises(TuneError):
-            TuneConfig(engine="tiled", tile_shape=(0, 8))
+            TuneConfig(engine="parallel", parts=0)
+        with pytest.raises(TuneError):
+            TuneConfig(engine="numpy", temporal_block=2)  # parallel field
 
     def test_as_dict_drops_irrelevant_fields(self):
         assert "exec_backend" not in TuneConfig(engine="numpy").as_dict()
-        assert "tile_shape" not in TuneConfig(engine="machine").as_dict()
-        tiled = TuneConfig(engine="tiled", tile_shape=(8, 8)).as_dict()
-        assert "time_fusion" not in tiled and "use_sdf" not in tiled
+        assert "parts" not in TuneConfig(engine="machine").as_dict()
+        par = TuneConfig(engine="parallel", parts=8).as_dict()
+        assert "time_fusion" not in par and "use_sdf" not in par
 
     def test_round_trips_through_dict(self):
         for cfg in (TuneConfig(engine="machine", time_fusion=2,
                                exec_backend="interp"),
                     TuneConfig(engine="numpy", use_sdf=False),
-                    TuneConfig(engine="tiled", tile_shape=(16, 16),
-                               workers=2)):
+                    TuneConfig(engine="parallel", parts=4, workers=2,
+                               temporal_block=2)):
             assert TuneConfig.from_dict(cfg.as_dict()) == cfg
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -85,7 +87,7 @@ class TestTuneConfig:
             TuneConfig.from_dict("numpy")
 
     def test_plan_kwargs_pin_defaults_for_non_plan_engines(self):
-        cfg = TuneConfig(engine="tiled", tile_shape=(8, 8))
+        cfg = TuneConfig(engine="parallel", parts=2)
         assert cfg.plan_kwargs() == {"time_fusion": 1, "use_sdf": True,
                                      "backend": "auto"}
         assert cfg.plan_backend == "auto"
@@ -117,7 +119,7 @@ class TestTuneBudget:
         cfg = TuneConfig(engine="machine", time_fusion=4)
         assert trial_steps(cfg, 3) == 4
         assert trial_steps(cfg, 4) == 4
-        assert trial_steps(TuneConfig(engine="tiled", tile_shape=(8,)), 3) == 3
+        assert trial_steps(TuneConfig(engine="parallel", parts=2), 3) == 3
 
 
 class TestSearchSpace:
@@ -126,9 +128,10 @@ class TestSearchSpace:
         for cfg in enumerate_space(HEAT2D, MACHINE, (64, 64)):
             if cfg.is_plan_aware:
                 assert fusable(HEAT2D, cfg.time_fusion, width=width)
-            elif cfg.engine == "shard":
-                assert 2 <= cfg.shards <= 64  # partition fits the outer axis
-                assert cfg.temporal_block >= 1
+            elif cfg.engine == "parallel":
+                assert 1 <= cfg.parts <= 64  # partition fits the outer axis
+                assert 1 <= cfg.workers <= cfg.parts
+                assert cfg.temporal_block == 1 or cfg.parts > 1
             elif cfg.engine == "scheme":
                 assert cfg.scheme in SCHEMES
                 if cfg.scheme == "temporal":
@@ -136,7 +139,7 @@ class TestSearchSpace:
                 else:
                     assert cfg.scheme_fusion == 1
             else:
-                assert all(t <= n for t, n in zip(cfg.tile_shape, (64, 64)))
+                raise AssertionError(f"unexpected engine {cfg.engine}")
 
     def test_space_covers_all_engines(self):
         fams = {c.engine for c in enumerate_space(HEAT2D, MACHINE, (64, 64))}

@@ -35,9 +35,9 @@ from repro.tune.space import TuneConfig
 SPEC = library.get("heat-1d")
 SHAPE = (64,)
 
-#: the online space over a 64-point grid is small (a few tiled and
-#: shard executor configurations), so every test converges in a
-#: handful of cheap trials
+#: the online space over a 64-point grid is small (a few parallel
+#: executor configurations), so every test converges in a handful of
+#: cheap trials
 FAST = dict(trial_steps=2, repeats=1)
 
 
@@ -250,15 +250,42 @@ class TestLifecycle:
     def test_incumbent_is_default_until_promotion(self):
         svc = KernelService(GENERIC_AVX2)
         tuner = svc.online_tuner(config=OnlineTuneConfig(**FAST))
-        # the served default: one tile on the service's run workers
+        # the served default: one part on the service's run workers
         assert tuner.incumbent(SPEC, SHAPE) == TuneConfig(
-            engine="tiled", tile_shape=SHAPE, workers=svc.run_workers,
+            engine="parallel", parts=1, workers=svc.run_workers,
             run_backend=svc.run_backend)
         tuner.observe(SPEC, SHAPE, steps=2)
         _drive(tuner)
         rec = svc.tuning_db.lookup(SPEC, GENERIC_AVX2, SHAPE)
         if rec is not None:
             assert tuner.incumbent(SPEC, SHAPE) == rec.config
+
+    @pytest.mark.parametrize("config", [
+        {"engine": "tiled", "tile_shape": [64], "workers": 1,
+         "run_backend": "thread"},
+        {"engine": "shard", "shards": 2, "temporal_block": 2,
+         "run_backend": "thread"},
+        {"engine": "parallel", "shards": 2, "workers": 2,
+         "temporal_block": 1, "run_backend": "thread"},
+    ], ids=["tiled-family", "shard-family", "shards-field"])
+    def test_retired_layout_record_is_stale(self, tmp_path, config):
+        # a winner stored by the retired tile/shard families reads as
+        # stale: discarded, never served, and the default runs instead
+        import json
+        import os
+        from repro.tune import TuningDB, workload_key
+        from repro.tune.db import DB_FORMAT
+        key = workload_key(SPEC, GENERIC_AVX2, SHAPE)
+        with open(os.path.join(str(tmp_path), f"{key}.json"), "w") as fh:
+            json.dump({"format": DB_FORMAT, "key": key, "config": config,
+                       "mstencil_s": 1e12, "seconds": 1e-6, "steps": 2},
+                      fh)
+        db = TuningDB(str(tmp_path))
+        svc = KernelService(GENERIC_AVX2, tuning_db=db)
+        tuner = svc.online_tuner(config=OnlineTuneConfig(**FAST))
+        assert tuner.winner(SPEC, SHAPE) is None
+        assert db.discards == 1
+        assert tuner.incumbent(SPEC, SHAPE) == tuner.served_default(SHAPE)
 
     def test_observe_is_idempotent(self):
         svc = KernelService(GENERIC_AVX2)
