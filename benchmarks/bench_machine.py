@@ -12,6 +12,11 @@ contracts:
   kernel, and
 * traced codegen execution (star-r2) within 5% of untraced wall-clock.
 
+It also records, with no gate, a **parity table**: process-CPU
+milliseconds per step of codegen (``CompiledKernel.run``) and of
+``CompiledKernel.run_numpy`` on the five kernels of the ``sweep-large``
+benchmark at a CI-sized grid, and their ratio.
+
 Appends a timestamped run entry to ``BENCH_machine.json`` (path
 overridable via ``BENCH_MACHINE_JSON``) — the artifact is a list of runs,
 newest last, capped and deduplicated by
@@ -25,6 +30,7 @@ Runs under pytest
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 
@@ -35,7 +41,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 from _bench_utils import append_history, attach_stages, emit, observed  # noqa: E402
 
 from repro import obs  # noqa: E402
-from repro.config import GENERIC_AVX2  # noqa: E402
+from repro.config import GENERIC_AVX2, PAPER_MACHINES  # noqa: E402
+from repro.core import compile_kernel  # noqa: E402
 from repro.schemes import generate, scheme_halo  # noqa: E402
 from repro.stencils import library  # noqa: E402
 from repro.stencils.grid import Grid  # noqa: E402
@@ -57,6 +64,19 @@ TRACE_OVERHEAD_CEILING = 1.05
 
 #: alternating untraced/traced sweep pairs behind the overhead ratio
 TRACE_PAIRS = 10
+
+#: the sweep-large kernels of the codegen/numpy parity table, on grids a
+#: CI runner sweeps in well under a second
+PARITY_KERNELS = (
+    ("heat-2d", (256, 256)),
+    ("box-2d9p", (256, 256)),
+    ("star-2d13p", (256, 256)),
+    ("varcoef-2d5p", (256, 256)),
+    ("heat-3d", (48, 48, 48)),
+)
+
+#: timed calls per engine per parity kernel (median reported)
+PARITY_REPEATS = 3
 
 
 def _artifact_path() -> str:
@@ -98,6 +118,41 @@ def _speedup_case(spec) -> tuple:
                                                  interp_grid.data)),
     }
     return entry, program, grid, codegen_grid
+
+
+def _cpu_ms_per_step(call, steps: int) -> float:
+    """Median process-CPU milliseconds per step over
+    :data:`PARITY_REPEATS` calls, after one untimed warm-up call."""
+    call()
+    times = []
+    for _ in range(PARITY_REPEATS):
+        c0 = time.process_time()
+        call()
+        times.append(time.process_time() - c0)
+    return statistics.median(times) / steps * 1e3
+
+
+def _parity() -> list:
+    """Codegen vs ``run_numpy`` per step on :data:`PARITY_KERNELS`, on
+    the machine and kernels ``sweep-large`` times (record-only)."""
+    machine = PAPER_MACHINES[0]
+    rows = []
+    for name, shape in PARITY_KERNELS:
+        spec = library.get(name)
+        halo = compile_kernel(spec, machine, Grid(shape, 16),
+                              cache=False).halo()
+        grid = Grid.random(shape, halo, seed=42)
+        kernel = compile_kernel(spec, machine, grid, cache=False)
+        steps = 2 * kernel.plan.time_fusion
+        codegen_ms = _cpu_ms_per_step(
+            lambda: kernel.run(grid, steps, backend="codegen"), steps)
+        numpy_ms = _cpu_ms_per_step(
+            lambda: kernel.run_numpy(grid, steps), steps)
+        rows.append({"kernel": name, "shape": list(shape),
+                     "codegen_cpu_ms_per_step": codegen_ms,
+                     "numpy_cpu_ms_per_step": numpy_ms,
+                     "codegen_over_numpy": codegen_ms / numpy_ms})
+    return rows
 
 
 def measure() -> dict:
@@ -143,6 +198,7 @@ def measure() -> dict:
         "grid": list(SHAPE),
         "speedup_floor": SPEEDUP_FLOOR,
         "kernels": [star_case, box_case],
+        "parity": _parity(),
     }
     data.update(stages)  # the per-stage span/metric breakdown, if any
     return data
@@ -164,6 +220,12 @@ def _report(data: dict) -> None:
             f"(floor {data['speedup_floor']:.0f}x)",
             f"  bitwise       {case['bitwise_identical']}",
         ]
+    for row in data["parity"]:
+        lines.append(
+            f"parity          {row['kernel']:<13} "
+            f"codegen {row['codegen_cpu_ms_per_step']:7.2f} ms/step  "
+            f"numpy {row['numpy_cpu_ms_per_step']:7.2f} ms/step  "
+            f"ratio {row['codegen_over_numpy']:.2f}")
     lines += [
         f"traced overhead {data['trace_overhead']:.3f}x "
         f"(ceiling {data['trace_overhead_ceiling']:.2f}x)",

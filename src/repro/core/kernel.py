@@ -26,7 +26,6 @@ import numpy as np
 from .. import obs
 from ..config import MachineConfig
 from ..errors import VectorizeError
-from ..machine import codegen
 from ..machine.perfmodel import KernelCost, PerformanceModel, PerfResult
 from ..machine.trace import TraceCounter
 from ..stencils.boundary import fill_halo
@@ -35,6 +34,13 @@ from ..vectorize.driver import measure_trace, run_program
 from ..vectorize.program import VectorProgram
 from .jigsaw import generate_jigsaw, required_halo
 from .planner import JigsawPlan
+
+#: output points per axis-0 row block of :meth:`CompiledKernel.run_numpy`:
+#: 2^15 points keep a block's flattened temporaries in L2.  The codegen
+#: engine strip-mines by its own bound,
+#: :data:`repro.machine.codegen.SLAB_POINTS`, because its de-interleaved
+#: layout measures best at a larger slab
+NUMPY_SLAB_POINTS = 1 << 15
 
 
 @dataclass
@@ -134,9 +140,9 @@ class CompiledKernel:
         """Fast numpy execution of the same (fused, flattened) algorithm.
 
         Each fused sweep fills the halo once, then runs block by block
-        over interior rows of axis 0, at most
-        :data:`~repro.machine.codegen.SLAB_POINTS` output points per
-        block, so a block's temporaries stay cache-resident.  Every
+        over interior rows of axis 0, at most :data:`NUMPY_SLAB_POINTS`
+        output points per block, so a block's temporaries stay
+        cache-resident.  Every
         output element sees the same IEEE ops in the same order whatever
         the block size; a 1-D grid (axis 0 is x) is one block."""
         s = self.plan.time_fusion
@@ -155,7 +161,7 @@ class CompiledKernel:
         nx = grid.shape[-1]
         n0 = grid.shape[0]
         rows = (n0 if grid.ndim == 1
-                else max(1, codegen.SLAB_POINTS // math.prod(grid.shape[1:])))
+                else max(1, NUMPY_SLAB_POINTS // math.prod(grid.shape[1:])))
         observing = obs.enabled()
         with obs.span("execute", kernel=self.plan.spec.name,
                       backend="numpy", steps=steps) as espan:

@@ -6,15 +6,22 @@ sequence runs at every x offset, only the addresses advance by a fixed
 stride.  This module exploits that regularity by *emitting source*:
 
 * the whole loop nest is flattened and every register is split into its
-  lanes — a register is a tuple of ``width`` **lane planes**, each of
-  shape ``(*outer_trips, rows)`` (``rows`` is the x trip count in the
-  body, 1 in the prologue), so a single numpy op per instruction per
-  lane covers the entire sweep with no short innermost axis;
-* every LOAD/STORE lane is resolved at specialization time into either
-  a zero-copy view of the flat array built by the ``np.ndarray``
-  constructor (the affine index lattice *is* a strided view whenever
-  all strides are non-negative) or a hoisted flat int64 gather-index
-  constant;
+  lanes — a register is a tuple of ``width`` **lane planes**, so a
+  single numpy op per instruction per lane covers the entire sweep;
+* each input array the body loads is **de-interleaved** once per sweep
+  into ``block`` lane-major planes, ``D[r, row*P + b] = a[row, b*block +
+  r]`` (``P`` the padded row pitch in blocks, see below), so every body
+  LOAD lane is a *unit-stride* view of one plane;
+* a body lane plane is one flat run of shape ``(*outer[:-1], Y*P)``:
+  the innermost outer loop's ``Y`` rows of ``P`` positions each, the
+  first ``trips`` of which are the row's x trips.  Numpy runs every op
+  as one long contiguous loop; the pad positions compute from halo,
+  zero pad or slack values and are never stored (stores write
+  ``plane.reshape(..., Y, P)[..., :trips]``).  Prologue lanes are one
+  value per row, shape ``(*outer[:-1], Y)``;
+* a load the flat layout cannot express (a reversed or x-invariant walk,
+  an innermost outer loop that is not one array row per trip) is a
+  gather through a hoisted int64 index constant of the plane's shape;
 * every shuffle is a *rename*: each destination lane becomes the source
   lane the scalar semantics select (:func:`_probe_shuffle`), and a
   zeroed lane the hoisted zero scalar, so shuffles emit no statement;
@@ -36,32 +43,41 @@ specialized straight-line code.  Both per-program tables (array-shape
 specializations, slab programs) are LRU-bounded by
 :data:`SPEC_ENTRIES`.
 
+**Loop-carried registers.**  A carried register (Algorithm 1's
+``v0``/``vp0``, the sliding windows of Reorg/Folding/LBV) holds, at trip
+``t``, its end-of-body value of trip ``t-1``, and at trip 0 its prologue
+value.  Lowering compares, lane by lane, the prologue value's expression
+with the end-of-body expression evaluated one trip earlier (hash-consed
+keys, body load addresses shifted back by one x step).  When they are
+equal the carry is a **view**: ``final[..., :-1]`` of its end-of-body
+plane computed from one position earlier, because position ``y*P - 1``
+of a flat run *is* trip ``-1`` of row ``y``.  Its prologue lanes are
+then dead.  Every other carry is a shifted copy with the prologue value
+written at each row's first trip; identical carry lanes are built once.
+Each lane plane is computed over as many extra leading positions
+(its *extent*) as the view carries reading it need.  Lowering orders the
+carried registers so that each one's end-of-body value reads only
+carries already built, so the body runs exactly once.  A cycle among
+the carries is a true recurrence (an accumulator) and raises a
+``recurrence`` fallback.
+
 **Strip-mining.**  A sweep over more than :data:`SLAB_POINTS` output
 points runs the same kernel over contiguous row-slab views
 ``arr[k0 : k0 + b + 2h]`` of every array, with the outermost loop
-narrowed to ``b`` rows.  The bound is sized for cache reuse: a slab's
-lane planes stay resident in a core's L2 instead of streaming
-whole-grid temporaries through memory on every instruction.  Outer
-environments are independent and loads never alias stores, so the slabs
-compose to exactly the full sweep; a grid needs at most two
-specializations (full slab, remainder).
+narrowed to ``b`` rows; a slab program shares its parent's analysis.
+The bound keeps a slab's de-interleaved input and lane planes
+cache-resident.  Outer environments are independent and loads never
+alias stores, so the slabs compose to exactly the full sweep; a grid
+needs at most two specializations (full slab, remainder).
 
-**Bitwise identity.**  Views, gathers and shuffle renames are exact
-element copies; ADD/SUB/MUL/FMA are the same IEEE ops applied to the
-same operand values lane by lane (inlining only substitutes a pure
-expression for its value, constants are scalars of the program's dtype,
-and the lane planes hold, per (env, x) coordinate, exactly the values
-the interpreter's register lanes hold at that iteration).  Loop-carried
-registers (Algorithm 1's ``v0``/``vp0``, the sliding windows of
-Reorg/Folding/LBV) become shifted-row lane planes: row 0 is the
-prologue value, row ``t`` the end-of-body value of row ``t-1``.
-Lowering orders the carried registers so that each one's end-of-body
-value reads only carries already built; every scheme's carry chains are
-finite renames of fresh loads, so the body runs exactly once and each
-carry is the same IEEE result the interpreter's register holds.  A cycle
-among the carries is a true recurrence (an accumulator) and raises a
-``recurrence`` fallback.  The differential harness asserts interp ==
-codegen bitwise for every scheme, dtype and random spec.
+**Bitwise identity.**  Views, the de-interleaving copy, gathers and
+shuffle renames are exact element copies; ADD/SUB/MUL/FMA are the same
+IEEE ops applied to the same operand values lane by lane (inlining only
+substitutes a pure expression for its value, constants are scalars of
+the program's dtype, and the stored positions of a lane plane hold, per
+(env, x) coordinate, exactly the values the interpreter's register
+lanes hold at that iteration).  The differential harness asserts
+interp == codegen bitwise for every scheme, dtype and random spec.
 
 **Fallback taxonomy.**  :class:`CodegenFallback` carries a ``reason``
 the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
@@ -81,9 +97,11 @@ never depends on this backend succeeding.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
+import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,11 +120,10 @@ MEMORY_GUARD = 1 << 24
 
 #: output points per strip-mined slab; a sweep over more points runs the
 #: kernel slab by slab along the outermost loop (see module docstring).
-#: 2^15 points is 2^15 / block elements per lane plane — 32 KiB per
-#: float64 plane at Jigsaw's AVX2 block of 8 — so a slab's live planes
-#: fit a 2 MiB L2; both this engine and ``CompiledKernel.run_numpy``
-#: read it at call time
-SLAB_POINTS = 1 << 15
+#: Measured best over 2^15..2^18 on the sweep-large kernels (CHANGES.md
+#: has the table): at 2^17 a float64 slab of Jigsaw's AVX2 block of 8 is
+#: 128 KiB per lane plane and 1 MiB of de-interleaved input
+SLAB_POINTS = 1 << 17
 
 #: entries kept in each per-program table (array-shape specializations,
 #: slab programs by height), least recently used evicted first; every
@@ -127,14 +144,42 @@ class CodegenFallback(Exception):
         self.reason = reason
 
 
-def _carry_plane(head, tail, shape, dtype) -> np.ndarray:
-    """One lane of a loop-carried register: row 0 is the prologue value
-    ``head``, rows ``1..`` the end-of-body values ``tail`` of the rows
-    before them (either may be a scalar or a broadcastable plane)."""
+def _deal(arr: np.ndarray, block: int, pitch: int) -> np.ndarray:
+    """``arr`` de-interleaved into ``block`` lane-major planes, flat:
+    plane ``r`` holds ``a[row, b*block + r]`` at ``(row + 1)*pitch + b``.
+    A zeroed slack row leads and trails each plane; positions past the
+    row's last element are zero."""
+    n = arr.shape[-1]
+    rows = arr.size // n
+    full = n // block
+    flat = np.zeros(block * (rows + 2) * pitch, arr.dtype)
+    planes = flat.reshape(block, rows + 2, pitch)[:, 1:-1]
+    src = arr.reshape(rows, n)
+    planes[:, :, :full] = src[:, :full * block].reshape(
+        rows, full, block).transpose(2, 0, 1)
+    if n > full * block:
+        planes[:n - full * block, :, full] = src[:, full * block:].T
+    return flat
+
+
+def _carry_plane(head, tail, shape, pitch, dtype) -> np.ndarray:
+    """One lane of a carried register that is not a view: every position
+    holds ``tail`` (the end-of-body plane one position earlier) except
+    each row's first trip, which holds the prologue value ``head``
+    (either may be a scalar)."""
     plane = np.empty(shape, dtype)
-    plane[..., :1] = head
     plane[..., 1:] = tail
+    plane.reshape(shape[:-1] + (-1, pitch))[..., 0] = head
     return plane
+
+
+def _spread(rows: np.ndarray, pitch: int, ext: int) -> np.ndarray:
+    """A prologue plane (one value per row) widened to a body plane of
+    extent ``ext``: each row's value fills its ``pitch`` positions,
+    starting ``ext`` positions before its first trip."""
+    plane = np.repeat(rows, pitch, axis=-1)
+    return np.concatenate((plane, plane[..., :ext]), axis=-1) if ext \
+        else plane
 
 
 def _restack(lanes, shape, dtype) -> np.ndarray:
@@ -220,20 +265,18 @@ def _find_carried(program) -> Tuple[str, ...]:
 
 class _Node:
     """One SSA value: a load, a scalar constant, an arithmetic op, or the
-    shifted-row lane planes of a loop-carried register.  Shuffles and
-    MOVs make no node: a register is a tuple of :data:`Lane` references."""
+    lane planes of a loop-carried register.  Shuffles and MOVs make no
+    node: a register is a tuple of :data:`Lane` references."""
 
-    __slots__ = ("vid", "kind", "op", "args", "lanes", "rows", "section",
-                 "data")
+    __slots__ = ("vid", "kind", "op", "args", "lanes", "section", "data")
 
-    def __init__(self, vid, kind, op, lanes, rows, section, data):
+    def __init__(self, vid, kind, op, lanes, section, data):
         self.vid = vid
         self.kind = kind        # load | const | arith | carry
         self.op = op
         self.lanes = lanes      # arith: per lane, the operand Lanes
         self.args = tuple(sorted({v for ops in lanes or ()
                                   for v, _ in ops}))  # operand vids
-        self.rows = rows        # per lane: 0 scalar, else plane rows
         self.section = section  # "pro" | "body"
         self.data = data        # const: the scalar; carry: its index
 
@@ -272,7 +315,9 @@ class CodegenProgram:
     cannot be flattened; concrete array layouts are handled lazily by
     :meth:`specialize`.  ``recurrence`` is ``None`` unless the carried
     registers form a cycle, in which case every run raises
-    :class:`CodegenFallback` (reason ``recurrence``).
+    :class:`CodegenFallback` (reason ``recurrence``).  ``views`` names
+    the carried registers lowered as shifted views of their end-of-body
+    planes.
     """
 
     def __init__(self, program) -> None:
@@ -299,18 +344,20 @@ class CodegenProgram:
         self._undefined_carry: Optional[str] = None
         self._pinned: set = set()   # lanes that must be materialized
         self._build()
-        self._live, self._uses = self._liveness()
         self._load_ref = {r.vid: r for r in self.refs if not r.is_store}
         self._order, self.recurrence = self._schedule()
+        self.views = (self._view_carries() if self.recurrence is None
+                      else frozenset())
+        self._live, self._uses = self._liveness()
+        self._ext = self._extents() if self.recurrence is None else {}
         self.array_names = sorted({r.array for r in self.refs})
         self._specs: "OrderedDict[tuple, _Specialized]" = OrderedDict()
         self._slab_progs: "OrderedDict[int, CodegenProgram]" = OrderedDict()
 
     # -- static analysis ---------------------------------------------------
 
-    def _new(self, kind, op, lanes, rows, section, data=None):
-        node = _Node(len(self.nodes), kind, op, lanes, tuple(rows),
-                     section, data)
+    def _new(self, kind, op, lanes, section, data=None):
+        node = _Node(len(self.nodes), kind, op, lanes, section, data)
         self.nodes.append(node)
         return node.vid
 
@@ -345,7 +392,7 @@ class CodegenProgram:
             # the interpreter's own broadcast, so the scalar rounds alike
             scalar = np.full(1, value, dtype=self.dtype)[0]
             return self._register(self._new(
-                "const", None, None, (0,) * width, section, data=scalar))
+                "const", None, None, section, data=scalar))
 
         def emit_instr(instr, section):
             op = instr.op
@@ -353,7 +400,7 @@ class CodegenProgram:
             if op is Op.LOAD:
                 name, outer, last = self._split_mem(instr)
                 loaded.add(name)
-                vid = self._new("load", op, None, (rows,) * width, section)
+                vid = self._new("load", op, None, section)
                 self.refs.append(_MemRef(instr, name, outer, last, rows,
                                          False, vid, (), -1))
                 regmap[instr.dst] = self._register(vid)
@@ -396,10 +443,8 @@ class CodegenProgram:
             if op in (Op.ADD, Op.SUB, Op.MUL, Op.FMA):
                 lanes = tuple(tuple(reg[j] for reg in srcs)
                               for j in range(width))
-                lane_rows = [max(self.nodes[v].rows[k] for v, k in ops)
-                             for ops in lanes]
                 regmap[instr.dst] = self._register(
-                    self._new("arith", op, lanes, lane_rows, section))
+                    self._new("arith", op, lanes, section))
                 return
             # every remaining opcode is a pure element shuffle: a rename
             src_of, col_of, zero_cols = _probe_shuffle(
@@ -420,8 +465,7 @@ class CodegenProgram:
                 # surface that at run time, not silently read zeros
                 self._undefined_carry = name
             self._carry_vid[name] = self._new(
-                "carry", None, None, (self.trips,) * width, "body",
-                data=len(self._carry_vid))
+                "carry", None, None, "body", data=len(self._carry_vid))
             regmap[name] = self._register(self._carry_vid[name])
 
         for instr in program.body:
@@ -437,35 +481,6 @@ class CodegenProgram:
                 f"arrays {sorted(loaded & stored)} are both loaded and "
                 f"stored; flattening would reorder the interpreter's "
                 f"read-after-write sequence")
-
-    def _liveness(self):
-        """``(live lanes, use counts)``: the lanes a store reaches, through
-        arithmetic operands and carried registers, and how many live lanes
-        read each one.  A lane read across sections is pinned, so the
-        prologue computes it once."""
-        roots = [lane for ref in self.refs for lane in ref.lanes]
-        uses: Dict[Lane, int] = {}
-        live = set(roots)
-        work = list(live)
-        while work:
-            vid, j = work.pop()
-            node = self.nodes[vid]
-            if node.kind == "arith":
-                reads = node.lanes[j]
-            elif node.kind == "carry":
-                name = self.carried[node.data]
-                reads = (self._finals[name][j],) + (
-                    (self._heads[name][j],) if name in self._heads else ())
-            else:
-                continue
-            for lane in reads:
-                uses[lane] = uses.get(lane, 0) + 1
-                if self.nodes[lane[0]].section != node.section:
-                    self._pinned.add(lane)
-                if lane not in live:
-                    live.add(lane)
-                    work.append(lane)
-        return live, uses
 
     def _schedule(self) -> Tuple[List[int], Optional[str]]:
         """``(emission order, recurrence)``.  The order is the prologue,
@@ -505,6 +520,115 @@ class CodegenProgram:
             pending.remove(name)
         order += [n.vid for n in self.nodes if n.vid not in placed]
         return order, None
+
+    def _view_carries(self) -> frozenset:
+        """The carried registers whose prologue value equals, lane by
+        lane, their end-of-body value one trip earlier.  Expressions are
+        compared as hash-consed keys: a body load at trip offset ``k``
+        keys on its address with x advanced by ``k`` steps, a prologue
+        value keys the same at every offset, and a view carry at offset
+        ``k`` is its end-of-body value at ``k - 1``.  Any other carry
+        keys uniquely, so a value reading it never matches a prologue
+        value.  Carries are decided in dependency order."""
+        ids: Dict[tuple, int] = {}
+        memo: Dict[Tuple[Lane, int], int] = {}
+        views: set = set()
+
+        def key(lane: Lane, k: int) -> int:
+            vid, j = lane
+            node = self.nodes[vid]
+            if node.section == "pro":
+                k = 0
+            got = memo.get((lane, k))
+            if got is not None:
+                return got
+            if node.kind == "carry" and self.carried[node.data] in views:
+                got = key(self._finals[self.carried[node.data]][j], k - 1)
+            else:
+                if node.kind == "const":
+                    item = ("const", node.data.tobytes())
+                elif node.kind == "load":
+                    ref = self._load_ref[vid]
+                    const, coeff, terms = ref.last
+                    x = self.x_start + k * self.x_step
+                    item = ("load", ref.array, ref.outer, terms,
+                            const + coeff * x + j)
+                elif node.kind == "arith":
+                    item = (node.op,) + tuple(key(op, k)
+                                              for op in node.lanes[j])
+                else:
+                    item = ("carry", node.data, j, k)
+                got = ids.setdefault(item, len(ids))
+            memo[(lane, k)] = got
+            return got
+
+        for vid in self._order:
+            node = self.nodes[vid]
+            if node.kind != "carry":
+                continue
+            name = self.carried[node.data]
+            if name in self._heads and all(
+                    key(head, 0) == key(final, -1) for head, final in
+                    zip(self._heads[name], self._finals[name])):
+                views.add(name)
+        return frozenset(views)
+
+    def _liveness(self):
+        """``(live lanes, use counts)``: the lanes a store reaches, through
+        arithmetic operands and carried registers (a view carry reads
+        only its end-of-body value), and how many live lanes read each
+        one.  A lane read across sections is pinned, so the prologue
+        computes it once."""
+        roots = [lane for ref in self.refs for lane in ref.lanes]
+        uses: Dict[Lane, int] = {}
+        live = set(roots)
+        work = list(live)
+        while work:
+            vid, j = work.pop()
+            node = self.nodes[vid]
+            if node.kind == "arith":
+                reads = node.lanes[j]
+            elif node.kind == "carry":
+                name = self.carried[node.data]
+                reads = (self._finals[name][j],)
+                if name in self._heads and name not in self.views:
+                    reads += (self._heads[name][j],)
+            else:
+                continue
+            for lane in reads:
+                uses[lane] = uses.get(lane, 0) + 1
+                if self.nodes[lane[0]].section != node.section:
+                    self._pinned.add(lane)
+                if lane not in live:
+                    live.add(lane)
+                    work.append(lane)
+        return live, uses
+
+    def _extents(self) -> Dict[Lane, int]:
+        """Per live body lane, how many positions before each row's first
+        trip its plane starts: a view carry needs its end-of-body value
+        one position earlier than itself, an operand as early as its
+        reader.  Walks the emission order backwards, so every reader is
+        done before what it reads."""
+        ext: Dict[Lane, int] = {}
+        for vid in reversed(self._order):
+            node = self.nodes[vid]
+            if node.section != "body" or node.kind in ("load", "const"):
+                continue
+            for j in range(self.width):
+                if (vid, j) not in self._live:
+                    continue
+                e = ext.setdefault((vid, j), 0)
+                if node.kind == "arith":
+                    reads = node.lanes[j]
+                else:
+                    name = self.carried[node.data]
+                    reads = (self._finals[name][j],)
+                    e += name in self.views
+                for lane in reads:
+                    if self.nodes[lane[0]].section == "body":
+                        ext[lane] = max(ext.get(lane, 0), e)
+        return ext
 
     # -- specialization ----------------------------------------------------
 
@@ -598,6 +722,22 @@ class CodegenProgram:
                     tuple(int(s) for s in dim_strides))
         return {"ref": ref, "arr": arr, "starts": starts, "view": view}
 
+    def _flat_rows(self, site: dict):
+        """``(row, column, lead row strides)`` placing a body load in the
+        de-interleaved planes of its array, or None when it needs a
+        gather: the x walk must advance one block per trip, the innermost
+        outer loop one array row per trip, and every other outer loop a
+        non-negative whole number of rows."""
+        ref, view = site["ref"], site["view"]
+        if view is None or ref.last[1] != 1 or ref.last[2]:
+            return None
+        off, _, strides = view
+        n = site["arr"].shape[-1]
+        outer = strides[:-1]
+        if any(s % n for s in outer) or (outer and outer[-1] != n):
+            return None
+        return off // n, off % n, tuple(s // n for s in outer[:-1])
+
     def specialize(self, arrays: Mapping[str, np.ndarray]) -> _Specialized:
         """Emit + compile the specialized sweep function for these
         arrays' shapes (LRU-cached, :data:`SPEC_ENTRIES` shapes)."""
@@ -670,35 +810,48 @@ class CodegenProgram:
 
     def _slab_program(self, rows: int) -> "CodegenProgram":
         """This program with its outermost loop narrowed to ``rows``
-        trips (LRU-memoized: a grid needs a full slab and a remainder)."""
+        trips (LRU-memoized: a grid needs a full slab and a remainder).
+        Only the loop bound differs, so the slab program shares this
+        one's value graph, schedule, liveness and extents."""
         prog = _lru_get(self._slab_progs, rows)
         if prog is None:
             head, *rest = self.program.loops
-            head = dataclasses.replace(head, stop=head.start + rows * head.step)
-            prog = CodegenProgram(
-                dataclasses.replace(self.program, loops=(head, *rest)))
+            head = dataclasses.replace(head,
+                                       stop=head.start + rows * head.step)
+            prog = copy.copy(self)
+            prog.program = dataclasses.replace(self.program,
+                                               loops=(head, *rest))
+            prog.outer_loops = prog.program.loops[:-1]
+            prog.outer_dims = (rows,) + self.outer_dims[1:]
+            prog._specs = OrderedDict()
+            prog._slab_progs = OrderedDict()
             _lru_put(self._slab_progs, rows, prog)
         return prog
 
     # -- emission ----------------------------------------------------------
 
     def _emit(self, arrays, key) -> _Specialized:
-        width = self.width
+        width, block, trips = self.width, self.program.block, self.trips
         sites = [self._resolve_ref(ref, arrays) for ref in self.refs]
+        site_of = {id(s["ref"]): s for s in sites}
         store_plan = self._plan_stores(sites)
-        # only gathers and non-view scatters hoist an index constant
-        budget = sum(
-            s["starts"].size * width for s in sites
-            if s["view"] is None
-            or (s["ref"].is_store and store_plan[id(s["ref"])] != "direct"))
-        if budget > MEMORY_GUARD:
-            raise CodegenFallback(
-                "memory",
-                f"hoisted index constants would need {budget} elements "
-                f"(guard: {MEMORY_GUARD}); the interpreter runs this "
-                f"sweep instead")
-
-        ns = {"np": np, "_DT": self.dtype, "_carry": _carry_plane,
+        flat = {}
+        for s in sites:
+            ref = s["ref"]
+            if not ref.is_store and self.nodes[ref.vid].section == "body":
+                placed = self._flat_rows(s)
+                if placed is not None:
+                    flat[id(ref)] = placed
+        dealt = sorted({s["ref"].array for s in sites if id(s["ref"]) in flat})
+        # plane geometry: lead dims, rows per run, positions per row
+        lead = self.outer_dims[:-1]
+        rows = self.outer_dims[-1] if self.outer_dims else 1
+        ext = self._ext
+        pitch = max([1, trips + max(ext.values(), default=0)]
+                    + [-(-arrays[n].shape[-1] // block) for n in dealt])
+        span = rows * pitch
+        ns = {"np": np, "_DT": self.dtype, "_deal": _deal,
+              "_carry": _carry_plane, "_spread": _spread,
               "_restack": _restack}
         consts = itertools.count()
         vars_ = itertools.count()
@@ -710,36 +863,84 @@ class CodegenProgram:
             ns[name] = value
             return name
 
-        def lane_view(arr_var: str, view, j: int) -> str:
-            off, shape, strides = view
-            return (f"np.ndarray({shape}, _DT, {arr_var}, "
-                    f"{(off + j) * itemsize}, "
+        def view(buf: str, off: int, shape, strides) -> str:
+            return (f"np.ndarray({shape}, _DT, {buf}, {off * itemsize}, "
                     f"{tuple(s * itemsize for s in strides)})")
 
         arr_var = {name: f"_a{i}" for i, name in enumerate(self.array_names)}
-        site_of = {id(s["ref"]): s for s in sites}
+        deal_var = {name: f"_d{i}" for i, name in enumerate(dealt)}
+        plane_size = {name: (arrays[name].size // arrays[name].shape[-1]
+                             + 2) * pitch for name in dealt}
         live = self._live
-        # per-lane expression text of every emitted node, by vid
-        text: Dict[int, List[str]] = {}
+        # per-lane expression text of every emitted lane; a body lane's
+        # text covers ext[lane] positions before each row's first trip
+        text: Dict[Lane, str] = {}
+        scalar: set = set()     # lanes whose value is a hoisted scalar
 
         for node in self.nodes:
             if node.kind == "const":
                 bits = node.data.tobytes()
                 if bits not in scalars:
                     scalars[bits] = hoist(node.data)
-                text[node.vid] = [scalars[bits]] * width
+                for j in range(width):
+                    text[(node.vid, j)] = scalars[bits]
+                    scalar.add((node.vid, j))
+        if not trips or 0 in self.outer_dims:    # no body run: no effect
+            return self._compile(key, self._assemble(
+                [], [], [], [], key, pitch), ns)
+        # only gathers and non-view scatters hoist an index constant
+        budget = 0
+        for s in sites:
+            ref = s["ref"]
+            if ref.is_store:
+                if s["view"] is None or store_plan[id(ref)] != "direct":
+                    budget += s["starts"].size * width
+            elif self.nodes[ref.vid].section == "pro":
+                budget += (s["view"] is None) * s["starts"].size * width
+            elif id(ref) not in flat:
+                budget += math.prod(lead) * (span + pitch) * width
+        if budget > MEMORY_GUARD:
+            raise CodegenFallback(
+                "memory",
+                f"hoisted index constants would need {budget} elements "
+                f"(guard: {MEMORY_GUARD}); the interpreter runs this "
+                f"sweep instead")
 
         pro_lines: List[str] = []
         body_lines: List[str] = []
-        views: Dict[tuple, str] = {}    # (array, offset, shape, strides) -> var
+        bound: Dict[str, str] = {}      # view / helper expression -> var
 
         def out(section) -> List[str]:
             return pro_lines if section == "pro" else body_lines
 
-        def bind(section, expr) -> str:
-            v = f"_v{next(vars_)}"
+        def bind(section, expr, prefix="_v") -> str:
+            v = f"{prefix}{next(vars_)}"
             out(section).append(f"{v} = {expr}")
             return v
+
+        def once(section, expr, prefix="_v") -> str:
+            if expr not in bound:
+                bound[expr] = bind(section, expr, prefix)
+            return bound[expr]
+
+        def at(lane: Lane, e: int) -> str:
+            """A body reader's text of ``lane`` at extent ``e``."""
+            if lane in scalar:
+                return text[lane]
+            if self.nodes[lane[0]].section == "pro":
+                return once("body", f"_spread({text[lane]}, {pitch}, {e})")
+            d = ext.get(lane, 0) - e
+            return text[lane] if d == 0 else f"{text[lane]}[..., {d}:]"
+
+        def gather(s: dict, j: int, e: int) -> np.ndarray:
+            """Flat indices of a body load lane's plane at extent ``e``;
+            pad positions repeat the row's last trip."""
+            starts = s["starts"][..., 0].reshape(lead + (rows,))
+            i = np.arange(span + e)
+            row = np.minimum(i // pitch, rows - 1)
+            trip = np.clip(i - row * pitch - e, -e, trips - 1)
+            return (starts[..., row] + trip * (s["ref"].last[1] * self.x_step)
+                    + j)
 
         for vid in self._order:
             node = self.nodes[vid]
@@ -751,44 +952,58 @@ class CodegenProgram:
                 ref = self._load_ref[vid]
                 s = site_of[id(ref)]
                 a = arr_var[ref.array]
-                text[vid] = [None] * width
                 for j, lane in enumerate(lanes):
                     if lane not in live:
                         continue
-                    if s["view"] is None:
-                        idx = s["starts"] + j
-                        text[vid][j] = bind(sec, f"{a}[{hoist(idx)}]")
-                        continue
-                    vkey = (a, s["view"][0] + j) + s["view"][1:]
-                    if vkey not in views:
-                        views[vkey] = bind(sec, lane_view(a, s["view"], j))
-                    text[vid][j] = views[vkey]
+                    e = ext.get(lane, 0)
+                    if sec == "pro" and s["view"] is not None:
+                        off, _, strides = s["view"]
+                        expr = view(a, off + j, lead + (rows,),
+                                    strides[:-1] or (0,))
+                    elif sec == "pro":
+                        idx = s["starts"][..., 0].reshape(lead + (rows,))
+                        expr = f"{a}[{hoist(idx + j)}]"
+                    elif id(ref) in flat:
+                        row0, col0, lead_rows = flat[id(ref)]
+                        q, r = divmod(col0 + j, block)
+                        expr = view(
+                            deal_var[ref.array],
+                            r * plane_size[ref.array] + (1 + row0) * pitch
+                            + q - e, lead + (span + e,),
+                            tuple(k * pitch for k in lead_rows) + (1,))
+                    else:
+                        expr = f"{a}[{hoist(gather(s, j, e))}]"
+                    text[lane] = once(sec, expr)
             elif node.kind == "carry":
-                # row 0 from the prologue, row t the final value of row t-1
                 name = self.carried[node.data]
-                shape = self.outer_dims + (self.trips,)
-                parts = []
                 for j, lane in enumerate(lanes):
                     if lane not in live:
-                        parts.append("None")
                         continue
-                    hv, hj = self._heads[name][j]
-                    fv, fj = self._finals[name][j]
-                    tail = text[fv][fj]
-                    if self.nodes[fv].rows[fj] > 1:  # else it broadcasts
-                        tail += "[..., :-1]"
-                    parts.append(f"_carry({text[hv][hj]}, {tail}, {shape}, "
-                                 f"_DT)")
-                c = f"_c{node.data}"
-                out(sec).append(f"{c} = {_tuple(parts)}")
-                text[vid] = [f"{c}[{j}]" for j in range(width)]
+                    final = self._finals[name][j]
+                    if name in self.views:
+                        if final in scalar:
+                            text[lane] = text[final]
+                            scalar.add(lane)
+                            continue
+                        expr = f"{at(final, ext[lane] + 1)}[..., :-1]"
+                    else:
+                        head = self._heads[name][j]
+                        tail = (text[final] if final in scalar
+                                else f"{at(final, 0)}[..., :-1]")
+                        expr = (f"_carry({text[head]}, {tail}, "
+                                f"{lead + (span,)}, {pitch}, _DT)")
+                    text[lane] = once(sec, expr, "_c")
             elif node.kind == "arith":
                 exprs = []
                 for ops, lane in zip(node.lanes, lanes):
                     if lane not in live:
                         exprs.append("None")
                         continue
-                    a = [text[v][k] for v, k in ops]
+                    if all(op in scalar for op in ops):
+                        scalar.add(lane)
+                    e = ext.get(lane, 0)
+                    a = [text[op] if sec == "pro" else at(op, e)
+                         for op in ops]
                     if node.op is Op.ADD:
                         exprs.append(f"({a[0]} + {a[1]})")
                     elif node.op is Op.SUB:
@@ -801,15 +1016,33 @@ class CodegenProgram:
                                          or self._uses.get(lane, 0) > 1)
                        for lane in lanes):
                     v = bind(sec, _tuple(exprs))
-                    text[vid] = [f"{v}[{j}]" for j in range(width)]
+                    for j, lane in enumerate(lanes):
+                        text[lane] = f"{v}[{j}]"
                 else:
-                    text[vid] = exprs
+                    for lane, expr in zip(lanes, exprs):
+                        text[lane] = expr
+
+        def stored(lane: Lane) -> str:
+            """The stored positions of a lane: each row's first trips."""
+            if lane in scalar:
+                return text[lane]
+            if not self.outer_dims:
+                return at(lane, 0) + (f"[:{trips}]" if pitch > trips else "")
+            return (f"{at(lane, 0)}.reshape({lead + (rows, pitch)})"
+                    f"[..., :{trips}]")
 
         commit_lines = self._emit_commits(store_plan, sites, arr_var, hoist,
-                                          lane_view, text)
+                                          view, stored)
+        code = "\n".join(pro_lines + body_lines + commit_lines)
+        entry = [f"{var} = arrays[{name!r}].reshape(-1)"
+                 for name, var in sorted(arr_var.items())
+                 if re.search(rf"\b{var}\b", code)]
+        entry += [f"{var} = _deal(arrays[{name!r}], {block}, {pitch})"
+                  for name, var in sorted(deal_var.items())]
+        return self._compile(key, self._assemble(
+            entry, pro_lines, body_lines, commit_lines, key, pitch), ns)
 
-        src = self._assemble(arr_var, pro_lines, body_lines, commit_lines,
-                             key)
+    def _compile(self, key, src: str, ns: dict) -> _Specialized:
         code = compile(src, f"<codegen:{self.program.name}>", "exec")
         exec(code, ns)
         return _Specialized(key=key, fn=ns["_sweep"], source=src)
@@ -852,8 +1085,8 @@ class CodegenProgram:
             plan[id(s["ref"])] = "rowloop" if env_ok else "elemloop"
         return plan
 
-    def _emit_commits(self, plan, sites, arr_var, hoist, lane_view,
-                      text) -> List[str]:
+    def _emit_commits(self, plan, sites, arr_var, hoist, view,
+                      stored) -> List[str]:
         width = self.width
         lines: List[str] = []
         stores = sorted((s for s in sites if s["ref"].is_store),
@@ -861,13 +1094,15 @@ class CodegenProgram:
         for i, s in enumerate(stores):
             ref = s["ref"]
             a = arr_var[ref.array]
-            vals = [text[v][j] for v, j in ref.lanes]
+            vals = [stored(lane) for lane in ref.lanes]
             mode = plan[id(ref)]
             if mode == "direct":
                 for j, val in enumerate(vals):
                     if s["view"] is not None:
+                        off, shape, strides = s["view"]
                         lines.append(
-                            f"{lane_view(a, s['view'], j)}[...] = {val}")
+                            f"{view(a, off + j, shape, strides)}[...] = "
+                            f"{val}")
                     else:
                         lines.append(
                             f"{a}[{hoist(s['starts'] + j)}] = {val}")
@@ -889,14 +1124,16 @@ class CodegenProgram:
                 lines.append(f"    {a}[_ix{i}[_j]] = {bv}[_j]")
         return lines
 
-    def _assemble(self, arr_var, pro_lines, body_lines, commit_lines,
-                  key) -> str:
+    def _assemble(self, entry, pro_lines, body_lines, commit_lines,
+                  key, pitch) -> str:
         p = self.program
         lines = [
             f"# codegen: {p.name} [{p.scheme}] width={p.width} "
             f"elem_bytes={p.elem_bytes}",
             f"# outer={self.outer_dims} trips={self.trips} "
             f"carried={self.carried}",
+            f"# block={p.block} pitch={pitch} "
+            f"views={tuple(n for n in self.carried if n in self.views)}",
         ]
         for name, shape in key:
             lines.append(f"# array {name}: shape={shape}")
@@ -907,14 +1144,12 @@ class CodegenProgram:
             for ln in text_lines:
                 lines.append(pad + ln if ln else "")
 
-        entry = [f"{var} = arrays[{name!r}].reshape(-1)"
-                 for name, var in sorted(arr_var.items())]
         block(entry, 4)
         if pro_lines:
-            block(["# prologue (lane planes of all outer environments)"], 4)
+            block(["# prologue (one value per row of each lane)"], 4)
             block(pro_lines, 4)
         if body_lines:
-            block(["# body (flattened loop nest, one plane per lane)"], 4)
+            block(["# body (one flat run per lane over rows x pitch)"], 4)
             block(body_lines, 4)
         if commit_lines:
             block(["# deferred stores (committed in interpreter order)"], 4)

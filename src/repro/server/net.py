@@ -16,6 +16,10 @@ verification without shipping megabytes of float64 per response
 :mod:`repro.server.client`).  Rejections come back immediately::
 
     <- {"id": 7, "ok": false, "error": "...", "reason": "quota"}
+
+A malformed envelope gets ``"reason": "bad_request"`` and a line whose
+handling raises anything else ``"reason": "error"``: every line gets
+exactly one response.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -52,9 +57,22 @@ def _wire_int(name: str, value: Any) -> int:
     return value
 
 
+def _wire_deadline(value: Any) -> Optional[float]:
+    """``deadline_ms`` in seconds: absent, or a finite JSON number (not
+    a bool, a string or NaN)."""
+    if value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ReproError(f"deadline_ms must be a finite number, got "
+                         f"{value!r}")
+    return value / 1e3
+
+
 def _parse_request(payload: Dict[str, Any]) -> Tuple[StencilJob, str,
                                                      Optional[float]]:
     try:
+        deadline_s = _wire_deadline(payload.get("deadline_ms"))
         spec = library.get(str(payload["kernel"]))
         shape = payload["shape"]
         if not isinstance(shape, list):
@@ -77,8 +95,6 @@ def _parse_request(payload: Dict[str, Any]) -> Tuple[StencilJob, str,
     tenant = payload.get("tenant", "default")
     if not isinstance(tenant, str):
         raise ReproError(f"tenant must be a string, got {tenant!r}")
-    deadline_ms = payload.get("deadline_ms")
-    deadline_s = None if deadline_ms is None else float(deadline_ms) / 1e3
     return job, tenant, deadline_s
 
 
@@ -98,23 +114,26 @@ async def _handle_line(server: StencilServer, line: str) -> Dict[str, Any]:
         job, tenant, deadline_s = _parse_request(payload)
         result = await server.submit(job, tenant=tenant,
                                      deadline_s=deadline_s)
+        interior = result.grid.interior
+        return {
+            "id": rid,
+            "ok": True,
+            "checksum": interior_checksum(interior),
+            "shape": list(interior.shape),
+            "dtype": str(interior.dtype),
+            "latency_ms": result.latency_s * 1e3,
+            "batch_size": result.batch_size,
+            "deadline_met": result.deadline_met,
+        }
     except ServerOverloaded as exc:
         return {"id": rid, "ok": False, "error": str(exc),
                 "reason": exc.reason}
     except ReproError as exc:
         return {"id": rid, "ok": False, "error": str(exc),
                 "reason": "bad_request"}
-    interior = result.grid.interior
-    return {
-        "id": rid,
-        "ok": True,
-        "checksum": interior_checksum(interior),
-        "shape": list(interior.shape),
-        "dtype": str(interior.dtype),
-        "latency_ms": result.latency_s * 1e3,
-        "batch_size": result.batch_size,
-        "deadline_met": result.deadline_met,
-    }
+    except Exception as exc:  # a server fault still answers its line
+        return {"id": rid, "ok": False,
+                "error": f"{type(exc).__name__}: {exc}", "reason": "error"}
 
 
 async def serve_tcp(server: StencilServer, *, host: str = "127.0.0.1",

@@ -1,6 +1,6 @@
 """Conformance suite for the emitted-source codegen backend.
 
-Five layers of guarantees:
+Six layers of guarantees:
 
 * **golden sources** — the exact text :func:`repro.machine.codegen.
   emitted_source` produces for canonical star/box kernels is committed
@@ -24,12 +24,18 @@ Five layers of guarantees:
   and the per-program specialization tables stay LRU-bounded.
 * **strip-mining** — sweeps above :data:`repro.machine.codegen.
   SLAB_POINTS` run slab by slab along the outermost loop, bitwise equal
-  to the interpreter, and a view-only program far above the old index
-  budget stays on codegen.
+  to the interpreter, through slab programs that share their parent's
+  analysis, and a view-only program far above the old index budget
+  stays on codegen.
+* **flat layout** — dealt row pitches off any block multiple, 1-D grids,
+  gathers read through view carries, ordered commits of 2-D planes,
+  copied carries, prologue values widened over the run and duplicate
+  carry lanes bound once, each bitwise against the interpreter.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -37,7 +43,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.config import GENERIC_AVX2, PAPER_MACHINES
+from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32, PAPER_MACHINES
 from repro.errors import ReproError, VectorizeError
 from repro.machine import codegen as codegen_mod
 from repro.machine.codegen import (
@@ -566,14 +572,24 @@ def _swap_program():
 class TestCarrySchedule:
     def test_library_carries_schedule_without_recurrence(self):
         """Every scheme's carries are renames of fresh loads: all lower
-        to one pass, with no round loop in the emitted source."""
+        to one pass, with no round loop in the emitted source, every one
+        is a view of its end-of-body plane (no carry is copied), and the
+        sweep equals the interpreter's bitwise."""
         count = 0
         for prog, grid in _lowered_cases():
             cg = CodegenProgram(prog)
             assert cg.recurrence is None, prog.name
+            assert cg.views == set(cg.carried), prog.name
             arrays = {prog.input_array: grid.data,
                       prog.output_array: grid.like().data}
-            assert "_round" not in cg.specialize(arrays).source, prog.name
+            src = cg.specialize(arrays).source
+            assert "_round" not in src and "_carry(" not in src, prog.name
+            want = {k: v.copy() for k, v in arrays.items()}
+            SimdMachine(prog.width, elem_bytes=prog.elem_bytes).run(prog,
+                                                                    want)
+            cg.run(arrays)
+            assert np.array_equal(arrays[prog.output_array],
+                                  want[prog.output_array]), prog.name
             count += 1
         assert count > len(SCHEMES) * len(library.names())
 
@@ -1180,3 +1196,259 @@ class TestStripMining:
         assert np.array_equal(got.data, want.data)
         counters = obs.snapshot()["metrics"]["counters"]
         assert "exec.codegen_fallback" not in counters
+
+    def test_slabs_share_the_parents_analysis(self, monkeypatch):
+        """A slab program differs from its parent only in the outer loop
+        bound: it shares the value graph, schedule, liveness and carry
+        views, and a 3-D sweep in slabs of two with a remainder of one
+        stays bitwise."""
+        prog, grid = self._case("heat-3d", (5, 4, 24))
+        cg = CodegenProgram(prog)
+        per_row = math.prod(cg.outer_dims[1:]) * cg.trips * prog.block
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", 2 * per_row)
+        arrays = {prog.input_array: grid.data,
+                  prog.output_array: grid.like().data}
+        want = {k: v.copy() for k, v in arrays.items()}
+        SimdMachine(prog.width).run(prog, want)
+        cg.run(arrays)
+        assert np.array_equal(arrays[prog.output_array],
+                              want[prog.output_array])
+        assert sorted(cg._slab_progs) == [1, 2]
+        for rows, slab in cg._slab_progs.items():
+            assert slab.nodes is cg.nodes and slab.refs is cg.refs
+            assert slab._order is cg._order and slab._live is cg._live
+            assert slab.views is cg.views and slab._ext is cg._ext
+            assert slab.outer_dims == (rows,) + cg.outer_dims[1:]
+            assert slab.program.loops[1:] == prog.loops[1:]
+            assert slab._slab_progs == {} and slab._specs
+
+
+# ---------------------------------------------------------------------------
+# the flat de-interleaved layout
+# ---------------------------------------------------------------------------
+
+def _dealt(src):
+    """``(block, pitch)`` a specialization deals array ``a`` with."""
+    m = re.search(r"_deal\(arrays\['a'\], (\d+), (\d+)\)", src)
+    assert m, src
+    return int(m.group(1)), int(m.group(2))
+
+
+def _through_driver(prog, grid, steps):
+    """Codegen and the interpreter through ``run_program``, bitwise."""
+    want = run_program(prog, grid, steps, backend="interp")
+    got = run_program(prog, grid, steps, backend="codegen")
+    assert np.array_equal(got.data, want.data)
+
+
+class TestFlatLayout:
+    def test_row_pitch_off_block_with_tail_epilogue(self, observing):
+        """A 37-wide interior: the row pitch is no multiple of the block,
+        so each dealt row is zero-padded, and the driver's scalar
+        epilogue computes the tail strip the x loop leaves."""
+        spec = library.get("box-2d9p")
+        halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
+        grid = Grid.random((6, 37), halo, seed=2)
+        prog = generate("jigsaw", spec, GENERIC_AVX2, grid)
+        n = grid.data.shape[-1]
+        assert n % prog.block and prog.inner_trips * prog.block < 37
+        src = emitted_source(prog, {prog.input_array: grid.data,
+                                    prog.output_array: grid.like().data})
+        block, pitch = _dealt(src)
+        assert block == prog.block and pitch == -(-n // block)
+        _through_driver(prog, grid, 2)
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert "exec.codegen_fallback" not in counters
+
+    @pytest.mark.parametrize("machine, dtype", [
+        pytest.param(GENERIC_AVX2, np.float64, id="f64"),
+        pytest.param(GENERIC_AVX2_F32, np.float32, id="f32")])
+    def test_one_d_grid(self, machine, dtype):
+        """A 1-D grid is one row: every body plane is a single run over
+        the row's pitch, in either precision."""
+        spec = star(1, 2, center=-2.5, arm=[1.0, 0.25])
+        halo = scheme_halo("jigsaw", spec, machine)
+        grid = Grid.random((45,), halo, seed=4, dtype=dtype)
+        prog = generate("jigsaw", spec, machine, grid)
+        src = emitted_source(prog, {prog.input_array: grid.data,
+                                    prog.output_array: grid.like().data})
+        _, pitch = _dealt(src)
+        runs = re.findall(r"np\.ndarray\(\((\d+),\), _DT, _d0,", src)
+        assert runs and {int(r) for r in runs} <= {pitch, pitch + 1}, src
+        _through_driver(prog, grid, 2)
+
+    def test_gather_load_read_through_a_view_carry(self):
+        """A reversed x walk cannot be dealt, so it gathers; seeded by the
+        same walk one trip earlier, the window it slides through is still
+        a view, and its gather covers the position before each row's
+        first trip."""
+        b = ProgramBuilder(4)
+        b.in_prologue()
+        b.load_to("w", b.mem(Affine.var("y"),
+                             Affine.var("x", coeff=-1, const=40)))
+        b.in_body()
+        v = b.load(b.mem(Affine.var("y"), Affine.var("x")))
+        b.store(b.add("w", v),
+                b.mem(Affine.var("y"), Affine.var("x"), array="out"))
+        b.load_to("w", b.mem(Affine.var("y"),
+                             Affine.var("x", coeff=-1, const=36)))
+        prog = b.build(name="revwin", scheme="t",
+                       loops=[Loop("y", 0, 3, 1), Loop("x", 4, 20, 4)],
+                       vectors_per_iter=1)
+        cg = CodegenProgram(prog)
+        assert cg.views == {"w"}
+        arrays = {"a": np.zeros((3, 40)), "out": np.zeros((3, 40))}
+        src = cg.specialize(arrays).source
+        assert re.search(r"_a0\[_K\d+\]", src) and "[..., :-1]" in src, src
+        assert "# prologue" not in src, src  # the view's head is dead
+
+        def factory():
+            return {"a": np.linspace(-3.0, 5.0, 120).reshape(3, 40),
+                    "out": np.zeros((3, 40))}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
+    def test_ordered_commits_of_two_d_planes(self):
+        """rowloop (rows two apart) and elemloop (env spans interleave)
+        commits restack the stored positions of 2-D flat planes."""
+        for name, y, x, mode in (("ovr2", Affine.var("y", const=1),
+                                  Loop("x", 0, 14, 2), "for _t in"),
+                                 ("ove2", Affine.of(0), Loop("x", 0, 8, 4),
+                                  "for _j in")):
+            b = ProgramBuilder(4)
+            v = b.load(b.mem(Affine.var("y"), Affine.var("x")))
+            b.store(b.mul(b.broadcast(1.5), v),
+                    b.mem(y, Affine.var("x"), array="out"))
+            prog = b.build(name=name, scheme="t",
+                           loops=[Loop("y", 0, 3, 1), x],
+                           vectors_per_iter=1)
+
+            def factory():
+                return {"a": np.arange(60.0).reshape(3, 20) ** 2,
+                        "out": np.zeros((4, 20))}
+            src = emitted_source(prog, factory())
+            assert mode in src and "_restack(" in src, src
+            a1, a2 = _run_both(prog, factory)
+            assert np.array_equal(a2["out"], a1["out"]), name
+
+    def test_carry_head_off_the_shifted_final_is_a_copy(self):
+        """A window seeded from another column than the body slides in
+        one trip earlier is no view: it becomes a shifted copy whose rows
+        start at the prologue value, and two registers carrying the same
+        lanes build each copy once."""
+        b = ProgramBuilder(4)
+        b.in_prologue()
+        b.load_to("p", b.mem(Affine.var("y"), Affine.var("x", const=1)))
+        b.mov_to("q", "p")
+        b.in_body()
+        r = b.add("p", "q")
+        b.store(r, b.mem(Affine.var("y"), Affine.var("x"), array="out"))
+        b.load_to("p", b.mem(Affine.var("y"), Affine.var("x", const=4)))
+        b.mov_to("q", "p")
+        prog = b.build(name="seeded", scheme="t",
+                       loops=[Loop("y", 0, 3, 1), Loop("x", 0, 16, 4)],
+                       vectors_per_iter=1)
+        cg = CodegenProgram(prog)
+        assert cg.carried == ("p", "q") and not cg.views
+        src = cg.specialize({"a": np.zeros((3, 24)),
+                             "out": np.zeros((3, 24))}).source
+        assert len(re.findall(r"_c\d+ = _carry\(", src)) == 4, src
+
+        def factory():
+            return {"a": np.linspace(0.0, 2.0, 72).reshape(3, 24),
+                    "out": np.zeros((3, 24))}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
+    def test_duplicate_carry_lanes_are_bound_once(self):
+        """star-2d13p's carried registers share lanes (a lane of one
+        window is a lane of the next): each distinct view is bound once,
+        and every carry is a view, so no prologue is computed."""
+        prog, grid = _jigsaw_case("star-2d13p")
+        cg = get_codegen(prog)
+        src = cg.specialize({prog.input_array: grid.data,
+                             prog.output_array: grid.like().data}).source
+        lanes = [(cg._carry_vid[n], j) for n in cg.carried
+                 for j in range(cg.width) if (cg._carry_vid[n], j) in cg._live]
+        distinct = {(cg._finals[cg.carried[cg.nodes[v].data]][j],
+                     cg._ext.get((v, j), 0)) for v, j in lanes}
+        bound = re.findall(r"^\s*_c\d+ = (.*)$", src, re.M)
+        assert cg.views == set(cg.carried)
+        assert len(bound) == len(set(bound)) == len(distinct) < len(lanes)
+        assert "# prologue" not in src, src
+        _through_driver(prog, grid, 2)
+
+    def test_prologue_values_spread_over_the_run(self):
+        """A per-row prologue value the body reads (here through a view
+        carry, so one position early too) is widened from one value per
+        row to the flat run; a reversed outer walk makes that prologue
+        load a gather."""
+        b = ProgramBuilder(4)
+        b.in_prologue()
+        p = b.load(b.mem(Affine.var("y", coeff=-1, const=2), Affine.of(0)))
+        b.mov_to("w", b.add(p, b.load(b.mem(Affine.var("y"),
+                                            Affine.var("x")))))
+        b.in_body()
+        k = b.mul(b.broadcast(0.5), b.broadcast(3.0))
+        b.store(b.fma(k, "w", p),
+                b.mem(Affine.var("y"), Affine.var("x"), array="out"))
+        b.mov_to("w", b.add(p, b.load(b.mem(Affine.var("y"),
+                                            Affine.var("x", const=4)))))
+        prog = b.build(name="spread", scheme="t",
+                       loops=[Loop("y", 0, 3, 1), Loop("x", 4, 20, 4)],
+                       vectors_per_iter=1)
+        cg = CodegenProgram(prog)
+        assert cg.views == {"w"}
+        src = cg.specialize({"a": np.zeros((3, 24)),
+                             "out": np.zeros((3, 24))}).source
+        assert "_spread(" in src and re.search(r"_a0\[_K\d+\]", src), src
+
+        def factory():
+            return {"a": np.linspace(-1.0, 4.0, 72).reshape(3, 24),
+                    "out": np.zeros((3, 24))}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
+    def test_constant_window_is_a_scalar_view(self):
+        """A window seeded with a constant and refilled with the same
+        constant is a view of a scalar: no plane is built for it."""
+        b = ProgramBuilder(4)
+        b.in_prologue()
+        b.mov_to("win", b.broadcast(0.25))
+        b.in_body()
+        b.store(b.add(b.load(b.mem(Affine.var("x"))), "win"),
+                b.mem(Affine.var("x"), array="out"))
+        b.mov_to("win", b.broadcast(0.25))
+        prog = b.build(name="kwin", scheme="t",
+                       loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
+        cg = CodegenProgram(prog)
+        assert cg.views == {"win"}
+        src = cg.specialize({"a": np.zeros(16), "out": np.zeros(16)}).source
+        assert "_c" not in src and "_carry(" not in src, src
+
+        def factory():
+            return {"a": np.arange(16.0) / 3.0, "out": np.zeros(16)}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])
+
+    def test_window_slid_from_a_copied_window_is_a_copy(self):
+        """w0 <- w1 where w1 is a copy (constant seed): w0's value one
+        trip earlier reads a copied carry, which matches no prologue
+        value, so w0 is a copy as well."""
+        b = ProgramBuilder(4)
+        b.in_prologue()
+        b.load_to("w0", b.mem(Affine.var("x")))
+        b.mov_to("w1", b.broadcast(-1.5))
+        b.in_body()
+        b.store(b.add("w0", "w1"), b.mem(Affine.var("x"), array="out"))
+        b.mov_to("w0", "w1")
+        b.load_to("w1", b.mem(Affine.var("x", const=4)))
+        prog = b.build(name="copychain", scheme="t",
+                       loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
+        cg = CodegenProgram(prog)
+        assert set(cg.carried) == {"w0", "w1"} and not cg.views
+
+        def factory():
+            return {"a": np.linspace(0.0, 1.0, 20), "out": np.zeros(16)}
+        a1, a2 = _run_both(prog, factory)
+        assert np.array_equal(a2["out"], a1["out"])

@@ -43,6 +43,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32
 from repro.core import compile_kernel
+from repro.core import kernel as kernel_mod
 from repro.faults import FaultPlan, FaultRule, inject
 from repro.machine import codegen as codegen_mod
 from repro.machine.codegen import get_codegen
@@ -254,7 +255,7 @@ def test_backends_agree_on_tail_strip():
 # -- the strip-mining axis -----------------------------------------------------
 #
 # Sweeps above codegen's slab bound run slab by slab along the outermost
-# loop, and run_numpy sweeps in row blocks under the same bound.
+# loop, and run_numpy sweeps in row blocks under a bound of its own.
 # Shrinking the bound to a few outer rows makes every case here
 # strip-mined, with a remainder slab whenever the row count does not
 # divide the outer extent.
@@ -312,13 +313,46 @@ def test_strip_mined_codegen_matches_interp_bitwise(spec, rows, f32, tail,
 
 
 @SLAB_SETTINGS
+@given(spec=random_specs, f32=st.booleans(),
+       tail=st.integers(min_value=0, max_value=7),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_flat_layout_codegen_matches_interp_bitwise(spec, f32, tail, seed):
+    """Codegen's de-interleaved flat layout on 1-D/2-D/3-D grids, float32
+    and float64, with row pitches off any block multiple (and a scalar
+    tail strip when the interior is too): every scheme family equals the
+    interpreter bitwise, without a fallback."""
+    machine, dtype = ((GENERIC_AVX2_F32, np.float32) if f32
+                      else (GENERIC_AVX2, np.float64))
+    nx = 4 * machine.vector_elems + tail
+    was_enabled = obs.enabled()
+    obs.enable(reset=True)
+    try:
+        for scheme in DIFF_SCHEMES + NEW_SCHEMES:
+            halo = scheme_halo(scheme, spec, machine)
+            shape = tuple(max(3, h) for h in halo[:-1]) + (nx,)
+            grid = Grid.random(shape, halo, seed=seed, dtype=dtype)
+            program = generate(scheme, spec, machine, grid)
+            steps = program.steps_per_iter
+            want = run_program(program, grid, steps, backend="interp")
+            got = run_program(program, grid, steps, backend="codegen")
+            assert np.array_equal(got.data, want.data), (
+                f"{scheme}/{spec.tag}: flat-layout codegen diverged "
+                f"bitwise on {shape} (row pitch {grid.data.shape[-1]})")
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert "exec.codegen_fallback" not in counters, counters
+    finally:
+        if not was_enabled:
+            obs.disable()
+
+
+@SLAB_SETTINGS
 @given(spec=random_specs, rows=st.integers(min_value=1, max_value=3),
        fused=st.booleans(), dirichlet=st.booleans(),
        sweeps=st.integers(min_value=1, max_value=2),
        seed=st.integers(min_value=0, max_value=2**16))
 def test_row_slabbed_numpy_matches_unsliced_bitwise(spec, rows, fused,
                                                     dirichlet, sweeps, seed):
-    """The same bound slabs ``CompiledKernel.run_numpy`` along axis 0:
+    """``CompiledKernel.run_numpy`` slabs axis 0 under its own bound:
     on 1-D/2-D/3-D specs, fused or not, periodic or dirichlet, a sweep
     in blocks of ``rows`` rows must equal the one-block sweep bitwise
     (a 1-D grid, whose axis 0 is x, stays one block)."""
@@ -333,14 +367,14 @@ def test_row_slabbed_numpy_matches_unsliced_bitwise(spec, rows, fused,
     kernel = compile_kernel(spec, machine, grid, time_fusion=fusion,
                             cache=False)
     steps = sweeps * kernel.plan.time_fusion
-    saved = codegen_mod.SLAB_POINTS
+    saved = kernel_mod.NUMPY_SLAB_POINTS
     try:
-        codegen_mod.SLAB_POINTS = int(np.prod(shape))
+        kernel_mod.NUMPY_SLAB_POINTS = int(np.prod(shape))
         whole = kernel.run_numpy(grid, steps, boundary=boundary, value=0.5)
-        codegen_mod.SLAB_POINTS = rows * int(np.prod(shape[1:]))
+        kernel_mod.NUMPY_SLAB_POINTS = rows * int(np.prod(shape[1:]))
         sliced = kernel.run_numpy(grid, steps, boundary=boundary, value=0.5)
     finally:
-        codegen_mod.SLAB_POINTS = saved
+        kernel_mod.NUMPY_SLAB_POINTS = saved
     assert np.array_equal(sliced.interior, whole.interior), (
         f"{spec.tag}: numpy sweep in {rows}-row blocks diverged bitwise "
         f"after {steps} step(s) ({boundary})")

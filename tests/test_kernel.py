@@ -6,7 +6,7 @@ import pytest
 from repro.config import GENERIC_AVX2
 from repro.errors import VectorizeError
 from repro.core import compile_kernel
-from repro.machine import codegen as codegen_mod
+from repro.core import kernel as kernel_mod
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 
@@ -102,7 +102,7 @@ def test_grid_like_has_kernel_halo():
 # -- row slabs -----------------------------------------------------------------
 #
 # run_numpy sweeps interior rows of axis 0 in blocks of at most
-# codegen.SLAB_POINTS output points.  The grids here have 7 rows, so a
+# kernel.NUMPY_SLAB_POINTS output points.  The grids here have 7 rows, so a
 # 3-row bound leaves a 1-row remainder block.
 
 SLAB_CASES = [
@@ -146,9 +146,10 @@ def test_numpy_row_slabs_match_unsliced_bitwise(monkeypatch, kernel, fusion,
     assert k.plan.time_fusion == fusion
     steps = 2 * fusion
     per_row = int(np.prod(g.shape[1:]))
-    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", int(np.prod(g.shape)))
+    monkeypatch.setattr(kernel_mod, "NUMPY_SLAB_POINTS",
+                        int(np.prod(g.shape)))
     whole = k.run_numpy(g, steps, boundary=boundary, value=0.25)
-    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", slab_rows * per_row)
+    monkeypatch.setattr(kernel_mod, "NUMPY_SLAB_POINTS", slab_rows * per_row)
     blocks = spy_blocks(monkeypatch, k)
     sliced = k.run_numpy(g, steps, boundary=boundary, value=0.25)
     assert blocks == expected_blocks(k, g, slab_rows, steps)
@@ -161,14 +162,14 @@ def test_numpy_grid_within_bound_is_one_slab(monkeypatch, kernel):
     steps = 2 * k.plan.time_fusion
     points = int(np.prod(g.shape))
     blocks = spy_blocks(monkeypatch, k)
-    for bound in (codegen_mod.SLAB_POINTS, points):
-        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", bound)
+    for bound in (kernel_mod.NUMPY_SLAB_POINTS, points):
+        monkeypatch.setattr(kernel_mod, "NUMPY_SLAB_POINTS", bound)
         blocks.clear()
         k.run_numpy(g, steps)
         assert blocks == expected_blocks(k, g, g.shape[0], steps)
     # one point fewer splits off the last row (the x axis of a 1-D grid
     # is never split)
-    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", points - 1)
+    monkeypatch.setattr(kernel_mod, "NUMPY_SLAB_POINTS", points - 1)
     blocks.clear()
     k.run_numpy(g, steps)
     assert blocks == expected_blocks(k, g, g.shape[0] - 1, steps)

@@ -566,6 +566,63 @@ class TestTcpFrontEnd:
         assert ok["ok"]
         assert ok["checksum"] == interior_checksum(_expected(seed=0))
 
+    @pytest.mark.parametrize("deadline", [
+        "soon", True, float("nan"), float("inf"), [500]])
+    def test_bad_deadline_is_a_bad_request(self, deadline):
+        # converted inside the envelope check: the line gets a
+        # bad_request answer and its neighbour still runs
+        good = {"kernel": "heat-2d", "shape": list(SHAPE), "steps": STEPS,
+                "seed": 0}
+
+        async def main():
+            async with StencilServer(machine=GENERIC_AVX2) as server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                try:
+                    return await asyncio.wait_for(request_tcp(
+                        "127.0.0.1", port,
+                        [{**good, "deadline_ms": deadline}, good]), 30)
+                finally:
+                    tcp.close()
+                    await tcp.wait_closed()
+
+        bad, ok = asyncio.run(main())
+        assert not bad["ok"] and bad["reason"] == "bad_request", bad
+        assert "deadline_ms" in bad["error"]
+        assert ok["ok"]
+        assert ok["checksum"] == interior_checksum(_expected(seed=0))
+
+    def test_unexpected_exception_gets_an_error_envelope(self):
+        # a fault past the envelope check still answers its line, and
+        # the connection keeps serving the next one
+        good = {"kernel": "heat-2d", "shape": list(SHAPE), "steps": STEPS}
+
+        async def main():
+            async with StencilServer(machine=GENERIC_AVX2) as server:
+                submit = server.submit
+
+                async def faulty(job, **kwargs):
+                    if job.seed == 1:
+                        raise RuntimeError("engine blew up")
+                    return await submit(job, **kwargs)
+
+                server.submit = faulty
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                try:
+                    return await asyncio.wait_for(request_tcp(
+                        "127.0.0.1", port, [{**good, "seed": 1, "id": "x"},
+                                            {**good, "seed": 0}]), 30)
+                finally:
+                    tcp.close()
+                    await tcp.wait_closed()
+
+        err, ok = asyncio.run(main())
+        assert err == {"id": "x", "ok": False, "reason": "error",
+                       "error": "RuntimeError: engine blew up"}
+        assert ok["ok"]
+        assert ok["checksum"] == interior_checksum(_expected(seed=0))
+
     def test_rejection_carries_reason_on_the_wire(self):
         async def main():
             async with StencilServer(machine=GENERIC_AVX2) as server:
