@@ -17,11 +17,7 @@ stride.  This module exploits that regularity by *emitting source*:
   first ``trips`` of which are the row's x trips.  Numpy runs every op
   as one long contiguous loop; the pad positions compute from halo,
   zero pad or slack values and are never stored (stores write
-  ``plane.reshape(..., Y, P)[..., :trips]``).  Prologue lanes are one
-  value per row, shape ``(*outer[:-1], Y)``;
-* a load the flat layout cannot express (a reversed or x-invariant walk,
-  an innermost outer loop that is not one array row per trip) is a
-  gather through a hoisted int64 index constant of the plane's shape;
+  ``plane.reshape(..., Y, P)[..., :trips]``);
 * every shuffle is a *rename*: each destination lane becomes the source
   lane the scalar semantics select (:func:`_probe_shuffle`), and a
   zeroed lane the hoisted zero scalar, so shuffles emit no statement;
@@ -32,10 +28,14 @@ stride.  This module exploits that regularity by *emitting source*:
   MUL+FMA chains fold back into ``c0*v0 + (c1*v1 + ...)`` expressions
   exactly as the paper's C codegen would write them, and lanes no store
   or carry reaches are never computed;
-* stores are deferred and committed after the body: one scatter (or
-  view assignment) per lane when the written rows are provably
-  disjoint, an in-order loop over the lanes restacked to ``(..., width)``
-  otherwise — the interpreter's last-writer-wins order, vectorized.
+* stores are deferred and committed after the body, one strided view
+  assignment per lane: the rows each array is stored at are disjoint,
+  so the commits are order-free.
+
+That is the one shape every scheme generator emits (dealt-view loads,
+view carries, disjoint view stores).  Any other program is refused with
+a :class:`CodegenFallback` and runs on the interpreter, the bitwise
+reference.
 
 The emitted text is ``compile()``d + ``exec()``d once per (program,
 array shapes) pair and cached; each sweep is then a single call into
@@ -52,14 +52,12 @@ keys, body load addresses shifted back by one x step).  When they are
 equal the carry is a **view**: ``final[..., :-1]`` of its end-of-body
 plane computed from one position earlier, because position ``y*P - 1``
 of a flat run *is* trip ``-1`` of row ``y``.  Its prologue lanes are
-then dead.  Every other carry is a shifted copy with the prologue value
-written at each row's first trip; identical carry lanes are built once.
-Each lane plane is computed over as many extra leading positions
-(its *extent*) as the view carries reading it need.  Lowering orders the
-carried registers so that each one's end-of-body value reads only
-carries already built, so the body runs exactly once.  A cycle among
-the carries is a true recurrence (an accumulator) and raises a
-``recurrence`` fallback.
+then dead.  Identical carry lanes are built once.  Each lane plane is
+computed over as many extra leading positions (its *extent*) as the
+view carries reading it need.  Lowering orders the carried registers so
+that each one's end-of-body value reads only carries already built, so
+the body runs exactly once.  A cycle among the carries is a true
+recurrence (an accumulator) and raises a ``recurrence`` fallback.
 
 **Strip-mining.**  A sweep over more than :data:`SLAB_POINTS` output
 points runs the same kernel over contiguous row-slab views
@@ -68,11 +66,12 @@ narrowed to ``b`` rows; a slab program shares its parent's analysis.
 The bound keeps a slab's de-interleaved input and lane planes
 cache-resident.  Outer environments are independent and loads never
 alias stores, so the slabs compose to exactly the full sweep; a grid
-needs at most two specializations (full slab, remainder).
+needs at most two specializations (full slab, remainder), and both are
+made before the first slab runs.
 
-**Bitwise identity.**  Views, the de-interleaving copy, gathers and
-shuffle renames are exact element copies; ADD/SUB/MUL/FMA are the same
-IEEE ops applied to the same operand values lane by lane (inlining only
+**Bitwise identity.**  Views, the de-interleaving copy and shuffle
+renames are exact element copies; ADD/SUB/MUL/FMA are the same IEEE ops
+applied to the same operand values lane by lane (inlining only
 substitutes a pure expression for its value, constants are scalars of
 the program's dtype, and the stored positions of a lane plane hold, per
 (env, x) coordinate, exactly the values the interpreter's register
@@ -82,17 +81,19 @@ interp == codegen bitwise for every scheme, dtype and random spec.
 **Fallback taxonomy.**  :class:`CodegenFallback` carries a ``reason``
 the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
 
-* ``compile``    — the program shape cannot be flattened (x-dependent
-  non-last-axis address, prologue store, load/store array aliasing);
-* ``layout``     — the concrete arrays defeat flattening (wrong dtype,
-  non-contiguous, stores that interleave between instructions);
-* ``memory``     — hoisted index constants would exceed
-  :data:`MEMORY_GUARD` elements;
+* ``compile``    — lowering sees a shape outside the generated one
+  (x-dependent non-last-axis address, prologue store, load/store array
+  aliasing, a carry that is not a view, a live prologue value that is
+  not a scalar);
+* ``layout``     — only the concrete arrays show it (wrong dtype,
+  non-contiguous, a live body load the de-interleaved planes cannot
+  place, a store that is not a view or rows stored twice);
 * ``recurrence`` — loop-carried registers depend on each other in a
   cycle (the scan/prefix case).
 
-On any of these the driver degrades codegen -> interp; correctness
-never depends on this backend succeeding.
+Every refusal is raised before any array is written.  The driver then
+degrades codegen -> interp; correctness never depends on this backend
+succeeding.
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ from .. import obs
 from ..errors import IsaError, MachineError
 from .isa import Affine, Instr, Op, execute_alu
 
-#: cap on the total number of hoisted gather-index elements per
-#: specialization; beyond this the int64 constants would rival the
-#: grids themselves and the interpreter is the safer engine
-MEMORY_GUARD = 1 << 24
-
 #: output points per strip-mined slab; a sweep over more points runs the
 #: kernel slab by slab along the outermost loop (see module docstring).
 #: Measured best over 2^15..2^18 on the sweep-large kernels (CHANGES.md
@@ -137,7 +133,7 @@ Lane = Tuple[int, int]
 class CodegenFallback(Exception):
     """The program (or these concrete arrays) cannot run on the codegen
     backend; the caller should degrade to the interpreter.  ``reason``
-    is one of ``compile | layout | memory | recurrence``."""
+    is one of ``compile | layout | recurrence``."""
 
     def __init__(self, reason: str, message: str) -> None:
         super().__init__(message)
@@ -160,35 +156,6 @@ def _deal(arr: np.ndarray, block: int, pitch: int) -> np.ndarray:
     if n > full * block:
         planes[:n - full * block, :, full] = src[:, full * block:].T
     return flat
-
-
-def _carry_plane(head, tail, shape, pitch, dtype) -> np.ndarray:
-    """One lane of a carried register that is not a view: every position
-    holds ``tail`` (the end-of-body plane one position earlier) except
-    each row's first trip, which holds the prologue value ``head``
-    (either may be a scalar)."""
-    plane = np.empty(shape, dtype)
-    plane[..., 1:] = tail
-    plane.reshape(shape[:-1] + (-1, pitch))[..., 0] = head
-    return plane
-
-
-def _spread(rows: np.ndarray, pitch: int, ext: int) -> np.ndarray:
-    """A prologue plane (one value per row) widened to a body plane of
-    extent ``ext``: each row's value fills its ``pitch`` positions,
-    starting ``ext`` positions before its first trip."""
-    plane = np.repeat(rows, pitch, axis=-1)
-    return np.concatenate((plane, plane[..., :ext]), axis=-1) if ext \
-        else plane
-
-
-def _restack(lanes, shape, dtype) -> np.ndarray:
-    """The lanes of one register stacked back to ``(..., width)`` for an
-    ordered store commit."""
-    out = np.empty(shape, dtype)
-    for j, lane in enumerate(lanes):
-        out[..., j] = lane
-    return out
 
 
 def _tuple(parts: List[str]) -> str:
@@ -293,7 +260,6 @@ class _MemRef:
     is_store: bool
     vid: int                  # load: produced node (-1 for stores)
     lanes: Tuple[Lane, ...]   # store: the stored register's lanes
-    order: int                # program order among stores
 
 
 @dataclass
@@ -311,13 +277,13 @@ class CodegenProgram:
     emitted straight-line numpy source (see module docstring).
 
     Construction performs the shape-independent analysis and raises
-    :class:`CodegenFallback` (reason ``compile``) for programs that
-    cannot be flattened; concrete array layouts are handled lazily by
-    :meth:`specialize`.  ``recurrence`` is ``None`` unless the carried
-    registers form a cycle, in which case every run raises
-    :class:`CodegenFallback` (reason ``recurrence``).  ``views`` names
-    the carried registers lowered as shifted views of their end-of-body
-    planes.
+    :class:`CodegenFallback` (reason ``compile``) for programs outside
+    the generated shape; concrete array layouts are checked by
+    :meth:`specialize` (reason ``layout``).  ``recurrence`` is ``None``
+    unless the carried registers form a cycle, in which case every run
+    raises :class:`CodegenFallback` (reason ``recurrence``).  ``views``
+    names the carried registers lowered as shifted views of their
+    end-of-body planes: all of them, unless ``recurrence`` is set.
     """
 
     def __init__(self, program) -> None:
@@ -341,7 +307,6 @@ class CodegenProgram:
         self._heads: Dict[str, Tuple[Lane, ...]] = {}   # prologue lanes
         self._finals: Dict[str, Tuple[Lane, ...]] = {}  # end-of-body lanes
         self._carry_vid: Dict[str, int] = {}
-        self._undefined_carry: Optional[str] = None
         self._pinned: set = set()   # lanes that must be materialized
         self._build()
         self._load_ref = {r.vid: r for r in self.refs if not r.is_store}
@@ -349,7 +314,11 @@ class CodegenProgram:
         self.views = (self._view_carries() if self.recurrence is None
                       else frozenset())
         self._live, self._uses = self._liveness()
-        self._ext = self._extents() if self.recurrence is None else {}
+        self._scalar = self._scalars()
+        self._ext = {}
+        if self.recurrence is None:
+            self._refuse_off_shape()
+            self._ext = self._extents()
         self.array_names = sorted({r.array for r in self.refs})
         self._specs: "OrderedDict[tuple, _Specialized]" = OrderedDict()
         self._slab_progs: "OrderedDict[int, CodegenProgram]" = OrderedDict()
@@ -386,7 +355,6 @@ class CodegenProgram:
         width = self.width
         loaded, stored = set(), set()
         regmap: Dict[str, Tuple[Lane, ...]] = {}
-        store_order = itertools.count()
 
         def const(value, section) -> Tuple[Lane, ...]:
             # the interpreter's own broadcast, so the scalar rounds alike
@@ -402,7 +370,7 @@ class CodegenProgram:
                 loaded.add(name)
                 vid = self._new("load", op, None, section)
                 self.refs.append(_MemRef(instr, name, outer, last, rows,
-                                         False, vid, (), -1))
+                                         False, vid, ()))
                 regmap[instr.dst] = self._register(vid)
                 return
             if op is Op.STORE:
@@ -420,8 +388,7 @@ class CodegenProgram:
                         f"{instr}: store of undefined register")
                 self._pinned.update(regmap[src])
                 self.refs.append(_MemRef(instr, name, outer, last, rows,
-                                         True, -1, regmap[src],
-                                         next(store_order)))
+                                         True, -1, regmap[src]))
                 return
             if op is Op.BROADCAST:
                 regmap[instr.dst] = const(instr.imm, section)
@@ -459,11 +426,6 @@ class CodegenProgram:
         for name in self.carried:
             if name in regmap:
                 self._heads[name] = regmap[name]
-                self._pinned.update(regmap[name])
-            else:
-                # the interpreter would fault on the first body read;
-                # surface that at run time, not silently read zeros
-                self._undefined_carry = name
             self._carry_vid[name] = self._new(
                 "carry", None, None, "body", data=len(self._carry_vid))
             regmap[name] = self._register(self._carry_vid[name])
@@ -575,10 +537,8 @@ class CodegenProgram:
 
     def _liveness(self):
         """``(live lanes, use counts)``: the lanes a store reaches, through
-        arithmetic operands and carried registers (a view carry reads
-        only its end-of-body value), and how many live lanes read each
-        one.  A lane read across sections is pinned, so the prologue
-        computes it once."""
+        arithmetic operands and carried registers (a carry reads its
+        end-of-body value), and how many live lanes read each one."""
         roots = [lane for ref in self.refs for lane in ref.lanes]
         uses: Dict[Lane, int] = {}
         live = set(roots)
@@ -589,25 +549,55 @@ class CodegenProgram:
             if node.kind == "arith":
                 reads = node.lanes[j]
             elif node.kind == "carry":
-                name = self.carried[node.data]
-                reads = (self._finals[name][j],)
-                if name in self._heads and name not in self.views:
-                    reads += (self._heads[name][j],)
+                reads = (self._finals[self.carried[node.data]][j],)
             else:
                 continue
             for lane in reads:
                 uses[lane] = uses.get(lane, 0) + 1
-                if self.nodes[lane[0]].section != node.section:
-                    self._pinned.add(lane)
                 if lane not in live:
                     live.add(lane)
                     work.append(lane)
         return live, uses
 
+    def _scalars(self) -> set:
+        """The lanes whose value is one hoisted scalar: constants,
+        arithmetic over scalars and view carries of a scalar."""
+        scalar: set = set()
+        for vid in self._order:
+            node = self.nodes[vid]
+            for j in range(self.width):
+                if node.kind == "arith":
+                    ok = all(op in scalar for op in node.lanes[j])
+                elif node.kind == "carry":
+                    name = self.carried[node.data]
+                    ok = name in self.views and self._finals[name][j] in scalar
+                else:
+                    ok = node.kind == "const"
+                if ok:
+                    scalar.add((vid, j))
+        return scalar
+
+    def _refuse_off_shape(self) -> None:
+        """Raise ``compile`` unless every carry is a view and every live
+        prologue lane a scalar, so no prologue plane is ever built."""
+        copied = [n for n in self.carried if n not in self.views]
+        if copied:
+            raise CodegenFallback(
+                "compile",
+                f"{self.program.name}: carried registers {copied} are not "
+                f"views of their end-of-body planes")
+        pro = sorted({vid for vid, _ in self._live - self._scalar
+                      if self.nodes[vid].section == "pro"})
+        if pro:
+            raise CodegenFallback(
+                "compile",
+                f"{self.program.name}: the body reads prologue values "
+                f"(nodes {pro}) that are not scalars")
+
     def _extents(self) -> Dict[Lane, int]:
         """Per live body lane, how many positions before each row's first
-        trip its plane starts: a view carry needs its end-of-body value
-        one position earlier than itself, an operand as early as its
+        trip its plane starts: a carry needs its end-of-body value one
+        position earlier than itself, an operand as early as its
         reader.  Walks the emission order backwards, so every reader is
         done before what it reads."""
         ext: Dict[Lane, int] = {}
@@ -622,9 +612,8 @@ class CodegenProgram:
                 if node.kind == "arith":
                     reads = node.lanes[j]
                 else:
-                    name = self.carried[node.data]
-                    reads = (self._finals[name][j],)
-                    e += name in self.views
+                    reads = (self._finals[self.carried[node.data]][j],)
+                    e += 1
                 for lane in reads:
                     if self.nodes[lane[0]].section == "body":
                         ext[lane] = max(ext.get(lane, 0), e)
@@ -666,8 +655,6 @@ class CodegenProgram:
         starts (lane 0's flat index per (env, x) row), the lane-0 view
         description ``(offset, shape, strides)`` in elements (or None),
         and the array."""
-        if ref.array not in arrays:
-            raise MachineError(f"unknown array {ref.array!r} in {ref.instr}")
         arr = arrays[ref.array]
         if len(ref.outer) + 1 != arr.ndim:
             raise MachineError(
@@ -724,8 +711,8 @@ class CodegenProgram:
 
     def _flat_rows(self, site: dict):
         """``(row, column, lead row strides)`` placing a body load in the
-        de-interleaved planes of its array, or None when it needs a
-        gather: the x walk must advance one block per trip, the innermost
+        de-interleaved planes of its array, or None when no plane holds
+        it: the x walk must advance one block per trip, the innermost
         outer loop one array row per trip, and every other outer loop a
         non-negative whole number of rows."""
         ref, view = site["ref"], site["view"]
@@ -772,22 +759,21 @@ class CodegenProgram:
     def run(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Execute one full sweep, slab by slab above :data:`SLAB_POINTS`.
         Raises :class:`CodegenFallback` when the layout defeats flattening
-        or the carried registers form a recurrence; the interpreter's
-        rerun then rewrites anything an earlier slab committed with equal
-        values."""
-        if self._undefined_carry is not None:
-            raise IsaError(
-                f"read of undefined register {self._undefined_carry!r}")
+        or the carried registers form a recurrence; every slab is
+        specialized first, so a refusal leaves the arrays untouched."""
         rows = self._slab_rows()
         if rows is None:
             return self.specialize(arrays).fn(arrays)
         trips, step = self.outer_dims[0], self.outer_loops[0].step
+        slabs = []
         for k0 in range(0, trips, rows):
             b = min(rows, trips - k0)
             cut = (trips - k0 - b) * step  # array rows after this window
             views = {name: arrays[name][k0 * step:len(arrays[name]) - cut]
                      for name in self.array_names}
-            self._slab_program(b).specialize(views).fn(views)
+            slabs.append((self._slab_program(b).specialize(views), views))
+        for spec, views in slabs:
+            spec.fn(views)
 
     def _slab_rows(self) -> Optional[int]:
         """Outer-loop trips per slab; ``None`` runs unsliced (the sweep
@@ -833,8 +819,7 @@ class CodegenProgram:
     def _emit(self, arrays, key) -> _Specialized:
         width, block, trips = self.width, self.program.block, self.trips
         sites = [self._resolve_ref(ref, arrays) for ref in self.refs]
-        site_of = {id(s["ref"]): s for s in sites}
-        store_plan = self._plan_stores(sites)
+        self._check_stores(sites)
         flat = {}
         for s in sites:
             ref = s["ref"]
@@ -850,18 +835,10 @@ class CodegenProgram:
         pitch = max([1, trips + max(ext.values(), default=0)]
                     + [-(-arrays[n].shape[-1] // block) for n in dealt])
         span = rows * pitch
-        ns = {"np": np, "_DT": self.dtype, "_deal": _deal,
-              "_carry": _carry_plane, "_spread": _spread,
-              "_restack": _restack}
-        consts = itertools.count()
+        ns = {"np": np, "_DT": self.dtype, "_deal": _deal}
         vars_ = itertools.count()
         scalars: Dict[bytes, str] = {}
         itemsize = np.dtype(self.dtype).itemsize
-
-        def hoist(value) -> str:
-            name = f"_K{next(consts)}"
-            ns[name] = value
-            return name
 
         def view(buf: str, off: int, shape, strides) -> str:
             return (f"np.ndarray({shape}, _DT, {buf}, {off * itemsize}, "
@@ -871,139 +848,78 @@ class CodegenProgram:
         deal_var = {name: f"_d{i}" for i, name in enumerate(dealt)}
         plane_size = {name: (arrays[name].size // arrays[name].shape[-1]
                              + 2) * pitch for name in dealt}
-        live = self._live
+        live, scalar = self._live, self._scalar
         # per-lane expression text of every emitted lane; a body lane's
         # text covers ext[lane] positions before each row's first trip
         text: Dict[Lane, str] = {}
-        scalar: set = set()     # lanes whose value is a hoisted scalar
 
         for node in self.nodes:
             if node.kind == "const":
                 bits = node.data.tobytes()
                 if bits not in scalars:
-                    scalars[bits] = hoist(node.data)
+                    scalars[bits] = f"_K{len(scalars)}"
+                    ns[scalars[bits]] = node.data
                 for j in range(width):
                     text[(node.vid, j)] = scalars[bits]
-                    scalar.add((node.vid, j))
-        if not trips or 0 in self.outer_dims:    # no body run: no effect
-            return self._compile(key, self._assemble(
-                [], [], [], [], key, pitch), ns)
-        # only gathers and non-view scatters hoist an index constant
-        budget = 0
-        for s in sites:
-            ref = s["ref"]
-            if ref.is_store:
-                if s["view"] is None or store_plan[id(ref)] != "direct":
-                    budget += s["starts"].size * width
-            elif self.nodes[ref.vid].section == "pro":
-                budget += (s["view"] is None) * s["starts"].size * width
-            elif id(ref) not in flat:
-                budget += math.prod(lead) * (span + pitch) * width
-        if budget > MEMORY_GUARD:
-            raise CodegenFallback(
-                "memory",
-                f"hoisted index constants would need {budget} elements "
-                f"(guard: {MEMORY_GUARD}); the interpreter runs this "
-                f"sweep instead")
 
-        pro_lines: List[str] = []
-        body_lines: List[str] = []
-        bound: Dict[str, str] = {}      # view / helper expression -> var
+        lines: List[str] = []
+        bound: Dict[str, str] = {}      # view expression -> var
 
-        def out(section) -> List[str]:
-            return pro_lines if section == "pro" else body_lines
-
-        def bind(section, expr, prefix="_v") -> str:
+        def bind(expr, prefix="_v") -> str:
             v = f"{prefix}{next(vars_)}"
-            out(section).append(f"{v} = {expr}")
+            lines.append(f"{v} = {expr}")
             return v
 
-        def once(section, expr, prefix="_v") -> str:
+        def once(expr, prefix="_v") -> str:
             if expr not in bound:
-                bound[expr] = bind(section, expr, prefix)
+                bound[expr] = bind(expr, prefix)
             return bound[expr]
 
         def at(lane: Lane, e: int) -> str:
-            """A body reader's text of ``lane`` at extent ``e``."""
+            """A reader's text of ``lane`` at extent ``e``."""
             if lane in scalar:
                 return text[lane]
-            if self.nodes[lane[0]].section == "pro":
-                return once("body", f"_spread({text[lane]}, {pitch}, {e})")
             d = ext.get(lane, 0) - e
             return text[lane] if d == 0 else f"{text[lane]}[..., {d}:]"
 
-        def gather(s: dict, j: int, e: int) -> np.ndarray:
-            """Flat indices of a body load lane's plane at extent ``e``;
-            pad positions repeat the row's last trip."""
-            starts = s["starts"][..., 0].reshape(lead + (rows,))
-            i = np.arange(span + e)
-            row = np.minimum(i // pitch, rows - 1)
-            trip = np.clip(i - row * pitch - e, -e, trips - 1)
-            return (starts[..., row] + trip * (s["ref"].last[1] * self.x_step)
-                    + j)
-
         for vid in self._order:
             node = self.nodes[vid]
-            sec = node.section
             lanes = [(vid, j) for j in range(width)]
             if not any(lane in live for lane in lanes):
                 continue
             if node.kind == "load":
                 ref = self._load_ref[vid]
-                s = site_of[id(ref)]
-                a = arr_var[ref.array]
+                if id(ref) not in flat:
+                    raise CodegenFallback(
+                        "layout",
+                        f"{ref.instr}: the load's walk is not one block per "
+                        f"trip over whole array rows, so no de-interleaved "
+                        f"plane holds it")
+                row0, col0, lead_rows = flat[id(ref)]
                 for j, lane in enumerate(lanes):
                     if lane not in live:
                         continue
                     e = ext.get(lane, 0)
-                    if sec == "pro" and s["view"] is not None:
-                        off, _, strides = s["view"]
-                        expr = view(a, off + j, lead + (rows,),
-                                    strides[:-1] or (0,))
-                    elif sec == "pro":
-                        idx = s["starts"][..., 0].reshape(lead + (rows,))
-                        expr = f"{a}[{hoist(idx + j)}]"
-                    elif id(ref) in flat:
-                        row0, col0, lead_rows = flat[id(ref)]
-                        q, r = divmod(col0 + j, block)
-                        expr = view(
-                            deal_var[ref.array],
-                            r * plane_size[ref.array] + (1 + row0) * pitch
-                            + q - e, lead + (span + e,),
-                            tuple(k * pitch for k in lead_rows) + (1,))
-                    else:
-                        expr = f"{a}[{hoist(gather(s, j, e))}]"
-                    text[lane] = once(sec, expr)
+                    q, r = divmod(col0 + j, block)
+                    text[lane] = once(view(
+                        deal_var[ref.array],
+                        r * plane_size[ref.array] + (1 + row0) * pitch
+                        + q - e, lead + (span + e,),
+                        tuple(k * pitch for k in lead_rows) + (1,)))
             elif node.kind == "carry":
                 name = self.carried[node.data]
                 for j, lane in enumerate(lanes):
-                    if lane not in live:
-                        continue
-                    final = self._finals[name][j]
-                    if name in self.views:
-                        if final in scalar:
-                            text[lane] = text[final]
-                            scalar.add(lane)
-                            continue
-                        expr = f"{at(final, ext[lane] + 1)}[..., :-1]"
-                    else:
-                        head = self._heads[name][j]
-                        tail = (text[final] if final in scalar
-                                else f"{at(final, 0)}[..., :-1]")
-                        expr = (f"_carry({text[head]}, {tail}, "
-                                f"{lead + (span,)}, {pitch}, _DT)")
-                    text[lane] = once(sec, expr, "_c")
+                    if lane in live:
+                        final = self._finals[name][j]
+                        text[lane] = (text[final] if lane in scalar else once(
+                            f"{at(final, ext[lane] + 1)}[..., :-1]", "_c"))
             elif node.kind == "arith":
                 exprs = []
                 for ops, lane in zip(node.lanes, lanes):
                     if lane not in live:
                         exprs.append("None")
                         continue
-                    if all(op in scalar for op in ops):
-                        scalar.add(lane)
-                    e = ext.get(lane, 0)
-                    a = [text[op] if sec == "pro" else at(op, e)
-                         for op in ops]
+                    a = [at(op, ext.get(lane, 0)) for op in ops]
                     if node.op is Op.ADD:
                         exprs.append(f"({a[0]} + {a[1]})")
                     elif node.op is Op.SUB:
@@ -1015,7 +931,7 @@ class CodegenProgram:
                 if any(lane in live and (lane in self._pinned
                                          or self._uses.get(lane, 0) > 1)
                        for lane in lanes):
-                    v = bind(sec, _tuple(exprs))
+                    v = bind(_tuple(exprs))
                     for j, lane in enumerate(lanes):
                         text[lane] = f"{v}[{j}]"
                 else:
@@ -1031,101 +947,51 @@ class CodegenProgram:
             return (f"{at(lane, 0)}.reshape({lead + (rows, pitch)})"
                     f"[..., :{trips}]")
 
-        commit_lines = self._emit_commits(store_plan, sites, arr_var, hoist,
-                                          view, stored)
-        code = "\n".join(pro_lines + body_lines + commit_lines)
+        commits = []
+        for s in sites:
+            ref = s["ref"]
+            if ref.is_store:
+                off, shape, strides = s["view"]
+                a = arr_var[ref.array]
+                commits += [f"{view(a, off + j, shape, strides)}[...] = "
+                            f"{stored(lane)}"
+                            for j, lane in enumerate(ref.lanes)]
+        code = "\n".join(lines + commits)
         entry = [f"{var} = arrays[{name!r}].reshape(-1)"
                  for name, var in sorted(arr_var.items())
                  if re.search(rf"\b{var}\b", code)]
         entry += [f"{var} = _deal(arrays[{name!r}], {block}, {pitch})"
                   for name, var in sorted(deal_var.items())]
-        return self._compile(key, self._assemble(
-            entry, pro_lines, body_lines, commit_lines, key, pitch), ns)
+        return self._compile(key, self._assemble(entry, lines, commits, key,
+                                                 pitch), ns)
 
     def _compile(self, key, src: str, ns: dict) -> _Specialized:
         code = compile(src, f"<codegen:{self.program.name}>", "exec")
         exec(code, ns)
         return _Specialized(key=key, fn=ns["_sweep"], source=src)
 
-    def _plan_stores(self, sites) -> Dict[int, str]:
-        """Choose a commit strategy per store site: ``direct`` (scatter
-        or view — order-free), ``rowloop`` (in-order over x rows,
-        vectorized over envs) or ``elemloop`` (fully ordered)."""
-        width = self.width
-        plan: Dict[int, str] = {}
-        by_array: Dict[str, list] = {}
+    def _check_stores(self, sites) -> None:
+        """Raise ``layout`` unless every store site is a forward view and
+        no element is stored twice: the commits are then order-free."""
+        starts: Dict[str, list] = {}
         for s in sites:
-            if s["ref"].is_store:
-                by_array.setdefault(s["ref"].array, []).append(s)
-        for name, group in by_array.items():
-            starts = np.concatenate(
-                [s["starts"].reshape(-1) for s in group])
-            order = np.sort(starts)
-            disjoint = order.size < 2 or bool(
-                (np.diff(order) >= width).all())
-            if disjoint:
-                for s in group:
-                    plan[id(s["ref"])] = "direct"
+            if not s["ref"].is_store:
                 continue
-            if len(group) > 1:
+            if s["view"] is None:
                 raise CodegenFallback(
                     "layout",
-                    f"{len(group)} stores to {name!r} interleave "
-                    f"overlapping rows; codegen cannot reproduce the "
-                    f"interpreter's write order")
-            s = group[0]
-            rows = s["starts"].reshape(-1, s["starts"].shape[-1])
-            env_ok = True
-            if rows.shape[0] > 1:
-                span = np.sort(
-                    np.stack([rows.min(axis=1), rows.max(axis=1)], axis=1),
-                    axis=0)
-                gaps = span[1:, 0] - span[:-1, 1]
-                env_ok = bool((gaps >= width).all())
-            plan[id(s["ref"])] = "rowloop" if env_ok else "elemloop"
-        return plan
+                    f"{s['ref'].instr}: the store walk is no forward view")
+            starts.setdefault(s["ref"].array, []).append(
+                s["starts"].reshape(-1))
+        for name, group in starts.items():
+            order = np.sort(np.concatenate(group))
+            if not (np.diff(order) >= self.width).all():
+                raise CodegenFallback(
+                    "layout",
+                    f"stores to {name!r} overlap; codegen commits only "
+                    f"disjoint rows")
 
-    def _emit_commits(self, plan, sites, arr_var, hoist, view,
-                      stored) -> List[str]:
-        width = self.width
-        lines: List[str] = []
-        stores = sorted((s for s in sites if s["ref"].is_store),
-                        key=lambda s: s["ref"].order)
-        for i, s in enumerate(stores):
-            ref = s["ref"]
-            a = arr_var[ref.array]
-            vals = [stored(lane) for lane in ref.lanes]
-            mode = plan[id(ref)]
-            if mode == "direct":
-                for j, val in enumerate(vals):
-                    if s["view"] is not None:
-                        off, shape, strides = s["view"]
-                        lines.append(
-                            f"{view(a, off + j, shape, strides)}[...] = "
-                            f"{val}")
-                    else:
-                        lines.append(
-                            f"{a}[{hoist(s['starts'] + j)}] = {val}")
-                continue
-            # ordered commits replay the interpreter's row writes over
-            # the lanes restacked to (..., width)
-            full = self.outer_dims + (ref.rows, width)
-            k = hoist(s["starts"][..., None] + np.arange(width))
-            bv = f"_bv{i}"
-            lines.append(
-                f"{bv} = _restack({_tuple(vals)}, {full}, _DT)")
-            if mode == "rowloop":
-                lines.append(f"for _t in range({ref.rows}):")
-                lines.append(f"    {a}[{k}[..., _t, :]] = {bv}[..., _t, :]")
-            else:  # elemloop: env-major row-major, the interpreter's order
-                lines.append(f"{bv} = {bv}.reshape(-1, {width})")
-                lines.append(f"_ix{i} = {k}.reshape(-1, {width})")
-                lines.append(f"for _j in range(_ix{i}.shape[0]):")
-                lines.append(f"    {a}[_ix{i}[_j]] = {bv}[_j]")
-        return lines
-
-    def _assemble(self, entry, pro_lines, body_lines, commit_lines,
-                  key, pitch) -> str:
+    def _assemble(self, entry, body_lines, commit_lines, key, pitch) -> str:
         p = self.program
         lines = [
             f"# codegen: {p.name} [{p.scheme}] width={p.width} "
@@ -1145,16 +1011,13 @@ class CodegenProgram:
                 lines.append(pad + ln if ln else "")
 
         block(entry, 4)
-        if pro_lines:
-            block(["# prologue (one value per row of each lane)"], 4)
-            block(pro_lines, 4)
         if body_lines:
             block(["# body (one flat run per lane over rows x pitch)"], 4)
             block(body_lines, 4)
         if commit_lines:
             block(["# deferred stores (committed in interpreter order)"], 4)
             block(commit_lines, 4)
-        if not (entry or pro_lines or body_lines or commit_lines):
+        if not (entry or body_lines or commit_lines):
             block(["pass"], 4)
         return "\n".join(lines) + "\n"
 
@@ -1176,5 +1039,5 @@ def emitted_source(program, arrays: Mapping[str, np.ndarray]) -> str:
     return get_codegen(program).specialize(arrays).source
 
 
-__all__ = ["CodegenFallback", "CodegenProgram", "MEMORY_GUARD",
-           "SLAB_POINTS", "SPEC_ENTRIES", "emitted_source", "get_codegen"]
+__all__ = ["CodegenFallback", "CodegenProgram", "SLAB_POINTS",
+           "SPEC_ENTRIES", "emitted_source", "get_codegen"]

@@ -57,6 +57,7 @@ Everything is instrumented under the ``server.*`` taxonomy (see
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +77,13 @@ from .admission import AdmissionController, ServerOverloaded
 #: how far batch size is shed under overload rung 1 (divisor of
 #: ``max_batch``, floored at 1).
 SHED_DIVISOR = 4
+
+#: the most work one request may ask for, in interior points x
+#: max(steps, 1): 1024² x 16 steps, a 128 MiB float64 grid at most.  The
+#: largest request the tests, benchmarks and perfbench send is serve-
+#: churn's 32³ heat-3d x 2 steps (65 536, above its 96² x 2 = 18 432),
+#: 256x below the cap.
+WORK_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,16 @@ class StencilJob:
             raise ReproError("shape extents must be >= 1")
         if self.steps < 0:
             raise ReproError("steps must be >= 0")
+        work = math.prod(self.shape) * max(self.steps, 1)
+        if work > WORK_CAP:
+            raise ReproError(
+                f"{self.shape} x {self.steps} steps is {work} point-steps "
+                f"of work; one request may ask for at most {WORK_CAP}")
         if (self.seed is None) == (self.grid is None):
             raise ReproError("pass exactly one of seed= or grid=")
+        if self.grid is not None and self.grid.shape != self.shape:
+            raise ReproError(f"grid shape {self.grid.shape} is not the "
+                             f"job's shape {self.shape}")
 
     def batch_key(self) -> Tuple:
         """Jobs sharing this key may ride one micro-batch (one compile,

@@ -8,9 +8,10 @@ configurations by :class:`~repro.parallel.simulator.MulticoreModel` with
 the candidate's cores and temporal block.  Because the analytic models
 predict *hypothetical hardware* throughput while trials measure *Python
 wall-clock*, scores are scaled by per-engine wall-clock priors (codegen
-execution ≈20× the interpreter per ``benchmarks/bench_machine.py``; the
-numpy paths orders of magnitude beyond both).  The priors only order
-candidates for pruning — empirical timing always has the last word.
+execution ≈1400× the interpreter per ``benchmarks/bench_machine.py``;
+the numpy path and the partitioned executor within 1.5× of codegen).
+The priors only order candidates for pruning — empirical timing always
+has the last word.
 
 **Stage 2 — empirical timing.**  The top-ranked candidates (stratified
 across engine families, the planner's default always included) are timed
@@ -48,18 +49,25 @@ from ..stencils.spec import StencilSpec
 from ..vectorize.driver import run_program
 from .space import TuneConfig
 
-#: crude wall-clock priors per engine family (relative to the
+#: measured wall-clock priors per engine family (relative to the
 #: per-instruction interpreter = 1).  Their only job is candidate
-#: *ordering* before the empirical stage; see the module docstring.
+#: *ordering* before the empirical stage; see the module docstring.  On
+#: a 2-vCPU Xeon host, ``python benchmarks/bench_machine.py`` (512²,
+#: jigsaw) times codegen at 1343-1509x the interpreter, and a traced
+#: ``python3 perfbench/run.py --workload sweep-large --seed 0
+#: --seconds 10 --trace 1`` reads numpy at 1.07x codegen (geometric mean
+#: of ``engine.codegen.sweep_ms.*`` over ``engine.numpy.sweep_ms.*``)
+#: and the 2-part thread executor at 1.48x (``tiled_mstencil_s`` over
+#: ``codegen_mstencil_s``).
 WALLCLOCK_PRIORS: Dict[str, float] = {
     "machine/interp": 1.0,
-    "machine/auto": 20.0,
-    "machine/codegen": 20.0,
+    "machine/auto": 1400.0,
+    "machine/codegen": 1400.0,
     "scheme/interp": 1.0,
-    "scheme/auto": 20.0,
-    "scheme/codegen": 20.0,
-    "numpy": 400.0,
-    "parallel": 400.0,
+    "scheme/auto": 1400.0,
+    "scheme/codegen": 1400.0,
+    "numpy": 1500.0,
+    "parallel": 2100.0,
 }
 
 

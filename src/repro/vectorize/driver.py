@@ -112,9 +112,9 @@ def run_program(
     The default emits one specialized straight-line source function per
     program (:mod:`repro.machine.codegen`) and degrades codegen ->
     interp whenever codegen cannot apply: a per-access ``mem_hook`` is
-    attached (the cache simulator needs ordered accesses), the layout
-    defeats flattening, or the loop-carried registers form a true
-    recurrence.
+    attached (the cache simulator needs ordered accesses), the program
+    or its arrays fall outside the generated shape, or the loop-carried
+    registers form a true recurrence.
     Both engines produce bitwise-identical grids; with a ``counter``,
     codegen sweeps are tallied analytically (exactly matching the
     interpreter's executed counts).
@@ -144,7 +144,7 @@ def run_program(
     codegen = None
     if backend != "interp":
         if mem_hook is not None:
-            # per-access hooks need ordered accesses; a gather has none
+            # per-access hooks need ordered accesses; emitted source has none
             _count_fallback("mem_hook")
         else:
             try:
@@ -198,8 +198,8 @@ def run_program(
 
 def _count_fallback(reason: str) -> None:
     """Tally one codegen -> interp degradation under its reason.  The
-    taxonomy (``mem_hook`` | ``compile`` | ``layout`` | ``memory`` |
-    ``recurrence`` | ``fault``) is documented in docs/architecture.md."""
+    taxonomy (``mem_hook`` | ``compile`` | ``layout`` | ``recurrence`` |
+    ``fault``) is documented in docs/architecture.md."""
     if obs.enabled():
         obs.counter("exec.codegen_fallback").inc()
         obs.counter(f"exec.codegen_fallback.reason.{reason}").inc()

@@ -15,6 +15,7 @@ from repro.server import (AdmissionController, LoadConfig, LocalClient,
                           ServerOverloaded, StencilJob, StencilServer,
                           TokenBucket, reference_results, request_schedule,
                           run_load_sync)
+from repro.server.core import WORK_CAP
 from repro.server.net import interior_checksum, request_tcp, serve_tcp
 from repro.service import KernelService, SweepJob
 from repro.stencils import library
@@ -80,6 +81,18 @@ class TestStencilJob:
             StencilJob(spec, (16, 16), 1)  # neither seed nor grid
         with pytest.raises(ReproError):
             StencilJob(spec, (16, 16), 1, seed=0, grid=grid)
+        with pytest.raises(ReproError, match="grid shape"):
+            StencilJob(spec, (8, 8), 1, grid=grid)  # the cap reads shape
+
+    def test_work_cap_bounds_points_times_steps(self):
+        spec = library.get("heat-2d")
+        full = WORK_CAP // 1024 ** 2
+        StencilJob(spec, (1024, 1024), full, seed=0)
+        StencilJob(spec, (1024, 1024), 0, seed=0)  # one grid's worth
+        for shape, steps in (((1024, 1024), full + 1),
+                             ((3_000_000, 3_000_000), 1), ((32, 32), 10 ** 9)):
+            with pytest.raises(ReproError, match="point-steps"):
+                StencilJob(spec, shape, steps, seed=0)
 
     def test_batch_key_coalesces_across_seeds_not_shapes(self):
         a = _job(seed=0)
@@ -565,6 +578,38 @@ class TestTcpFrontEnd:
         assert field in bad["error"]
         assert ok["ok"]
         assert ok["checksum"] == interior_checksum(_expected(seed=0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("shape", [3_000_000, 3_000_000]), ("steps", 10 ** 9)])
+    def test_work_above_the_cap_is_a_bad_request(self, field, value,
+                                                 monkeypatch):
+        # refused in the envelope check: no grid is ever made for it,
+        # and its neighbour still runs
+        made = []
+        materialize = StencilJob.materialize
+        monkeypatch.setattr(StencilJob, "materialize",
+                            lambda job: made.append(job) or materialize(job))
+        good = {"kernel": "heat-2d", "shape": list(SHAPE), "steps": STEPS,
+                "seed": 0}
+
+        async def main():
+            async with StencilServer(machine=GENERIC_AVX2) as server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                try:
+                    return await asyncio.wait_for(request_tcp(
+                        "127.0.0.1", port, [{**good, field: value}, good]),
+                        30)
+                finally:
+                    tcp.close()
+                    await tcp.wait_closed()
+
+        bad, ok = asyncio.run(main())
+        assert not bad["ok"] and bad["reason"] == "bad_request", bad
+        assert "point-steps" in bad["error"]
+        assert ok["ok"]
+        assert ok["checksum"] == interior_checksum(_expected(seed=0))
+        assert [(j.shape, j.steps) for j in made] == [(SHAPE, STEPS)]
 
     @pytest.mark.parametrize("deadline", [
         "soon", True, float("nan"), float("inf"), [500]])
