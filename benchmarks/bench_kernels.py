@@ -17,7 +17,7 @@ from repro.core.cache import KernelCache
 from repro.parallel.executor import run_parallel
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
-from repro.tiling.tessellate import tessellate_1d
+from repro.tiling.tessellate import tessellate_nd
 from repro.vectorize.driver import run_program
 from repro.schemes import generate, model_grid
 
@@ -64,7 +64,7 @@ def test_tessellated_1d_time_blocking(benchmark):
     spec = library.get("heat-1d")
     rng = np.random.default_rng(0)
     v = rng.uniform(size=1 << 14)
-    out = benchmark(tessellate_1d, spec, v, 32, tile=1024)
+    out = benchmark(tessellate_nd, spec, v, 32, tile=(1024,))
     assert np.isfinite(out).all()
 
 

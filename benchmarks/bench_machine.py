@@ -62,8 +62,9 @@ SPEEDUP_FLOOR = 20.0
 #: when disabled)
 TRACE_OVERHEAD_CEILING = 1.05
 
-#: alternating untraced/traced sweep pairs behind the overhead ratio
-TRACE_PAIRS = 10
+#: alternating untraced/traced sweep pairs; the overhead is the median
+#: of their per-pair traced/untraced ratios
+TRACE_PAIRS = 41
 
 #: the sweep-large kernels of the codegen/numpy parity table, on grids a
 #: CI runner sweeps in well under a second
@@ -163,34 +164,42 @@ def measure() -> dict:
 
     # the observability overhead gate: the same codegen sweep with spans
     # + metrics recording on must be bitwise identical and within
-    # TRACE_OVERHEAD_CEILING of the untraced best (best-of-N on both
-    # sides keeps scheduler noise out of the ratio).  Traced and
-    # untraced sweeps alternate, leading in turn, inside one recording
-    # session, so host-speed drift and allocator state hit both alike.
-    best = {True: float("inf"), False: float("inf")}
+    # TRACE_OVERHEAD_CEILING of untraced.  Traced and untraced sweeps
+    # alternate in pairs, leading in turn, inside one recording session,
+    # so host-speed drift and allocator state hit both sides of a pair
+    # alike; the gate reads the median of the per-pair ratios, which a
+    # few preempted sweeps cannot move (a ratio of two minima can).
+    # Each timed sweep's output is dropped before the next one starts:
+    # a result kept alive across sweeps changes which buffers the
+    # allocator recycles, and that alone moved per-pair ratios to
+    # 0.7-2.2x depending on which side led the pair.
+    ratios = []
+    times = {True: [], False: []}
     with observed():
         for i in range(TRACE_PAIRS):
+            pair = {}
             for traced in (i % 2 == 0, i % 2 == 1):
                 if traced:
                     obs.enable(reset=False)
                 else:
                     obs.disable()
-                t, result = _time_sweep(program, grid, "codegen",
-                                        repeats=1)
-                best[traced] = min(best[traced], t)
-                if traced:
-                    traced_grid = result
+                pair[traced] = _time_sweep(program, grid, "codegen",
+                                           repeats=1)[0]
+                times[traced].append(pair[traced])
+            ratios.append(pair[True] / pair[False])
         obs.enable(reset=False)
+        traced_grid = _time_sweep(program, grid, "codegen", repeats=1)[1]
         stages = {}
         attach_stages(stages)
-    traced_t, untraced_t = best[True], best[False]
+    traced_t = statistics.median(times[True])
+    untraced_t = statistics.median(times[False])
     traced_identical = bool(np.array_equal(traced_grid.data,
                                            codegen_grid.data))
 
     data = {
         "traced_seconds": traced_t,
         "untraced_seconds": untraced_t,
-        "trace_overhead": traced_t / untraced_t,
+        "trace_overhead": statistics.median(ratios),
         "trace_overhead_ceiling": TRACE_OVERHEAD_CEILING,
         "traced_bitwise_identical": traced_identical,
         "scheme": "jigsaw",
@@ -270,7 +279,8 @@ def test_trace_overhead_within_ceiling():
         "tracing changed the executed results bitwise"
     )
     assert data["trace_overhead"] <= data["trace_overhead_ceiling"], (
-        f"traced run {data['trace_overhead']:.3f}x the untraced best, "
+        f"traced run {data['trace_overhead']:.3f}x untraced (median "
+        f"per-pair ratio), "
         f"over the {data['trace_overhead_ceiling']:.2f}x ceiling"
     )
     assert data.get("stages"), "profiled run recorded no stage breakdown"

@@ -176,23 +176,26 @@ def measure_online() -> dict:
     # re-measure both on one fresh harness, in alternating rounds of
     # 64-sweep runs so host drift hits both sides alike: one-part sweeps
     # of 1024 points take well under a millisecond, and a back-to-back
-    # pair flaked (identical configs trivially tie — no re-run)
-    if incumbent.as_dict() == offline_best.config.as_dict():
-        offline_rate = online_rate = offline_best.mstencil_s
-    else:
-        harness = TuneBudget(max_trials=1, warmup=1, repeats=1,
-                             trial_timeout_s=60.0)
-        cache = KernelCache(None)
-        sides = {"offline": offline_best.config, "online": incumbent}
-        rates: dict = {side: [] for side in sides}
-        for r in range(REMEASURE_ROUNDS):
-            for side in (sorted(sides) if r % 2 else sorted(sides)[::-1]):
-                t = measure_trial(spec, machine, sides[side], ONLINE_SHAPE,
-                                  steps=64, budget=harness, cache=cache)
-                assert t.ok, t.error
-                rates[side].append(t.mstencil_s)
-        offline_rate = statistics.median(rates["offline"])
-        online_rate = statistics.median(rates["online"])
+    # pair flaked.  Identical configs trivially tie, so a shared config
+    # is measured once per round; the search's own trial of it is cold
+    # (no warmup, two sweeps) and would under-report it several-fold.
+    same = incumbent.as_dict() == offline_best.config.as_dict()
+    sides = {"offline": offline_best.config}
+    if not same:
+        sides["online"] = incumbent
+    harness = TuneBudget(max_trials=1, warmup=1, repeats=1,
+                         trial_timeout_s=60.0)
+    cache = KernelCache(None)
+    rates: dict = {side: [] for side in sides}
+    for r in range(REMEASURE_ROUNDS):
+        for side in (sorted(sides) if r % 2 else sorted(sides)[::-1]):
+            t = measure_trial(spec, machine, sides[side], ONLINE_SHAPE,
+                              steps=64, budget=harness, cache=cache)
+            assert t.ok, t.error
+            rates[side].append(t.mstencil_s)
+    offline_rate = statistics.median(rates["offline"])
+    online_rate = offline_rate if same else statistics.median(
+        rates["online"])
 
     # the live phase: tuning on, a full load, nothing ever blocked
     requests = _online_requests()

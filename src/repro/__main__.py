@@ -172,7 +172,7 @@ def cmd_tune(args) -> int:
         patience=args.patience,
     )
     exec_backends = ((args.backend,) if args.backend is not None
-                     else ("auto", "interp"))
+                     else ("auto",))
     engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     tuner = Tuner(machine, db=TuningDB(db_dir), budget=budget)
@@ -387,7 +387,7 @@ def _cmd_run_inner(args) -> int:
         kernel.run_numpy(grid, steps)
         engine = "numpy path"
     else:
-        # cycle-exact SIMD machine: batched tensor execution by default,
+        # cycle-exact SIMD machine: emitted-source codegen by default,
         # per-instruction interpreter with --backend interp
         kernel.run(grid, steps, backend=backend_flag)
         engine = f"machine/{backend_flag}"
@@ -699,8 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many trials without a new best "
                         "(default: %(default)s)")
     p.add_argument("--backend", default=None, choices=EXEC_BACKENDS,
-                   help="restrict the SIMD-machine engine to one execution "
-                        "backend (default: search auto, batch and interp)")
+                   help="pin the SIMD-machine and scheme engines to one "
+                        "execution backend (default: auto; interp times "
+                        "the interpreter)")
     p.add_argument("--engines", default="machine,numpy,parallel,scheme",
                    help="comma-separated engine families to search "
                         "(default: %(default)s)")
@@ -730,9 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("numpy",) + EXEC_BACKENDS,
                    help="execution engine: the numpy fast path (default), "
                         "or the cycle-exact SIMD machine with emitted-"
-                        "source execution (auto/codegen), batched tensor "
-                        "closures (batch), or the per-instruction "
-                        "interpreter (interp)")
+                        "source execution (auto/codegen) or the "
+                        "per-instruction interpreter (interp)")
     p.add_argument("--scheme", default=None, choices=SCHEMES,
                    help="run a specific vectorization scheme (jigsaw "
                         "variants use the compile pipeline; baselines run "

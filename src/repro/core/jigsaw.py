@@ -285,7 +285,7 @@ def compile(
 
     ``backend`` selects the SIMD-machine execution engine the kernel's
     :meth:`~repro.core.kernel.CompiledKernel.run` uses (``"auto"`` =
-    batched tensor execution with automatic interpreter fallback).
+    emitted-source codegen with automatic interpreter fallback).
 
     ``tuned`` applies an autotuned configuration (e.g. a
     :class:`repro.tune.TuningDB` winner) over the static defaults: its

@@ -54,8 +54,8 @@ class CompiledKernel:
     cache: Optional[object] = None
     #: SIMD-machine execution backend for :meth:`run` / :meth:`trace`
     #: (one of :data:`repro.vectorize.driver.EXEC_BACKENDS`); defaults to
-    #: the plan's preference (normally ``"auto"`` = batched tensor
-    #: execution with automatic interpreter fallback)
+    #: the plan's preference (normally ``"auto"`` = emitted-source
+    #: codegen with automatic interpreter fallback)
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -98,8 +98,8 @@ class CompiledKernel:
     # -- execution ----------------------------------------------------------------
     def run(self, grid: Grid, steps: int, *, boundary: str = "periodic",
             value: float = 0.0, backend: Optional[str] = None) -> Grid:
-        """Cycle-exact execution on the SIMD machine (batched tensor
-        backend by default, with automatic interpreter fallback — both
+        """Cycle-exact execution on the SIMD machine (emitted-source
+        codegen by default, with automatic interpreter fallback — both
         produce bitwise-identical grids)."""
         self._check_grid(grid)
         return run_program(self.program, grid, steps, boundary=boundary,

@@ -4,16 +4,15 @@ The paper's Intel scalability runs alternate cores between the two NUMA
 domains to average out remote-access latency (§4.5); the resulting remote
 traffic share is what the multicore model charges the NUMA penalty on.
 
-:func:`partition_axis` / :func:`shard_neighbors` are the integer geometry
-behind :mod:`repro.shard`: contiguous slabs along the outermost axis with
-the remainder spread over the leading slabs, and the ring (periodic) or
-chain (dirichlet) neighbor relation the halo exchange follows.
+:func:`partition_axis` is the integer geometry behind the partitioned
+executor and :mod:`repro.shard`: contiguous slabs along the outermost
+axis with the remainder spread over the leading slabs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..config import MachineConfig
 from ..errors import ModelError, TilingError
@@ -103,22 +102,3 @@ def partition_axis(extent: int, shards: int) -> Tuple[ShardSlab, ...]:
         slabs.append(ShardSlab(index=i, start=start, stop=start + rows))
         start += rows
     return tuple(slabs)
-
-
-def shard_neighbors(index: int, shards: int, *,
-                    periodic: bool = True
-                    ) -> Tuple[Optional[int], Optional[int]]:
-    """The ``(low, high)`` neighbor indices of shard ``index``.
-
-    Periodic partitions form a ring (a single shard is its own neighbor);
-    non-periodic ones form a chain with ``None`` past the domain edges.
-    """
-    if shards < 1:
-        raise TilingError("shards must be >= 1")
-    if not 0 <= index < shards:
-        raise TilingError(f"shard index {index} outside [0, {shards})")
-    if periodic:
-        return ((index - 1) % shards, (index + 1) % shards)
-    lo = index - 1 if index > 0 else None
-    hi = index + 1 if index + 1 < shards else None
-    return (lo, hi)

@@ -1,16 +1,16 @@
-"""Hyper-rectangular spatial blocking.
+"""Spatial tiles and their working sets.
 
-Splits an interior iteration space into tiles (the paper's Table-3
-"Blocking Size" column), with exact-partition guarantees and working-set
-accounting for the cache model: a tile's sweep working set is the tile
-plus its stencil halo, for the input and output arrays.
+A :class:`Tile` is the box one partitioned-executor task sweeps;
+:func:`tile_working_set` is the cache model's accounting for a blocking
+(the paper's Table-3 "Blocking Size" column): a tile's sweep working set
+is the tile plus its stencil halo, for the input and output arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..errors import TilingError
 from ..stencils.spec import StencilSpec
@@ -29,10 +29,7 @@ class Tile:
 
     @property
     def points(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
     def slices(self, halo: Sequence[int] | None = None) -> Tuple[slice, ...]:
         """Numpy slices into a padded array (halo offsets added)."""
@@ -41,57 +38,6 @@ class Tile:
             slice(h + a, h + b)
             for h, a, b in zip(halo, self.start, self.stop)
         )
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    shape: Tuple[int, ...]
-    tile_shape: Tuple[int, ...]
-    tiles: Tuple[Tile, ...]
-
-    def __iter__(self) -> Iterator[Tile]:
-        return iter(self.tiles)
-
-    def __len__(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def covers_exactly(self) -> bool:
-        return sum(t.points for t in self.tiles) == _prod(self.shape)
-
-
-def _prod(xs: Sequence[int]) -> int:
-    n = 1
-    for x in xs:
-        n *= x
-    return n
-
-
-def partition(shape: Sequence[int], tile_shape: Sequence[int]) -> BlockPartition:
-    """Tile ``shape`` with ``tile_shape`` blocks (edge tiles clipped).
-
-    The result is an exact partition: every interior point belongs to
-    exactly one tile.
-    """
-    shape = tuple(int(s) for s in shape)
-    tile_shape = tuple(int(t) for t in tile_shape)
-    if len(tile_shape) != len(shape):
-        raise TilingError(
-            f"tile rank {len(tile_shape)} != space rank {len(shape)}"
-        )
-    if any(s <= 0 for s in shape) or any(t <= 0 for t in tile_shape):
-        raise TilingError("shape and tile extents must be positive")
-    axes_starts: List[range] = [
-        range(0, s, t) for s, t in zip(shape, tile_shape)
-    ]
-    tiles = []
-    for starts in product(*axes_starts):
-        stop = tuple(
-            min(a + t, s) for a, t, s in zip(starts, tile_shape, shape)
-        )
-        tiles.append(Tile(start=tuple(starts), stop=stop))
-    return BlockPartition(shape=shape, tile_shape=tile_shape,
-                          tiles=tuple(tiles))
 
 
 def tile_working_set(
@@ -112,7 +58,7 @@ def tile_working_set(
         raise TilingError(
             f"tile rank {len(tile_shape)} != stencil ndim {spec.ndim}"
         )
-    padded = _prod(
+    padded = math.prod(
         int(t) + 2 * ra * time_depth for t, ra in zip(tile_shape, r)
     )
     return padded * element_bytes * arrays

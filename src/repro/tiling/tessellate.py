@@ -8,16 +8,14 @@ phase is embarrassingly parallel; the grid is read once per ``Tb`` fused
 time steps instead of once per step, which is the traffic reduction the
 multicore model credits.
 
-:func:`tessellate_nd` is an exact executable implementation for any
-dimension (validated point-for-point against the Jacobi reference): per
-time block it runs the ``2^d`` phase families indexed by their seam-axis
-set — shrinking tile cores, expanding seam bands, and their mixed
-products (triangles/inverted triangles in 1-D; cores, wedges and corners
-in 2-D; up to the 8-phase 3-D tessellation).  Every point is computed
-exactly once (no ghost-zone redundancy) and regions within one phase
-touch disjoint data, so each phase is embarrassingly parallel.
-:func:`tessellate_1d` and :func:`tessellate_2d` are dimension-specialized
-variants kept for their richer ``on_phase`` reporting.
+:func:`tessellate_nd` is the one executable implementation, for any
+dimension (bitwise equal to the Jacobi reference): per time block it runs
+the ``2^d`` phase families indexed by their seam-axis set — shrinking
+tile cores, expanding seam bands, and their mixed products
+(triangles/inverted triangles in 1-D; cores, wedges and corners in 2-D;
+up to the 8-phase 3-D tessellation).  Every point is computed exactly
+once (no ghost-zone redundancy) and regions within one phase touch
+disjoint data, so each phase is embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -82,237 +80,30 @@ def tessellation_plan(spec: StencilSpec, tile_shape: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# exact 1-D execution
-# ---------------------------------------------------------------------------
-
-def _apply_range_periodic(
-    spec: StencilSpec,
-    src: np.ndarray,
-    dst: np.ndarray,
-    lo: int,
-    hi: int,
-) -> None:
-    """dst[i] = stencil(src)[i] for i in [lo, hi) with periodic wrap
-    (indices taken modulo N)."""
-    n = src.shape[0]
-    if hi <= lo:
-        return
-    idx = np.arange(lo, hi)
-    acc = np.zeros(hi - lo)
-    for off, c in zip(spec.offsets, spec.coeffs):
-        acc += c * src.take(idx + off[0], mode="wrap")
-    dst[idx % n] = acc
-
-
-def tessellate_1d(
-    spec: StencilSpec,
-    values: np.ndarray,
-    steps: int,
-    *,
-    tile: int,
-    time_depth: int | None = None,
-    on_phase: Callable[[int, int, List[Tuple[int, int]]], None] | None = None,
-) -> np.ndarray:
-    """Run ``steps`` periodic Jacobi steps of a 1-D ``spec`` with
-    tessellating tiling.
-
-    ``tile`` is the phase-1 tile width; ``time_depth`` (default: the
-    largest legal ``Tb``) steps are fused per tessellated block.
-    ``on_phase(block, phase, ranges)`` is invoked per phase with the tile
-    ranges it computed — used by tests to assert the tessellation
-    geometry and by the parallel executor to fan tiles out.
-    """
-    if spec.ndim != 1:
-        raise TilingError("tessellate_1d is for 1-D stencils")
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    r = spec.radius[0]
-    if tile <= 0 or n % tile:
-        raise TilingError(f"tile {tile} must positively divide N={n}")
-    max_depth = tile // (2 * r)
-    tb = max_depth if time_depth is None else int(time_depth)
-    tessellation_plan(spec, (tile,), tb)  # validates 2*r*Tb <= tile
-    if tb < 1:
-        raise TilingError(f"tile {tile} too narrow for radius {r}")
-
-    cur = values.copy()
-    block_no = 0
-    remaining = steps
-    while remaining > 0:
-        depth = min(tb, remaining)
-        levels = [cur] + [np.empty(n) for _ in range(depth)]
-        # phase 1: shrinking triangles per tile
-        ranges1: List[Tuple[int, int]] = []
-        for a in range(0, n, tile):
-            for t in range(1, depth + 1):
-                lo, hi = a + r * t, a + tile - r * t
-                _apply_range_periodic(spec, levels[t - 1], levels[t], lo, hi)
-            ranges1.append((a, a + tile))
-        if on_phase is not None:
-            on_phase(block_no, 0, ranges1)
-        # phase 2: expanding inverted triangles per tile boundary
-        ranges2: List[Tuple[int, int]] = []
-        for c in range(0, n, tile):
-            for t in range(1, depth + 1):
-                _apply_range_periodic(spec, levels[t - 1], levels[t],
-                                      c - r * t, c + r * t)
-            ranges2.append((c - r * depth, c + r * depth))
-        if on_phase is not None:
-            on_phase(block_no, 1, ranges2)
-        cur = levels[depth]
-        remaining -= depth
-        block_no += 1
-    return cur
-
-
-def tessellate_grid_1d(spec: StencilSpec, grid: Grid, steps: int, *,
-                       tile: int, time_depth: int | None = None) -> Grid:
-    """Grid-level wrapper around :func:`tessellate_1d`."""
-    out = grid.like()
-    out.interior[...] = tessellate_1d(
-        spec, grid.interior, steps, tile=tile, time_depth=time_depth
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exact 2-D execution
-# ---------------------------------------------------------------------------
-
-def _apply_rect_periodic(
-    spec: StencilSpec,
-    src: np.ndarray,
-    dst: np.ndarray,
-    yr: Tuple[int, int],
-    xr: Tuple[int, int],
-) -> None:
-    """dst[y, x] = stencil(src)[y, x] over the (possibly wrapping)
-    rectangle ``yr x xr``, indices modulo the grid extents."""
-    ny, nx = src.shape
-    if yr[1] <= yr[0] or xr[1] <= xr[0]:
-        return
-    ys = np.arange(yr[0], yr[1])
-    xs = np.arange(xr[0], xr[1])
-    acc = np.zeros((len(ys), len(xs)))
-    for off, c in zip(spec.offsets, spec.coeffs):
-        acc += c * src[np.ix_((ys + off[0]) % ny, (xs + off[1]) % nx)]
-    dst[np.ix_(ys % ny, xs % nx)] = acc
-
-
-def tessellate_2d(
-    spec: StencilSpec,
-    values: np.ndarray,
-    steps: int,
-    *,
-    tile: Tuple[int, int],
-    time_depth: int | None = None,
-    on_phase: Callable[[int, int, int], None] | None = None,
-) -> np.ndarray:
-    """Run ``steps`` periodic Jacobi steps of a 2-D ``spec`` with the
-    four-phase tessellating tiling [Yuan et al., SC'17].
-
-    Per time block of depth ``Tb`` (levels ``t = 1..Tb``):
-
-    * **phase 1 — cores**: per tile, the shrinking pyramid
-      ``[ay+rt, by-rt) x [ax+rt, bx-rt)``;
-    * **phase 2 — y-seam wedges**: per y-boundary ``cy`` and x-tile,
-      ``[cy-rt, cy+rt) x [ax+rt, bx-rt)`` (expanding in y, shrinking in x);
-    * **phase 3 — x-seam wedges**: symmetric in the other axis;
-    * **phase 4 — corners**: ``[cy-rt, cy+rt) x [cx-rt, cx+rt)``,
-      expanding in both axes.
-
-    Per level the four families partition the plane exactly (no redundant
-    computation) and each family's dependencies are satisfied by families
-    of earlier phases at the previous level — the closure argument needs
-    exactly the constraint ``2 r Tb <= tile`` per axis, which the paper's
-    Table-3 blockings satisfy.  Tiles within one phase touch disjoint
-    data, so each phase is embarrassingly parallel.
-
-    ``on_phase(block, phase, regions)`` reports the number of regions each
-    phase computed (tests assert the tessellation geometry).
-    """
-    if spec.ndim != 2:
-        raise TilingError("tessellate_2d is for 2-D stencils")
-    values = np.asarray(values, dtype=np.float64)
-    ny, nx = values.shape
-    r = max(spec.radius)
-    by, bx = int(tile[0]), int(tile[1])
-    if by <= 0 or ny % by or bx <= 0 or nx % bx:
-        raise TilingError(
-            f"tile {tile} must positively divide the grid {values.shape}"
-        )
-    max_depth = min(by, bx) // (2 * r)
-    tb = max_depth if time_depth is None else int(time_depth)
-    tessellation_plan(spec, (by, bx), tb)
-    if tb < 1:
-        raise TilingError(f"tile {tile} too narrow for radius {r}")
-
-    y_tiles = [(a, a + by) for a in range(0, ny, by)]
-    x_tiles = [(a, a + bx) for a in range(0, nx, bx)]
-    y_seams = [a for a, _ in y_tiles]
-    x_seams = [a for a, _ in x_tiles]
-
-    cur = values.copy()
-    block_no = 0
-    remaining = steps
-    while remaining > 0:
-        depth = min(tb, remaining)
-        levels = [cur] + [np.empty((ny, nx)) for _ in range(depth)]
-
-        def sweep(regions_of_t) -> int:
-            count = 0
-            for t in range(1, depth + 1):
-                for yr, xr in regions_of_t(t):
-                    _apply_rect_periodic(spec, levels[t - 1], levels[t],
-                                         yr, xr)
-                    count += 1
-            return count
-
-        n1 = sweep(lambda t: [
-            ((ay + r * t, byy - r * t), (ax + r * t, bxx - r * t))
-            for ay, byy in y_tiles for ax, bxx in x_tiles
-        ])
-        if on_phase is not None:
-            on_phase(block_no, 0, n1)
-        n2 = sweep(lambda t: [
-            ((cy - r * t, cy + r * t), (ax + r * t, bxx - r * t))
-            for cy in y_seams for ax, bxx in x_tiles
-        ])
-        if on_phase is not None:
-            on_phase(block_no, 1, n2)
-        n3 = sweep(lambda t: [
-            ((ay + r * t, byy - r * t), (cx - r * t, cx + r * t))
-            for ay, byy in y_tiles for cx in x_seams
-        ])
-        if on_phase is not None:
-            on_phase(block_no, 2, n3)
-        n4 = sweep(lambda t: [
-            ((cy - r * t, cy + r * t), (cx - r * t, cx + r * t))
-            for cy in y_seams for cx in x_seams
-        ])
-        if on_phase is not None:
-            on_phase(block_no, 3, n4)
-
-        cur = levels[depth]
-        remaining -= depth
-        block_no += 1
-    return cur
-
-
-def tessellate_grid_2d(spec: StencilSpec, grid: Grid, steps: int, *,
-                       tile: Tuple[int, int],
-                       time_depth: int | None = None) -> Grid:
-    """Grid-level wrapper around :func:`tessellate_2d`."""
-    out = grid.like()
-    out.interior[...] = tessellate_2d(
-        spec, grid.interior, steps, tile=tile, time_depth=time_depth
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # exact N-D execution (the generic 2^d-phase engine)
 # ---------------------------------------------------------------------------
+
+def _axis_index(lo: int, hi: int, n: int):
+    """Index ``[lo, hi)`` of an axis of extent ``n``: a slice (a view)
+    when the range lies inside ``[0, n)``, else indices modulo ``n``."""
+    if 0 <= lo and hi <= n:
+        return slice(lo, hi)
+    return np.arange(lo, hi) % n
+
+
+def _box_index(ranges: Sequence[Tuple[int, int]],
+               shape: Tuple[int, ...]) -> tuple:
+    """Index the (possibly wrapping) box ``ranges`` selects.  Only axes
+    that wrap take index arrays; with two or more of them every axis
+    goes through ``np.ix_``, which keeps the axis order that mixed
+    slices and separated index arrays would not."""
+    index = tuple(_axis_index(lo, hi, n)
+                  for (lo, hi), n in zip(ranges, shape))
+    if sum(not isinstance(i, slice) for i in index) < 2:
+        return index
+    return np.ix_(*(np.arange(i.start, i.stop) if isinstance(i, slice)
+                    else i for i in index))
+
 
 def _apply_box_periodic(
     spec: StencilSpec,
@@ -321,16 +112,17 @@ def _apply_box_periodic(
     ranges: Sequence[Tuple[int, int]],
 ) -> None:
     """dst = stencil(src) over the (possibly wrapping) hyper-rectangle
-    given by per-axis ``[lo, hi)`` ranges, indices modulo the extents."""
+    given by per-axis ``[lo, hi)`` ranges, indices modulo the extents.
+    Every point accumulates ``acc += c * src`` in tap order, exactly as
+    :func:`repro.stencils.apply_numpy` does."""
     if any(hi <= lo for lo, hi in ranges):
         return
-    idx = [np.arange(lo, hi) for lo, hi in ranges]
-    acc = np.zeros(tuple(len(i) for i in idx))
     shape = src.shape
+    acc = np.zeros(tuple(hi - lo for lo, hi in ranges))
     for off, c in zip(spec.offsets, spec.coeffs):
-        gather = tuple((ix + o) % n for ix, o, n in zip(idx, off, shape))
-        acc += c * src[np.ix_(*gather)]
-    dst[np.ix_(*(ix % n for ix, n in zip(idx, shape)))] = acc
+        acc += c * src[_box_index(
+            [(lo + o, hi + o) for (lo, hi), o in zip(ranges, off)], shape)]
+    dst[_box_index(ranges, shape)] = acc
 
 
 def tessellate_nd(

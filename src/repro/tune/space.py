@@ -244,7 +244,7 @@ def enumerate_space(
     shape: Sequence[int],
     *,
     engines: Sequence[str] = ENGINES,
-    exec_backends: Sequence[str] = ("auto", "interp"),
+    exec_backends: Sequence[str] = ("auto",),
     run_backends: Sequence[str] = ("thread",),
     max_workers: Optional[int] = None,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
@@ -253,10 +253,12 @@ def enumerate_space(
 
     ``engines`` / ``exec_backends`` / ``run_backends`` restrict the
     families considered (the CLI's ``--backend interp`` maps straight to
-    ``exec_backends=("interp",)``).  The machine-engine default searches
-    ``auto`` (the codegen→interp ladder) and pinned ``interp`` —
-    ``codegen`` (and its retired alias ``batch``) resolves identically
-    to ``auto`` and would only duplicate trial points.  ``schemes`` names the registry
+    ``exec_backends=("interp",)``).  The default searches only ``auto``
+    (codegen, degrading to the interpreter): the pinned interpreter runs
+    orders of magnitude slower than every other family, so timing it
+    only spends trial slots, and ``codegen`` (and its retired alias
+    ``batch``) resolves identically to ``auto``, so it would only
+    duplicate trial points.  ``schemes`` names the registry
     schemes the scheme engine enumerates (default
     :data:`DEFAULT_SCHEMES`).  Illegal points never appear: infeasible
     ITM depths, machine-engine x extents below one ``2W`` block, more

@@ -104,7 +104,7 @@ class Tuner:
         steps: int = 4,
         budget: Optional[TuneBudget] = None,
         engines: Sequence[str] = ENGINES,
-        exec_backends: Sequence[str] = ("auto", "interp"),
+        exec_backends: Sequence[str] = ("auto",),
         schemes: Sequence[str] = DEFAULT_SCHEMES,
         boundary: str = "periodic",
         force: bool = False,

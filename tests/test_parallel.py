@@ -13,8 +13,7 @@ from repro.parallel import executor
 from repro.parallel.executor import (MIN_PART_POINTS, default_parts,
                                      pool_context, run_parallel)
 from repro.parallel.simulator import MulticoreModel, ParallelSetup
-from repro.parallel.topology import (allocate_cores, partition_axis,
-                                     shard_neighbors)
+from repro.parallel.topology import allocate_cores, partition_axis
 from repro.schemes import model_cost
 from repro.shard import run_sharded
 from repro.stencils import apply_steps, library
@@ -71,8 +70,6 @@ class TestShardTopology:
     def test_degenerate_single_shard(self):
         (slab,) = partition_axis(9, 1)
         assert (slab.start, slab.stop, slab.rows) == (0, 9, 9)
-        assert shard_neighbors(0, 1) == (0, 0)  # its own ring neighbor
-        assert shard_neighbors(0, 1, periodic=False) == (None, None)
 
     def test_one_row_per_shard(self):
         slabs = partition_axis(3, 3)
@@ -83,24 +80,6 @@ class TestShardTopology:
             partition_axis(8, 0)
         with pytest.raises(TilingError):
             partition_axis(3, 4)  # more shards than rows
-
-    def test_ring_neighbors(self):
-        assert shard_neighbors(0, 4) == (3, 1)
-        assert shard_neighbors(2, 4) == (1, 3)
-        assert shard_neighbors(3, 4) == (2, 0)
-
-    def test_chain_neighbors(self):
-        assert shard_neighbors(0, 4, periodic=False) == (None, 1)
-        assert shard_neighbors(2, 4, periodic=False) == (1, 3)
-        assert shard_neighbors(3, 4, periodic=False) == (2, None)
-
-    def test_neighbor_validation(self):
-        with pytest.raises(TilingError):
-            shard_neighbors(4, 4)
-        with pytest.raises(TilingError):
-            shard_neighbors(-1, 4)
-        with pytest.raises(TilingError):
-            shard_neighbors(0, 0)
 
 
 class TestPoolContext:

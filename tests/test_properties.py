@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,11 +17,11 @@ from repro.core.sdf import (
     structured_terms,
 )
 from repro.machine.isa import Instr, Op, execute_alu
-from repro.stencils import apply_steps
+from repro.stencils import apply_steps, library
 from repro.stencils.boundary import fill_halo
 from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
-from repro.tiling.blocks import partition
+from repro.tiling.tessellate import tessellate_nd
 from repro.vectorize.driver import run_program
 
 # -- strategies ---------------------------------------------------------------
@@ -156,17 +158,37 @@ def test_butterfly_requirements_invariants(spec):
 
 # -- tiling invariants ---------------------------------------------------------------
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(1, 30), min_size=1, max_size=3),
-       st.lists(st.integers(1, 10), min_size=1, max_size=3))
-def test_partition_is_exact(shape, tile):
-    assume(len(shape) == len(tile))
-    part = partition(shape, tile)
-    assert part.covers_exactly
-    counts = np.zeros(shape, dtype=int)
-    for t in part:
-        counts[t.slices()] += 1
-    assert np.all(counts == 1)
+TESSELLATED = ("heat-1d", "star-1d5p", "star-1d7p", "heat-2d", "box-2d9p",
+               "star-2d9p", "heat-3d", "box-3d27p")
+
+
+@st.composite
+def tessellations(draw):
+    """(spec, shape, tile, time_depth, steps): 1-3 tiles per axis, each
+    at least ``2r`` wide (narrower bounds in more dimensions keep 3-D
+    cases small).  Seam bands at the origin wrap; cores and the other
+    seams stay inside the grid."""
+    spec = library.get(draw(st.sampled_from(TESSELLATED)))
+    tile = tuple(draw(st.integers(2 * r, 2 * r * (4 - spec.ndim) + 2))
+                 for r in spec.radius)
+    shape = tuple(b * draw(st.integers(1, 3)) for b in tile)
+    cap = min(b // (2 * r) for b, r in zip(tile, spec.radius))
+    depth = draw(st.none() | st.integers(1, cap))
+    return spec, shape, tile, depth, draw(st.integers(1, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tessellations(), st.integers(0, 10**6))
+def test_tessellate_nd_is_bitwise(case, seed):
+    spec, shape, tile, depth, steps = case
+    v = np.random.default_rng(seed).uniform(size=shape)
+    ref = apply_steps(spec, Grid.from_array(v, spec.radius), steps).interior
+    got = tessellate_nd(spec, v, steps, tile=tile, time_depth=depth)
+    assert np.array_equal(got, ref)
+    with ThreadPoolExecutor(2) as pool:
+        pooled = tessellate_nd(spec, v, steps, tile=tile, time_depth=depth,
+                               pool=pool)
+    assert np.array_equal(pooled, ref)
 
 
 # -- boundary invariants ----------------------------------------------------------------

@@ -6,45 +6,27 @@ import pytest
 from repro.errors import TilingError
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
-from repro.tiling.blocks import Tile, partition, tile_working_set
+from repro.tiling.blocks import Tile, tile_working_set
 from repro.tiling.tessellate import (
     TessellationPlan,
-    tessellate_1d,
-    tessellate_grid_1d,
+    tessellate_grid,
+    tessellate_nd,
     tessellation_plan,
 )
 
 
+def _reference(spec, values, steps):
+    return apply_steps(spec, Grid.from_array(values, spec.radius),
+                       steps).interior
+
+
 class TestPartition:
-    def test_exact_cover(self):
-        part = partition((10, 10), (4, 4))
-        assert part.covers_exactly
-        assert len(part) == 9  # 3x3 with clipped edges
-
-    def test_tiles_disjoint(self):
-        part = partition((8, 6), (3, 4))
-        seen = np.zeros((8, 6), dtype=int)
-        for tile in part:
-            sl = tile.slices()
-            seen[sl] += 1
-        assert np.all(seen == 1)
-
-    def test_edge_tiles_clipped(self):
-        part = partition((10,), (4,))
-        assert [t.shape for t in part] == [(4,), (4,), (2,)]
+    """:class:`Tile`, the box one partitioned-executor task sweeps."""
 
     def test_tile_slices_with_halo(self):
         t = Tile(start=(2,), stop=(5,))
         assert t.slices((3,)) == (slice(5, 8),)
         assert t.points == 3
-
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(TilingError):
-            partition((8, 8), (4,))
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(TilingError):
-            partition((8,), (0,))
 
 
 class TestWorkingSet:
@@ -91,108 +73,101 @@ class TestTessellationPlan:
 
 
 class TestTessellate1D:
+    """The N-D engine on 1-D kernels: two phases (triangles, inverted
+    triangles), bitwise equal to the Jacobi reference."""
+
     @pytest.mark.parametrize("kernel", ["heat-1d", "star-1d5p", "star-1d7p"])
     @pytest.mark.parametrize("steps", [1, 5, 12])
     def test_matches_reference(self, kernel, steps):
         spec = library.get(kernel)
-        rng = np.random.default_rng(steps)
-        v = rng.uniform(size=128)
-        got = tessellate_1d(spec, v, steps, tile=32)
-        ref = apply_steps(spec, Grid.from_array(v, spec.radius),
-                          steps).interior
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
+        v = np.random.default_rng(steps).uniform(size=128)
+        got = tessellate_nd(spec, v, steps, tile=(32,))
+        assert np.array_equal(got, _reference(spec, v, steps))
 
     def test_explicit_depth(self):
         spec = library.get("heat-1d")
         v = np.random.default_rng(0).uniform(size=64)
-        got = tessellate_1d(spec, v, 10, tile=16, time_depth=4)
-        ref = apply_steps(spec, Grid.from_array(v, 1), 10).interior
-        assert np.allclose(got, ref, rtol=1e-12)
+        got = tessellate_nd(spec, v, 10, tile=(16,), time_depth=4)
+        assert np.array_equal(got, _reference(spec, v, 10))
 
     def test_phase_geometry_reported(self):
         spec = library.get("heat-1d")
-        v = np.zeros(64)
         phases = []
-        tessellate_1d(spec, v, 4, tile=16, time_depth=4,
-                      on_phase=lambda blk, ph, rs: phases.append((blk, ph,
-                                                                  len(rs))))
-        # one block of depth 4: phase 0 (4 tiles) then phase 1 (4 seams)
-        assert phases == [(0, 0, 4), (0, 1, 4)]
+        tessellate_nd(spec, np.zeros(64), 4, tile=(16,), time_depth=4,
+                      on_phase=lambda blk, ph, n: phases.append((blk, ph, n)))
+        # one block of depth 4: phase 0 (4 tiles) then phase 1 (4 seams),
+        # each computed on 4 levels
+        assert phases == [(0, 0, 16), (0, 1, 16)]
 
     def test_grid_wrapper(self):
         spec = library.get("heat-1d")
         g = Grid.random((64,), 1, seed=2)
-        out = tessellate_grid_1d(spec, g, 6, tile=16)
-        ref = apply_steps(spec, g, 6)
-        assert np.allclose(out.interior, ref.interior, rtol=1e-12)
+        out = tessellate_grid(spec, g, 6, tile=(16,))
+        assert np.array_equal(out.interior, apply_steps(spec, g, 6).interior)
 
     def test_rejects_non_dividing_tile(self):
         with pytest.raises(TilingError):
-            tessellate_1d(library.get("heat-1d"), np.zeros(60), 2, tile=32)
+            tessellate_nd(library.get("heat-1d"), np.zeros(60), 2,
+                          tile=(32,))
 
     def test_rejects_2d_spec(self):
         with pytest.raises(TilingError):
-            tessellate_1d(library.get("heat-2d"), np.zeros(32), 1, tile=8)
+            tessellate_nd(library.get("heat-2d"), np.zeros(32), 1,
+                          tile=(8,))
 
     def test_rejects_narrow_tile(self):
         with pytest.raises(TilingError):
-            tessellate_1d(library.get("star-1d7p"), np.zeros(32), 2, tile=4)
+            tessellate_nd(library.get("star-1d7p"), np.zeros(32), 2,
+                          tile=(4,))
 
 
 class TestTessellate2D:
+    """The N-D engine on 2-D kernels: four phases (cores, two seam
+    wedges, corners), bitwise equal to the Jacobi reference."""
+
     @pytest.mark.parametrize("kernel", ["heat-2d", "box-2d9p", "star-2d9p"])
     @pytest.mark.parametrize("steps", [1, 4, 11])
     def test_matches_reference(self, kernel, steps):
-        from repro.tiling.tessellate import tessellate_2d
         spec = library.get(kernel)
-        rng = np.random.default_rng(steps)
-        v = rng.uniform(size=(48, 48))
-        got = tessellate_2d(spec, v, steps, tile=(16, 16))
-        ref = apply_steps(spec, Grid.from_array(v, spec.radius),
-                          steps).interior
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
+        v = np.random.default_rng(steps).uniform(size=(48, 48))
+        got = tessellate_nd(spec, v, steps, tile=(16, 16))
+        assert np.array_equal(got, _reference(spec, v, steps))
 
     def test_rectangular_tiles_and_explicit_depth(self):
-        from repro.tiling.tessellate import tessellate_2d
         spec = library.get("heat-2d")
         v = np.random.default_rng(0).uniform(size=(32, 48))
-        got = tessellate_2d(spec, v, 9, tile=(16, 12), time_depth=3)
-        ref = apply_steps(spec, Grid.from_array(v, 1), 9).interior
-        assert np.allclose(got, ref, rtol=1e-12)
+        got = tessellate_nd(spec, v, 9, tile=(16, 12), time_depth=3)
+        assert np.array_equal(got, _reference(spec, v, 9))
 
     def test_four_phases_reported(self):
-        from repro.tiling.tessellate import tessellate_2d
         spec = library.get("heat-2d")
-        v = np.zeros((32, 32))
         seen = []
-        tessellate_2d(spec, v, 4, tile=(16, 16), time_depth=4,
-                      on_phase=lambda blk, ph, n: seen.append((blk, ph)))
-        assert seen == [(0, 0), (0, 1), (0, 2), (0, 3)]
+        tessellate_nd(spec, np.zeros((32, 32)), 4, tile=(16, 16),
+                      time_depth=4,
+                      on_phase=lambda blk, ph, n: seen.append((blk, ph, n)))
+        # 2x2 regions per phase (cores, y wedges, x wedges, corners) on
+        # each of 4 levels
+        assert seen == [(0, 0, 16), (0, 1, 16), (0, 2, 16), (0, 3, 16)]
 
     def test_grid_wrapper(self):
-        from repro.tiling.tessellate import tessellate_grid_2d
         spec = library.get("box-2d9p")
         g = Grid.random((32, 32), 1, seed=5)
-        out = tessellate_grid_2d(spec, g, 6, tile=(16, 16))
-        ref = apply_steps(spec, g, 6)
-        assert np.allclose(out.interior, ref.interior, rtol=1e-12)
+        out = tessellate_grid(spec, g, 6, tile=(16, 16))
+        assert np.array_equal(out.interior, apply_steps(spec, g, 6).interior)
 
     def test_rejects_non_dividing_tile(self):
-        from repro.tiling.tessellate import tessellate_2d
         with pytest.raises(TilingError):
-            tessellate_2d(library.get("heat-2d"), np.zeros((30, 32)), 1,
+            tessellate_nd(library.get("heat-2d"), np.zeros((30, 32)), 1,
                           tile=(16, 16))
 
     def test_rejects_1d_spec(self):
-        from repro.tiling.tessellate import tessellate_2d
         with pytest.raises(TilingError):
-            tessellate_2d(library.get("heat-1d"), np.zeros((16, 16)), 1,
+            tessellate_nd(library.get("heat-1d"), np.zeros((16, 16)), 1,
                           tile=(8, 8))
 
     def test_rejects_excessive_depth(self):
-        from repro.tiling.tessellate import tessellate_2d
         with pytest.raises(TilingError):
-            tessellate_2d(library.get("star-2d9p"), np.zeros((32, 32)), 8,
+            tessellate_nd(library.get("star-2d9p"), np.zeros((32, 32)), 8,
                           tile=(16, 16), time_depth=5)  # 2*2*5 > 16
 
 
@@ -206,17 +181,13 @@ class TestTessellateND:
     ])
     @pytest.mark.parametrize("steps", [1, 7])
     def test_matches_reference_any_dim(self, kernel, shape, tile, steps):
-        from repro.tiling.tessellate import tessellate_nd
         spec = library.get(kernel)
         rng = np.random.default_rng(steps)
         v = rng.uniform(size=shape)
         got = tessellate_nd(spec, v, steps, tile=tile)
-        ref = apply_steps(spec, Grid.from_array(v, spec.radius),
-                          steps).interior
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(got, _reference(spec, v, steps))
 
     def test_eight_phases_in_3d(self):
-        from repro.tiling.tessellate import tessellate_nd
         spec = library.get("heat-3d")
         v = np.zeros((16, 16, 16))
         seen = []
@@ -225,7 +196,6 @@ class TestTessellateND:
         assert seen == list(range(8))
 
     def test_phase_zero_is_cores(self):
-        from repro.tiling.tessellate import tessellate_nd
         spec = library.get("heat-2d")
         v = np.zeros((32, 32))
         counts = {}
@@ -235,15 +205,12 @@ class TestTessellateND:
         assert counts[3] == 4   # 2x2 corners
 
     def test_grid_wrapper_any_dim(self):
-        from repro.tiling.tessellate import tessellate_grid
         spec = library.get("heat-3d")
         g = Grid.random((16, 16, 16), 1, seed=3)
         out = tessellate_grid(spec, g, 4, tile=(8, 8, 8))
-        ref = apply_steps(spec, g, 4)
-        assert np.allclose(out.interior, ref.interior, rtol=1e-12)
+        assert np.array_equal(out.interior, apply_steps(spec, g, 4).interior)
 
     def test_validation(self):
-        from repro.tiling.tessellate import tessellate_nd
         spec = library.get("heat-2d")
         with pytest.raises(TilingError):
             tessellate_nd(spec, np.zeros((30, 32)), 1, tile=(16, 16))
@@ -255,23 +222,6 @@ class TestTessellateND:
             tessellate_nd(spec, np.zeros((32, 32)), 10, tile=(16, 16),
                           time_depth=9)  # 2*1*9 > 16
 
-    @pytest.mark.parametrize("kernel", ["heat-1d", "heat-2d"])
-    def test_agrees_with_specialized_variants(self, kernel):
-        from repro.tiling.tessellate import (
-            tessellate_1d, tessellate_2d, tessellate_nd,
-        )
-        spec = library.get(kernel)
-        rng = np.random.default_rng(11)
-        if spec.ndim == 1:
-            v = rng.uniform(size=64)
-            a = tessellate_nd(spec, v, 6, tile=(16,))
-            b = tessellate_1d(spec, v, 6, tile=16)
-        else:
-            v = rng.uniform(size=(32, 32))
-            a = tessellate_nd(spec, v, 6, tile=(16, 16))
-            b = tessellate_2d(spec, v, 6, tile=(16, 16))
-        assert np.allclose(a, b, rtol=1e-13)
-
 
 class TestParallelTessellation:
     @pytest.mark.parametrize("kernel,shape,tile", [
@@ -281,7 +231,6 @@ class TestParallelTessellation:
     ])
     def test_pool_matches_serial(self, kernel, shape, tile):
         from concurrent.futures import ThreadPoolExecutor
-        from repro.tiling.tessellate import tessellate_nd
         spec = library.get(kernel)
         v = np.random.default_rng(9).uniform(size=shape)
         serial = tessellate_nd(spec, v, 9, tile=tile)
@@ -291,10 +240,8 @@ class TestParallelTessellation:
 
     def test_pool_matches_reference(self):
         from concurrent.futures import ThreadPoolExecutor
-        from repro.tiling.tessellate import tessellate_nd
         spec = library.get("box-2d9p")
         v = np.random.default_rng(10).uniform(size=(64, 64))
-        ref = apply_steps(spec, Grid.from_array(v, 1), 6).interior
         with ThreadPoolExecutor(3) as pool:
             got = tessellate_nd(spec, v, 6, tile=(16, 32), pool=pool)
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(got, _reference(spec, v, 6))

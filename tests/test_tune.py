@@ -145,6 +145,17 @@ class TestSearchSpace:
         fams = {c.engine for c in enumerate_space(HEAT2D, MACHINE, (64, 64))}
         assert fams == set(ENGINES)
 
+    def test_default_space_times_no_interpreter(self):
+        # the pinned interpreter cannot win a trial; it is searched only
+        # when exec_backends names it
+        space = enumerate_space(HEAT2D, MACHINE, (64, 64))
+        assert {c.exec_backend for c in space
+                if c.engine in ("machine", "scheme")} == {"auto"}
+        pinned = enumerate_space(HEAT2D, MACHINE, (64, 64),
+                                 exec_backends=("interp",))
+        assert {c.exec_backend for c in pinned
+                if c.engine in ("machine", "scheme")} == {"interp"}
+
     def test_narrow_x_drops_the_machine_engine(self):
         # below one 2W block the SIMD machine cannot run a sweep
         narrow = enumerate_space(HEAT2D, MACHINE,
