@@ -142,9 +142,11 @@ class CompiledKernel:
         Each fused sweep fills the halo once, then runs block by block
         over interior rows of axis 0, at most :data:`NUMPY_SLAB_POINTS`
         output points per block, so a block's temporaries stay
-        cache-resident.  Every
-        output element sees the same IEEE ops in the same order whatever
-        the block size; a 1-D grid (axis 0 is x) is one block."""
+        cache-resident.  Each flattened sum starts from its first
+        product and each output block from its first ``c * g`` product,
+        written straight into the block (no zero fill), so every output
+        element sees the same IEEE ops in the same order whatever the
+        block size; a 1-D grid (axis 0 is x) is one block."""
         s = self.plan.time_fusion
         if steps % s:
             raise VectorizeError(
@@ -171,12 +173,16 @@ class CompiledKernel:
                 for k0 in range(0, n0, rows):
                     k1 = min(n0, k0 + rows)
                     out = nxt.interior[k0:k1]
-                    out.fill(0.0)
+                    seeded = False
                     for term in terms:
                         g = self._flatten_numpy(cur, term, rx, k0, k1)
                         for dx, c in term.v.items():
-                            lo = rx + dx
-                            np.add(out, c * g[..., lo:lo + nx], out=out)
+                            src = g[..., rx + dx:rx + dx + nx]
+                            if seeded:
+                                np.add(out, c * src, out=out)
+                            else:  # the first product seeds the output
+                                np.multiply(c, src, out=out)
+                                seeded = True
                 cur, nxt = nxt, cur
                 if observing:
                     obs.counter("exec.sweeps").inc()
@@ -197,12 +203,16 @@ class CompiledKernel:
         spans = [(0, n) for n in grid.shape[:-1]]
         if spans:
             spans[0] = (k0, k1)
-        g = np.zeros(tuple(b - a for a, b in spans) + (nx + 2 * rx,))
+        g = None
         for outer, c in term.u.items():
             sl = [slice(h + o + a, h + o + b)
                   for (a, b), h, o in zip(spans, grid.halo, outer)]
             sl.append(slice(hx - rx, hx - rx + nx + 2 * rx))
-            np.add(g, c * grid.data[tuple(sl)], out=g)
+            product = c * grid.data[tuple(sl)]
+            if g is None:  # the first product seeds the float64 sum
+                g = np.asarray(product, dtype=np.float64)
+            else:
+                np.add(g, product, out=g)
         return g
 
     # -- accounting ----------------------------------------------------------------

@@ -24,10 +24,11 @@ stride.  This module exploits that regularity by *emitting source*:
 * BROADCAST and SETZERO are hoisted scalars of the program's dtype
   (``np.float32``/``np.float64``, never a wider type that would
   promote float32 lanes);
-* single-use arithmetic lanes are inlined into their consumer, so
-  MUL+FMA chains fold back into ``c0*v0 + (c1*v1 + ...)`` expressions
-  exactly as the paper's C codegen would write them, and lanes no store
-  or carry reaches are never computed;
+* every arithmetic lane is one ufunc call into a **register**,
+  ``np.multiply(_K0, _v0, out=_r3)``; an FMA lane multiplies into its
+  register and then adds into the same register (the interpreter's
+  ``a*b + c``), and lanes no store or carry reaches are never computed
+  (see *Register file* below);
 * stores are deferred and committed after the body, one strided view
   assignment per lane: the rows each array is stored at are disjoint,
   so the commits are order-free.
@@ -59,24 +60,38 @@ that each one's end-of-body value reads only carries already built, so
 the body runs exactly once.  A cycle among the carries is a true
 recurrence (an accumulator) and raises a ``recurrence`` fallback.
 
+**Register file.**  A lane read twice, stored or carried (a carry
+view ``_r[..., :-1]`` is a use of its register) keeps its own register
+for the slab call; a single-use lane's register is free once its
+reader has run, and the next lane takes the most recently freed one.
+An op's output register is never one of its inputs, so no ``out=``
+partly overlaps an operand.  Registers are views, in the program's
+dtype, of one byte buffer per thread (:func:`_register_file`): each
+register starts on an :data:`ALIGN` boundary, and the buffer is
+replaced by a larger one only when a specialization needs more than
+any the thread ran before, so it costs the largest specialization's
+registers, not their sum.  It lives across slabs and calls; two threads
+running one specialization each write their own.
+
 **Strip-mining.**  A sweep over more than :data:`SLAB_POINTS` output
 points runs the same kernel over contiguous row-slab views
 ``arr[k0 : k0 + b + 2h]`` of every array, with the outermost loop
 narrowed to ``b`` rows; a slab program shares its parent's analysis.
-The bound keeps a slab's de-interleaved input and lane planes
-cache-resident.  Outer environments are independent and loads never
-alias stores, so the slabs compose to exactly the full sweep; a grid
-needs at most two specializations (full slab, remainder), and both are
-made before the first slab runs.
+The bound caps a slab's de-interleaved input and a register's length,
+so the register file does not grow with the grid.  Outer environments
+are independent and loads never alias stores, so the slabs compose to
+exactly the full sweep; a grid needs at most two specializations (full
+slab, remainder), and both are made before the first slab runs.
 
 **Bitwise identity.**  Views, the de-interleaving copy and shuffle
 renames are exact element copies; ADD/SUB/MUL/FMA are the same IEEE ops
-applied to the same operand values lane by lane (inlining only
-substitutes a pure expression for its value, constants are scalars of
-the program's dtype, and the stored positions of a lane plane hold, per
-(env, x) coordinate, exactly the values the interpreter's register
-lanes hold at that iteration).  The differential harness asserts
-interp == codegen bitwise for every scheme, dtype and random spec.
+applied to the same operand values lane by lane (an FMA adds its
+addend to its rounded product, the interpreter's unfused ``a*b + c``,
+constants are scalars of the program's dtype, and the stored positions
+of a lane plane hold, per (env, x) coordinate, exactly the values the
+interpreter's register lanes hold at that iteration).  The
+differential harness asserts interp == codegen bitwise for every
+scheme, dtype and random spec.
 
 **Fallback taxonomy.**  :class:`CodegenFallback` carries a ``reason``
 the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
@@ -103,6 +118,7 @@ import dataclasses
 import itertools
 import math
 import re
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -126,8 +142,18 @@ SLAB_POINTS = 1 << 17
 #: eviction counts under ``exec.codegen.spec_evictions``
 SPEC_ENTRIES = 8
 
+#: byte alignment of every register in the register file
+ALIGN = 64
+
 #: one lane plane of one SSA value: ``(vid, lane index)``
 Lane = Tuple[int, int]
+
+#: the numpy ufunc and the infix operator of each two-operand lane op
+_BINARY = {Op.ADD: ("add", "+"), Op.SUB: ("subtract", "-"),
+           Op.MUL: ("multiply", "*")}
+
+#: per thread, the register file the emitted sweeps evaluate into
+_FILE = threading.local()
 
 
 class CodegenFallback(Exception):
@@ -158,9 +184,17 @@ def _deal(arr: np.ndarray, block: int, pitch: int) -> np.ndarray:
     return flat
 
 
-def _tuple(parts: List[str]) -> str:
-    """Source text of a tuple display of ``parts``."""
-    return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+def _register_file(nbytes: int) -> np.ndarray:
+    """This thread's register file: a byte buffer of at least ``nbytes``
+    starting on an :data:`ALIGN` boundary.  It is replaced by a larger
+    one when a specialization needs more, so it holds the largest
+    specialization the thread has run, and lives across calls."""
+    buf = getattr(_FILE, "buf", None)
+    if buf is None or buf.size < nbytes:
+        raw = np.empty(nbytes + ALIGN - 1, np.uint8)
+        start = -raw.ctypes.data % ALIGN
+        buf = _FILE.buf = raw[start:start + nbytes]
+    return buf
 
 
 def _lru_get(table: OrderedDict, key):
@@ -835,7 +869,8 @@ class CodegenProgram:
         pitch = max([1, trips + max(ext.values(), default=0)]
                     + [-(-arrays[n].shape[-1] // block) for n in dealt])
         span = rows * pitch
-        ns = {"np": np, "_DT": self.dtype, "_deal": _deal}
+        ns = {"np": np, "_DT": self.dtype, "_deal": _deal,
+              "_register_file": _register_file}
         vars_ = itertools.count()
         scalars: Dict[bytes, str] = {}
         itemsize = np.dtype(self.dtype).itemsize
@@ -864,15 +899,19 @@ class CodegenProgram:
 
         lines: List[str] = []
         bound: Dict[str, str] = {}      # view expression -> var
-
-        def bind(expr, prefix="_v") -> str:
-            v = f"{prefix}{next(vars_)}"
-            lines.append(f"{v} = {expr}")
-            return v
+        # the register file: equal slots of the widest plane, each on an
+        # ALIGN boundary; a single-use lane's slot is free once read
+        widest = math.prod(lead) * (span + max(ext.values(), default=0))
+        slot_bytes = -(-widest * itemsize // ALIGN) * ALIGN
+        slots = itertools.count()
+        free: List[int] = []                # freed slots, reused LIFO
+        scratch: Dict[Lane, int] = {}       # single-use lane -> its slot
 
         def once(expr, prefix="_v") -> str:
+            """The variable bound to ``expr``, bound at its first use."""
             if expr not in bound:
-                bound[expr] = bind(expr, prefix)
+                bound[expr] = f"{prefix}{next(vars_)}"
+                lines.append(f"{bound[expr]} = {expr}")
             return bound[expr]
 
         def at(lane: Lane, e: int) -> str:
@@ -914,29 +953,32 @@ class CodegenProgram:
                         text[lane] = (text[final] if lane in scalar else once(
                             f"{at(final, ext[lane] + 1)}[..., :-1]", "_c"))
             elif node.kind == "arith":
-                exprs = []
                 for ops, lane in zip(node.lanes, lanes):
                     if lane not in live:
-                        exprs.append("None")
                         continue
-                    a = [at(op, ext.get(lane, 0)) for op in ops]
-                    if node.op is Op.ADD:
-                        exprs.append(f"({a[0]} + {a[1]})")
-                    elif node.op is Op.SUB:
-                        exprs.append(f"({a[0]} - {a[1]})")
-                    elif node.op is Op.MUL:
-                        exprs.append(f"({a[0]} * {a[1]})")
-                    else:  # FMA: same evaluation as the interpreter
-                        exprs.append(f"({a[0]} * {a[1]} + {a[2]})")
-                if any(lane in live and (lane in self._pinned
-                                         or self._uses.get(lane, 0) > 1)
-                       for lane in lanes):
-                    v = bind(_tuple(exprs))
-                    for j, lane in enumerate(lanes):
-                        text[lane] = f"{v}[{j}]"
-                else:
-                    for lane, expr in zip(lanes, exprs):
-                        text[lane] = expr
+                    e = ext.get(lane, 0)
+                    a = [at(op, e) for op in ops]
+                    if lane in scalar:  # an expression over hoisted scalars
+                        text[lane] = (
+                            f"({a[0]} * {a[1]} + {a[2]})" if node.op is Op.FMA
+                            else f"({a[0]} {_BINARY[node.op][1]} {a[1]})")
+                        continue
+                    slot = free.pop() if free else next(slots)
+                    if (self._uses.get(lane) == 1
+                            and lane not in self._pinned):
+                        scratch[lane] = slot
+                    r = text[lane] = once(
+                        f"np.ndarray({lead + (span + e,)}, _DT, _R, "
+                        f"{slot * slot_bytes})", "_r")
+                    if node.op is Op.FMA:  # the interpreter's a*b + c
+                        lines.append(f"np.multiply({a[0]}, {a[1]}, out={r})")
+                        lines.append(f"np.add({r}, {a[2]}, out={r})")
+                    else:
+                        lines.append(f"np.{_BINARY[node.op][0]}({a[0]}, "
+                                     f"{a[1]}, out={r})")
+                    for op in ops:  # a single-use operand's slot is free
+                        if op in scratch:
+                            free.append(scratch.pop(op))
 
         def stored(lane: Lane) -> str:
             """The stored positions of a lane: each row's first trips."""
@@ -962,6 +1004,9 @@ class CodegenProgram:
                  if re.search(rf"\b{var}\b", code)]
         entry += [f"{var} = _deal(arrays[{name!r}], {block}, {pitch})"
                   for name, var in sorted(deal_var.items())]
+        nslots = next(slots)
+        if nslots:
+            entry.append(f"_R = _register_file({nslots * slot_bytes})")
         return self._compile(key, self._assemble(entry, lines, commits, key,
                                                  pitch), ns)
 

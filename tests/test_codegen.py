@@ -1,6 +1,6 @@
 """Conformance suite for the emitted-source codegen backend.
 
-Seven layers of guarantees:
+Eight layers of guarantees:
 
 * **golden sources** — the exact text :func:`repro.machine.codegen.
   emitted_source` produces for canonical star/box kernels is committed
@@ -8,9 +8,10 @@ Seven layers of guarantees:
   the emission pipeline shows up as a readable source diff; rerun with
   ``pytest --regen-goldens`` to bless an intended change.
 * **emission units** — zero-copy lane views, shuffles as lane renames,
-  and arithmetic folding (single-use FMA chains inlined into one
-  expression per lane) hold on purpose-built programs, with results
-  checked bitwise against the interpreter.
+  and register-file arithmetic (one ufunc call per lane op with
+  ``out=`` a register, FMA as a multiply and an add into one register,
+  single-use registers reused) hold on purpose-built programs, with
+  results checked bitwise against the interpreter.
 * **fallback taxonomy** — every :class:`CodegenFallback` reason
   (``compile`` | ``layout`` | ``recurrence`` | ``mem_hook``) fires where
   documented, a refused program leaves its arrays untouched, and the
@@ -34,6 +35,10 @@ Seven layers of guarantees:
 * **flat layout** — dealt row pitches off any block multiple, 1-D grids
   and duplicate carry lanes bound once, each bitwise against the
   interpreter.
+* **register file** — two threads running one slabbed specialization
+  at once (directly and as thread-executor shards), a grid four times
+  larger needing no larger register file, and float32/float64 programs
+  alternating on one thread all stay bitwise equal to the interpreter.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ import itertools
 import math
 import os
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -120,6 +128,29 @@ def _section(src, start, stop=None):
     return [ln for ln in lines[i:j] if ln]
 
 
+def _operands(args):
+    """The operand texts of a call's argument list, split at the commas
+    outside brackets (slices and scalar expressions kept whole)."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(args):
+        depth += (ch in "([") - (ch in ")]")
+        if ch == "," and depth == 0:
+            parts.append(args[start:i].strip())
+            start = i + 1
+    return parts + [args[start:].strip()]
+
+
+def _arith(src):
+    """``(ufunc, operands, register)`` of every arithmetic statement of
+    an emitted body, in order; each must write a register via ``out=``."""
+    stmts = [ln for ln in _section(src, "# body", "# deferred")
+             if " = " not in ln] if "# body" in src else []
+    calls = [re.fullmatch(r"np\.(add|subtract|multiply)\((.*), "
+                          r"out=(_r\d+)\)", ln) for ln in stmts]
+    assert all(calls), src
+    return [(m.group(1), _operands(m.group(2)), m.group(3)) for m in calls]
+
+
 def _refused(prog, reason, shape, halo, dtype=np.float64):
     """Codegen refuses ``prog`` with ``reason`` and leaves its arrays
     untouched; ``backend="auto"`` then returns the interpreter's grid
@@ -196,10 +227,12 @@ class TestEmissionUnits:
         codegen emits no gather for it and refuses (``layout``)."""
         _refused(_reversed_copy_program(), "layout", (16,), 0)
 
-    def test_fma_chain_folds_into_one_expression(self):
-        """Single-use FMA results are inlined into their consumer lane by
-        lane: each lane of the chain is one ``a*b + (c*d + ...)``
-        expression instead of one temporary per instruction."""
+    def test_fma_chain_writes_one_register_per_lane(self):
+        """An FMA lane is a multiply into a register and an add into the
+        same register: each link of the chain writes one register per
+        lane, the second link reads the first link's register of its
+        lane, and the first link's single-use registers are reused as
+        scratch (``width + 1`` registers in all)."""
         b = ProgramBuilder(4)
         v0 = b.load(b.mem(Affine.var("x")))
         v1 = b.load(b.mem(Affine.var("x", const=1)))
@@ -212,11 +245,23 @@ class TestEmissionUnits:
                        loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
         arrays = {"a": np.arange(20.0), "out": np.zeros(16)}
         src = emitted_source(prog, arrays)
-        lane = r"\(_K\d+ \* _v\d+ \+ \(_K\d+ \* _v\d+ \+ _K\d+\)\)"
-        node = rf"\s*_v\d+ = \(({lane}, ){{3}}{lane}\)"
-        folded = [ln for ln in src.splitlines() if re.fullmatch(node, ln)]
-        assert len(folded) == 1, \
-            f"no single folded 4-lane FMA chain in emitted source:\n{src}"
+        ops = _arith(src)
+        assert len(ops) == 16, src   # two FMAs x four lanes x two ops
+        links = []
+        for (mul, mul_args, r), (add, add_args, r2) in zip(ops[::2],
+                                                          ops[1::2]):
+            assert (mul, add) == ("multiply", "add") and r2 == r, src
+            assert re.fullmatch(r"_K\d+", mul_args[0]), src
+            assert add_args[0] == r, src
+            links.append((r, add_args[1]))
+        first, second = links[:4], links[4:]
+        assert len({r for r, _ in first}) == 4, src
+        assert [prev for _, prev in second] == [r for r, _ in first], src
+        stored = [ln.split(" = ")[1].split("[")[0]
+                  for ln in _section(src, "# deferred")]
+        assert stored == [r for r, _ in second], src
+        assert len(set(stored)) == 4, src
+        assert len(set(re.findall(r"^\s*(_r\d+) = ", src, re.M))) == 5, src
 
         def factory():
             return {"a": np.linspace(0.0, 2.0, 20), "out": np.zeros(16)}
@@ -224,8 +269,8 @@ class TestEmissionUnits:
         assert np.array_equal(a2["out"], a1["out"])
 
     def test_multi_use_value_is_materialized_once(self):
-        """A value consumed twice must bind to one ``_v`` lane tuple,
-        built once, not be re-evaluated per use."""
+        """A value consumed twice is computed once into its own register,
+        and its consumer reads that register twice."""
         b = ProgramBuilder(4)
         v = b.load(b.mem(Affine.var("x")))
         s = b.add(v, v)
@@ -235,15 +280,16 @@ class TestEmissionUnits:
                        loops=[Loop("x", 0, 16, 4)], vectors_per_iter=1)
         arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
         src = emitted_source(prog, arrays)
-        # each lane's doubly-used sum is evaluated once, inside one lane
-        # tuple; its consumer squares that tuple's lane, not the
-        # re-inlined sum
-        sums = re.findall(r"\((_v\d+) \+ \1\)", src)
-        assert len(sums) == 4 and len(set(sums)) == 4, src
-        assert len(re.findall(r"^\s*_v\d+ = \(\(_v\d+ \+ _v\d+\), ",
-                              src, re.M)) == 1, src
-        squares = re.findall(r"\((_v\d+)\[(\d)\] \* \1\[\2\]\)", src)
-        assert sorted(j for _, j in squares) == ["0", "1", "2", "3"], src
+        ops = _arith(src)
+        sums = [(args, r) for f, args, r in ops if f == "add"]
+        squares = [(args, r) for f, args, r in ops if f == "multiply"]
+        # each lane's doubly-used sum is evaluated once, into a register
+        # of its own, and its square reads that register
+        assert len(sums) == 4 and len(ops) == 8, src
+        assert all(a == b and a.startswith("_v") for (a, b), _ in sums), src
+        assert len({r for _, r in sums}) == 4, src
+        assert [args for args, _ in squares] == \
+            [[r, r] for _, r in sums], src
 
         def factory():
             return {"a": np.arange(16.0), "out": np.zeros(16)}
@@ -867,9 +913,12 @@ class TestShuffleEmission:
         k = _hoisted(spec)[zeros[0]]
         assert type(k) is np.float64 and k == 0.0 \
             and not np.signbit(k), spec.source
-        # the other two lanes are renamed load lanes, not copies
+        # the other two lanes are renamed load lanes, not copies: nothing
+        # is computed, so no register is written
         assert all(ln.split(" = ")[1].startswith("_v")
                    for ln in stores[2:]), spec.source
+        assert _arith(spec.source) == [], spec.source
+        assert "_register_file" not in spec.source, spec.source
 
         def factory():
             return {"a": np.arange(16.0) + 1.0, "out": np.ones(16)}
@@ -1019,12 +1068,42 @@ class TestLanePlanes:
                     "out": np.zeros(4 * w, dtype=dtype)}
         a1, a2, spec = _typed_run(prog, factory, dtype)
         assert np.array_equal(a2["out"], a1["out"])
-        sums = re.findall(r"\(_v\d+ \+ _v\d+\)", spec.source)
+        ops = _arith(spec.source)
+        sums = [(tuple(args), r) for f, args, r in ops if f == "add"]
+        # lane 1 of the sum is dead, so only w - 1 sums are computed, each
+        # once; lane 0's register (the first sum) is read by two products
         assert len(sums) == len(set(sums)) == w - 1, spec.source
-        lane0 = re.search(r"(_v\d+) = \((\(_v\d+ \+ _v\d+\)), None",
-                          spec.source)
-        assert lane0, spec.source
-        assert spec.source.count(f"{lane0.group(1)}[0] * ") == 2, spec.source
+        lane0 = sums[0][1]
+        assert sum(args[0] == lane0 for f, args, _ in ops
+                   if f == "multiply") == 2, spec.source
+
+    @pytest.mark.parametrize("elem_bytes, dtype", PRECISIONS)
+    def test_scalar_arithmetic_writes_no_register(self, elem_bytes, dtype):
+        """A product and an FMA of broadcast constants are expressions
+        over hoisted scalars: only the FMA reading a load writes
+        registers (a multiply and an add per lane), bitwise."""
+        b = _lane_builder(elem_bytes)
+        w = b.width
+        c1, c2, c3 = b.broadcast(0.1), b.broadcast(3.0), b.broadcast(-0.7)
+        k = b.mul(c1, c2)
+        k2 = b.fma(c1, c2, c3)
+        r = b.fma(k, b.load(b.mem(Affine.var("x"))), k2)
+        b.store(r, b.mem(Affine.var("x"), array="out"))
+        prog = b.build(name="kscal", scheme="t",
+                       loops=[Loop("x", 0, 4 * w, w)], vectors_per_iter=1)
+
+        def factory():
+            rng = np.random.default_rng(5)
+            return {"a": rng.uniform(-2, 2, 4 * w).astype(dtype),
+                    "out": np.zeros(4 * w, dtype=dtype)}
+        a1, a2, spec = _typed_run(prog, factory, dtype)
+        assert np.array_equal(a2["out"], a1["out"])
+        ops = _arith(spec.source)
+        assert [f for f, _, _ in ops] == ["multiply", "add"] * w, spec.source
+        assert all(re.fullmatch(r"\(_K\d+ \* _K\d+\)", args[0])
+                   for f, args, _ in ops if f == "multiply"), spec.source
+        assert all(re.fullmatch(r"\(_K\d+ \* _K\d+ \+ _K\d+\)", args[1])
+                   for f, args, _ in ops if f == "add"), spec.source
 
     @pytest.mark.parametrize("elem_bytes, dtype", PRECISIONS)
     def test_outputs_keep_program_dtype(self, elem_bytes, dtype):
@@ -1405,3 +1484,130 @@ class TestFlatLayout:
         with pytest.raises(CodegenFallback, match=r"\['w0', 'w1'\]"):
             CodegenProgram(prog)
         _refused(prog, "compile", (16,), 4)
+
+
+# ---------------------------------------------------------------------------
+# the per-thread register file
+# ---------------------------------------------------------------------------
+
+def _slabbed_case(monkeypatch, kernel="box-2d9p", shape=(24, 64),
+                  machine=GENERIC_AVX2, dtype=np.float64, slab_rows=4):
+    """``(program, arrays, interpreter arrays)`` for one jigsaw sweep, with
+    SLAB_POINTS lowered so the sweep runs in slabs of ``slab_rows`` rows:
+    every slab after the first reuses the registers the first wrote."""
+    spec = library.get(kernel)
+    halo = scheme_halo("jigsaw", spec, machine)
+    grid = Grid.random(shape, halo, seed=3, dtype=dtype)
+    prog = generate("jigsaw", spec, machine, grid)
+    cg = get_codegen(prog)
+    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", slab_rows * math.prod(
+        cg.outer_dims[1:]) * cg.trips * prog.block)
+    assert cg._slab_rows() == slab_rows < cg.outer_dims[0]
+    arrays = {prog.input_array: grid.data,
+              prog.output_array: grid.like().data}
+    want = {k: v.copy() for k, v in arrays.items()}
+    SimdMachine(prog.width, elem_bytes=prog.elem_bytes).run(prog, want)
+    return prog, arrays, want
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so two threads running emitted
+    sweeps interleave between nearly every pair of statements."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+class TestRegisterFile:
+    def test_two_threads_run_one_specialization(self, monkeypatch,
+                                                fast_switching):
+        """Two threads released together by a barrier run the same
+        slabbed specialization again and again: each evaluates into its
+        own register file, so every output is the interpreter's."""
+        prog, arrays, want = _slabbed_case(monkeypatch)
+        cg = get_codegen(prog)
+        out = prog.output_array
+        barrier = threading.Barrier(2, timeout=60)
+
+        def work(_):
+            mine = {k: v.copy() for k, v in arrays.items()}
+            barrier.wait()
+            outputs = []
+            for _ in range(12):
+                mine[out][...] = 0.0
+                cg.run(mine)
+                outputs.append(mine[out].copy())
+            return outputs
+
+        with ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(work, range(2), timeout=120))
+        assert all(np.array_equal(got, want[out])
+                   for outputs in runs for got in outputs)
+        assert len(cg._slab_progs) == 1
+        assert len(next(iter(cg._slab_progs.values()))._specs) == 1
+
+    def test_thread_sharded_kernel_matches_interp(self, monkeypatch,
+                                                  fast_switching):
+        """``CompiledKernel.run_sharded`` on the thread executor: two
+        shards sweep on codegen at once, in slabs, bitwise equal to the
+        interpreter."""
+        # at most four of a shard's 64-point rows per slab
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", 4 * 64)
+        spec = library.get("box-2d9p")
+        k0 = compile_kernel(spec, GENERIC_AVX2, Grid((48, 64), 16))
+        grid = k0.grid_like((48, 64), seed=11)
+        kernel = compile_kernel(spec, GENERIC_AVX2, grid)
+        steps = 2 * kernel.plan.time_fusion
+        want = kernel.run(grid, steps, backend="interp")
+        for _ in range(3):
+            got = kernel.run_sharded(grid, steps, shards=2, workers=2,
+                                     executor="thread", backend="codegen")
+            assert np.array_equal(got.interior, want.interior)
+
+    def test_register_file_does_not_grow_with_the_grid(self):
+        """Slabs cap a lane plane's length, so heat-2d at 2048^2 needs no
+        more register file than at 1024^2: a thread that ran 1024^2
+        keeps its file's size through 2048^2."""
+        spec = library.get("heat-2d")
+
+        def sweep(n):
+            k0 = compile_kernel(spec, GENERIC_AVX2, Grid((n, n), 16))
+            grid = Grid(k0.grid.shape, k0.halo())
+            grid.interior[...] = 1.0
+            kernel = compile_kernel(spec, GENERIC_AVX2, grid)
+            got = kernel.run(grid, kernel.plan.time_fusion, backend="codegen")
+            assert np.allclose(got.interior, 1.0)
+            return codegen_mod._FILE.buf.nbytes
+
+        with ThreadPoolExecutor(1) as pool:  # a fresh, empty file
+            small = pool.submit(sweep, 1024).result(timeout=120)
+            large = pool.submit(sweep, 2048).result(timeout=120)
+        assert large == small
+        assert small < 1024 * 1024 * 8  # below one float64 1024^2 grid
+
+    def test_float32_and_float64_alternate_on_one_thread(self, monkeypatch):
+        """One thread alternates float32 and float64 programs: both view
+        the same byte buffer, each as its own dtype, and stay bitwise."""
+        cases = []
+        for machine, dtype in ((GENERIC_AVX2, np.float64),
+                               (GENERIC_AVX2_F32, np.float32)):
+            prog, arrays, want = _slabbed_case(monkeypatch, machine=machine,
+                                               dtype=dtype)
+            cases.append((get_codegen(prog), prog.output_array, arrays,
+                          want, codegen_mod.SLAB_POINTS))
+
+        def alternate():
+            for _ in range(3):
+                for cg, out, arrays, want, slab in cases:
+                    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", slab)
+                    got = {k: v.copy() for k, v in arrays.items()}
+                    cg.run(got)
+                    assert got[out].dtype == cg.dtype
+                    assert np.array_equal(got[out], want[out])
+
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(alternate).result(timeout=120)

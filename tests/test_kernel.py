@@ -8,9 +8,10 @@ from repro.errors import VectorizeError
 from repro.core import compile_kernel
 from repro.core import kernel as kernel_mod
 from repro.stencils import apply_steps, library
+from repro.stencils.boundary import fill_halo
 from repro.stencils.grid import Grid
 
-from _helpers import SIM_KERNELS
+from _helpers import KERNELS, SIM_KERNELS
 
 
 def make_kernel(kernel, nx=32, fusion="auto", rows=6):
@@ -173,3 +174,70 @@ def test_numpy_grid_within_bound_is_one_slab(monkeypatch, kernel):
     blocks.clear()
     k.run_numpy(g, steps)
     assert blocks == expected_blocks(k, g, g.shape[0] - 1, steps)
+
+
+# -- first-product seeding ----------------------------------------------------
+
+def zero_seeded_numpy(k, grid, steps, boundary, value):
+    """``run_numpy`` as it was before seeding: every flattened sum and
+    every output block starts from zeros and adds each product in turn."""
+    s = k.plan.time_fusion
+    rx = max(max(abs(d) for d in t.v) for t in k.plan.terms)
+    cur, nxt = grid.copy(), grid.like()
+    nx, n0 = grid.shape[-1], grid.shape[0]
+    per_row = int(np.prod(grid.shape[1:]))
+    rows = (n0 if grid.ndim == 1
+            else max(1, kernel_mod.NUMPY_SLAB_POINTS // per_row))
+    hx = grid.halo[-1]
+    for _ in range(steps // s):
+        fill_halo(cur, boundary, value=value)
+        for k0 in range(0, n0, rows):
+            k1 = min(n0, k0 + rows)
+            out = nxt.interior[k0:k1]
+            out.fill(0.0)
+            for term in k.plan.terms:
+                spans = [(0, n) for n in grid.shape[:-1]]
+                if spans:
+                    spans[0] = (k0, k1)
+                g = np.zeros(tuple(b - a for a, b in spans) + (nx + 2 * rx,))
+                for outer, c in term.u.items():
+                    sl = [slice(h + o + a, h + o + b)
+                          for (a, b), h, o in zip(spans, grid.halo, outer)]
+                    sl.append(slice(hx - rx, hx - rx + nx + 2 * rx))
+                    np.add(g, c * cur.data[tuple(sl)], out=g)
+                for dx, c in term.v.items():
+                    lo = rx + dx
+                    np.add(out, c * g[..., lo:lo + nx], out=out)
+        cur, nxt = nxt, cur
+    return cur
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("fusion", [1, "auto"])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_numpy_first_product_seeding_matches_zero_seeded(kernel, fusion,
+                                                         boundary):
+    """Seeding each sum with its first product instead of a zero fill
+    changes at most the sign of a zero, so the values are equal."""
+    k, g = make_kernel(kernel, fusion=fusion, rows=7)
+    steps = 2 * k.plan.time_fusion
+    if boundary == "dirichlet" and k.plan.time_fusion > 1:
+        with pytest.raises(VectorizeError):
+            k.run_numpy(g, steps, boundary=boundary)
+        return
+    got = k.run_numpy(g, steps, boundary=boundary, value=0.25)
+    want = zero_seeded_numpy(k, g, steps, boundary, 0.25)
+    assert np.array_equal(got.interior, want.interior)
+
+
+@pytest.mark.parametrize("kernel", ["heat-1d", "box-2d9p", "heat-3d"])
+def test_numpy_seeding_keeps_float32_grids_equal(kernel):
+    """A float32 grid: the flattened sums stay float64 (the first float32
+    product is widened, not summed in float32)."""
+    k, g = make_kernel(kernel, rows=7)
+    g32 = Grid.random(g.shape, g.halo, seed=5, dtype=np.float32)
+    steps = 2 * k.plan.time_fusion
+    got = k.run_numpy(g32, steps)
+    assert got.data.dtype == np.float32
+    want = zero_seeded_numpy(k, g32, steps, "periodic", 0.0)
+    assert np.array_equal(got.interior, want.interior)
