@@ -13,7 +13,12 @@ from .lbv import generate_lbv
 from .sdf import Rank1Term, flatten_terms, matricize, reconstruct
 from .itm import merged_spec, fusable
 from .planner import JigsawPlan, plan
-from .jigsaw import compile as compile_kernel, generate_jigsaw
+from .jigsaw import (
+    JigsawTemplate,
+    compile as compile_kernel,
+    generate_jigsaw,
+    lower_jigsaw,
+)
 from .kernel import CompiledKernel
 from .cache import (
     CacheStats,
@@ -34,6 +39,8 @@ __all__ = [
     "plan",
     "compile_kernel",
     "generate_jigsaw",
+    "lower_jigsaw",
+    "JigsawTemplate",
     "CompiledKernel",
     "CacheStats",
     "KernelCache",

@@ -3,21 +3,24 @@
 Every call to :func:`repro.core.jigsaw.compile` used to re-plan, re-run
 the SDF decomposition, and re-generate the vector program from scratch.
 At service scale (many kernels, many repeated geometries) that is pure
-redundancy: the compile pipeline is a deterministic function of
-``(StencilSpec, MachineConfig, plan options, grid geometry)``.
+redundancy: the lowered instruction stream is a deterministic function of
+``(StencilSpec, MachineConfig, plan options)``; a grid only sets the loop
+bounds.
 
 :class:`KernelCache` memoizes all three stages under content-addressed
 keys (SHA-256 over the canonical JSON of every input field, so *any*
-change to the spec, the machine, the plan options, or the grid geometry
-produces a different key):
+change to the spec, the machine or the plan options produces a different
+key):
 
 * **plans** — :class:`~repro.core.planner.JigsawPlan` objects (whose SDF
   ``terms`` are themselves memoized per plan);
-* **programs** — generated :class:`~repro.vectorize.program.VectorProgram`
-  streams, in a bounded in-memory LRU and, when a ``cache_dir`` is
-  configured, as JSON artifacts on disk (the
-  :mod:`repro.machine.serialize` format).  Corrupted or stale disk
-  entries are discarded and recompiled, never trusted.
+* **programs** — shape-free :class:`~repro.core.jigsaw.JigsawTemplate`
+  lowerings keyed by plan alone, in a bounded in-memory LRU and, when a
+  ``cache_dir`` is configured, as JSON artifacts on disk (the
+  :mod:`repro.machine.serialize` format).  :meth:`KernelCache.program`
+  binds the template to each grid, which is where the grid's rank, halo
+  and x extent are checked.  Corrupted or stale disk entries are
+  discarded and recompiled, never trusted.
 
 Concurrency: the cache is fully thread-safe, and concurrent misses for
 the *same* key are collapsed through per-key in-flight locks — the first
@@ -60,15 +63,16 @@ from ..machine.serialize import (
 )
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
-from ..vectorize.driver import check_program_grid
+from ..vectorize.common import unbound_loops
 from ..vectorize.program import VectorProgram
-from .jigsaw import generate_jigsaw
+from .jigsaw import JigsawTemplate
 from .planner import JigsawPlan, plan as build_plan
 
 #: bump when the on-disk entry layout changes; older entries are discarded.
 #: v2 added the program checksum (semantic corruption is now detectable,
-#: not just structural corruption).
-ENTRY_FORMAT = 2
+#: not just structural corruption); v3 stores shape-free programs keyed
+#: by plan alone.
+ENTRY_FORMAT = 3
 
 #: corrupt/truncated/stale disk entries are moved here (under the cache
 #: directory) instead of deleted, so operators can inspect what broke.
@@ -113,6 +117,28 @@ def digest(payload: Dict[str, Any]) -> str:
 _digest = digest  # backwards-compatible private alias
 
 
+def _object_digest(obj: Any, fingerprint) -> str:
+    """``digest(fingerprint(obj))``, computed once per frozen object and
+    kept on the object itself.  Specs that ``==`` treats as equal can
+    still fingerprint differently (a ``-0.0`` coefficient), so the memo
+    is never shared between objects."""
+    cached = obj.__dict__.get("_digest_memo")
+    if cached is None:
+        cached = digest(fingerprint(obj))
+        object.__setattr__(obj, "_digest_memo", cached)
+    return cached
+
+
+def spec_digest(spec: StencilSpec) -> str:
+    """Content digest of a spec (see :func:`spec_fingerprint`)."""
+    return _object_digest(spec, spec_fingerprint)
+
+
+def machine_digest(machine: MachineConfig) -> str:
+    """Content digest of a machine (see :func:`machine_fingerprint`)."""
+    return _object_digest(machine, machine_fingerprint)
+
+
 def plan_key(spec: StencilSpec, machine: MachineConfig, *,
              time_fusion: Union[int, str] = "auto",
              use_sdf: bool = True, backend: str = "auto") -> str:
@@ -124,8 +150,8 @@ def plan_key(spec: StencilSpec, machine: MachineConfig, *,
     """
     payload = {
         "kind": "plan",
-        "spec": spec_fingerprint(spec),
-        "machine": machine_fingerprint(machine),
+        "spec": spec_digest(spec),
+        "machine": machine_digest(machine),
         "time_fusion": time_fusion,
         "use_sdf": use_sdf,
     }
@@ -134,15 +160,15 @@ def plan_key(spec: StencilSpec, machine: MachineConfig, *,
     return _digest(payload)
 
 
-def program_key(plan: JigsawPlan, grid: Grid) -> str:
-    """Content hash identifying one generated program: the plan inputs
-    plus the grid geometry the addresses were lowered against."""
+def program_key(plan: JigsawPlan) -> str:
+    """Content hash identifying one shape-free program: the plan inputs.
+    The spec fixes the rank, and a grid only sets loop bounds, so no
+    grid field takes part."""
     return _digest({
         "kind": "program",
-        "spec": spec_fingerprint(plan.spec),
-        "machine": machine_fingerprint(plan.machine),
+        "spec": spec_digest(plan.spec),
+        "machine": machine_digest(plan.machine),
         "options": plan.cache_token(),
-        "grid": {"shape": list(grid.shape), "halo": list(grid.halo)},
     })
 
 
@@ -153,7 +179,7 @@ class CacheStats:
     """Counters for one :class:`KernelCache` (a live view, not a copy)."""
 
     hits: int = 0            #: program served from memory or disk
-    misses: int = 0          #: program generated from scratch
+    misses: int = 0          #: program lowered from scratch
     evictions: int = 0       #: programs dropped from the in-memory LRU
     plan_hits: int = 0
     plan_misses: int = 0
@@ -233,7 +259,7 @@ class KernelCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._plans: "OrderedDict[str, JigsawPlan]" = OrderedDict()
-        self._programs: "OrderedDict[str, VectorProgram]" = OrderedDict()
+        self._programs: "OrderedDict[str, JigsawTemplate]" = OrderedDict()
         #: per-key in-flight locks collapsing concurrent same-key misses
         self._inflight: Dict[str, threading.Lock] = {}
         #: this instance's stats delta file name (pid + random so writer
@@ -297,51 +323,53 @@ class KernelCache:
 
     # -- programs --------------------------------------------------------------
     def program(self, plan: JigsawPlan, grid: Grid) -> VectorProgram:
-        """The generated vector program for ``plan`` on ``grid``'s
-        geometry — from memory, then disk, then a fresh compile.
-        Concurrent misses for one key compile once (the in-flight lock);
-        every waiter gets the leader's program and counts as a hit."""
-        key = program_key(plan, grid)
-        t0 = time.perf_counter()
+        """The vector program for ``plan`` bound to ``grid``: the plan's
+        :meth:`template` with ``grid``'s loop bounds.  Raises
+        :class:`~repro.errors.VectorizeError` for a grid the plan cannot
+        run on."""
         with obs.span("cache.program", kernel=plan.spec.name):
-            cached = self._program_hit(key)
-            if cached is not None:
-                self._observe("cache.program.hit", t0)
-                return cached
-            lock = self._key_lock("prog:" + key)
-            try:
-                with lock:
-                    cached = self._program_hit(key)
-                    if cached is not None:
-                        self._observe("cache.program.hit", t0)
-                        return cached
-                    loaded = self._load_entry(key, plan, grid)
-                    if loaded is not None:
-                        with self._lock:
-                            self.stats.hits += 1
-                            self.stats.disk_hits += 1
-                            self._remember(key, loaded)
-                        self._persist_stats()
-                        self._observe("cache.program.hit", t0)
-                        return loaded
-                    faults.fault_point("compile.kernel")
-                    program = generate_jigsaw(
-                        plan.spec, plan.machine, grid,
-                        time_fusion=plan.time_fusion,
-                        terms=plan.terms,
-                        scheme=plan.scheme,
-                    )
-                    with self._lock:
-                        self.stats.misses += 1
-                        self._remember(key, program)
-                    self._store_entry(key, plan, grid, program)
-                    self._persist_stats()
-            finally:
-                self._drop_key_lock("prog:" + key)
-            self._observe("cache.program.miss", t0)
-            return program
+            return self.template(plan).bind(grid)
 
-    def _program_hit(self, key: str) -> Optional[VectorProgram]:
+    def template(self, plan: JigsawPlan) -> JigsawTemplate:
+        """The shape-free program for ``plan`` — from memory, then disk,
+        then a fresh lowering.  Concurrent misses for one key lower once
+        (the in-flight lock); every waiter gets the leader's template and
+        counts as a hit."""
+        key = program_key(plan)
+        t0 = time.perf_counter()
+        cached = self._program_hit(key)
+        if cached is not None:
+            self._observe("cache.program.hit", t0)
+            return cached
+        lock = self._key_lock("prog:" + key)
+        try:
+            with lock:
+                cached = self._program_hit(key)
+                if cached is not None:
+                    self._observe("cache.program.hit", t0)
+                    return cached
+                loaded = self._load_entry(key, plan)
+                if loaded is not None:
+                    with self._lock:
+                        self.stats.hits += 1
+                        self.stats.disk_hits += 1
+                        self._remember(key, loaded)
+                    self._persist_stats()
+                    self._observe("cache.program.hit", t0)
+                    return loaded
+                faults.fault_point("compile.kernel")
+                template = plan.lower()
+                with self._lock:
+                    self.stats.misses += 1
+                    self._remember(key, template)
+                self._store_entry(key, plan, template.program)
+                self._persist_stats()
+        finally:
+            self._drop_key_lock("prog:" + key)
+        self._observe("cache.program.miss", t0)
+        return template
+
+    def _program_hit(self, key: str) -> Optional[JigsawTemplate]:
         with self._lock:
             cached = self._programs.get(key)
             if cached is not None:
@@ -358,8 +386,8 @@ class KernelCache:
                       use_sdf=use_sdf, backend=backend)
         return CompiledKernel(plan=p, machine=machine, grid=grid, cache=self)
 
-    def _remember(self, key: str, program: VectorProgram) -> None:
-        self._programs[key] = program
+    def _remember(self, key: str, template: JigsawTemplate) -> None:
+        self._programs[key] = template
         while len(self._programs) > self.max_entries:
             self._programs.popitem(last=False)
             self.stats.evictions += 1
@@ -380,8 +408,8 @@ class KernelCache:
             return None
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _load_entry(self, key: str, plan: JigsawPlan,
-                    grid: Grid) -> Optional[VectorProgram]:
+    def _load_entry(self, key: str,
+                    plan: JigsawPlan) -> Optional[JigsawTemplate]:
         path = self._entry_path(key)
         if path is None or not os.path.exists(path):
             return None
@@ -401,19 +429,25 @@ class KernelCache:
                 if entry.get("checksum") != _digest(entry.get("program")):
                     raise ValueError("program checksum mismatch")
                 program = program_from_dict(entry["program"])
-                if (program.width != plan.machine.vector_elems
+                width = plan.machine.vector_elems
+                if (program.width != width
                         or program.elem_bytes != plan.machine.element_bytes):
                     raise ValueError("entry lowered for a different machine")
-                check_program_grid(program, grid)
+                if program.loops != unbound_loops(plan.spec.ndim, 2 * width):
+                    raise ValueError("entry is not a shape-free program")
+                if program.tail_spec != plan.fused_spec:
+                    raise ValueError("entry computes a different stencil")
             except Exception:
                 # Anything wrong with a disk entry — unreadable or
                 # truncated JSON, a checksum mismatch, an unknown opcode,
-                # a geometry mismatch, a simulated read fault — means
-                # recompile, not crash.  The bad file is quarantined for
-                # inspection instead of silently deleted.
+                # a loop nest or stencil the plan does not lower to, a
+                # simulated read fault — means recompile, not crash.  The
+                # bad file is quarantined for inspection instead of
+                # silently deleted.
                 self._quarantine(path)
                 return None
-            return program
+            return JigsawTemplate(program=program, spec=plan.spec,
+                                  halo=plan.halo)
 
     def _quarantine(self, path: str) -> None:
         """Move a bad disk entry into ``_quarantine/`` (falling back to
@@ -449,7 +483,7 @@ class KernelCache:
                 pass
         return count, size
 
-    def _store_entry(self, key: str, plan: JigsawPlan, grid: Grid,
+    def _store_entry(self, key: str, plan: JigsawPlan,
                      program: VectorProgram) -> None:
         path = self._entry_path(key)
         if path is None:
@@ -461,7 +495,6 @@ class KernelCache:
             "spec": spec_fingerprint(plan.spec),
             "machine": machine_fingerprint(plan.machine),
             "options": plan.cache_token(),
-            "grid": {"shape": list(grid.shape), "halo": list(grid.halo)},
             "terms": [term_to_dict(t) for t in plan.terms],
             "program": program_dict,
             "checksum": _digest(program_dict),

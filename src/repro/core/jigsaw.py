@@ -15,10 +15,18 @@ of the paper (Figure 5's flow):
 Row loads are shared across terms through a load cache, so the per-vector
 load count equals the row count (amortized over the ``2W`` block and over
 fused steps) — reproducing the paper's Table-2 "Jigsaw" row.
+
+Lowering is shape-free: addresses are "loop variable + offset", so
+:func:`lower_jigsaw` returns a :class:`JigsawTemplate` whose instruction
+stream depends on the stencil, the machine and the fusion depth only, and
+:meth:`JigsawTemplate.bind` sets one grid's loop bounds after checking the
+grid's rank, halo and x extent.  :func:`generate_jigsaw` is the two in
+sequence.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -26,7 +34,13 @@ from ..config import MachineConfig
 from ..errors import VectorizeError
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
-from ..vectorize.common import check_geometry, loop_nest, out_addr, point_addr
+from ..vectorize.common import (
+    check_geometry,
+    loop_nest,
+    out_addr,
+    point_addr,
+    unbound_loops,
+)
 from ..vectorize.program import ProgramBuilder, VectorProgram
 from .itm import merged_spec
 from .lbv import ButterflyEmitter
@@ -35,23 +49,47 @@ from .sdf import Rank1Term, structured_terms
 Outer = Tuple[int, ...]
 
 
+def fused_halo(fused: StencilSpec, width: int) -> Tuple[int, ...]:
+    """Halo for a sweep of the already-fused stencil ``fused`` on
+    ``width``-element vectors: its radius on outer axes, a two-vector
+    window on x."""
+    r = fused.radius
+    return r[:-1] + (max(r[-1], 2 * width),)
+
+
 def required_halo(spec: StencilSpec, machine: MachineConfig,
                   *, time_fusion: int = 1) -> Tuple[int, ...]:
-    """Halo for the (possibly fused) kernel: fused radius on outer axes,
-    a two-vector window on x."""
-    fused = merged_spec(spec, time_fusion)
-    r = fused.radius
-    w = machine.vector_elems
-    return r[:-1] + (max(r[-1], 2 * w),)
+    """Halo for the (possibly fused) kernel.  Runs the ITM merge on every
+    call; a plan's :attr:`~repro.core.planner.JigsawPlan.halo` does not."""
+    return fused_halo(merged_spec(spec, time_fusion), machine.vector_elems)
+
+
+@dataclass(frozen=True)
+class JigsawTemplate:
+    """One lowered Jigsaw sweep without loop bounds (see module
+    docstring): a single template serves every grid of the stencil's
+    rank."""
+
+    program: VectorProgram  #: the sweep over :func:`unbound_loops`
+    spec: StencilSpec       #: the base (unfused) stencil
+    halo: Tuple[int, ...]   #: the least halo a bound grid may have
+
+    def bind(self, grid: Grid) -> VectorProgram:
+        """The program over ``grid``'s interior.  Raises
+        :class:`~repro.errors.VectorizeError` for a wrong rank, a halo
+        below :attr:`halo` or an x extent shorter than one block."""
+        block = self.program.block
+        check_geometry(self.spec, grid, block=block, halo_needed=self.halo)
+        return replace(self.program, loops=loop_nest(grid, block))
 
 
 class _RowLoadCache:
     """Shares aligned row loads across SDF terms within one emission
     stream (prologue or body)."""
 
-    def __init__(self, builder: ProgramBuilder, grid: Grid) -> None:
+    def __init__(self, builder: ProgramBuilder, ndim: int) -> None:
         self.b = builder
-        self.grid = grid
+        self.ndim = ndim
         self._cache: Dict[Tuple[bool, Outer, int], str] = {}
 
     def get(self, outer: Outer, offset: int, in_prologue: bool) -> str:
@@ -59,7 +97,7 @@ class _RowLoadCache:
         if key not in self._cache:
             off0 = outer + (0,)
             self._cache[key] = self.b.load(
-                point_addr(self.grid, off0, array=self.b.input_array,
+                point_addr(self.ndim, off0, array=self.b.input_array,
                            x_extra=offset),
                 comment=f"row {outer} load F({offset})",
                 unaligned=offset % self.b.width != 0,
@@ -160,7 +198,22 @@ def generate_jigsaw(
     terms: Optional[Sequence[Rank1Term]] = None,
     scheme: Optional[str] = None,
 ) -> VectorProgram:
-    """Lower one (possibly ITM-fused) Jigsaw sweep.
+    """Lower one (possibly ITM-fused) Jigsaw sweep and bind it to
+    ``grid`` (see :func:`lower_jigsaw` for the keywords)."""
+    return lower_jigsaw(spec, machine, time_fusion=time_fusion, terms=terms,
+                        scheme=scheme).bind(grid)
+
+
+def lower_jigsaw(
+    spec: StencilSpec,
+    machine: MachineConfig,
+    *,
+    time_fusion: int = 1,
+    terms: Optional[Sequence[Rank1Term]] = None,
+    scheme: Optional[str] = None,
+) -> JigsawTemplate:
+    """Lower one (possibly ITM-fused) Jigsaw sweep for any grid of the
+    stencil's rank.
 
     ``terms`` overrides the SDF decomposition — pass
     :func:`repro.core.sdf.rows_as_terms` of the fused spec for the
@@ -168,31 +221,27 @@ def generate_jigsaw(
     per sweep.
     """
     with obs.span("codegen", kernel=spec.name, time_fusion=time_fusion):
-        return _generate_jigsaw(spec, machine, grid,
-                                time_fusion=time_fusion, terms=terms,
-                                scheme=scheme)
+        return _lower_jigsaw(spec, machine, time_fusion=time_fusion,
+                             terms=terms, scheme=scheme)
 
 
-def _generate_jigsaw(
+def _lower_jigsaw(
     spec: StencilSpec,
     machine: MachineConfig,
-    grid: Grid,
     *,
     time_fusion: int = 1,
     terms: Optional[Sequence[Rank1Term]] = None,
     scheme: Optional[str] = None,
-) -> VectorProgram:
+) -> JigsawTemplate:
     width = machine.vector_elems
     block = 2 * width
+    ndim = spec.ndim
     fused = merged_spec(spec, time_fusion)
     if terms is None:
         with obs.span("sdf", kernel=spec.name):
             terms = structured_terms(fused)
-    check_geometry(spec, grid, block=block,
-                   halo_needed=required_halo(spec, machine,
-                                             time_fusion=time_fusion))
     b = ProgramBuilder(width, elem_bytes=machine.element_bytes)
-    cache = _RowLoadCache(b, grid)
+    cache = _RowLoadCache(b, ndim)
 
     emitters: List[ButterflyEmitter] = []
     directs: List[_DirectWindow] = []
@@ -240,8 +289,8 @@ def _generate_jigsaw(
                 out1 = b.fma(cr, g1, out1, comment="direct term out1")
     if out0 is None:
         raise VectorizeError(f"{spec.name}: no terms produced any output")
-    b.store(out0, out_addr(grid), comment="store outputs [x, x+W)")
-    b.store(out1, out_addr(grid, x_extra=width),
+    b.store(out0, out_addr(ndim), comment="store outputs [x, x+W)")
+    b.store(out1, out_addr(ndim, x_extra=width),
             comment="store outputs [x+W, x+2W)")
     for em in emitters:
         em.emit_slide()
@@ -249,10 +298,10 @@ def _generate_jigsaw(
         dw.emit_slide()
 
     label = scheme or ("t-jigsaw" if time_fusion > 1 else "jigsaw")
-    return b.build(
+    program = b.build(
         name=f"{label}/{spec.name}",
         scheme=label,
-        loops=loop_nest(grid, block=block),
+        loops=unbound_loops(ndim, block),
         vectors_per_iter=2,
         steps_per_iter=time_fusion,
         overlapped=True,
@@ -262,6 +311,8 @@ def _generate_jigsaw(
             f"fused kernel {fused.tag}"
         ),
     )
+    return JigsawTemplate(program=program, spec=spec,
+                          halo=fused_halo(fused, width))
 
 
 def compile(

@@ -32,7 +32,6 @@ from ..stencils.boundary import fill_halo
 from ..stencils.grid import Grid
 from ..vectorize.driver import measure_trace, run_program
 from ..vectorize.program import VectorProgram
-from .jigsaw import generate_jigsaw, required_halo
 from .planner import JigsawPlan
 
 #: output points per axis-0 row block of :meth:`CompiledKernel.run_numpy`:
@@ -68,19 +67,11 @@ class CompiledKernel:
             if self.cache is not None:
                 self._program = self.cache.program(self.plan, self.grid)
             else:
-                self._program = generate_jigsaw(
-                    self.plan.spec,
-                    self.machine,
-                    self.grid,
-                    time_fusion=self.plan.time_fusion,
-                    terms=self.plan.terms,
-                    scheme=self.plan.scheme,
-                )
+                self._program = self.plan.lower().bind(self.grid)
         return self._program
 
     def halo(self) -> tuple:
-        return required_halo(self.plan.spec, self.machine,
-                             time_fusion=self.plan.time_fusion)
+        return self.plan.halo
 
     def grid_like(self, shape, *, seed: Optional[int] = None) -> Grid:
         """A grid with the halo this kernel needs."""

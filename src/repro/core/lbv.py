@@ -279,7 +279,7 @@ def generate_lbv(
     def provider(offset: int, in_prologue: bool, dst: str) -> str:
         return b.load_to(
             dst,
-            point_addr(grid, (0,), array=b.input_array, x_extra=offset),
+            point_addr(grid.ndim, (0,), array=b.input_array, x_extra=offset),
             comment=f"load F({offset})",
             unaligned=offset % width != 0,
         )
@@ -289,8 +289,8 @@ def generate_lbv(
     emitter.emit_fresh()
     r_e, r_o = emitter.emit_butterfly()
     out0, out1 = emitter.emit_interleave(r_e, r_o)
-    b.store(out0, out_addr(grid), comment="store outputs [x, x+W)")
-    b.store(out1, out_addr(grid, x_extra=width),
+    b.store(out0, out_addr(grid.ndim), comment="store outputs [x, x+W)")
+    b.store(out1, out_addr(grid.ndim, x_extra=width),
             comment="store outputs [x+W, x+2W)")
     emitter.emit_slide()
 

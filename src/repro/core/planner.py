@@ -21,6 +21,7 @@ from ..errors import PlanError
 from ..stencils.spec import StencilSpec
 from ..vectorize.driver import EXEC_BACKENDS
 from .itm import fusable, merged_spec
+from .jigsaw import JigsawTemplate, fused_halo, lower_jigsaw
 from .sdf import Rank1Term, rows_as_terms, structured_terms
 
 
@@ -47,7 +48,25 @@ class JigsawPlan:
 
     @property
     def fused_spec(self) -> StencilSpec:
-        return merged_spec(self.spec, self.time_fusion)
+        # the ITM merge is a convolution power; like ``terms`` it is
+        # computed once per plan object
+        cached = getattr(self, "_fused_memo", None)
+        if cached is None:
+            cached = merged_spec(self.spec, self.time_fusion)
+            object.__setattr__(self, "_fused_memo", cached)
+        return cached
+
+    @property
+    def halo(self) -> Tuple[int, ...]:
+        """The least halo a grid needs to run this plan's sweep."""
+        return fused_halo(self.fused_spec, self.machine.vector_elems)
+
+    def lower(self) -> JigsawTemplate:
+        """This plan's shape-free Jigsaw program (bind it to a grid with
+        :meth:`~repro.core.jigsaw.JigsawTemplate.bind`)."""
+        return lower_jigsaw(self.spec, self.machine,
+                            time_fusion=self.time_fusion, terms=self.terms,
+                            scheme=self.scheme)
 
     @property
     def terms(self) -> List[Rank1Term]:

@@ -150,6 +150,15 @@ def classify(op: Op) -> InstrClass:
 # instructions
 # ---------------------------------------------------------------------------
 
+#: register sources each opcode reads (checked on every :class:`Instr`)
+_N_SRCS: Dict[Op, int] = {
+    Op.LOAD: 0, Op.STORE: 1, Op.BROADCAST: 0, Op.SETZERO: 0,
+    Op.SHUFPD: 2, Op.PERMILPD: 1, Op.PERM2F128: 2, Op.PERMPD: 1,
+    Op.SHUFPS: 2, Op.PERMILPS: 1, Op.UNPCKLPS: 2, Op.UNPCKHPS: 2,
+    Op.ADD: 2, Op.SUB: 2, Op.MUL: 2, Op.FMA: 3, Op.MOV: 1,
+}
+
+
 @dataclass(frozen=True)
 class Instr:
     """One vector instruction.
@@ -171,12 +180,7 @@ class Instr:
     comment: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        n_src = {
-            Op.LOAD: 0, Op.STORE: 1, Op.BROADCAST: 0, Op.SETZERO: 0,
-            Op.SHUFPD: 2, Op.PERMILPD: 1, Op.PERM2F128: 2, Op.PERMPD: 1,
-            Op.SHUFPS: 2, Op.PERMILPS: 1, Op.UNPCKLPS: 2, Op.UNPCKHPS: 2,
-            Op.ADD: 2, Op.SUB: 2, Op.MUL: 2, Op.FMA: 3, Op.MOV: 1,
-        }[self.op]
+        n_src = _N_SRCS[self.op]
         if len(self.srcs) != n_src:
             raise IsaError(f"{self.op.value} expects {n_src} sources, got {self.srcs}")
         needs_dst = self.op is not Op.STORE

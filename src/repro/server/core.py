@@ -126,6 +126,11 @@ class StencilJob:
         if self.grid is not None and self.grid.shape != self.shape:
             raise ReproError(f"grid shape {self.grid.shape} is not the "
                              f"job's shape {self.shape}")
+        if self.grid is not None and any(
+                h < r for h, r in zip(self.grid.halo, self.spec.radius)):
+            raise ReproError(
+                f"grid halo {self.grid.halo} is below {self.spec.name}'s "
+                f"radius {self.spec.radius}")
 
     def batch_key(self) -> Tuple:
         """Jobs sharing this key may ride one micro-batch (one compile,

@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from . import obs
 from .config import MachineConfig
 from .core.cache import KernelCache, plan_key
-from .core.jigsaw import required_halo
 from .core.kernel import CompiledKernel
 from .errors import ReproError
 from .faults import POLICIES, call_with_timeout, failure_reason
@@ -279,9 +278,7 @@ class KernelService:
             plan = cache.plan(spec, self.machine,
                               time_fusion=time_fusion, use_sdf=use_sdf,
                               backend=backend)
-            halo = required_halo(spec, self.machine,
-                                 time_fusion=plan.time_fusion)
-            grid = Grid(tuple(shape), halo)
+            grid = Grid(tuple(shape), plan.halo)
             kernel = CompiledKernel(plan=plan, machine=self.machine,
                                     grid=grid, cache=cache,
                                     backend=backend)

@@ -8,8 +8,9 @@ to anyone, then returns exactly the slab rows.  Two engines:
   collar that shrinks one radius per sub-step
   (:meth:`~repro.shard.plan.ShardBounds.margins`), so the result is
   *bitwise* what the serial reference produces for those rows;
-* **program** — the compiled vector pipeline: a local program is lowered
-  for the window's geometry (memoized per worker process) and driven by
+* **program** — the compiled vector pipeline: the recipe's shape-free
+  program is lowered once per worker process, bound to each window's
+  geometry, and driven by
   :func:`~repro.vectorize.driver.run_program` with its full
   codegen → interp degradation ladder.  The local boundary fill
   writes garbage into neighbor-fed ghosts, but garbage creeps inward at
@@ -44,7 +45,7 @@ from .plan import ShardBounds
 @dataclass(frozen=True)
 class KernelRecipe:
     """Everything a worker needs to rebuild the compiled pipeline for its
-    own window geometry (hashable: keys the per-process program memo)."""
+    own window geometry (hashable: keys the per-process template memo)."""
 
     spec: StencilSpec
     machine: MachineConfig
@@ -64,26 +65,15 @@ class ShardJob:
     recipe: Optional[KernelRecipe] = None  #: None = reference engine
 
 
-def _machine_dtype(machine: MachineConfig):
-    return np.float32 if machine.element_bytes == 4 else np.float64
-
-
 @lru_cache(maxsize=64)
-def _local_program(recipe: KernelRecipe, shape: Tuple[int, ...]):
-    """The compiled vector program for one window geometry, plus the halo
-    it binds.  Planning is deterministic, so every worker process lowers
+def _local_template(recipe: KernelRecipe):
+    """The recipe's shape-free program; every window binds its own loop
+    bounds.  Planning is deterministic, so every worker process lowers
     the same program the parent would."""
-    from ..core.jigsaw import generate_jigsaw, required_halo
     from ..core.planner import plan as make_plan
-    p = make_plan(recipe.spec, recipe.machine,
-                  time_fusion=recipe.time_fusion, use_sdf=recipe.use_sdf)
-    halo = required_halo(recipe.spec, recipe.machine,
-                         time_fusion=p.time_fusion)
-    grid = Grid(shape, halo, dtype=_machine_dtype(recipe.machine))
-    program = generate_jigsaw(recipe.spec, recipe.machine, grid,
-                              time_fusion=p.time_fusion, terms=p.terms,
-                              scheme=p.scheme)
-    return program, halo
+    return make_plan(recipe.spec, recipe.machine,
+                     time_fusion=recipe.time_fusion,
+                     use_sdf=recipe.use_sdf).lower()
 
 
 def _collar_sweep(spec: StencilSpec, job: ShardJob, cur: Grid) -> Grid:
@@ -117,8 +107,9 @@ def run_shard_task(spec: StencilSpec, task: Tuple[ShardJob, np.ndarray],
         out = _collar_sweep(spec, job, Grid.from_array(payload, spec.radius))
     else:
         from ..vectorize.driver import run_program
-        program, halo = _local_program(job.recipe, payload.shape)
-        out = run_program(program, Grid.from_array(payload, halo), job.s_eff,
+        template = _local_template(job.recipe)
+        window = Grid.from_array(payload, template.halo)
+        out = run_program(template.bind(window), window, job.s_eff,
                           boundary=job.boundary, value=job.value,
                           backend=job.recipe.exec_backend)
     lo = job.bounds.lo_pad

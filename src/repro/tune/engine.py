@@ -181,10 +181,7 @@ def model_score(
     try:
         if config.is_plan_aware:
             plan = cache.plan(spec, machine, **config.plan_kwargs())
-            grid = Grid(tuple(shape),
-                        required_halo(spec, machine,
-                                      time_fusion=plan.time_fusion))
-            program = cache.program(plan, grid)
+            program = cache.program(plan, Grid(tuple(shape), plan.halo))
             model = PerformanceModel(machine)
             est = model.estimate(model.kernel_cost(program),
                                  points=points,

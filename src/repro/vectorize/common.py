@@ -1,7 +1,8 @@
 """Shared lowering helpers for scheme generators.
 
-All generators lower against a concrete grid geometry (interior shape +
-halo) because vector addresses are absolute within the padded buffer.  The
+Vector addresses are "loop variable + offset" (:func:`point_addr`), so an
+instruction stream depends on the grid's rank only; the grid's interior
+shape and halo set the loop bounds (:func:`loop_nest`).  The
 iteration-space convention:
 
 * outer loops walk axes ``0 .. d-2`` over the interior, one point per trip;
@@ -69,18 +70,28 @@ def loop_nest(grid: Grid, block: int) -> Tuple[Loop, ...]:
     return tuple(loops)
 
 
-def point_addr(grid: Grid, offset: Sequence[int], *, array: str,
+def unbound_loops(ndim: int, block: int) -> Tuple[Loop, ...]:
+    """The loop nest of a shape-free program: :func:`loop_nest`'s
+    variables and steps over empty ``[0, 0)`` ranges, until a grid binds
+    the bounds."""
+    return tuple(Loop(var=var, start=0, stop=0,
+                      step=block if axis == ndim - 1 else 1)
+                 for axis, var in enumerate(axis_vars(ndim)))
+
+
+def point_addr(ndim: int, offset: Sequence[int], *, array: str,
                x_extra: int = 0) -> MemRef:
     """Address of the vector starting at loop point + ``offset`` (+
-    ``x_extra`` along x).  Offsets index neighbours, so they are added to
-    the loop variables directly (loop vars already include the halo)."""
-    vars_ = axis_vars(grid.ndim)
+    ``x_extra`` along x) in an ``ndim``-d grid.  Offsets index
+    neighbours, so they are added to the loop variables directly (loop
+    vars already include the halo)."""
+    vars_ = axis_vars(ndim)
     index = []
     for axis, var in enumerate(vars_):
-        delta = int(offset[axis]) + (x_extra if axis == grid.ndim - 1 else 0)
+        delta = int(offset[axis]) + (x_extra if axis == ndim - 1 else 0)
         index.append(Affine.var(var, 1, delta))
     return MemRef(array, tuple(index))
 
 
-def out_addr(grid: Grid, *, array: str = "out", x_extra: int = 0) -> MemRef:
-    return point_addr(grid, (0,) * grid.ndim, array=array, x_extra=x_extra)
+def out_addr(ndim: int, *, array: str = "out", x_extra: int = 0) -> MemRef:
+    return point_addr(ndim, (0,) * ndim, array=array, x_extra=x_extra)

@@ -40,9 +40,7 @@ def check_program_grid(program: VectorProgram, grid: Grid) -> None:
     names the offending axis (by its loop variable) so rank/halo mix-ups
     on deep-radius specs are diagnosable.
 
-    Shared by :func:`run_program` and the kernel cache
-    (:mod:`repro.core.cache`), which uses it to reject stale or corrupted
-    on-disk entries before they reach execution.
+    :func:`run_program` runs it on every program it is given.
     """
     if grid.data.itemsize != program.elem_bytes:
         raise VectorizeError(

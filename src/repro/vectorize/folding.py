@@ -128,7 +128,7 @@ def generate_folding(
         off0 = outer + (0,)
         for base, names in ((-block, win.prev), (0, win.cur)):
             raw = [
-                b.load(point_addr(grid, off0, array=b.input_array,
+                b.load(point_addr(grid.ndim, off0, array=b.input_array,
                                   x_extra=base + j * width),
                        comment=f"row {outer}: block load")
                 for j in range(width)
@@ -145,7 +145,7 @@ def generate_folding(
     for rid, (outer, _taps) in enumerate(rows):
         off0 = outer + (0,)
         raw = [
-            b.load(point_addr(grid, off0, array=b.input_array,
+            b.load(point_addr(grid.ndim, off0, array=b.input_array,
                               x_extra=block + j * width),
                    comment=f"row {outer}: next block load")
             for j in range(width)
@@ -168,7 +168,7 @@ def generate_folding(
 
     outs = _transpose4(b, results, tag="out")
     for j, reg in enumerate(outs):
-        b.store(reg, out_addr(grid, x_extra=j * width),
+        b.store(reg, out_addr(grid.ndim, x_extra=j * width),
                 comment=f"store output vector {j}")
 
     for win, cols in zip(windows, next_cols):

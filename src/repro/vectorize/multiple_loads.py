@@ -28,7 +28,7 @@ def generate_multiple_loads(
 
     acc = None
     for off, coeff in zip(spec.offsets, spec.coeffs):
-        v = b.load(point_addr(grid, off, array=b.input_array),
+        v = b.load(point_addr(grid.ndim, off, array=b.input_array),
                    comment=f"neighbour {off}",
                    unaligned=off[-1] % width != 0)
         c = b.broadcast(coeff)
@@ -36,7 +36,7 @@ def generate_multiple_loads(
             acc = b.mul(c, v, comment="first tap")
         else:
             acc = b.fma(c, v, acc, comment=f"tap {off}")
-    b.store(acc, out_addr(grid), comment="store result vector")
+    b.store(acc, out_addr(grid.ndim), comment="store result vector")
 
     return b.build(
         name=f"multiple-loads/{spec.name}",

@@ -57,7 +57,7 @@ def generate_multiple_perms(
         regs = {o: _row_window_name(rid, o) for o in offsets}
         off0 = outer + (0,)
         for o in offsets[:-1]:  # the topmost register is loaded per-iter
-            b.load_to(regs[o], point_addr(grid, off0, array=b.input_array,
+            b.load_to(regs[o], point_addr(grid.ndim, off0, array=b.input_array,
                                           x_extra=o),
                       comment=f"row {outer}: window [{o}]")
         windows.append((outer, regs, offsets))
@@ -67,7 +67,7 @@ def generate_multiple_perms(
         _, regs, offsets = windows[rid]
         off0 = outer + (0,)
         top = offsets[-1]
-        b.load_to(regs[top], point_addr(grid, off0, array=b.input_array,
+        b.load_to(regs[top], point_addr(grid.ndim, off0, array=b.input_array,
                                         x_extra=top),
                   comment=f"row {outer}: window [{top}]")
         shifter = RowShifter.from_window(b, regs)
@@ -77,7 +77,7 @@ def generate_multiple_perms(
             carried.append((regs[o], regs[o + width]))
 
     acc = b.weighted_sum(terms, comment="accumulate taps")
-    b.store(acc, out_addr(grid), comment="store result vector")
+    b.store(acc, out_addr(grid.ndim), comment="store result vector")
     for dst, src in carried:
         b.mov_to(dst, src, comment="slide window")
 

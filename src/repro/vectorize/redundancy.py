@@ -117,7 +117,7 @@ def generate_redundancy_elim(
     for rid, (outer, taps) in enumerate(rows):
         for o in row_window[rid][:-1]:  # the top register is loaded per-iter
             name = f"rw{rid}_{_fmt(o)}"
-            b.load_to(name, point_addr(grid, outer + (0,),
+            b.load_to(name, point_addr(grid.ndim, outer + (0,),
                                        array=b.input_array, x_extra=o),
                       comment=f"row {outer}: aligned [{o}]")
             row_regs[(outer, o)] = name
@@ -128,7 +128,7 @@ def generate_redundancy_elim(
                 if (outer, o) not in row_regs:
                     # one-shot seed load outside any carried row window
                     row_regs[(outer, o)] = b.load(
-                        point_addr(grid, outer + (0,), array=b.input_array,
+                        point_addr(grid.ndim, outer + (0,), array=b.input_array,
                                    x_extra=o),
                         hint="pl",
                         comment=f"row {outer}: aligned [{o}] (column seed)",
@@ -142,7 +142,7 @@ def generate_redundancy_elim(
     for rid, (outer, taps) in enumerate(rows):
         top = row_window[rid][-1]
         b.load_to(f"rw{rid}_{_fmt(top)}",
-                  point_addr(grid, outer + (0,), array=b.input_array,
+                  point_addr(grid.ndim, outer + (0,), array=b.input_array,
                              x_extra=top),
                   comment=f"row {outer}: aligned [{top}]")
         row_regs[(outer, top)] = f"rw{rid}_{_fmt(top)}"
@@ -158,7 +158,7 @@ def generate_redundancy_elim(
         shifted = RowShifter.from_window(b, regs).at(dx)
         acc = shifted if acc is None else b.add(
             acc, shifted, comment="combine column sums")
-    b.store(acc, out_addr(grid), comment="store result vector")
+    b.store(acc, out_addr(grid.ndim), comment="store result vector")
 
     for rid, (outer, taps) in enumerate(rows):
         for o in row_window[rid][:-1]:

@@ -99,7 +99,7 @@ def generate_temporal(
         at = outer + (e,)
         if t == 0:
             reg = b.load(
-                point_addr(grid, outer + (0,), array=b.input_array, x_extra=e),
+                point_addr(grid.ndim, outer + (0,), array=b.input_array, x_extra=e),
                 hint="t",
                 unaligned=True,
                 comment=f"step 0 @ {at}",
@@ -122,7 +122,7 @@ def generate_temporal(
         return reg
 
     result = value(s, (0,) * (spec.ndim - 1), 0)
-    b.store(result, out_addr(grid), comment=f"store step {s} vector")
+    b.store(result, out_addr(grid.ndim), comment=f"store step {s} vector")
 
     return b.build(
         name=f"temporal/{spec.name}",

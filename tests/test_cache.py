@@ -1,13 +1,16 @@
 """Property tests for the kernel compilation cache
 (:mod:`repro.core.cache`).
 
-Three invariants matter:
+Four invariants matter:
 
 1. a cache hit (memory or disk) returns a program identical to a cold
    compile;
-2. the key is content-addressed — *any* change to the spec, the machine,
-   the plan options, or the grid geometry changes it;
-3. a corrupted on-disk entry is discarded and recompiled, never trusted
+2. the key is content-addressed — *any* change to the spec, the machine
+   or the plan options changes it;
+3. the key covers no grid geometry: one shape-free lowering serves every
+   grid, and binding it to a grid is where rank, halo and extent are
+   checked;
+4. a corrupted on-disk entry is discarded and recompiled, never trusted
    and never fatal.
 """
 
@@ -16,29 +19,38 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32, GENERIC_AVX512
-from repro.core import compile_kernel
+from repro.config import (
+    GENERIC_AVX2,
+    GENERIC_AVX2_F32,
+    GENERIC_AVX512,
+    PAPER_MACHINES,
+)
+from repro.core import compile_kernel, generate_jigsaw
 from repro.core.cache import (
     ENTRY_FORMAT,
     KernelCache,
     configure_default_cache,
     default_cache,
+    digest,
     persisted_totals,
     plan_key,
     program_key,
     write_json_atomic,
 )
+from repro.errors import VectorizeError
 from repro.machine.serialize import program_to_dict
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec, star
-from repro.vectorize.program import VectorProgram
+from repro.vectorize.driver import check_program_grid
+from repro.vectorize.program import Loop, VectorProgram
 
 SPEC = library.get("box-2d9p")
 SHAPE = (8, 96)
@@ -51,6 +63,25 @@ def _grid(machine=GENERIC_AVX2, shape=SHAPE):
 def _cold_program(spec=SPEC, machine=GENERIC_AVX2, grid=None) -> VectorProgram:
     grid = grid if grid is not None else _grid(machine)
     return KernelCache().compile(spec, machine, grid).program
+
+
+def _count_lowerings(monkeypatch, delay: float = 0.0) -> list:
+    """Patch the plan lowering to record each call's thread."""
+    import threading
+    import time
+
+    import repro.core.planner as planner_mod
+
+    calls = []
+    real_lower = planner_mod.lower_jigsaw
+
+    def counting_lower(*args, **kwargs):
+        calls.append(threading.get_ident())
+        time.sleep(delay)  # widen a race window
+        return real_lower(*args, **kwargs)
+
+    monkeypatch.setattr(planner_mod, "lower_jigsaw", counting_lower)
+    return calls
 
 
 class TestHitIdentity:
@@ -129,13 +160,51 @@ class TestKeySensitivity:
         assert base != plan_key(SPEC, GENERIC_AVX2, time_fusion=1)
         assert base != plan_key(SPEC, GENERIC_AVX2, use_sdf=False)
 
-    def test_grid_geometry_changes_program_key(self):
+    def test_grid_geometry_leaves_program_key_and_bind_checks_it(self):
         cache = KernelCache()
         plan = cache.plan(SPEC, GENERIC_AVX2)
-        assert (program_key(plan, _grid(shape=(8, 96)))
-                != program_key(plan, _grid(shape=(8, 192))))
-        assert (program_key(plan, Grid((8, 96), 16))
-                != program_key(plan, Grid((8, 96), 18)))
+        # extent and halo take no part in the key: one lowering serves
+        # every grid, each bound to its own loop bounds
+        grids = [_grid(shape=(8, 96)), _grid(shape=(8, 192)),
+                 Grid((8, 96), 18)]
+        for grid in grids:
+            prog = cache.program(plan, grid)
+            assert prog.loops[0] == Loop("y", grid.halo[0],
+                                         grid.halo[0] + 8, 1)
+            assert prog.x_loop.stop == grid.halo[1] + grid.shape[1]
+        assert cache.stats.misses == 1 and cache.stats.hits == 2
+        # a bind still rejects every grid the plan cannot run on
+        hy, hx = plan.halo
+        with pytest.raises(VectorizeError, match="halo"):
+            cache.program(plan, Grid((8, 96), (hy - 1, hx)))
+        with pytest.raises(VectorizeError, match="halo"):
+            cache.program(plan, Grid((8, 96), (hy, hx - 1)))
+        with pytest.raises(VectorizeError, match="shorter than one"):
+            cache.program(plan, Grid((8, 2 * GENERIC_AVX2.vector_elems - 1),
+                                     16))
+        with pytest.raises(VectorizeError, match="ndim"):
+            cache.program(plan, Grid((96,), 16))
+        with pytest.raises(VectorizeError, match="ndim"):
+            cache.program(plan, Grid((4, 8, 96), 16))
+        assert cache.stats.misses == 1
+
+    def test_zero_coefficient_sign_changes_key(self):
+        # 0.0 == -0.0 with equal hashes, so the two specs compare equal;
+        # their fingerprints differ, and so must every key built on them
+        base = star(2, 1, center=-4.0, arm=[1.0], name="k")
+        pos, neg = (StencilSpec(name="k", ndim=2,
+                                offsets=base.offsets + ((1, 1),),
+                                coeffs=base.coeffs + (zero,))
+                    for zero in (0.0, -0.0))
+        assert pos == neg and hash(pos) == hash(neg)
+        assert plan_key(pos, GENERIC_AVX2) != plan_key(neg, GENERIC_AVX2)
+        # the digest memo keeps them apart once both were fingerprinted
+        assert plan_key(pos, GENERIC_AVX2) != plan_key(neg, GENERIC_AVX2)
+        cache = KernelCache()
+        p_pos = cache.plan(pos, GENERIC_AVX2)
+        p_neg = cache.plan(neg, GENERIC_AVX2)
+        assert p_pos is not p_neg
+        assert program_key(p_pos) != program_key(p_neg)
 
     @settings(max_examples=30, deadline=None)
     @given(scale=st.floats(min_value=1e-6, max_value=10.0,
@@ -154,6 +223,89 @@ class TestKeySensitivity:
         p2 = cache.compile(SPEC, GENERIC_AVX512, _grid(GENERIC_AVX512)).program
         assert cache.stats.misses == 2
         assert p1.width != p2.width
+
+
+#: one cache for every hypothesis example, so each plan lowers once and
+#: later examples bind a template lowered for another shape
+_SHARED = KernelCache()
+
+
+def _all_fields(program: VectorProgram) -> dict:
+    return {f.name: getattr(program, f.name)
+            for f in dataclasses.fields(program)}
+
+
+class TestShapeFreePrograms:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           name=st.sampled_from(library.names()),
+           machine=st.sampled_from(PAPER_MACHINES + (GENERIC_AVX512,
+                                                     GENERIC_AVX2_F32)),
+           fusion=st.sampled_from(["auto", 1]))
+    def test_bound_template_equals_per_grid_lowering(self, data, name,
+                                                     machine, fusion):
+        spec = library.get(name)
+        plan = _SHARED.plan(spec, machine, time_fusion=fusion)
+        block = 2 * machine.vector_elems
+        outer = data.draw(st.lists(st.integers(1, 5), min_size=spec.ndim - 1,
+                                   max_size=spec.ndim - 1))
+        nx = data.draw(st.integers(block, 3 * block + block - 1))
+        extra = data.draw(st.lists(st.integers(0, 3), min_size=spec.ndim,
+                                   max_size=spec.ndim))
+        halo = tuple(h + e for h, e in zip(plan.halo, extra))
+        dtype = np.float32 if machine.element_bytes == 4 else np.float64
+        grid = Grid(tuple(outer) + (nx,), halo, dtype=dtype)
+        bound = _SHARED.program(plan, grid)
+        direct = generate_jigsaw(spec, machine, grid,
+                                 time_fusion=plan.time_fusion,
+                                 terms=plan.terms, scheme=plan.scheme)
+        assert _all_fields(bound) == _all_fields(direct)
+        # the loops walk exactly this grid's interior
+        walk = tuple(Loop(v, h, h + n, 1)
+                     for v, h, n in zip(("z", "y")[-len(outer):], halo,
+                                        outer))
+        walk += (Loop("x", halo[-1], halo[-1] + nx // block * block, block),)
+        assert bound.loops == walk
+        check_program_grid(bound, grid)
+
+    def test_disk_entry_serves_another_shape(self, tmp_path):
+        spec = library.get("heat-2d")
+        writer = KernelCache(str(tmp_path))
+        writer.compile(spec, GENERIC_AVX2, _grid(shape=(8, 96))).program
+        reader = KernelCache(str(tmp_path))
+        grid = Grid((24, 203), (4, 12))
+        kernel = reader.compile(spec, GENERIC_AVX2, grid)
+        cold = _cold_program(spec, grid=grid)
+        assert program_to_dict(kernel.program) == program_to_dict(cold)
+        assert reader.stats.disk_hits == 1 and reader.stats.misses == 0
+        assert reader.stats.disk_discards == 0
+        assert reader.stats.disk_quarantined == 0
+        g = Grid.random(grid.shape, grid.halo, seed=3)
+        steps = kernel.plan.time_fusion
+        fresh = KernelCache().compile(spec, GENERIC_AVX2, grid)
+        assert np.array_equal(kernel.run(g, steps).data,
+                              fresh.run(g, steps).data)
+
+    def test_shape_churn_lowers_once(self, monkeypatch):
+        calls = _count_lowerings(monkeypatch)
+        cache = KernelCache(max_entries=4)
+        halo = cache.plan(SPEC, GENERIC_AVX2).halo
+        shapes = [(ny, nx) for ny in (1, 3, 8, 17) for nx in
+                  (8, 13, 32, 96, 101)]
+        for shape in shapes:
+            kernel = cache.compile(SPEC, GENERIC_AVX2, Grid(shape, halo))
+            assert kernel.program.loops[0].trip_count == shape[0]
+        assert len(calls) == 1
+        d = cache.stats_dict()
+        assert d["misses"] == 1 and d["hits"] == len(shapes) - 1
+        assert d["evictions"] == 0 and d["memory_programs"] == 1
+        assert d["plan_misses"] == 1
+
+
+def _resealed(entry: dict, **program_fields) -> dict:
+    """``entry`` with program fields replaced and its checksum redone."""
+    program = {**entry["program"], **program_fields}
+    return {**entry, "program": program, "checksum": digest(program)}
 
 
 class TestDiskRobustness:
@@ -234,6 +386,13 @@ class TestDiskRobustness:
             **e["program"],
             "body": [{**i, "op": "bogus-op"} for i in e["program"]["body"]],
         }},
+        # well-formed and checksummed, but not what the plan lowers to
+        lambda e: _resealed(e, loops=[{**l, "step": 2 * l["step"]}
+                                      for l in e["program"]["loops"]]),
+        lambda e: _resealed(e, tail_spec={**e["program"]["tail_spec"],
+                                          "coeffs": [0.5] * len(
+                                              e["program"]["tail_spec"]
+                                              ["coeffs"])}),
     ])
     def test_mangled_entries_discarded(self, tmp_path, mangle):
         cache = KernelCache(str(tmp_path))
@@ -385,41 +544,40 @@ class TestConcurrency:
     def test_concurrent_misses_compile_once(self, monkeypatch):
         # Two services (or a service plus a tuner) sharing one cache used
         # to both run the full compile on a simultaneous miss; the
-        # per-key in-flight lock collapses them to one.
+        # per-key in-flight lock collapses them to one.  Callers binding
+        # different grid shapes share the key too.
         import threading
 
-        import repro.core.cache as cache_mod
-
-        calls = []
-        real_generate = cache_mod.generate_jigsaw
-
-        def counting_generate(*args, **kwargs):
-            calls.append(threading.get_ident())
-            import time as _t
-            _t.sleep(0.05)  # widen the race window
-            return real_generate(*args, **kwargs)
-
-        monkeypatch.setattr(cache_mod, "generate_jigsaw",
-                            counting_generate)
+        calls = _count_lowerings(monkeypatch, delay=0.05)
         cache = KernelCache()
         plan = cache.plan(SPEC, GENERIC_AVX2)
-        grid = _grid()
-        results = []
+        templates, programs = [], []
         barrier = threading.Barrier(6)
 
-        def compete() -> None:
+        def compete(i: int) -> None:
             barrier.wait()
-            results.append(cache.program(plan, grid))
+            templates.append(cache.template(plan))
+            programs.append(cache.program(plan, _grid(shape=(8 + i, 96))))
 
-        threads = [threading.Thread(target=compete) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=compete, args=(i,))
+                   for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert len(calls) == 1, f"compiled {len(calls)} times"
-        assert all(r is results[0] for r in results)
+        assert all(t is templates[0] for t in templates)
+        assert all(p.body is templates[0].program.body for p in programs)
+        assert sorted(p.loops[0].trip_count for p in programs) == list(
+            range(8, 14))
         assert cache.stats.misses == 1
-        assert cache.stats.hits == 5
+        assert cache.stats.hits == 11
         # stats_dict snapshots under the lock stay internally consistent
         d = cache.stats_dict()
-        assert d["hits"] + d["misses"] == 6
+        assert d["hits"] + d["misses"] == 12

@@ -84,6 +84,15 @@ class TestStencilJob:
         with pytest.raises(ReproError, match="grid shape"):
             StencilJob(spec, (8, 8), 1, grid=grid)  # the cap reads shape
 
+    def test_rejects_grid_halo_below_radius(self):
+        spec = library.get("heat-2d")
+        for halo in (0, (1, 0), (0, 1)):
+            with pytest.raises(ReproError, match="halo"):
+                StencilJob(spec, (32, 32), 1,
+                           grid=Grid.random((32, 32), halo, seed=1))
+        StencilJob(spec, (32, 32), 1,
+                   grid=Grid.random((32, 32), spec.radius, seed=1))
+
     def test_work_cap_bounds_points_times_steps(self):
         spec = library.get("heat-2d")
         full = WORK_CAP // 1024 ** 2

@@ -159,6 +159,31 @@ class TestProgramEngineBitwise:
                             executor="thread")
         assert np.array_equal(ref.interior, got.interior)
 
+    def test_windows_of_every_shape_lower_once(self, monkeypatch):
+        # 19 rows in 3 parts make windows of two heights; each worker
+        # binds the recipe's one template to both
+        import repro.core.planner as planner
+        from repro.shard import worker
+        k = self._kernel(HEAT2D, (19, 64))
+        g = k.grid_like((19, 64), seed=10)
+        ref = k.run(g, 4)
+        calls = []
+        real_lower = planner.lower_jigsaw
+
+        def counting_lower(*args, **kwargs):
+            calls.append(args[0].name)
+            return real_lower(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "lower_jigsaw", counting_lower)
+        worker._local_template.cache_clear()
+        try:
+            got = run_sharded(HEAT2D, g, 4, shards=3, temporal_block=2,
+                              executor="thread", recipe=_recipe(HEAT2D))
+        finally:
+            worker._local_template.cache_clear()
+        assert calls == ["heat-2d"]
+        assert np.array_equal(ref.interior, got.interior)
+
     def test_fused_plan_temporal_block_defaults_to_depth(self):
         k = self._kernel(HEAT2D, (20, 64), time_fusion=2)
         g = k.grid_like((20, 64), seed=11)
