@@ -185,7 +185,7 @@ def measure_online() -> dict:
         sides["online"] = incumbent
     harness = TuneBudget(max_trials=1, warmup=1, repeats=1,
                          trial_timeout_s=60.0)
-    cache = KernelCache(None)
+    cache = KernelCache()
     rates: dict = {side: [] for side in sides}
     for r in range(REMEASURE_ROUNDS):
         for side in (sorted(sides) if r % 2 else sorted(sides)[::-1]):

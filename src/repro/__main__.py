@@ -22,9 +22,8 @@ Subcommands::
                                  compile-and-sweep workload (and the
                                  serving layer); verifies the faulted run
                                  is bitwise-identical to clean
-    stats [--json]               persisted cache/tuning counters +
-                                 the current observability snapshot
-    cache stats|clear            inspect / wipe the kernel compile cache
+    stats [--json]               persisted tuning counters + the
+                                 current observability snapshot
     experiments [ID ...]         regenerate paper tables/figures
 """
 
@@ -267,7 +266,7 @@ def cmd_run(args) -> int:
 def _cmd_run_inner(args) -> int:
     import numpy as np
 
-    from .core import compile_kernel, configure_default_cache
+    from .core import compile_kernel
     from .stencils import library
     from .stencils.grid import Grid
     machine = get_machine(args.machine)
@@ -279,9 +278,6 @@ def _cmd_run_inner(args) -> int:
     if args.shards is not None and args.tuned:
         raise ReproError("--shards and --tuned are mutually exclusive "
                          "(tune the shard engine via `repro tune` instead)")
-    cache = None
-    if args.cache_dir:
-        cache = configure_default_cache(args.cache_dir)
     dtype = np.float32 if machine.element_bytes == 4 else np.float64
 
     if args.scheme is not None and args.scheme not in _JIGSAW_RUN_OPTIONS:
@@ -395,11 +391,6 @@ def _cmd_run_inner(args) -> int:
     detail = (f"tuned: {tuned_cfg.label()}" if tuned_cfg is not None
               else f"plan: {kernel.plan.describe()}")
     _report_run(spec, args.size, steps, dt, engine, detail)
-    if cache is not None:
-        kernel.program  # lower through the disk cache so reruns hit it
-        s = cache.stats
-        print(f"cache: {s.hits} hit(s), {s.misses} miss(es) "
-              f"[{args.cache_dir}]")
     return 0
 
 
@@ -518,34 +509,6 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_cache(args) -> int:
-    from .core.cache import KernelCache, default_cache_dir
-    cache_dir = args.cache_dir or default_cache_dir()
-    cache = KernelCache(cache_dir)
-    if args.cache_cmd == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached kernel(s) from {cache_dir}")
-        return 0
-    # stats: persisted cumulative counters (every writer's delta files
-    # merged, so concurrent processes all show up) + disk occupancy
-    from .core.cache import persisted_totals
-    totals = persisted_totals(cache_dir)
-    count, size = cache.disk_entries()
-    print(render_dict(f"kernel cache @ {cache_dir}", {
-        "entries": count,
-        "bytes": size,
-        "hits": totals.get("hits", 0),
-        "misses": totals.get("misses", 0),
-        "disk hits": totals.get("disk_hits", 0),
-        "disk writes": totals.get("disk_writes", 0),
-        "disk discards": totals.get("disk_discards", 0),
-        "disk quarantined": totals.get("disk_quarantined", 0),
-        "quarantine entries": cache.quarantined_entries()[0],
-        "evictions": totals.get("evictions", 0),
-    }))
-    return 0
-
-
 def _server_stats(snapshot: dict) -> dict:
     """The serving-layer slice of a saved observability snapshot: every
     ``server.*`` and ``tune.online.*`` counter/gauge, plus per-tenant
@@ -570,19 +533,12 @@ def _server_stats(snapshot: dict) -> dict:
 
 
 def cmd_stats(args) -> int:
-    """Persisted cache/tuning counters plus the in-process observability
+    """Persisted tuning counters plus the in-process observability
     snapshot (spans + metrics recorded since the last reset).  With
     ``--metrics-json`` a saved serve-run snapshot's server counters are
     folded into the output."""
-    from .core.cache import KernelCache, default_cache_dir, persisted_totals
     from .tune import TuningDB, default_tuning_dir
-    cache_dir = args.cache_dir or default_cache_dir()
     db_dir = args.db_dir or default_tuning_dir()
-    cache = KernelCache(cache_dir)
-    count, size = cache.disk_entries()
-    cache_stats = dict(persisted_totals(cache_dir))
-    cache_stats["disk_entry_count"] = count
-    cache_stats["disk_entry_bytes"] = size
     tuning_stats = TuningDB(db_dir).stats_dict()
     server_stats = None
     if getattr(args, "metrics_json", None):
@@ -598,8 +554,6 @@ def cmd_stats(args) -> int:
         server_stats = _server_stats(saved)
     if args.json:
         payload = {
-            "cache_dir": cache_dir,
-            "cache": cache_stats,
             "tuning_dir": db_dir,
             "tuning": tuning_stats,
             "obs": obs.snapshot(),
@@ -608,8 +562,6 @@ def cmd_stats(args) -> int:
             payload["server"] = server_stats
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print(render_dict(f"kernel cache @ {cache_dir}", cache_stats or
-                      {"(no persisted counters)": ""}))
     print(render_dict(f"tuning db @ {db_dir}", tuning_stats))
     if server_stats is not None:
         flat = dict(server_stats["counters"])
@@ -710,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "engine searches (default: %(default)s)")
     p.add_argument("--db-dir", default=None,
                    help="tuning database directory (default: "
-                        "$REPRO_TUNING_DIR or <cache>/tuning)")
+                        "$REPRO_TUNING_DIR or $REPRO_CACHE_DIR/tuning)")
     p.add_argument("--force", action="store_true",
                    help="re-tune even if the database has a winner")
     p.add_argument("--top", type=int, default=8,
@@ -742,9 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "workload (see `repro tune`)")
     p.add_argument("--db-dir", default=None,
                    help="tuning database directory for --tuned (default: "
-                        "$REPRO_TUNING_DIR or <cache>/tuning)")
-    p.add_argument("--cache-dir", default=None,
-                   help="persist compiled kernels to this directory")
+                        "$REPRO_TUNING_DIR or $REPRO_CACHE_DIR/tuning)")
     p.add_argument("--profile", action="store_true",
                    help="record spans + metrics across the whole "
                         "plan/SDF/codegen/execute pipeline and print the "
@@ -835,7 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel-service sweep workers "
                         "(default: %(default)s)")
     p.add_argument("--cache-dir", default=None,
-                   help="persist compiled kernels to this directory")
+                   help="keep the server's tuning database in "
+                        "<dir>/tuning (default: in memory)")
     p.add_argument("--online-tune", action="store_true",
                    help="explore tuning candidates in idle serving slots "
                         "(epsilon-greedy, occupancy-gated, "
@@ -866,30 +817,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "stats",
-        description="Persisted cache/tuning counters and the current "
+        description="Persisted tuning counters and the current "
                     "observability snapshot.")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
-    p.add_argument("--cache-dir", default=None,
-                   help="kernel cache directory (default: $REPRO_CACHE_DIR "
-                        "or ~/.cache/repro/kernels)")
     p.add_argument("--db-dir", default=None,
                    help="tuning database directory (default: "
-                        "$REPRO_TUNING_DIR or <cache>/tuning)")
+                        "$REPRO_TUNING_DIR or $REPRO_CACHE_DIR/tuning)")
     p.add_argument("--metrics-json", default=None, metavar="PATH",
                    help="fold the server counters from a saved "
                         "observability snapshot (a `repro serve "
                         "--metrics-json` file) into the output")
     p.set_defaults(fn=cmd_stats)
-
-    p = sub.add_parser("cache")
-    cache_sub = p.add_subparsers(dest="cache_cmd", required=True)
-    for sub_cmd in ("stats", "clear"):
-        pc = cache_sub.add_parser(sub_cmd)
-        pc.add_argument("--cache-dir", default=None,
-                        help="cache directory (default: $REPRO_CACHE_DIR "
-                             "or ~/.cache/repro/kernels)")
-    p.set_defaults(fn=cmd_cache)
 
     p = sub.add_parser("validate")
     p.add_argument("--machine", default=None,

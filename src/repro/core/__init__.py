@@ -23,7 +23,6 @@ from .kernel import CompiledKernel
 from .cache import (
     CacheStats,
     KernelCache,
-    configure_default_cache,
     default_cache,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "CompiledKernel",
     "CacheStats",
     "KernelCache",
-    "configure_default_cache",
     "default_cache",
 ]

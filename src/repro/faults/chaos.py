@@ -7,8 +7,8 @@ clean, once under injection — and verify
 
 * every site class actually took at least one injected fault,
 * the faulted run's results are **bitwise identical** to the clean
-  run's (every recovery path — retry, quarantine + recompile,
-  codegen→interp, process→thread→serial — preserves exact results), and
+  run's (every recovery path — retry, recompile, codegen→interp,
+  process→thread→serial — preserves exact results), and
 * every injected fault is visible in the observability taxonomy.
 
 This module imports the service layer, so it is *not* re-exported from
@@ -18,9 +18,7 @@ of the injector); the CLI imports it lazily.
 
 from __future__ import annotations
 
-import os
 import random
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,11 +34,9 @@ from ..stencils.spec import StencilSpec
 from .injector import SITES, inject
 from .plan import FaultPlan, FaultRule
 
-#: fault kinds chaos may draw per site.  ``corrupt`` only where a byte
-#: payload exists; ``kill`` only where a process-pool worker might run it.
+#: fault kinds chaos may draw per site.  ``kill`` only where a
+#: process-pool worker might run it.
 CHAOS_SITE_KINDS: Dict[str, Tuple[str, ...]] = {
-    "cache.disk_read": ("raise", "corrupt", "delay"),
-    "cache.disk_write": ("raise", "corrupt", "delay"),
     "compile.kernel": ("raise", "delay"),
     "exec.codegen_kernel": ("raise", "delay"),
     "pool.task_start": ("raise", "delay", "kill"),
@@ -54,8 +50,7 @@ CHAOS_SITE_KINDS: Dict[str, Tuple[str, ...]] = {
 #: ``exec.codegen_kernel`` disables that engine for the rest of the
 #: call, so only hit 0 is reachable).  The server sites join because the
 #: serving stage only guarantees a handful of enqueues/flushes.
-_FIRST_HIT_SITES = ("cache.disk_read", "cache.disk_write",
-                    "compile.kernel", "exec.codegen_kernel",
+_FIRST_HIT_SITES = ("compile.kernel", "exec.codegen_kernel",
                     "server.batch_flush", "server.enqueue")
 
 #: the workload stages ``run_chaos`` can execute, and the catalogue
@@ -63,10 +58,10 @@ _FIRST_HIT_SITES = ("cache.disk_read", "cache.disk_write",
 #: only requires the union over the selected stages).
 STAGES: Tuple[str, ...] = ("pipeline", "server")
 _STAGE_SITES: Dict[str, Tuple[str, ...]] = {
-    "pipeline": ("cache.disk_read", "cache.disk_write", "compile.kernel",
-                 "exec.codegen_kernel", "pool.task_start", "tile.sweep"),
+    "pipeline": ("compile.kernel", "exec.codegen_kernel", "pool.task_start",
+                 "tile.sweep"),
     "server": ("server.batch_flush", "server.enqueue", "compile.kernel",
-               "cache.disk_write", "pool.task_start", "tile.sweep"),
+               "pool.task_start", "tile.sweep"),
 }
 
 
@@ -156,8 +151,6 @@ TAXONOMY_PREFIXES = (
     "parallel.task_retries",
     "parallel.pool_restarts",
     "parallel.fallback",
-    "cache.disk_quarantined",
-    "cache.disk_write_faults",
     "exec.codegen_fallback",
     "server.admission.rejected",
     "server.batch.failures",
@@ -175,31 +168,24 @@ def taxonomy_slice(counters: Dict[str, int]) -> Dict[str, int]:
                    for p in TAXONOMY_PREFIXES)}
 
 
-def _workload(spec: StencilSpec, machine: MachineConfig, cache_dir: str,
+def _workload(spec: StencilSpec, machine: MachineConfig,
               *, size: Tuple[int, ...], steps: int,
               backends: Sequence[str], data_seed: int,
               stages: Sequence[str] = STAGES) -> Dict[str, np.ndarray]:
-    """The canonical chaos workload: compile through three cache
-    generations (miss → store → disk load), execute on the SIMD machine
-    (the codegen→interp ladder), then sweep on each parallel backend —
-    and, in the ``server`` stage, drive the async serving layer with a
-    small mixed-tenant load.  Returns labelled result arrays for bitwise
+    """The canonical chaos workload: compile in a fresh service (a cache
+    miss, so the lowering runs), execute on the SIMD machine (the
+    codegen→interp ladder), then sweep on each parallel backend — and,
+    in the ``server`` stage, drive the async serving layer with a small
+    mixed-tenant load.  Returns labelled result arrays for bitwise
     comparison."""
 
     def service(**kw) -> KernelService:
-        return KernelService(machine, cache_dir=cache_dir,
-                             failure_policy="degrade", retries=3,
+        return KernelService(machine, failure_policy="degrade", retries=3,
                              run_workers=4, **kw)
 
     results: Dict[str, np.ndarray] = {}
     if "pipeline" in stages:
-        # generation 0 compiles (and stores); generations 1 and 2 use
-        # fresh in-memory caches over the same directory, so the disk
-        # write path and then the disk read path are guaranteed to be
-        # exercised even when a write fault suppressed the first store.
         kernel = service().compile(spec, size)
-        for _ in range(2):
-            kernel = service().compile(spec, size)
         grid = kernel.grid_like(size, seed=data_seed)
         results["machine"] = kernel.run(grid, steps).interior.copy()
         for backend in backends:
@@ -213,14 +199,13 @@ def _workload(spec: StencilSpec, machine: MachineConfig, cache_dir: str,
                                    temporal_block=2))
             results[f"shard.{backend}"] = out.interior.copy()
     if "server" in stages:
-        results.update(_server_stage(spec, machine, cache_dir,
-                                     size=size, steps=steps))
+        results.update(_server_stage(spec, machine, size=size,
+                                     steps=steps))
     return results
 
 
-def _server_stage(spec: StencilSpec, machine: MachineConfig,
-                  cache_dir: str, *, size: Tuple[int, ...],
-                  steps: int) -> Dict[str, np.ndarray]:
+def _server_stage(spec: StencilSpec, machine: MachineConfig, *,
+                  size: Tuple[int, ...], steps: int) -> Dict[str, np.ndarray]:
     """A small mixed-tenant load through the async serving layer: every
     response's interior is returned under a ``server.<label>`` key, and
     a request that failed (rejections included — admission is generous
@@ -230,9 +215,8 @@ def _server_stage(spec: StencilSpec, machine: MachineConfig,
     cfg = LoadConfig(requests=12, tenants=3, kernels=(spec.name,),
                      shape=size, steps=steps, seeds=2, keep_results=True)
     report = run_load_sync(
-        cfg, machine=machine, cache_dir=cache_dir,
-        max_queue_depth=64, max_batch=4, batch_window_s=0.002,
-        executor_workers=2, run_workers=2, retries=3)
+        cfg, machine=machine, max_queue_depth=64, max_batch=4,
+        batch_window_s=0.002, executor_workers=2, run_workers=2, retries=3)
     return {f"server.{label}": arr
             for label, arr in report.results.items()}
 
@@ -275,14 +259,12 @@ def run_chaos(
     required = required_sites(stages)
     plan = plan or chaos_plan(seed)
     obs.enable(reset=True)
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        clean = _workload(spec, machine, os.path.join(tmp, "clean"),
-                          size=size, steps=steps, backends=backends,
-                          data_seed=seed + 1, stages=stages)
-        with inject(plan) as inj:
-            faulted = _workload(spec, machine, os.path.join(tmp, "faulted"),
-                                size=size, steps=steps, backends=backends,
-                                data_seed=seed + 1, stages=stages)
+    clean = _workload(spec, machine, size=size, steps=steps,
+                      backends=backends, data_seed=seed + 1, stages=stages)
+    with inject(plan) as inj:
+        faulted = _workload(spec, machine, size=size, steps=steps,
+                            backends=backends, data_seed=seed + 1,
+                            stages=stages)
     injected = inj.injected_by_site()
     mismatches = [label for label in clean
                   if label not in faulted

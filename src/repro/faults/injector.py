@@ -5,13 +5,13 @@ Production code is instrumented with **named sites** — one call to
 check when no plan is active (no monkeypatching, no test-only code
 paths).  Activating a plan is scoped and nestable::
 
-    with faults.inject(FaultPlan(rules=(FaultRule("cache.disk_read"),))):
-        ...   # the first disk read raises FaultInjected
+    with faults.inject(FaultPlan(rules=(FaultRule("compile.kernel"),))):
+        ...   # the first kernel lowering raises FaultInjected
 
 Only the innermost active injector sees hits, so nested plans compose
 the way context managers do.  Hit counters are per concrete site name
-and shared by every rule matching that site, which makes "the Nth disk
-read" mean the same thing no matter how many rules watch it.
+and shared by every rule matching that site, which makes "the Nth
+lowering" mean the same thing no matter how many rules watch it.
 
 Process-pool workers cannot see the parent's injector, so the executor
 *decides* faults in the parent (consuming hits deterministically, in
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import fnmatch
 import os
-import random
 import threading
 import time
 from contextlib import contextmanager
@@ -34,20 +33,7 @@ from typing import Dict, List, Optional, Union
 
 from .. import obs
 from ..errors import ReproError
-from .plan import FaultPlan
-
-#: the instrumented site catalogue.  Rules may glob over these
-#: (``"cache.*"``), and new sites only need a ``fault_point`` call.
-SITES = (
-    "cache.disk_read",     #: KernelCache loading a persisted entry
-    "cache.disk_write",    #: KernelCache persisting an entry
-    "compile.kernel",      #: vector-program generation (cache miss path)
-    "exec.codegen_kernel",  #: one emitted-source sweep (codegen engine)
-    "pool.task_start",     #: a parallel-executor task beginning
-    "server.batch_flush",  #: a server micro-batch leaving the queue
-    "server.enqueue",      #: an admitted server request entering the queue
-    "tile.sweep",          #: one part's (or window sub-step's) sweep
-)
+from .plan import SITES, FaultPlan
 
 #: exit status a ``kill`` fault terminates a pool worker with.
 KILL_EXIT_CODE = 87
@@ -141,36 +127,14 @@ class FaultInjector:
             return out
 
     # -- executing actions -----------------------------------------------------
-    def corrupt(self, payload: Union[str, bytes],
-                action: FaultAction) -> Union[str, bytes]:
-        """Deterministically mangle ``payload``.  The corruption either
-        truncates the tail or splices raw control bytes into the middle —
-        both guarantee a JSON consumer fails to parse (control characters
-        are illegal anywhere in JSON), so corruption is always *detectable*
-        rather than silently semantic."""
-        rng = random.Random(f"{self.plan.seed}:{action.site}:{action.hit}")
-        garbage = "\x00\x01\x02corrupt"
-        if isinstance(payload, bytes):
-            garbage_b = garbage.encode("latin-1")
-            if len(payload) < 4 or rng.random() < 0.5:
-                return payload[: max(0, len(payload) - 2)]  # truncate
-            pos = rng.randrange(1, len(payload) - 1)
-            return payload[:pos] + garbage_b + payload[pos + 1:]
-        if len(payload) < 4 or rng.random() < 0.5:
-            return payload[: max(0, len(payload) - 2)]
-        pos = rng.randrange(1, len(payload) - 1)
-        return payload[:pos] + garbage + payload[pos + 1:]
-
-    def perform(self, action: FaultAction, payload=None):
-        """Execute ``action`` in the current (non-worker) process: sleep,
-        corrupt the payload, or raise.  ``kill`` degrades to ``raise``
-        here — only :func:`perform_shipped` inside a pool worker actually
-        terminates a process."""
+    def perform(self, action: FaultAction) -> None:
+        """Execute ``action`` in the current (non-worker) process: sleep
+        or raise.  ``kill`` degrades to ``raise`` here — only
+        :func:`perform_shipped` inside a pool worker actually terminates
+        a process."""
         if action.kind == "delay":
             time.sleep(action.delay_s)
-            return payload
-        if action.kind == "corrupt" and payload is not None:
-            return self.corrupt(payload, action)
+            return
         raise action.to_fault()
 
 
@@ -204,19 +168,17 @@ def inject(plan: Union[FaultPlan, FaultInjector]):
                     break
 
 
-def fault_point(site: str, payload=None):
+def fault_point(site: str) -> None:
     """The instrumentation hook production code calls at a named site.
 
-    Returns ``payload`` (possibly corrupted), sleeps, or raises
-    :class:`FaultInjected` — and is a near-free no-op when no plan is
-    active."""
+    Sleeps or raises :class:`FaultInjected` when the active plan says
+    so — and is a near-free no-op when no plan is active."""
     inj = active()
     if inj is None:
-        return payload
+        return
     action = inj.decide(site)
-    if action is None:
-        return payload
-    return inj.perform(action, payload)
+    if action is not None:
+        inj.perform(action)
 
 
 def perform_shipped(action: FaultAction) -> None:

@@ -32,7 +32,6 @@ from .cachesim import (
     MemoryTraceRecorder,
     simulate_program_cache,
 )
-from . import serialize
 
 __all__ = [
     "Affine",
@@ -62,5 +61,4 @@ __all__ = [
     "CacheStats",
     "MemoryTraceRecorder",
     "simulate_program_cache",
-    "serialize",
 ]

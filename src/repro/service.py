@@ -18,7 +18,7 @@ once), and an execution configuration for the partitioned numpy path:
 
 Usage::
 
-    svc = KernelService(GENERIC_AVX2, cache_dir="~/.cache/repro/kernels")
+    svc = KernelService(GENERIC_AVX2)
     kernels = svc.compile_many([
         CompileRequest(library.get("heat-2d"), (512, 512)),
         CompileRequest(library.get("box-2d9p"), (512, 512)),
@@ -141,8 +141,6 @@ class KernelService:
         retry_backoff_s: float = 0.05,
         failure_policy: str = "raise",
     ) -> None:
-        if cache is not None and cache_dir is not None:
-            raise ReproError("pass either cache or cache_dir, not both")
         if run_backend not in BACKENDS:
             raise ReproError(
                 f"unknown run backend {run_backend!r}; known: {BACKENDS}"
@@ -168,12 +166,8 @@ class KernelService:
                 f"unknown failure policy {failure_policy!r}; "
                 f"known: {POLICIES}"
             )
-        if cache is None:
-            cache = KernelCache(
-                os.path.expanduser(cache_dir) if cache_dir else None
-            )
         self.machine = machine
-        self.cache = cache
+        self.cache = cache if cache is not None else KernelCache()
         self.compile_workers = compile_workers
         self.run_workers = run_workers
         self.run_backend = run_backend
@@ -182,11 +176,11 @@ class KernelService:
         #: ``auto`` degrades codegen -> interp at run time
         self.exec_backend = exec_backend
         if tuning_db is None:
-            # disk-backed caches get a disk-backed tuning DB next to the
-            # kernel entries; memory-only caches tune in memory
+            # ``cache_dir`` places the tuning DB at <cache_dir>/tuning;
+            # without one the service tunes in memory
             tuning_db = TuningDB(
-                os.path.join(cache.cache_dir, "tuning")
-                if cache.cache_dir else None)
+                os.path.join(os.path.expanduser(cache_dir), "tuning")
+                if cache_dir else None)
         #: persistent winner store consulted by ``compile_many(tune=True)``
         self.tuning_db = tuning_db
         self.tune_budget = tune_budget or DEFAULT_SERVICE_BUDGET
@@ -259,7 +253,7 @@ class KernelService:
         backend = backend or self.exec_backend
         degraded = [("interp", lambda: self._compile_once(
             spec, shape, time_fusion=time_fusion, use_sdf=use_sdf,
-            backend="interp", cache=KernelCache(None)))]
+            backend="interp", cache=KernelCache()))]
         return self._guarded(
             "compile",
             lambda: self._compile_once(spec, shape, time_fusion=time_fusion,
@@ -426,7 +420,7 @@ class KernelService:
 
     # -- introspection -----------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """The service cache's hit/miss/evict counters + disk occupancy,
+        """The service cache's hit/miss/evict counters and occupancy,
         plus the tuning database's counters (``tuning_`` prefix)."""
         out = self.cache.stats_dict()
         for k, v in self.tuning_db.stats_dict().items():

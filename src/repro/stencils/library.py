@@ -163,10 +163,15 @@ _FACTORIES: Dict[str, Callable[[], StencilSpec]] = {
 }
 
 
+#: one frozen spec per library name (a shared spec also shares its
+#: memoized content digest)
+_INSTANCES: Dict[str, StencilSpec] = {n: f() for n, f in _FACTORIES.items()}
+
+
 def get(name: str) -> StencilSpec:
-    """Fetch a library kernel by name."""
+    """Fetch a library kernel by name (the same instance every call)."""
     try:
-        return _FACTORIES[name]()
+        return _INSTANCES[name]
     except KeyError:
         raise SpecError(f"unknown kernel {name!r}; known: {sorted(_FACTORIES)}") from None
 

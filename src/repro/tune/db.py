@@ -5,9 +5,8 @@ per *workload* — ``(spec, machine, interior shape, boundary)`` — plus the
 measurement provenance that justified it, so a repeat workload skips the
 empirical search entirely.
 
-The layout mirrors the kernel compile cache it lives next to
-(:mod:`repro.core.cache`): one JSON file per entry in a directory
-(``<cache_dir>/tuning`` by default), content-addressed with the same
+The layout is one JSON file per entry in a directory (see
+:func:`default_tuning_dir`), content-addressed with the kernel cache's
 SHA-256-over-canonical-JSON keys (:func:`workload_key`), written
 atomically, and **never trusted on read** — any entry that fails to
 parse or validate (unknown format version, key mismatch, malformed
@@ -21,15 +20,17 @@ without a cache directory, and by tests).
 tuner's write path and must survive many processes landing winners at
 once.  A read-modify-write on the entry file would let two writers race
 (each reads the old winner, each writes, one update is lost), so
-promotions use the kernel cache's per-writer delta-file discipline
-instead: every promotion writes its *own* ``<key>.p-<pid>-<uuid>.json``
-file atomically, and readers merge the base entry with every delta,
+promotions use a per-writer delta-file discipline instead: every
+promotion writes its *own* ``<key>.p-<pid>-<uuid>.json`` file
+atomically, and readers merge the base entry with every delta,
 keeping the highest-throughput record.  No file is ever rewritten in
 place, so no update can be lost.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import threading
 import time
@@ -38,14 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import MachineConfig
-from ..core.cache import (
-    default_cache_dir,
-    digest,
-    machine_fingerprint,
-    read_json,
-    spec_fingerprint,
-    write_json_atomic,
-)
+from ..core.cache import digest, machine_fingerprint, spec_fingerprint
 from ..errors import TuneError
 from ..stencils.spec import StencilSpec
 from .space import TuneConfig
@@ -60,12 +54,57 @@ PROMOTE_INFIX = ".p-"
 
 
 def default_tuning_dir() -> str:
-    """``$REPRO_TUNING_DIR``, else ``tuning/`` inside the kernel cache
-    directory (so one cache location holds both artifact kinds)."""
+    """``$REPRO_TUNING_DIR``, else ``$REPRO_CACHE_DIR/tuning``, else
+    ``~/.cache/repro/kernels/tuning``."""
     env = os.environ.get("REPRO_TUNING_DIR")
     if env:
         return env
-    return os.path.join(default_cache_dir(), "tuning")
+    parent = (os.environ.get("REPRO_CACHE_DIR")
+              or os.path.join(os.path.expanduser("~"), ".cache", "repro",
+                              "kernels"))
+    return os.path.join(parent, "tuning")
+
+
+# -- small io helpers ----------------------------------------------------------
+
+def read_json(path: str) -> Optional[Any]:
+    """Parse a JSON file, returning ``None`` on any IO/parse failure
+    (disk artifacts are never trusted to be well-formed)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
+
+
+#: distinguishes temp files from concurrent writers within one process —
+#: the pid alone is shared by every thread.
+_tmp_counter = itertools.count()
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` via a temp file + atomic rename, so a concurrent
+    reader never observes a half-written entry.  The temp name includes
+    the pid, the thread id, and a process-wide monotonic counter: two
+    threads (or two renames racing in one thread) can never interleave
+    writes into a shared temp file."""
+    tmp = (f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+           f".{next(_tmp_counter)}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        try:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        except OSError:
+            pass
+
+
+def write_json_atomic(path: str, payload: Any) -> None:
+    """:func:`write_text_atomic` over the sorted-key JSON of ``payload``."""
+    write_text_atomic(path, json.dumps(payload, sort_keys=True))
 
 
 def workload_key(spec: StencilSpec, machine: MachineConfig,

@@ -19,7 +19,7 @@ elements, advancing :attr:`steps_per_iter` time steps (>1 under ITM).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import VectorizeError
@@ -48,6 +48,11 @@ class Loop:
 
     def indices(self) -> range:
         return range(self.start, self.stop, self.step)
+
+
+#: str hashes are salted per process, so a hash memo unpickled in another
+#: process is stale; the memo records the salt it was computed under
+_HASH_SALT = hash("repro.vectorize.program")
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,18 @@ class VectorProgram:
             raise VectorizeError("vectors_per_iter must be >= 1")
         if self.steps_per_iter < 1:
             raise VectorizeError("steps_per_iter must be >= 1")
+
+    def __hash__(self) -> int:
+        """The dataclass field hash, computed once per instance: lookup
+        tables keyed by program (``get_codegen``) would otherwise rehash
+        every instruction on each call.  Equality is unchanged."""
+        memo = self.__dict__.get("_hash_memo")
+        if memo is None or memo[0] != _HASH_SALT:
+            memo = (_HASH_SALT, hash(tuple(getattr(self, f.name)
+                                           for f in fields(self)
+                                           if f.compare)))
+            object.__setattr__(self, "_hash_memo", memo)
+        return memo[1]
 
     # -- geometry -------------------------------------------------------------
     @property

@@ -1,17 +1,15 @@
 """Property tests for the kernel compilation cache
 (:mod:`repro.core.cache`).
 
-Four invariants matter:
+Three invariants matter:
 
-1. a cache hit (memory or disk) returns a program identical to a cold
-   compile;
+1. a cache hit returns a program identical to a cold compile;
 2. the key is content-addressed — *any* change to the spec, the machine
-   or the plan options changes it;
+   or the plan options changes it, and the keys of a fixed workload
+   never drift (stored tuning records depend on them);
 3. the key covers no grid geometry: one shape-free lowering serves every
    grid, and binding it to a grid is where rank, halo and extent are
-   checked;
-4. a corrupted on-disk entry is discarded and recompiled, never trusted
-   and never fatal.
+   checked.
 """
 
 from __future__ import annotations
@@ -34,21 +32,16 @@ from repro.config import (
 )
 from repro.core import compile_kernel, generate_jigsaw
 from repro.core.cache import (
-    ENTRY_FORMAT,
     KernelCache,
-    configure_default_cache,
     default_cache,
-    digest,
-    persisted_totals,
     plan_key,
     program_key,
-    write_json_atomic,
 )
 from repro.errors import VectorizeError
-from repro.machine.serialize import program_to_dict
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec, star
+from repro.tune.db import workload_key, write_json_atomic
 from repro.vectorize.driver import check_program_grid
 from repro.vectorize.program import Loop, VectorProgram
 
@@ -63,6 +56,11 @@ def _grid(machine=GENERIC_AVX2, shape=SHAPE):
 def _cold_program(spec=SPEC, machine=GENERIC_AVX2, grid=None) -> VectorProgram:
     grid = grid if grid is not None else _grid(machine)
     return KernelCache().compile(spec, machine, grid).program
+
+
+def _all_fields(program: VectorProgram) -> dict:
+    return {f.name: getattr(program, f.name)
+            for f in dataclasses.fields(program)}
 
 
 def _count_lowerings(monkeypatch, delay: float = 0.0) -> list:
@@ -93,33 +91,18 @@ class TestHitIdentity:
         second = cache.compile(SPEC, GENERIC_AVX2, grid).program
         assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert first == cold and second == cold
-        assert program_to_dict(second) == program_to_dict(cold)
+        assert _all_fields(second) == _all_fields(cold)
 
-    def test_disk_hit_identical_to_cold(self, tmp_path):
-        grid = _grid()
-        cold = _cold_program()
-        writer = KernelCache(str(tmp_path))
-        writer.compile(SPEC, GENERIC_AVX2, grid).program
-        assert writer.stats.disk_writes == 1
-        reader = KernelCache(str(tmp_path))  # fresh memory, warm disk
-        prog = reader.compile(SPEC, GENERIC_AVX2, grid).program
-        assert reader.stats.disk_hits == 1 and reader.stats.misses == 0
-        assert prog == cold
-        assert program_to_dict(prog) == program_to_dict(cold)
-        # the tail spec survives the round trip (execution needs it)
-        assert prog.tail_spec == cold.tail_spec
-
-    def test_cached_program_executes_identically(self, tmp_path):
+    def test_cached_program_executes_identically(self):
         spec = library.get("heat-2d")
         shape = (32, 96)
-        writer = KernelCache(str(tmp_path))
-        k1 = writer.compile(spec, GENERIC_AVX2, _grid(shape=shape))
+        cache = KernelCache()
+        k1 = cache.compile(spec, GENERIC_AVX2, _grid(shape=shape))
         g = Grid.random(shape, k1.grid.halo, seed=5)
         a = k1.run(g, k1.plan.time_fusion)
-        reader = KernelCache(str(tmp_path))
-        k2 = reader.compile(spec, GENERIC_AVX2, _grid(shape=shape))
+        k2 = cache.compile(spec, GENERIC_AVX2, _grid(shape=shape))
         b = k2.run(g, k2.plan.time_fusion)
-        assert reader.stats.disk_hits == 1
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert np.array_equal(a.data, b.data)
         ref = apply_steps(spec, g, k1.plan.time_fusion)
         assert np.allclose(a.interior, ref.interior, rtol=1e-12)
@@ -224,15 +207,25 @@ class TestKeySensitivity:
         assert cache.stats.misses == 2
         assert p1.width != p2.width
 
+    def test_pinned_keys_for_heat_2d(self):
+        # hex digests computed before the fingerprint helpers moved into
+        # this module; a drift here orphans every stored tuning record
+        spec = library.get("heat-2d")
+        plan = KernelCache().plan(spec, GENERIC_AVX2)
+        assert plan_key(spec, GENERIC_AVX2) == (
+            "9662d8f849eb2dc63185a2c3b04cd84a3005cd18dbe68b88aa9c22a427dfade1")
+        assert program_key(plan) == (
+            "9698c25970961af3a3039ac8742da82b4698355e27caa13f60a7ffa13b11e07b")
+        assert workload_key(spec, GENERIC_AVX2, (64, 64)) == (
+            "3281e2d03a8f97481ff016d55c473255fec592ff1734ad98ccd0a8e6437b7dc0")
+        assert workload_key(spec, GENERIC_AVX2, (64, 64),
+                            boundary="dirichlet") == (
+            "adeabbe5088f630bf5c1c0651d1750442a70e370f12dbb65a82f141de2b12e5b")
+
 
 #: one cache for every hypothesis example, so each plan lowers once and
 #: later examples bind a template lowered for another shape
 _SHARED = KernelCache()
-
-
-def _all_fields(program: VectorProgram) -> dict:
-    return {f.name: getattr(program, f.name)
-            for f in dataclasses.fields(program)}
 
 
 class TestShapeFreePrograms:
@@ -268,24 +261,6 @@ class TestShapeFreePrograms:
         assert bound.loops == walk
         check_program_grid(bound, grid)
 
-    def test_disk_entry_serves_another_shape(self, tmp_path):
-        spec = library.get("heat-2d")
-        writer = KernelCache(str(tmp_path))
-        writer.compile(spec, GENERIC_AVX2, _grid(shape=(8, 96))).program
-        reader = KernelCache(str(tmp_path))
-        grid = Grid((24, 203), (4, 12))
-        kernel = reader.compile(spec, GENERIC_AVX2, grid)
-        cold = _cold_program(spec, grid=grid)
-        assert program_to_dict(kernel.program) == program_to_dict(cold)
-        assert reader.stats.disk_hits == 1 and reader.stats.misses == 0
-        assert reader.stats.disk_discards == 0
-        assert reader.stats.disk_quarantined == 0
-        g = Grid.random(grid.shape, grid.halo, seed=3)
-        steps = kernel.plan.time_fusion
-        fresh = KernelCache().compile(spec, GENERIC_AVX2, grid)
-        assert np.array_equal(kernel.run(g, steps).data,
-                              fresh.run(g, steps).data)
-
     def test_shape_churn_lowers_once(self, monkeypatch):
         calls = _count_lowerings(monkeypatch)
         cache = KernelCache(max_entries=4)
@@ -302,122 +277,6 @@ class TestShapeFreePrograms:
         assert d["plan_misses"] == 1
 
 
-def _resealed(entry: dict, **program_fields) -> dict:
-    """``entry`` with program fields replaced and its checksum redone."""
-    program = {**entry["program"], **program_fields}
-    return {**entry, "program": program, "checksum": digest(program)}
-
-
-class TestDiskRobustness:
-    def _entry_paths(self, tmp_path):
-        return [p for p in os.listdir(tmp_path)
-                if p.endswith(".json") and not p.startswith("_")]
-
-    def test_corrupted_entry_recompiles(self, tmp_path):
-        cold = _cold_program()
-        cache = KernelCache(str(tmp_path))
-        cache.compile(SPEC, GENERIC_AVX2, _grid()).program
-        (entry,) = self._entry_paths(tmp_path)
-        path = os.path.join(tmp_path, entry)
-        with open(path, "w") as fh:
-            fh.write("{ this is not json")
-        fresh = KernelCache(str(tmp_path))
-        prog = fresh.compile(SPEC, GENERIC_AVX2, _grid()).program
-        assert fresh.stats.disk_discards == 1
-        assert fresh.stats.misses == 1  # recompiled, did not crash
-        assert prog == cold
-        # the bad file was replaced by a good entry
-        again = KernelCache(str(tmp_path))
-        assert again.compile(SPEC, GENERIC_AVX2, _grid()).program == cold
-        assert again.stats.disk_hits == 1
-
-    def test_corrupted_entry_is_quarantined(self, tmp_path):
-        """A corrupt/truncated entry is moved into ``_quarantine/`` (not
-        deleted), counted in the stats, and excluded from disk entries."""
-        from repro.core.cache import QUARANTINE_DIR
-        cold = _cold_program()
-        cache = KernelCache(str(tmp_path))
-        cache.compile(SPEC, GENERIC_AVX2, _grid()).program
-        (entry,) = self._entry_paths(tmp_path)
-        path = os.path.join(tmp_path, entry)
-        good = open(path).read()
-        with open(path, "w") as fh:
-            fh.write(good[: len(good) // 2])  # truncated write
-        fresh = KernelCache(str(tmp_path))
-        assert fresh.compile(SPEC, GENERIC_AVX2, _grid()).program == cold
-        assert fresh.stats.disk_quarantined == 1
-        assert fresh.stats.disk_discards == 1
-        qdir = os.path.join(tmp_path, QUARANTINE_DIR)
-        assert os.listdir(qdir) == [entry]
-        # the quarantined body is the evidence, preserved verbatim
-        assert open(os.path.join(qdir, entry)).read() == good[: len(good) // 2]
-        d = fresh.stats_dict()
-        assert d["disk_quarantined"] == 1
-        assert d["quarantine_entry_count"] == 1
-        # quarantined files never count as live entries, and clear()
-        # purges them alongside the good ones
-        assert fresh.disk_entries()[0] == 1
-        fresh.clear()
-        assert os.listdir(qdir) == []
-
-    def test_checksum_mismatch_quarantined(self, tmp_path):
-        """Semantic corruption (valid JSON, wrong program content) is
-        caught by the entry checksum and quarantined."""
-        import json as _json
-        cache = KernelCache(str(tmp_path))
-        cache.compile(SPEC, GENERIC_AVX2, _grid()).program
-        (entry,) = self._entry_paths(tmp_path)
-        path = os.path.join(tmp_path, entry)
-        with open(path) as fh:
-            payload = _json.load(fh)
-        payload["program"]["name"] = "tampered"
-        with open(path, "w") as fh:
-            _json.dump(payload, fh)
-        fresh = KernelCache(str(tmp_path))
-        fresh.compile(SPEC, GENERIC_AVX2, _grid()).program
-        assert fresh.stats.disk_quarantined == 1
-        assert fresh.stats.misses == 1
-
-    @pytest.mark.parametrize("mangle", [
-        lambda e: {**e, "format": ENTRY_FORMAT + 1},
-        lambda e: {**e, "key": "0" * 64},
-        lambda e: {**e, "program": {**e["program"], "width": 3}},
-        lambda e: {**e, "program": {
-            **e["program"],
-            "body": [{**i, "op": "bogus-op"} for i in e["program"]["body"]],
-        }},
-        # well-formed and checksummed, but not what the plan lowers to
-        lambda e: _resealed(e, loops=[{**l, "step": 2 * l["step"]}
-                                      for l in e["program"]["loops"]]),
-        lambda e: _resealed(e, tail_spec={**e["program"]["tail_spec"],
-                                          "coeffs": [0.5] * len(
-                                              e["program"]["tail_spec"]
-                                              ["coeffs"])}),
-    ])
-    def test_mangled_entries_discarded(self, tmp_path, mangle):
-        cache = KernelCache(str(tmp_path))
-        cache.compile(SPEC, GENERIC_AVX2, _grid()).program
-        (entry,) = self._entry_paths(tmp_path)
-        path = os.path.join(tmp_path, entry)
-        with open(path) as fh:
-            payload = json.load(fh)
-        with open(path, "w") as fh:
-            json.dump(mangle(payload), fh)
-        fresh = KernelCache(str(tmp_path))
-        prog = fresh.compile(SPEC, GENERIC_AVX2, _grid()).program
-        assert fresh.stats.disk_discards == 1
-        assert prog == _cold_program()
-
-    def test_clear_removes_entries(self, tmp_path):
-        cache = KernelCache(str(tmp_path))
-        cache.compile(SPEC, GENERIC_AVX2, _grid()).program
-        assert cache.disk_entries()[0] == 1
-        assert cache.clear() == 1
-        assert cache.disk_entries() == (0, 0)
-        # post-clear compiles still work
-        assert cache.compile(SPEC, GENERIC_AVX2, _grid()).program.body
-
-
 class TestStatsAndEviction:
     def test_lru_eviction_counted(self):
         cache = KernelCache(max_entries=2)
@@ -427,48 +286,45 @@ class TestStatsAndEviction:
         assert cache.stats.evictions == 1
         assert cache.stats_dict()["memory_programs"] == 2
 
-    def test_stats_dict_shape(self, tmp_path):
-        cache = KernelCache(str(tmp_path))
+    def test_stats_dict_shape(self):
+        cache = KernelCache()
         cache.compile(SPEC, GENERIC_AVX2, _grid()).program
         d = cache.stats_dict()
-        for key in ("hits", "misses", "evictions", "disk_hits",
-                    "disk_writes", "disk_discards", "disk_entry_count",
-                    "disk_entry_bytes"):
-            assert key in d
-        assert d["disk_entry_count"] == 1 and d["disk_entry_bytes"] > 0
+        assert set(d) == {"hits", "misses", "evictions", "plan_hits",
+                          "plan_misses", "memory_programs", "memory_plans"}
+        assert d["misses"] == 1 and d["memory_programs"] == 1
 
-    def test_persisted_stats_accumulate(self, tmp_path):
-        for _ in range(2):
-            c = KernelCache(str(tmp_path))
-            c.compile(SPEC, GENERIC_AVX2, _grid()).program
-        totals = persisted_totals(str(tmp_path))
-        assert totals["misses"] == 1 and totals["disk_hits"] == 1
+    def test_clear_drops_entries_and_counters(self):
+        cache = KernelCache()
+        cache.compile(SPEC, GENERIC_AVX2, _grid()).program
+        cache.clear()
+        assert cache.stats_dict() == dict.fromkeys(cache.stats_dict(), 0)
+        # post-clear compiles still work, and lower again
+        assert cache.compile(SPEC, GENERIC_AVX2, _grid()).program.body
+        assert cache.stats.misses == 1 and cache.stats.plan_misses == 1
 
-    def test_default_cache_is_shared_and_replaceable(self):
-        replaced = configure_default_cache()
-        try:
-            assert default_cache() is replaced
-            k1 = compile_kernel(SPEC, GENERIC_AVX2, _grid())
-            k2 = compile_kernel(SPEC, GENERIC_AVX2, _grid())
-            k1.program, k2.program
-            assert replaced.stats.hits >= 1
-            # cache=False bypasses memoization entirely
-            before = replaced.stats.as_dict()
-            compile_kernel(SPEC, GENERIC_AVX2, _grid(), cache=False).program
-            assert replaced.stats.as_dict() == before
-        finally:
-            configure_default_cache()
+    def test_default_cache_is_shared(self):
+        shared = default_cache()
+        assert default_cache() is shared
+        k1 = compile_kernel(SPEC, GENERIC_AVX2, _grid())
+        k2 = compile_kernel(SPEC, GENERIC_AVX2, _grid())
+        before = shared.stats.hits
+        k1.program, k2.program
+        assert shared.stats.hits >= before + 1
+        # cache=False bypasses memoization entirely
+        before = shared.stats.as_dict()
+        compile_kernel(SPEC, GENERIC_AVX2, _grid(), cache=False).program
+        assert shared.stats.as_dict() == before
 
 
 class TestConcurrency:
-    """Regression tests for the persistence-layer races (ISSUE 4)."""
-
     def test_atomic_write_survives_thread_hammer(self, tmp_path):
-        # Historically the temp suffix was the pid only, so two threads of
-        # one process writing the same entry interleaved into one temp
-        # file before os.replace.  Hammer one path from many threads: the
-        # file must be valid JSON (one of the payloads, never a mix) at
-        # every point, and no temp droppings may remain.
+        # The tuning database's writer (repro.tune.db).  Historically the
+        # temp suffix was the pid only, so two threads of one process
+        # writing the same entry interleaved into one temp file before
+        # os.replace.  Hammer one path from many threads: the file must
+        # be valid JSON (one of the payloads, never a mix) at every
+        # point, and no temp droppings may remain.
         import threading
 
         path = os.path.join(str(tmp_path), "entry.json")
@@ -497,49 +353,6 @@ class TestConcurrency:
         assert not errors
         leftovers = [n for n in os.listdir(tmp_path) if ".tmp." in n]
         assert leftovers == []
-
-    def test_two_writer_stats_merge(self, tmp_path):
-        # Two cache instances (standing in for two processes) sharing one
-        # directory: the old base+session totals were last-writer-wins,
-        # so one writer's counters silently vanished.  Each writer now
-        # owns a delta file and persisted_totals() merges them.
-        a = KernelCache(str(tmp_path))
-        b = KernelCache(str(tmp_path))
-        a.compile(SPEC, GENERIC_AVX2, _grid()).program            # miss
-        b.compile(library.get("heat-2d"), GENERIC_AVX2,
-                  _grid(shape=(32, 96))).program                  # miss
-        # interleaved re-persists must not clobber the other writer
-        a._persist_stats()
-        b._persist_stats()
-        totals = persisted_totals(str(tmp_path))
-        assert totals["misses"] == 2
-        assert totals["disk_writes"] == 2
-
-    def test_clear_resets_stats_and_cli_round_trip(self, tmp_path, capsys):
-        from repro.__main__ import main as cli_main
-
-        cache = KernelCache(str(tmp_path))
-        cache.compile(SPEC, GENERIC_AVX2, _grid()).program
-        cache.compile(SPEC, GENERIC_AVX2, _grid()).program
-        assert cache.stats.misses == 1 and cache.stats.hits >= 1
-        assert persisted_totals(str(tmp_path))["misses"] == 1
-        cache.clear()
-        # in-memory counters and the persisted files both reset
-        assert cache.stats.as_dict() == {k: 0
-                                         for k in cache.stats.as_dict()}
-        assert persisted_totals(str(tmp_path)) == {}
-        # the CLI round-trip: clear then stats must report an empty cache
-        assert cli_main(["cache", "clear", "--cache-dir",
-                         str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["cache", "stats", "--cache-dir",
-                         str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        for line in out.splitlines():
-            key = line.split(":")[0].strip()
-            if key in ("entries", "hits", "misses", "disk hits",
-                       "disk writes", "evictions"):
-                assert line.rstrip().endswith(" 0"), line
 
     def test_concurrent_misses_compile_once(self, monkeypatch):
         # Two services (or a service plus a tuner) sharing one cache used

@@ -217,7 +217,6 @@ class TestCli:
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(snapshot))
         code, out, _ = run_cli(capsys, "stats",
-                               "--cache-dir", str(tmp_path / "cache"),
                                "--db-dir", str(tmp_path / "db"),
                                "--metrics-json", str(path))
         assert code == 0
@@ -225,7 +224,6 @@ class TestCli:
         assert "server.latency_ms.tenant.t0" in out
         assert "cache.hits" not in out.split("server @")[1]
         code, out, _ = run_cli(capsys, "stats", "--json",
-                               "--cache-dir", str(tmp_path / "cache"),
                                "--db-dir", str(tmp_path / "db"),
                                "--metrics-json", str(path))
         assert code == 0
@@ -237,7 +235,6 @@ class TestCli:
 
     def test_stats_rejects_unreadable_snapshot(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "stats",
-                               "--cache-dir", str(tmp_path / "cache"),
                                "--db-dir", str(tmp_path / "db"),
                                "--metrics-json",
                                str(tmp_path / "missing.json"))

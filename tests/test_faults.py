@@ -1,12 +1,10 @@
 """Tests for the fault-injection framework (:mod:`repro.faults`) and the
-hardening it drove into the cache/service/parallel layers: every
+hardening it drove into the service/parallel layers: every
 injected failure must be recovered bitwise-identically or surfaced
 loudly, never silently corrupted."""
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
 
 import numpy as np
@@ -14,8 +12,6 @@ import pytest
 
 from repro import faults, obs
 from repro.config import GENERIC_AVX2
-from repro.core.cache import KernelCache, QUARANTINE_DIR
-from repro.machine.serialize import program_to_dict
 from repro.errors import ReproError
 from repro.faults import (
     SITES,
@@ -59,10 +55,24 @@ SPEC = library.get("heat-2d")
 
 class TestRuleMatching:
     def test_site_glob_matches_families(self):
-        inj = FaultInjector(_plan(FaultRule("cache.*", times=2)))
-        assert inj.decide("cache.disk_read") is not None
-        assert inj.decide("cache.disk_write") is not None
+        inj = FaultInjector(_plan(FaultRule("server.*", times=2)))
+        assert inj.decide("server.enqueue") is not None
+        assert inj.decide("server.batch_flush") is not None
         assert inj.decide("compile.kernel") is None
+
+    @pytest.mark.parametrize("site", ["cache.disk_read", "cache.*",
+                                      "tile", "exec.codegen"])
+    def test_site_matching_no_catalogue_entry_rejected(self, site):
+        # a rule that can never fire is a typo or a retired site
+        with pytest.raises(ReproError, match="matches no site"):
+            FaultRule(site)
+        with pytest.raises(ReproError, match="matches no site"):
+            FaultPlan.from_dict({"rules": [{"site": site}]})
+
+    @pytest.mark.parametrize("site", ["compile.kernel", "server.*", "*",
+                                      "tile.sweep", "*.task_start"])
+    def test_site_matching_the_catalogue_accepted(self, site):
+        assert FaultRule(site).site == site
 
     def test_exact_site_only(self):
         inj = FaultInjector(_plan(FaultRule("tile.sweep")))
@@ -101,7 +111,7 @@ class TestRuleMatching:
 class TestInjectScoping:
     def test_no_active_injector_is_noop(self):
         assert faults.active() is None
-        assert fault_point("tile.sweep", payload="data") == "data"
+        assert fault_point("tile.sweep") is None
 
     def test_raises_inside_scope_only(self):
         with inject(_plan(FaultRule("tile.sweep"))) as inj:
@@ -112,17 +122,17 @@ class TestInjectScoping:
         fault_point("tile.sweep")  # scope exited: no-op again
 
     def test_nesting_innermost_wins(self):
-        outer = _plan(FaultRule("cache.disk_read"))
+        outer = _plan(FaultRule("compile.kernel"))
         inner = _plan(FaultRule("tile.sweep"))
         with inject(outer) as o:
             with inject(inner) as i:
                 # the inner injector absorbs hits, even for sites only
                 # the outer plan watches
-                fault_point("cache.disk_read")
-                assert i.hits("cache.disk_read") == 1
-                assert o.hits("cache.disk_read") == 0
+                fault_point("compile.kernel")
+                assert i.hits("compile.kernel") == 1
+                assert o.hits("compile.kernel") == 0
             with pytest.raises(FaultInjected):
-                fault_point("cache.disk_read")
+                fault_point("compile.kernel")
 
     def test_injected_counters(self, observing):
         with inject(_plan(FaultRule("tile.sweep", kind="delay"))):
@@ -133,58 +143,10 @@ class TestInjectScoping:
         assert counters["faults.injected.kind.delay"] == 1
 
 
-class TestCorruption:
-    def test_seeded_corruption_is_deterministic(self):
-        text = json.dumps({"k": [1, 2, 3], "p": "x" * 64})
-        outs = set()
-        for _ in range(3):
-            inj = FaultInjector(
-                _plan(FaultRule("cache.disk_read", kind="corrupt"), seed=7))
-            outs.add(fault_result(inj, text))
-        assert len(outs) == 1
-
-    def test_seed_changes_corruption(self):
-        text = json.dumps({"k": [1, 2, 3], "p": "x" * 64})
-        a = fault_result(FaultInjector(
-            _plan(FaultRule("cache.disk_read", kind="corrupt"), seed=1)), text)
-        b = fault_result(FaultInjector(
-            _plan(FaultRule("cache.disk_read", kind="corrupt"), seed=2)), text)
-        assert a != text and b != text
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_corruption_always_detectable(self, seed):
-        # the corruption contract: a mangled JSON payload never parses,
-        # so a corrupt cache entry can always be quarantined
-        text = json.dumps({"format": 2, "program": {"x": list(range(20))}})
-        out = fault_result(FaultInjector(
-            _plan(FaultRule("cache.disk_read", kind="corrupt"),
-                  seed=seed)), text)
-        assert out != text
-        with pytest.raises(ValueError):
-            json.loads(out)
-
-    def test_bytes_payload(self):
-        inj = FaultInjector(
-            _plan(FaultRule("cache.disk_read", kind="corrupt"), seed=3))
-        action = inj.decide("cache.disk_read")
-        out = inj.perform(action, b"0123456789abcdef")
-        assert isinstance(out, bytes) and out != b"0123456789abcdef"
-
-    def test_corrupt_without_payload_raises(self):
-        with inject(_plan(FaultRule("tile.sweep", kind="corrupt"))):
-            with pytest.raises(FaultInjected):
-                fault_point("tile.sweep")
-
-
-def fault_result(inj: FaultInjector, payload):
-    action = inj.decide("cache.disk_read")
-    return inj.perform(action, payload)
-
-
 class TestPlanSerialization:
     def test_round_trip(self, tmp_path):
         plan = _plan(
-            FaultRule("cache.*", kind="corrupt", after=1, times=2, every=3),
+            FaultRule("server.*", kind="delay", after=1, times=2, every=3),
             FaultRule("pool.task_start", kind="kill"),
             seed=42)
         path = str(tmp_path / "plan.json")
@@ -196,13 +158,14 @@ class TestPlanSerialization:
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     @pytest.mark.parametrize("bad", [
-        {"site": "x", "kind": "explode"},
+        {"site": "tile.sweep", "kind": "explode"},
         {"site": ""},
-        {"site": "x", "after": -1},
-        {"site": "x", "times": 0},
-        {"site": "x", "every": 0},
-        {"site": "x", "delay_s": -1.0},
-        {"site": "x", "unknown_field": 1},
+        {"site": "tile.sweep", "after": -1},
+        {"site": "tile.sweep", "times": 0},
+        {"site": "tile.sweep", "every": 0},
+        {"site": "tile.sweep", "delay_s": -1.0},
+        {"site": "tile.sweep", "unknown_field": 1},
+        {"site": "tile.sweep", "kind": "corrupt"},  # retired kind
         "not-an-object",
     ])
     def test_malformed_rules_rejected(self, bad):
@@ -326,43 +289,6 @@ class TestExecutorHardening:
                 _run_grids("thread")
 
 
-class TestCacheHardening:
-    def test_corrupt_disk_write_quarantined_on_read(self, tmp_path):
-        # a write fault corrupts the persisted entry; the next cache
-        # generation must quarantine it and recompile, bitwise identical
-        d = str(tmp_path / "cache")
-        grid = Grid((32, 32), 16)
-        with inject(_plan(FaultRule("cache.disk_write", kind="corrupt"))):
-            k1 = KernelCache(d).compile(SPEC, GENERIC_AVX2, grid)
-            p1 = k1.program
-        cache2 = KernelCache(d)
-        k2 = cache2.compile(SPEC, GENERIC_AVX2, grid)
-        assert program_to_dict(k2.program) == program_to_dict(p1)
-        assert cache2.stats.disk_quarantined == 1
-        qdir = os.path.join(d, QUARANTINE_DIR)
-        assert len(os.listdir(qdir)) == 1
-        assert cache2.stats_dict()["quarantine_entry_count"] == 1
-
-    def test_disk_write_fault_skips_store(self, tmp_path):
-        d = str(tmp_path / "cache")
-        grid = Grid((32, 32), 16)
-        with inject(_plan(FaultRule("cache.disk_write"))):
-            cache = KernelCache(d)
-            cache.compile(SPEC, GENERIC_AVX2, grid).program
-        assert cache.stats.disk_write_faults == 1
-        assert cache.disk_entries()[0] == 0  # nothing half-written
-
-    def test_disk_read_fault_recompiles(self, tmp_path):
-        d = str(tmp_path / "cache")
-        grid = Grid((32, 32), 16)
-        p1 = KernelCache(d).compile(SPEC, GENERIC_AVX2, grid).program
-        with inject(_plan(FaultRule("cache.disk_read"))):
-            cache2 = KernelCache(d)
-            p2 = cache2.compile(SPEC, GENERIC_AVX2, grid).program
-        assert program_to_dict(p2) == program_to_dict(p1)
-        assert cache2.stats.disk_quarantined == 1
-
-
 class TestServiceHardening:
     def test_compile_fault_retried(self):
         svc = KernelService(GENERIC_AVX2, failure_policy="retry", retries=2)
@@ -440,7 +366,7 @@ class TestTunerHardening:
         config = TuneConfig(engine="machine")
         with inject(_plan(FaultRule("compile.kernel", times=100))):
             trial = measure(SPEC, GENERIC_AVX2, config, (32, 32),
-                            steps=2, budget=budget, cache=KC(None))
+                            steps=2, budget=budget, cache=KC())
         assert not trial.ok
         assert "injected" in trial.error
         counters = obs.snapshot()["metrics"]["counters"]
@@ -481,7 +407,7 @@ class TestChaos:
         rep = ChaosReport(kernel="heat-2d", size=(8, 8), steps=1, seed=0,
                           backends=("thread",), plan=chaos_plan(0),
                           injected={"tile.sweep": 1},
-                          sites_missing=["cache.disk_read"],
+                          sites_missing=["server.enqueue"],
                           mismatches=["machine"])
         assert not rep.ok and not rep.to_dict()["ok"]
         text = rep.summary()
@@ -491,8 +417,8 @@ class TestChaos:
         from repro.faults.chaos import taxonomy_slice
         counters = {"faults.injected": 3, "faults.injected.kind.raise": 3,
                     "service.failures.reason.fault": 1, "exec.sweeps": 9,
-                    "cache.disk_quarantined": 1, "cache.disk_writes": 4}
+                    "parallel.pool_restarts": 1, "cache.program.misses": 4}
         out = taxonomy_slice(counters)
-        assert "exec.sweeps" not in out and "cache.disk_writes" not in out
+        assert "exec.sweeps" not in out and "cache.program.misses" not in out
         assert out["faults.injected"] == 3
-        assert out["cache.disk_quarantined"] == 1
+        assert out["parallel.pool_restarts"] == 1

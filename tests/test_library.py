@@ -49,6 +49,14 @@ def test_extra_kernels_present():
     assert not library.get("advection-1d").is_symmetric
 
 
+def test_get_returns_one_instance_per_name():
+    # the wire path looks a kernel up per request; one frozen spec per
+    # name also keeps its memoized content digest
+    for name in library.names():
+        assert library.get(name) is library.get(name)
+        assert library.get(name) == library._FACTORIES[name]()
+
+
 def test_unknown_kernel_raises():
     with pytest.raises(SpecError):
         library.get("nope")

@@ -237,8 +237,8 @@ class TestInstrumentedStack:
         metrics_path = tmp_path / "metrics.json"
         code, out, _ = run_cli(
             capsys, "run", "heat-2d", "--size", "32x32", "--steps", "2",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--profile", "--metrics-json", str(metrics_path),
+            "--backend", "auto", "--profile",
+            "--metrics-json", str(metrics_path),
         )
         assert code == 0
         # the span tree reaches every pipeline stage
@@ -261,9 +261,9 @@ class TestInstrumentedStack:
 
     def test_profile_cache_hit_latencies_on_second_run(self, tmp_path,
                                                        capsys):
-        cache_dir = str(tmp_path / "cache")
+        # both runs lower through the process-wide kernel cache
         args = ("run", "heat-1d", "--size", "64", "--steps", "2",
-                "--cache-dir", cache_dir, "--metrics-json")
+                "--backend", "auto", "--metrics-json")
         code, _, _ = run_cli(capsys, *args, str(tmp_path / "m1.json"))
         assert code == 0
         code, _, _ = run_cli(capsys, *args, str(tmp_path / "m2.json"))
@@ -275,16 +275,13 @@ class TestInstrumentedStack:
             "count"] >= 1
 
     def test_stats_cli_json(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
         code, _, _ = run_cli(capsys, "run", "heat-1d", "--size", "64",
-                             "--steps", "2", "--cache-dir", cache_dir)
+                             "--steps", "2")
         assert code == 0
-        code, out, _ = run_cli(capsys, "stats", "--json",
-                               "--cache-dir", cache_dir,
-                               "--db-dir", str(tmp_path / "db"))
+        db_dir = str(tmp_path / "db")
+        code, out, _ = run_cli(capsys, "stats", "--json", "--db-dir", db_dir)
         assert code == 0
         payload = json.loads(out)
-        assert payload["cache_dir"] == cache_dir
-        assert payload["cache"].get("misses", 0) >= 1
-        assert "disk_entry_count" in payload["cache"]
-        assert "tuning" in payload and "obs" in payload
+        assert set(payload) == {"tuning_dir", "tuning", "obs"}
+        assert payload["tuning_dir"] == db_dir
+        assert payload["tuning"]["entries"] == 0

@@ -84,6 +84,31 @@ class TestVectorProgram:
     def test_registers_used(self):
         assert tiny_program().registers_used() == 1
 
+    def test_hash_is_memoized_and_matches_equality(self, monkeypatch):
+        import dataclasses
+        import pickle
+
+        import repro.vectorize.program as program_mod
+        p = tiny_program()
+        fields = tuple(getattr(p, f.name)
+                       for f in dataclasses.fields(p) if f.compare)
+        assert hash(p) == hash(fields)
+        assert p.__dict__["_hash_memo"][1] == hash(p)
+        # equal programs hash equal; notes/tail_spec take no part
+        twin = tiny_program()
+        assert twin == p and hash(twin) == hash(p)
+        noted = dataclasses.replace(p, notes="other")
+        assert noted == p and hash(noted) == hash(p)
+        moved = dataclasses.replace(p, loops=(Loop("x", 0, 12, 4),))
+        assert moved != p and "_hash_memo" not in moved.__dict__
+        # str hashes are salted per process: a memo made under another
+        # salt (a program unpickled elsewhere) is recomputed, not trusted
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p)
+        stale = (program_mod._HASH_SALT + 1, hash(p) + 1)
+        object.__setattr__(back, "_hash_memo", stale)
+        assert hash(back) == hash(fields)
+
     def test_listing_contains_loops_and_ops(self):
         text = tiny_program().listing()
         assert "for x in [0, 8) step 4" in text

@@ -1,6 +1,5 @@
 """Additional property-based tests: random 3-D stencils, float32
-butterflies, serializer round trips, window invariants, cache-sim
-invariants."""
+butterflies, window invariants, cache-sim invariants."""
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32
 from repro.core.jigsaw import generate_jigsaw, required_halo
 from repro.machine.cachesim import CacheHierarchySim, CacheLevelSim
-from repro.machine.serialize import dumps, loads
 from repro.stencils import apply_steps
 from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
@@ -67,17 +65,6 @@ def test_jigsaw_f32_random_stencils(spec, seed):
     ref = apply_steps(spec, g, 1)
     scale = max(1.0, float(np.max(np.abs(ref.interior))))
     assert np.max(np.abs(got.interior - ref.interior)) < 5e-4 * scale
-
-
-@settings(max_examples=15, deadline=None)
-@given(stencil_1d_any())
-def test_serializer_roundtrip_random(spec):
-    g = Grid((48,), required_halo(spec, GENERIC_AVX2))
-    prog = generate_jigsaw(spec, GENERIC_AVX2, g)
-    back = loads(dumps(prog))
-    assert back.body == prog.body
-    assert back.tail_spec.coefficient_table() == \
-        prog.tail_spec.coefficient_table()
 
 
 @settings(max_examples=100, deadline=None)

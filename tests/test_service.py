@@ -9,6 +9,7 @@ from repro.config import GENERIC_AVX2
 from repro.errors import ReproError
 from repro.service import CompileRequest, KernelService, SweepJob
 from repro.stencils import apply_steps, library
+from repro.stencils.grid import Grid
 
 
 def _svc(**kw):
@@ -100,12 +101,6 @@ class TestRun:
 
 
 class TestValidation:
-    def test_rejects_cache_and_cache_dir(self, tmp_path):
-        from repro.core.cache import KernelCache
-        with pytest.raises(ReproError):
-            KernelService(GENERIC_AVX2, cache=KernelCache(),
-                          cache_dir=str(tmp_path))
-
     def test_rejects_unknown_backend(self):
         with pytest.raises(ReproError):
             KernelService(GENERIC_AVX2, run_backend="mpi")
@@ -170,9 +165,37 @@ class TestValidation:
         for k, v in kwargs.items():
             assert getattr(svc, k) == v
 
-    def test_stats_exposes_cache_counters(self, tmp_path):
-        svc = _svc(cache_dir=str(tmp_path))
+    def test_stats_exposes_cache_counters(self):
+        svc = _svc()
         svc.compile(library.get("heat-1d"), (96,))
         d = svc.stats()
-        assert d["misses"] == 1 and d["disk_writes"] >= 1
-        assert d["disk_entry_count"] >= 1
+        assert d["misses"] == 1 and d["memory_programs"] == 1
+        assert d["tuning_entries"] == 0
+
+
+class TestCacheDir:
+    def test_cache_dir_holds_only_the_tuning_db(self, tmp_path):
+        """``cache_dir`` places the tuning database and nothing else:
+        compiled kernels stay in memory."""
+        from repro.core.cache import KernelCache
+        from repro.tune.engine import TuneBudget
+        budget = TuneBudget(max_trials=2, warmup=0, repeats=1,
+                            trial_timeout_s=30.0)
+        spec = library.get("heat-1d")
+        reqs = [CompileRequest(spec, (96,))]
+        svc = _svc(cache_dir=str(tmp_path), tune_budget=budget)
+        (k,) = svc.compile_many(reqs, tune=True)
+        g = k.grid_like((96,), seed=3)
+        out = k.run(g, k.plan.time_fusion)
+        ref = apply_steps(spec, g, k.plan.time_fusion)
+        assert np.allclose(out.interior, ref.interior, rtol=1e-12)
+        job = SweepJob(spec, Grid.random((96,), spec.radius, seed=3), 2)
+        assert np.allclose(svc.run(job).interior,
+                           apply_steps(spec, job.grid, 2).interior,
+                           rtol=1e-12)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tuning"]
+        assert svc.tuning_db.stats_dict()["entries"] == 1
+        # a second service (with its own cache) finds the stored winner
+        again = _svc(cache=KernelCache(), cache_dir=str(tmp_path))
+        again.compile_many(reqs, tune=True)
+        assert again.tuning_db.hits == 1 and again.tuning_db.misses == 0

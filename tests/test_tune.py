@@ -41,7 +41,7 @@ FAST = TuneBudget(max_trials=2, warmup=0, repeats=1, trial_timeout_s=30.0)
 
 
 def fast_tuner(db=None):
-    return Tuner(MACHINE, cache=KernelCache(None),
+    return Tuner(MACHINE, cache=KernelCache(),
                  db=db if db is not None else TuningDB(None), budget=FAST)
 
 
@@ -283,9 +283,8 @@ def make_record(key, **over):
 
 
 class TestTuningDB:
-    """Robustness mirror of the kernel cache's disk-trust tests: entries
-    are never trusted on read — anything corrupted or stale is discarded,
-    deleted, and re-tuned."""
+    """Disk-trust tests: entries are never trusted on read — anything
+    corrupted or stale is discarded, deleted, and re-tuned."""
 
     def test_memory_roundtrip(self):
         db = TuningDB(None)
@@ -442,7 +441,7 @@ class TestTunerBudgetOverrun:
                          steps=2, repeats=1)
 
         monkeypatch.setattr(tuner_mod, "measure", slow_measure)
-        tuner = Tuner(MACHINE, cache=KernelCache(None), db=TuningDB(None),
+        tuner = Tuner(MACHINE, cache=KernelCache(), db=TuningDB(None),
                       budget=TuneBudget(max_trials=4, max_seconds=0.4,
                                         warmup=0, repeats=1))
         t0 = time.perf_counter()
