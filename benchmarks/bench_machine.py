@@ -15,7 +15,11 @@ contracts:
 It also records, with no gate, a **parity table**: process-CPU
 milliseconds per step of codegen (``CompiledKernel.run``) and of
 ``CompiledKernel.run_numpy`` on the five kernels of the ``sweep-large``
-benchmark at a CI-sized grid, and their ratio.
+benchmark at a CI-sized grid, and their ratio; and a **cold-path
+table**: per ``sweep-large`` kernel at its full size, from a cold kernel
+cache and codegen memo, the process-CPU milliseconds of each step to
+the first codegen sweep (plan+lower, the seeded grid, codegen analysis,
+emission, the first sweep) and the number of specializations emitted.
 
 Appends a timestamped run entry to ``BENCH_machine.json`` (path
 overridable via ``BENCH_MACHINE_JSON``) — the artifact is a list of runs,
@@ -43,6 +47,8 @@ from _bench_utils import append_history, attach_stages, emit, observed  # noqa: 
 from repro import obs  # noqa: E402
 from repro.config import GENERIC_AVX2, PAPER_MACHINES  # noqa: E402
 from repro.core import compile_kernel  # noqa: E402
+from repro.core.cache import KernelCache  # noqa: E402
+from repro.machine.codegen import get_codegen  # noqa: E402
 from repro.schemes import generate, scheme_halo  # noqa: E402
 from repro.stencils import library  # noqa: E402
 from repro.stencils.grid import Grid  # noqa: E402
@@ -78,6 +84,16 @@ PARITY_KERNELS = (
 
 #: timed calls per engine per parity kernel (median reported)
 PARITY_REPEATS = 3
+
+#: the kernels and grids of the ``sweep-large`` benchmark, whose cold
+#: path the cold-path table splits into steps
+COLD_KERNELS = (
+    ("heat-2d", (1024, 1024)),
+    ("box-2d9p", (1024, 1024)),
+    ("star-2d13p", (1024, 1024)),
+    ("varcoef-2d5p", (1024, 1024)),
+    ("heat-3d", (96, 96, 96)),
+)
 
 
 def _artifact_path() -> str:
@@ -156,6 +172,44 @@ def _parity() -> list:
     return rows
 
 
+def _cold_path() -> list:
+    """Per :data:`COLD_KERNELS` entry, the process-CPU milliseconds of
+    each step ``sweep-large``'s set-up takes from a cold kernel cache and
+    codegen memo to its first codegen sweep, and the specializations
+    that sweep emits (record-only)."""
+    machine = PAPER_MACHINES[0]
+    rows = []
+    for name, shape in COLD_KERNELS:
+        get_codegen.cache_clear()
+        spec = library.get(name)
+        cache = KernelCache()
+        c0 = time.process_time()
+        halo = compile_kernel(spec, machine, Grid(shape, 16),
+                              cache=cache).halo()
+        c1 = time.process_time()
+        grid = Grid.random(shape, halo, seed=42)
+        c2 = time.process_time()
+        kernel = compile_kernel(spec, machine, grid, cache=cache)
+        program = kernel.program
+        c3 = time.process_time()
+        codegen = get_codegen(program)
+        c4 = time.process_time()
+        slabs = codegen.slabs({program.input_array: grid.data,
+                               program.output_array: grid.like().data})
+        c5 = time.process_time()
+        kernel.run(grid, kernel.plan.time_fusion, backend="codegen")
+        c6 = time.process_time()
+        rows.append({"kernel": name, "shape": list(shape),
+                     "plan_lower_ms": (c1 - c0 + c3 - c2) * 1e3,
+                     "grid_ms": (c2 - c1) * 1e3,
+                     "analysis_ms": (c4 - c3) * 1e3,
+                     "emit_ms": (c5 - c4) * 1e3,
+                     "first_sweep_ms": (c6 - c5) * 1e3,
+                     "specializations": len({id(spec)
+                                             for spec, _ in slabs})})
+    return rows
+
+
 def measure() -> dict:
     star_spec = star(2, 2, center=-3.0, arm=[0.5, 0.25],
                      name="bench-star-2d-r2")
@@ -208,6 +262,7 @@ def measure() -> dict:
         "speedup_floor": SPEEDUP_FLOOR,
         "kernels": [star_case, box_case],
         "parity": _parity(),
+        "cold_path": _cold_path(),
     }
     data.update(stages)  # the per-stage span/metric breakdown, if any
     return data
@@ -235,6 +290,15 @@ def _report(data: dict) -> None:
             f"codegen {row['codegen_cpu_ms_per_step']:7.2f} ms/step  "
             f"numpy {row['numpy_cpu_ms_per_step']:7.2f} ms/step  "
             f"ratio {row['codegen_over_numpy']:.2f}")
+    for row in data["cold_path"]:
+        lines.append(
+            f"cold path       {row['kernel']:<13} "
+            f"plan+lower {row['plan_lower_ms']:6.1f}  "
+            f"grid {row['grid_ms']:5.1f}  "
+            f"analysis {row['analysis_ms']:5.1f}  "
+            f"emit {row['emit_ms']:6.1f}  "
+            f"first sweep {row['first_sweep_ms']:6.1f} ms  "
+            f"{row['specializations']} specialization(s)")
     lines += [
         f"traced overhead {data['trace_overhead']:.3f}x "
         f"(ceiling {data['trace_overhead_ceiling']:.2f}x)",

@@ -26,7 +26,7 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -80,7 +80,7 @@ class JigsawTemplate:
         below :attr:`halo` or an x extent shorter than one block."""
         block = self.program.block
         check_geometry(self.spec, grid, block=block, halo_needed=self.halo)
-        return replace(self.program, loops=loop_nest(grid, block))
+        return self.program.with_loops(loop_nest(grid, block))
 
 
 class _RowLoadCache:

@@ -78,10 +78,14 @@ points runs the same kernel over contiguous row-slab views
 ``arr[k0 : k0 + b + 2h]`` of every array, with the outermost loop
 narrowed to ``b`` rows; a slab program shares its parent's analysis.
 The bound caps a slab's de-interleaved input and a register's length,
-so the register file does not grow with the grid.  Outer environments
+so the register file does not grow with the grid.  The outer trip count
+is split evenly when one of its divisors lies in ``[b/2, b]`` for the
+bound's ``b`` rows (the largest such divisor: 96 rows at ``b = 14`` run
+as 8 slabs of 12), so every slab shares one specialization; otherwise
+slabs of ``b`` rows and one remainder need two.  Outer environments
 are independent and loads never alias stores, so the slabs compose to
-exactly the full sweep; a grid needs at most two specializations (full
-slab, remainder), and both are made before the first slab runs.
+exactly the full sweep, and every specialization is made before the
+first slab runs.
 
 **Bitwise identity.**  Views, the de-interleaving copy and shuffle
 renames are exact element copies; ADD/SUB/MUL/FMA are the same IEEE ops
@@ -117,7 +121,6 @@ import copy
 import dataclasses
 import itertools
 import math
-import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -684,16 +687,82 @@ class CodegenProgram:
                 for l, i in zip(self.outer_loops, multi)}
 
     def _resolve_ref(self, ref: _MemRef, arrays) -> dict:
-        """Bounds-check one memory site against concrete arrays and
-        compute its flat-index lattice.  Returns a dict with the row
-        starts (lane 0's flat index per (env, x) row), the lane-0 view
-        description ``(offset, shape, strides)`` in elements (or None),
-        and the array."""
+        """Bounds-check one memory site against concrete arrays.  Returns
+        a dict with the array and the lane-0 view description ``(offset,
+        shape, strides)`` in elements (or None); a store's also holds its
+        row starts (lane 0's flat index per (env, x) row), which only
+        :meth:`_check_stores` reads.  A load takes its bounds and view
+        from its affine form at the loop corners; a store, or a load the
+        corners cannot clear, builds the index lattice (:meth:`_lattice`),
+        which also names the env of an out-of-bounds access."""
         arr = arrays[ref.array]
         if len(ref.outer) + 1 != arr.ndim:
             raise MachineError(
                 f"{ref.instr}: address has {len(ref.outer) + 1} axes, "
                 f"array has {arr.ndim}")
+        if ref.is_store:
+            return self._lattice(ref, arr)
+        strides = tuple(s // arr.itemsize for s in arr.strides)
+        envs = math.prod(self.outer_dims)
+        n_x = len(self._xs) if ref.rows != 1 else 1
+        off = 0
+        for (const, terms), n, stride in zip(ref.outer, arr.shape[:-1],
+                                             strides):
+            span = self._span(const, terms)
+            if span is None or (envs and (span[1] < 0 or span[2] >= n)):
+                return self._lattice(ref, arr)
+            off += span[0] * stride
+        const, coeff_x, terms = ref.last
+        span = self._span(const, terms)
+        if span is None:
+            return self._lattice(ref, arr)
+        x0 = coeff_x * self.x_start
+        x1 = coeff_x * (self.x_start + (n_x - 1) * self.x_step)
+        lo, hi = span[1] + min(x0, x1), span[2] + max(x0, x1)
+        if envs * n_x and (lo < 0 or hi + self.width > arr.shape[-1]):
+            return self._lattice(ref, arr)
+        dim_strides = self._dim_strides(ref, strides)
+        view = None
+        if envs * n_x and all(s >= 0 for s in dim_strides):
+            view = (off + span[0] + x0, self.outer_dims + (n_x,),
+                    dim_strides)
+        return {"ref": ref, "arr": arr, "view": view}
+
+    def _span(self, const: int, terms):
+        """``(first, low, high)`` of ``const + sum(coeff*var)`` over the
+        outer iteration lattice: its value at every loop's start and
+        bounds no tighter than its extremes, or None when a variable is
+        no outer loop's."""
+        first = low = high = const
+        for var, c in terms:
+            j = self._loop_pos.get(var)
+            if j is None:
+                return None
+            loop = self.outer_loops[j]
+            a = c * loop.start
+            b = c * (loop.start + (self.outer_dims[j] - 1) * loop.step)
+            first += a
+            low += min(a, b)
+            high += max(a, b)
+        return first, low, high
+
+    def _dim_strides(self, ref: _MemRef, strides) -> Tuple[int, ...]:
+        """Per lattice dimension (outer loops, then x), the flat-index
+        step of the site's lane 0."""
+        dim_strides = []
+        for loop in self.outer_loops:
+            per = sum(c * strides[a]
+                      for a, (_, ts) in enumerate(ref.outer)
+                      for v, c in ts if v == loop.var)
+            per += sum(c for v, c in ref.last[2] if v == loop.var)
+            dim_strides.append(int(per * loop.step))
+        dim_strides.append(int(ref.last[1] * self.x_step))
+        return tuple(dim_strides)
+
+    def _lattice(self, ref: _MemRef, arr: np.ndarray) -> dict:
+        """:meth:`_resolve_ref` over the full flat-index lattice: the
+        bounds check names the first out-of-bounds env, and the result
+        holds the row starts."""
         strides = tuple(s // arr.itemsize for s in arr.strides)
         flat_base = np.zeros(self.outer_dims, dtype=np.int64)
         for axis, ((const, terms), n) in enumerate(
@@ -727,20 +796,11 @@ class CodegenProgram:
         # view eligibility: one uniform non-negative stride per lattice
         # dimension (true by affine construction; the sign check keeps
         # the view's offset at its smallest element)
-        dim_strides = []
-        for j, loop in enumerate(self.outer_loops):
-            per = sum(c * strides[a]
-                      for a, (_, ts) in enumerate(ref.outer)
-                      for v, c in ts if v == loop.var)
-            per += sum(c for v, c in terms if v == loop.var)
-            dim_strides.append(per * loop.step)
-        dim_strides.append(coeff_x * self.x_step)
-        viewable = all(s >= 0 for s in dim_strides) and starts.size > 0
+        dim_strides = self._dim_strides(ref, strides)
         view = None
-        if viewable:
+        if all(s >= 0 for s in dim_strides) and starts.size > 0:
             view = (int(starts.reshape(-1)[0]),
-                    self.outer_dims + (len(xs),),
-                    tuple(int(s) for s in dim_strides))
+                    self.outer_dims + (len(xs),), dim_strides)
         return {"ref": ref, "arr": arr, "starts": starts, "view": view}
 
     def _flat_rows(self, site: dict):
@@ -795,9 +855,17 @@ class CodegenProgram:
         Raises :class:`CodegenFallback` when the layout defeats flattening
         or the carried registers form a recurrence; every slab is
         specialized first, so a refusal leaves the arrays untouched."""
+        for spec, views in self.slabs(arrays):
+            spec.fn(views)
+
+    def slabs(self, arrays: Mapping[str, np.ndarray]
+              ) -> List[Tuple[_Specialized, Mapping[str, np.ndarray]]]:
+        """The ``(specialization, arrays)`` calls one sweep over
+        ``arrays`` makes: the whole arrays, or one row-slab view of them
+        per slab (see :meth:`run`), each already specialized."""
         rows = self._slab_rows()
         if rows is None:
-            return self.specialize(arrays).fn(arrays)
+            return [(self.specialize(arrays), arrays)]
         trips, step = self.outer_dims[0], self.outer_loops[0].step
         slabs = []
         for k0 in range(0, trips, rows):
@@ -806,19 +874,22 @@ class CodegenProgram:
             views = {name: arrays[name][k0 * step:len(arrays[name]) - cut]
                      for name in self.array_names}
             slabs.append((self._slab_program(b).specialize(views), views))
-        for spec, views in slabs:
-            spec.fn(views)
+        return slabs
 
     def _slab_rows(self) -> Optional[int]:
         """Outer-loop trips per slab; ``None`` runs unsliced (the sweep
         fits one slab, or an address is not ``var + const`` on axis 0
-        with ``var`` the outermost loop, absent from every other axis)."""
+        with ``var`` the outermost loop, absent from every other axis).
+        At most ``rows = SLAB_POINTS // points per trip``; the largest
+        divisor of the outer trip count in ``[rows/2, rows]`` when there
+        is one, so every slab has one height and one specialization."""
         if not self.outer_dims:
             return None
         per_row = max(1, math.prod(self.outer_dims[1:]) * self.trips
                       * self.program.block)
         rows = max(1, SLAB_POINTS // per_row)
-        if rows >= self.outer_dims[0]:
+        n = self.outer_dims[0]
+        if rows >= n:
             return None
         var = self.outer_loops[0].var
         for ref in self.refs:
@@ -826,11 +897,17 @@ class CodegenProgram:
             if (not ref.outer or ref.outer[0][1] != ((var, 1),)
                     or any(v == var for terms in others for v, _ in terms)):
                 return None
+        # k slabs of n // k rows: n/k <= rows needs k >= ceil(n/rows),
+        # n/k >= rows/2 needs k <= 2n/rows
+        for k in range(-(-n // rows), 2 * n // rows + 1):
+            if n % k == 0:
+                return n // k
         return rows
 
     def _slab_program(self, rows: int) -> "CodegenProgram":
         """This program with its outermost loop narrowed to ``rows``
-        trips (LRU-memoized: a grid needs a full slab and a remainder).
+        trips (LRU-memoized: a grid needs one slab height, or a full
+        slab and a remainder).
         Only the loop bound differs, so the slab program shares this
         one's value graph, schedule, liveness and extents."""
         prog = _lru_get(self._slab_progs, rows)
@@ -990,18 +1067,19 @@ class CodegenProgram:
                     f"[..., :{trips}]")
 
         commits = []
+        stored_to = set()   # arrays the commits write through a flat view
         for s in sites:
             ref = s["ref"]
             if ref.is_store:
                 off, shape, strides = s["view"]
                 a = arr_var[ref.array]
+                stored_to.add(ref.array)
                 commits += [f"{view(a, off + j, shape, strides)}[...] = "
                             f"{stored(lane)}"
                             for j, lane in enumerate(ref.lanes)]
-        code = "\n".join(lines + commits)
         entry = [f"{var} = arrays[{name!r}].reshape(-1)"
                  for name, var in sorted(arr_var.items())
-                 if re.search(rf"\b{var}\b", code)]
+                 if name in stored_to]
         entry += [f"{var} = _deal(arrays[{name!r}], {block}, {pitch})"
                   for name, var in sorted(deal_var.items())]
         nslots = next(slots)

@@ -51,7 +51,8 @@ class Affine:
 
     @classmethod
     def var(cls, name: str, coeff: int = 1, const: int = 0) -> "Affine":
-        return cls.of(const, **{name: coeff})
+        coeff = int(coeff)
+        return cls(int(const), ((name, coeff),) if coeff else ())
 
     def shift(self, delta: int) -> "Affine":
         return Affine(self.const + int(delta), self.terms)
@@ -150,13 +151,15 @@ def classify(op: Op) -> InstrClass:
 # instructions
 # ---------------------------------------------------------------------------
 
-#: register sources each opcode reads (checked on every :class:`Instr`)
-_N_SRCS: Dict[Op, int] = {
+#: register sources each opcode reads (checked on every :class:`Instr`),
+#: keyed by opcode name: a str key hashes in C, where an ``Op`` key runs
+#: ``Enum.__hash__`` in Python on every instruction built
+_N_SRCS: Dict[str, int] = {op._name_: n for op, n in {
     Op.LOAD: 0, Op.STORE: 1, Op.BROADCAST: 0, Op.SETZERO: 0,
     Op.SHUFPD: 2, Op.PERMILPD: 1, Op.PERM2F128: 2, Op.PERMPD: 1,
     Op.SHUFPS: 2, Op.PERMILPS: 1, Op.UNPCKLPS: 2, Op.UNPCKHPS: 2,
     Op.ADD: 2, Op.SUB: 2, Op.MUL: 2, Op.FMA: 3, Op.MOV: 1,
-}
+}.items()}
 
 
 @dataclass(frozen=True)
@@ -180,19 +183,21 @@ class Instr:
     comment: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        n_src = _N_SRCS[self.op]
+        op = self.op
+        n_src = _N_SRCS[op._name_]
         if len(self.srcs) != n_src:
-            raise IsaError(f"{self.op.value} expects {n_src} sources, got {self.srcs}")
-        needs_dst = self.op is not Op.STORE
-        if needs_dst and not self.dst:
-            raise IsaError(f"{self.op.value} needs a destination register")
-        if self.op is Op.STORE and self.dst:
-            raise IsaError("STORE has no destination register")
-        if self.op in (Op.LOAD, Op.STORE) and self.mem is None:
-            raise IsaError(f"{self.op.value} needs a memory operand")
-        if self.op not in (Op.LOAD, Op.STORE) and self.mem is not None:
-            raise IsaError(f"{self.op.value} takes no memory operand")
-        if self.op is Op.BROADCAST and not isinstance(self.imm, (int, float)):
+            raise IsaError(f"{op.value} expects {n_src} sources, got {self.srcs}")
+        if op is Op.STORE:
+            if self.dst:
+                raise IsaError("STORE has no destination register")
+        elif not self.dst:
+            raise IsaError(f"{op.value} needs a destination register")
+        if op is Op.LOAD or op is Op.STORE:
+            if self.mem is None:
+                raise IsaError(f"{op.value} needs a memory operand")
+        elif self.mem is not None:
+            raise IsaError(f"{op.value} takes no memory operand")
+        if op is Op.BROADCAST and not isinstance(self.imm, (int, float)):
             raise IsaError("BROADCAST imm must be a scalar constant")
 
     @property

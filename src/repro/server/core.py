@@ -62,7 +62,10 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, \
+    Union
+
+import numpy as np
 
 from .. import obs
 from ..config import GENERIC_AVX2, MachineConfig
@@ -94,7 +97,8 @@ class StencilJob:
     deterministically from ``seed`` (``Grid.random(shape, spec.radius,
     seed=seed)``) — the seeded form is what the wire protocol and the
     load generator use, and it makes responses reproducible for bitwise
-    verification.
+    verification.  An explicit grid must be floating point, with a halo
+    of at least the spec's radius.
     """
 
     spec: StencilSpec
@@ -126,6 +130,10 @@ class StencilJob:
         if self.grid is not None and self.grid.shape != self.shape:
             raise ReproError(f"grid shape {self.grid.shape} is not the "
                              f"job's shape {self.shape}")
+        if self.grid is not None and not np.issubdtype(
+                self.grid.data.dtype, np.floating):
+            raise ReproError(
+                f"grid dtype {self.grid.data.dtype} is not floating point")
         if self.grid is not None and any(
                 h < r for h, r in zip(self.grid.halo, self.spec.radius)):
             raise ReproError(
@@ -427,10 +435,12 @@ class StencilServer:
             fut.add_done_callback(
                 lambda f, c=chunk: self._finish(c, f))
 
-    def _execute_batch(self, chunk: Sequence[_Pending]) -> List[Grid]:
+    def _execute_batch(self, chunk: Sequence[_Pending]
+                       ) -> List[Union[Grid, Exception]]:
         """One flushed chunk, on an executor thread: compile once through
         the shared cache, then run every job (the service's retry /
-        degrade ladders guard both calls).
+        degrade ladders guard both calls).  Returns each job's grid, or
+        the exception that job alone raised.
 
         With online tuning on, the batch runs on the stored winner for
         its workload (a pure lookup, zero trials).  Every placement is
@@ -468,15 +478,16 @@ class StencilServer:
         self._loop.call_soon_threadsafe(self._resolve, chunk, grids, exc)
 
     def _resolve(self, chunk: Sequence[_Pending],
-                 grids: Optional[List[Grid]],
+                 grids: Optional[List[Union[Grid, Exception]]],
                  exc: Optional[BaseException]) -> None:
         now = time.monotonic()
         for i, p in enumerate(chunk):
             self._inflight -= 1
-            if exc is not None:
+            failure = exc if exc is not None else grids[i]
+            if isinstance(failure, BaseException):
                 obs.counter("server.batch.failures").inc()
                 if not p.future.done():
-                    p.future.set_exception(exc)
+                    p.future.set_exception(failure)
                 continue
             latency = now - p.t0
             met = p.deadline is None or now <= p.deadline

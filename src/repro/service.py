@@ -14,7 +14,7 @@ once), and an execution configuration for the partitioned numpy path:
   :func:`repro.parallel.executor.run_parallel`, each job split into
   outer-axis parts across the service's workers on the configured
   backend (thread pool by default, the opt-in process pool for GIL-heavy
-  sweeps).
+  sweeps); a job that fails returns its exception in its grid's place.
 
 Usage::
 
@@ -409,14 +409,26 @@ class KernelService:
                 (time.perf_counter() - t0) * 1e3)
         return result
 
-    def run_many(self, jobs: Sequence[Union[SweepJob, Tuple]]) -> List[Grid]:
+    def run_many(self, jobs: Sequence[Union[SweepJob, Tuple]]
+                 ) -> List[Union[Grid, Exception]]:
         """Execute a batch of sweep jobs.  Jobs run one after another,
         each internally partitioned across the service's workers (a job already
-        saturates them; overlapping jobs would just thrash the pool)."""
+        saturates them; overlapping jobs would just thrash the pool).
+
+        Every job runs once.  A job whose guarded :meth:`run` still
+        raises gets its exception in its grid's place (as with
+        ``asyncio.gather(..., return_exceptions=True)``), so one bad job
+        fails alone."""
         jobs = [j if isinstance(j, SweepJob) else SweepJob(*j) for j in jobs]
         with obs.span("service.run_many", jobs=len(jobs)):
             obs.histogram("service.run_batch_size").observe(len(jobs))
-            return [self.run(j) for j in jobs]
+            return [self._run_or_exception(j) for j in jobs]
+
+    def _run_or_exception(self, job: SweepJob) -> Union[Grid, Exception]:
+        try:
+            return self.run(job)
+        except Exception as exc:
+            return exc
 
     # -- introspection -----------------------------------------------------------
     def stats(self) -> Dict[str, int]:

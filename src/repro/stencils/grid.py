@@ -66,10 +66,12 @@ class Grid:
         high: float = 1.0,
         dtype=np.float64,
     ) -> "Grid":
-        """A grid with reproducible uniform-random interior values."""
+        """A grid with reproducible uniform-random interior values: those
+        of ``default_rng(seed).uniform(low, high, size=shape)`` cast to
+        ``dtype`` (the assignment casts, so no second full-grid copy)."""
         g = cls(shape, halo, dtype=dtype)
         rng = np.random.default_rng(seed)
-        g.interior[...] = rng.uniform(low, high, size=g.shape).astype(dtype)
+        g.interior[...] = rng.uniform(low, high, size=g.shape)
         return g
 
     # -- views ---------------------------------------------------------------
@@ -109,8 +111,10 @@ class Grid:
         return Grid(self.shape, self.halo, dtype=self.data.dtype)
 
     def copy(self) -> "Grid":
-        g = self.like()
-        g.data[...] = self.data
+        """A grid with the same geometry and a copy of ``data``, halo
+        included."""
+        g = object.__new__(Grid)
+        g.shape, g.halo, g.data = self.shape, self.halo, self.data.copy()
         return g
 
     def npoints(self) -> int:

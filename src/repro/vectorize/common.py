@@ -86,11 +86,10 @@ def point_addr(ndim: int, offset: Sequence[int], *, array: str,
     neighbours, so they are added to the loop variables directly (loop
     vars already include the halo)."""
     vars_ = axis_vars(ndim)
-    index = []
-    for axis, var in enumerate(vars_):
-        delta = int(offset[axis]) + (x_extra if axis == ndim - 1 else 0)
-        index.append(Affine.var(var, 1, delta))
-    return MemRef(array, tuple(index))
+    deltas = [int(offset[axis]) for axis in range(ndim)]
+    deltas[-1] += x_extra
+    return MemRef(array, tuple(Affine(int(d), ((var, 1),))
+                               for var, d in zip(vars_, deltas)))
 
 
 def out_addr(ndim: int, *, array: str = "out", x_extra: int = 0) -> MemRef:

@@ -19,7 +19,7 @@ elements, advancing :attr:`steps_per_iter` time steps (>1 under ITM).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import VectorizeError
@@ -54,6 +54,9 @@ class Loop:
 #: process is stale; the memo records the salt it was computed under
 _HASH_SALT = hash("repro.vectorize.program")
 
+#: the instruction streams, hashed apart from the other fields
+_CODE_FIELDS = ("prologue", "body")
+
 
 @dataclass(frozen=True)
 class VectorProgram:
@@ -87,16 +90,35 @@ class VectorProgram:
             raise VectorizeError("steps_per_iter must be >= 1")
 
     def __hash__(self) -> int:
-        """The dataclass field hash, computed once per instance: lookup
-        tables keyed by program (``get_codegen``) would otherwise rehash
-        every instruction on each call.  Equality is unchanged."""
+        """The hash of the compared fields, computed once per instance:
+        lookup tables keyed by program (``get_codegen``) would otherwise
+        rehash every instruction on each call.  The instruction streams
+        enter through :meth:`_code_hash`, which :meth:`with_loops` hands
+        on.  Equality is unchanged."""
         memo = self.__dict__.get("_hash_memo")
         if memo is None or memo[0] != _HASH_SALT:
-            memo = (_HASH_SALT, hash(tuple(getattr(self, f.name)
-                                           for f in fields(self)
-                                           if f.compare)))
+            memo = (_HASH_SALT, hash((self._code_hash(),) + tuple(
+                getattr(self, f.name) for f in fields(self)
+                if f.compare and f.name not in _CODE_FIELDS)))
             object.__setattr__(self, "_hash_memo", memo)
         return memo[1]
+
+    def _code_hash(self) -> int:
+        """The hash of ``prologue`` and ``body``, memoized like
+        :meth:`__hash__`."""
+        memo = self.__dict__.get("_code_memo")
+        if memo is None or memo[0] != _HASH_SALT:
+            memo = (_HASH_SALT, hash((self.prologue, self.body)))
+            object.__setattr__(self, "_code_memo", memo)
+        return memo[1]
+
+    def with_loops(self, loops: Tuple[Loop, ...]) -> "VectorProgram":
+        """This program over ``loops``.  It shares the instruction
+        streams, and their hash, so hashing it walks no instruction."""
+        bound = replace(self, loops=loops)
+        object.__setattr__(bound, "_code_memo", (_HASH_SALT,
+                                                 self._code_hash()))
+        return bound
 
     # -- geometry -------------------------------------------------------------
     @property

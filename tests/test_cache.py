@@ -261,6 +261,28 @@ class TestShapeFreePrograms:
         assert bound.loops == walk
         check_program_grid(bound, grid)
 
+    def test_bound_program_reuses_the_template_hash(self, monkeypatch):
+        """A bound program hashes and compares equal to a fresh lowering
+        for its grid, and hashing it hashes no instruction: the
+        template's instruction-stream hash rides along."""
+        from repro.machine.isa import Instr
+        cache = KernelCache()
+        plan = cache.plan(SPEC, GENERIC_AVX2)
+        grid = Grid((24, 40), plan.halo)
+        hash(cache.template(plan).program)
+        calls = []
+        real = Instr.__hash__
+        monkeypatch.setattr(Instr, "__hash__",
+                            lambda self: calls.append(self) or real(self))
+        bound = cache.program(plan, grid)
+        hash(bound)
+        assert calls == []
+        monkeypatch.setattr(Instr, "__hash__", real)
+        direct = generate_jigsaw(SPEC, GENERIC_AVX2, grid,
+                                 time_fusion=plan.time_fusion,
+                                 terms=plan.terms, scheme=plan.scheme)
+        assert bound == direct and hash(bound) == hash(direct)
+
     def test_shape_churn_lowers_once(self, monkeypatch):
         calls = _count_lowerings(monkeypatch)
         cache = KernelCache(max_entries=4)

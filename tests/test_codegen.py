@@ -29,8 +29,9 @@ Eight layers of guarantees:
   constant are refused in both, and the per-program specialization
   tables stay LRU-bounded.
 * **strip-mining** — sweeps above :data:`repro.machine.codegen.
-  SLAB_POINTS` run slab by slab along the outermost loop, bitwise equal
-  to the interpreter, through slab programs that share their parent's
+  SLAB_POINTS` run slab by slab along the outermost loop (split evenly
+  when a divisor of its extent is in reach), bitwise equal to the
+  interpreter, through slab programs that share their parent's
   analysis.
 * **flat layout** — dealt row pitches off any block multiple, 1-D grids
   and duplicate carry lanes bound once, each bitwise against the
@@ -810,6 +811,79 @@ class TestErrorPathParity:
         assert ei.value.reason == "compile"
 
 
+class TestLoadResolution:
+    """Loads are bounds-checked and placed from their affine form at the
+    loop corners; only stores, and loads the corners cannot clear,
+    build the index lattice."""
+
+    def test_in_bounds_loads_build_no_lattice(self, monkeypatch):
+        prog, grid = _jigsaw_case("box-2d9p")
+        cg = CodegenProgram(prog)
+        seen = []
+        lattice = CodegenProgram._lattice
+        monkeypatch.setattr(
+            CodegenProgram, "_lattice",
+            lambda self, ref, arr: seen.append(ref) or lattice(self, ref, arr))
+        cg.specialize({prog.input_array: grid.data,
+                       prog.output_array: grid.like().data})
+        assert seen and all(ref.is_store for ref in seen)
+
+    def test_out_of_bounds_load_names_its_env(self):
+        b = ProgramBuilder(4)
+        v = b.load(b.mem(Affine.var("y", const=1), Affine.var("x")))
+        b.store(v, b.mem(Affine.var("y"), Affine.var("x"), array="out"))
+        prog = b.build(name="ob", scheme="t",
+                       loops=[Loop("y", 1, 3, 1), Loop("x", 0, 8, 4)],
+                       vectors_per_iter=1)
+        arrays = {"a": np.zeros((3, 8)), "out": np.zeros((3, 8))}
+        with pytest.raises(MachineError,
+                           match=r"axis 0 index 3 out of bounds \[0, 3\) "
+                                 r"with env \{'y': 2\}"):
+            CodegenProgram(prog).specialize(arrays)
+
+    def test_corners_agree_with_the_lattice(self):
+        """Over random affine load sites (negative, zero and repeated
+        coefficients, empty loops), the corner path gives the lattice's
+        view or raises its exact error."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            y0 = int(rng.integers(0, 4))
+            ny = int(rng.integers(0, 5))
+            ys = int(rng.integers(1, 3))
+            nx = int(rng.integers(1, 4))
+            x0 = int(rng.integers(0, 4))
+            terms0 = tuple((("y", int(c)),) for c in rng.integers(-1, 3, 2))
+            outer = Affine(int(rng.integers(-1, 4)),
+                           sum(terms0, ()) if rng.random() < 0.3
+                           else terms0[0])
+            last = Affine(int(rng.integers(-2, 8)),
+                          (("x", int(rng.choice([1, 2, -1]))),)
+                          + ((("y", int(rng.integers(-1, 2))),)
+                             if rng.random() < 0.5 else ()))
+            b = ProgramBuilder(4)
+            v = b.load(b.mem(outer, last))
+            b.store(v, b.mem(Affine.var("y"), Affine.var("x"), array="out"))
+            prog = b.build(name="rc", scheme="t",
+                           loops=[Loop("y", y0, y0 + ny * ys, ys),
+                                  Loop("x", x0, x0 + 4 * nx, 4)],
+                           vectors_per_iter=1)
+            try:
+                cg = CodegenProgram(prog)
+            except CodegenFallback:
+                continue
+            arr = np.zeros((int(rng.integers(2, 16)),
+                            int(rng.integers(8, 40))))
+            ref = next(r for r in cg.refs if not r.is_store)
+
+            def outcome(fn):
+                try:
+                    return ("view", fn()["view"])
+                except (MachineError, IsaError) as exc:
+                    return (type(exc), str(exc))
+            assert outcome(lambda: cg._resolve_ref(ref, {"a": arr})) == \
+                outcome(lambda: cg._lattice(ref, arr))
+
+
 class TestStoreCommitModes:
     """Codegen commits only disjoint view stores; every ordered or
     scattered commit the interpreter's write order needs is refused
@@ -1172,12 +1246,13 @@ class TestSpecializationBounds:
     def test_many_slab_heights_stay_bounded(self, monkeypatch, observing):
         """Every slab height is one narrowed program; the table keeps at
         most SPEC_ENTRIES of them and the strip-mined sweeps stay
-        bitwise."""
-        rows = 20
+        bitwise.  23 rows is prime, so no bound from 3 rows up splits it
+        evenly and each bound is the slab height."""
+        rows = 23
         prog = _scaled_copy_2d(rows)
         cg = CodegenProgram(prog)
         per_row = cg.trips * prog.block
-        for height in range(1, rows):
+        for height in range(3, rows):
             monkeypatch.setattr(codegen_mod, "SLAB_POINTS", height * per_row)
             assert cg._slab_rows() == height
 
@@ -1209,6 +1284,45 @@ class TestStripMining:
         the goldens pin is the whole sweep."""
         prog, _ = _jigsaw_case("star-2d9p")
         assert get_codegen(prog)._slab_rows() is None
+
+    @pytest.mark.parametrize("rows,bound,height", [
+        (20, 7, 5), (20, 3, 2), (96, 14, 12), (1024, 128, 128),
+        (7, 3, 3), (23, 2, 1), (23, 22, 22)])
+    def test_even_split_takes_the_largest_divisor_in_reach(
+            self, monkeypatch, rows, bound, height):
+        """The slab height is the largest divisor of the outer trip
+        count in [bound/2, bound], else the bound itself."""
+        cg = CodegenProgram(_scaled_copy_2d(rows))
+        per_row = cg.trips * cg.program.block
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", bound * per_row)
+        assert cg._slab_rows() == height
+
+    def test_even_split_is_one_specialization(self, monkeypatch):
+        """20 rows at a bound of 7 run as four slabs of 5 on one
+        specialization, bitwise equal to the interpreter."""
+        prog = _scaled_copy_2d(20)
+        cg = CodegenProgram(prog)
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS",
+                            7 * cg.trips * prog.block)
+        arrays = {"a": np.linspace(0.0, 3.0, 20 * 8).reshape(20, 8),
+                  "out": np.zeros((20, 8))}
+        want = {k: v.copy() for k, v in arrays.items()}
+        SimdMachine(prog.width).run(prog, want)
+        cg.run(arrays)
+        assert np.array_equal(arrays["out"], want["out"])
+        assert list(cg._slab_progs) == [5]
+        assert len(cg._slab_progs[5]._specs) == 1 and cg._specs == {}
+
+    def test_heat_3d_96_cubed_emits_one_specialization(self):
+        """At the real slab bound, 96^3 heat-3d splits into 8 slabs of
+        12 planes: one slab program, one specialization."""
+        prog, grid = self._case("heat-3d", (96, 96, 96))
+        cg = CodegenProgram(prog)
+        assert cg._slab_rows() == 12
+        cg.run({prog.input_array: grid.data,
+                prog.output_array: grid.like().data})
+        assert list(cg._slab_progs) == [12]
+        assert len(cg._slab_progs[12]._specs) == 1 and cg._specs == {}
 
     def test_slabs_with_remainder_match_interp(self, monkeypatch):
         """Seven outer rows in slabs of three: two full slabs share one
@@ -1277,12 +1391,12 @@ class TestStripMining:
     def test_slabs_share_the_parents_analysis(self, monkeypatch):
         """A slab program differs from its parent only in the outer loop
         bound: it shares the value graph, schedule, liveness and carry
-        views, and a 3-D sweep in slabs of two with a remainder of one
+        views, and a 3-D sweep in slabs of three with a remainder of two
         stays bitwise."""
         prog, grid = self._case("heat-3d", (5, 4, 24))
         cg = CodegenProgram(prog)
         per_row = math.prod(cg.outer_dims[1:]) * cg.trips * prog.block
-        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", 2 * per_row)
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", 3 * per_row)
         arrays = {prog.input_array: grid.data,
                   prog.output_array: grid.like().data}
         want = {k: v.copy() for k, v in arrays.items()}
@@ -1290,7 +1404,7 @@ class TestStripMining:
         cg.run(arrays)
         assert np.array_equal(arrays[prog.output_array],
                               want[prog.output_array])
-        assert sorted(cg._slab_progs) == [1, 2]
+        assert sorted(cg._slab_progs) == [2, 3]
         for rows, slab in cg._slab_progs.items():
             assert slab.nodes is cg.nodes and slab.refs is cg.refs
             assert slab._order is cg._order and slab._live is cg._live

@@ -50,6 +50,29 @@ class TestConstruction:
         assert g.interior.min() >= 2.0
         assert g.interior.max() <= 3.0
 
+    @pytest.mark.parametrize("shape,halo", [
+        ((37,), 0), ((37,), 3), ((12, 17), 2), ((12, 17), (0, 4)),
+        ((5, 6, 7), (1, 0, 2)), ((4, 3, 9), 16)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31 - 1])
+    @pytest.mark.parametrize("low,high,dtype", [
+        (0.0, 1.0, np.float64), (0, 1, np.float64), (0.0, 1.0, np.float32),
+        (-1.0, 1.0, np.float64), (2.0, 3.0, np.float32)])
+    def test_random_is_the_uniform_draw(self, shape, halo, seed, low, high,
+                                        dtype):
+        """Bitwise the interior of ``uniform(low, high).astype(dtype)``
+        under a zero halo."""
+        g = Grid.random(shape, halo, seed=seed, low=low, high=high,
+                        dtype=dtype)
+        want = np.random.default_rng(seed).uniform(
+            low, high, size=shape).astype(dtype)
+        assert g.data.dtype == want.dtype
+        assert np.array_equal(g.interior.view(np.uint8),
+                              want.view(np.uint8))
+        halo_only = g.data.copy()
+        halo_only[tuple(slice(h, h + n) for h, n in
+                        zip(g.halo, shape))] = 0
+        assert not halo_only.any()
+
 
 class TestViews:
     def test_interior_is_view(self):
@@ -94,6 +117,16 @@ class TestMisc:
         h = g.copy()
         h.interior[0] = -1.0
         assert g.interior[0] != -1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_copy_equals_its_source_halo_included(self, dtype):
+        g = Grid.random((6, 5), (2, 3), seed=4, dtype=dtype)
+        g.data[0, :] = np.arange(g.data.shape[1])  # halo values too
+        h = g.copy()
+        assert h.shape == g.shape and h.halo == g.halo
+        assert h.data.dtype == g.data.dtype and h.data.flags.c_contiguous
+        assert np.array_equal(h.data, g.data)
+        assert not np.shares_memory(h.data, g.data)
 
     def test_npoints_and_nbytes(self):
         g = Grid((4, 8), 1)

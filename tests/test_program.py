@@ -90,9 +90,8 @@ class TestVectorProgram:
 
         import repro.vectorize.program as program_mod
         p = tiny_program()
-        fields = tuple(getattr(p, f.name)
-                       for f in dataclasses.fields(p) if f.compare)
-        assert hash(p) == hash(fields)
+        fresh = hash(tiny_program())
+        assert hash(p) == fresh
         assert p.__dict__["_hash_memo"][1] == hash(p)
         # equal programs hash equal; notes/tail_spec take no part
         twin = tiny_program()
@@ -107,7 +106,27 @@ class TestVectorProgram:
         assert back == p and hash(back) == hash(p)
         stale = (program_mod._HASH_SALT + 1, hash(p) + 1)
         object.__setattr__(back, "_hash_memo", stale)
-        assert hash(back) == hash(fields)
+        object.__setattr__(back, "_code_memo", stale)
+        assert hash(back) == fresh
+
+    def test_with_loops_carries_the_code_hash(self, monkeypatch):
+        """A program rebound to new loops hashes and compares equal to
+        one built fresh over those loops, without hashing an
+        instruction."""
+        from repro.machine.isa import Instr
+        loops = (Loop("x", 0, 16, 4),)
+        template = tiny_program(loops=[Loop("x", 0, 0, 4)])
+        hash(template)
+        calls = []
+        real = Instr.__hash__
+        monkeypatch.setattr(Instr, "__hash__",
+                            lambda self: calls.append(self) or real(self))
+        bound = template.with_loops(loops)
+        assert hash(bound) != hash(template)
+        assert calls == []
+        monkeypatch.setattr(Instr, "__hash__", real)
+        fresh = tiny_program(loops=loops)
+        assert bound == fresh and hash(bound) == hash(fresh)
 
     def test_listing_contains_loops_and_ops(self):
         text = tiny_program().listing()

@@ -18,7 +18,7 @@ from repro.server import (AdmissionController, LoadConfig, LocalClient,
 from repro.server.core import WORK_CAP
 from repro.server.net import interior_checksum, request_tcp, serve_tcp
 from repro.service import KernelService, SweepJob
-from repro.stencils import library
+from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
 from repro.tune.space import TuneConfig
 
@@ -92,6 +92,15 @@ class TestStencilJob:
                            grid=Grid.random((32, 32), halo, seed=1))
         StencilJob(spec, (32, 32), 1,
                    grid=Grid.random((32, 32), spec.radius, seed=1))
+
+    def test_rejects_non_floating_grid_dtype(self):
+        spec = library.get("heat-2d")
+        for dtype in (np.int64, np.bool_):
+            with pytest.raises(ReproError, match="not floating point"):
+                StencilJob(spec, (32, 32), 2,
+                           grid=Grid((32, 32), 1, dtype=dtype))
+        StencilJob(spec, (32, 32), 2,
+                   grid=Grid((32, 32), 1, dtype=np.float32))
 
     def test_work_cap_bounds_points_times_steps(self):
         spec = library.get("heat-2d")
@@ -201,6 +210,58 @@ class TestServing:
         results = _serve(go, max_queue_depth=64, shed_occupancy=0.01)
         for s, r in enumerate(results):
             assert np.array_equal(r.grid.interior, _expected(seed=s))
+
+    def test_a_failing_job_fails_alone(self, monkeypatch):
+        """One batch member whose sweep raises through the service's real
+        retry / degrade ladder fails only its own future, and every job
+        runs in one ``run_many`` pass: the failing one walks its ladder
+        once, the others run once and equal apply_steps bitwise."""
+        import repro.service as service_mod
+        spec = library.get("heat-2d")
+        bad = Grid.random((32, 32), spec.radius, seed=9)
+        real_sweep = service_mod.run_parallel
+        real_once = KernelService._run_once
+        real_many = KernelService.run_many
+        runs, batches = [], []
+
+        def run_parallel(spec, grid, steps, **kwargs):
+            if grid is bad:
+                raise ReproError("this job's sweep fails")
+            return real_sweep(spec, grid, steps, **kwargs)
+
+        def run_once(self, job, **kwargs):
+            runs.append(job.grid)
+            return real_once(self, job, **kwargs)
+
+        def run_many(self, jobs):
+            batches.append(len(jobs))
+            return real_many(self, jobs)
+
+        monkeypatch.setattr(service_mod, "run_parallel", run_parallel)
+        monkeypatch.setattr(KernelService, "_run_once", run_once)
+        monkeypatch.setattr(KernelService, "run_many", run_many)
+        jobs = [StencilJob(spec, (32, 32), STEPS, seed=s) for s in range(3)]
+        jobs.insert(2, StencilJob(spec, (32, 32), STEPS, grid=bad))
+        ladders = []
+
+        async def go(server):
+            svc = server.service
+            ladders.append(1 + svc.retries
+                           + (2 if svc.run_backend == "process" else 1))
+            return await asyncio.gather(
+                *(server.submit(job) for job in jobs),
+                return_exceptions=True)
+
+        results = _serve(go, batch_window_s=0.05, max_batch=16,
+                         retry_backoff_s=0.0)
+        assert batches == [4]
+        assert isinstance(results[2], ReproError)
+        assert sum(g is bad for g in runs) == ladders[0] == 4
+        assert len(runs) == ladders[0] + 3
+        for job, res in zip(jobs[:2] + jobs[3:], results[:2] + results[3:]):
+            assert res.batch_size == 4
+            want = apply_steps(spec, job.materialize(), STEPS)
+            assert np.array_equal(res.grid.interior, want.interior)
 
     def test_overload_ladder_sheds_batch_size(self):
         server = StencilServer(machine=GENERIC_AVX2, max_queue_depth=10,

@@ -91,6 +91,28 @@ class TestRun:
             ref = apply_steps(spec, job.grid, job.steps)
             assert np.allclose(out.interior, ref.interior, rtol=1e-12)
 
+    def test_run_many_returns_each_jobs_exception_in_place(
+            self, monkeypatch):
+        import repro.service as service_mod
+        spec = library.get("heat-2d")
+        grids = [Grid.random((24, 24), 1, seed=s) for s in range(3)]
+        real = service_mod.run_parallel
+        swept = []
+
+        def run_parallel(spec, grid, steps, **kwargs):
+            swept.append(grid)
+            if grid is grids[1]:
+                raise ReproError("this job fails")
+            return real(spec, grid, steps, **kwargs)
+
+        monkeypatch.setattr(service_mod, "run_parallel", run_parallel)
+        outs = _svc().run_many([SweepJob(spec, g, steps=2) for g in grids])
+        assert swept == grids  # every job ran once
+        assert isinstance(outs[1], ReproError)
+        for g, out in zip(grids[::2], outs[::2]):
+            assert np.array_equal(out.interior,
+                                  apply_steps(spec, g, 2).interior)
+
     def test_process_backend_identical_to_thread(self):
         spec = library.get("heat-2d")
         k = _svc().compile(spec, (48, 48))
