@@ -1,10 +1,11 @@
 """Real-execution micro-benchmarks (wall-clock, not the analytic model).
 
-These time the repository's actual Python code paths: the numpy fast path
-of compiled Jigsaw kernels vs the dense reference sweep, the SIMD-machine
-interpreter, and the threaded parallel executor.  They demonstrate that the
-SDF low-rank structure is a genuine algorithmic saving even at the numpy
-level (separable kernels run fewer array passes than dense taps)."""
+These time the repository's actual Python code paths: compiled Jigsaw
+kernels on the codegen engine (emitted straight-line numpy source) vs the
+dense reference sweep, the SIMD-machine interpreter, and the threaded
+parallel executor.  They demonstrate that the SDF low-rank structure is a
+genuine algorithmic saving even at the numpy level (separable kernels run
+fewer array passes than dense taps)."""
 
 import time
 
@@ -41,14 +42,14 @@ def test_jigsaw_numpy_path_box3d(benchmark):
     """The separable Box-3D27P: SDF turns 27 dense taps into one
     flatten + 3-tap pass — fewer numpy array traversals."""
     k, g = _kernel_and_grid("box-3d27p", (48, 48, 48))
-    out = benchmark(k.run_numpy, g, 2)
+    out = benchmark(k.run, g, 2)
     ref = apply_steps(library.get("box-3d27p"), g, 2)
     assert np.allclose(out.interior, ref.interior, rtol=1e-12)
 
 
 def test_jigsaw_numpy_path_box2d(benchmark):
     k, g = _kernel_and_grid("box-2d9p", (512, 512))
-    out = benchmark(k.run_numpy, g, 2)
+    out = benchmark(k.run, g, 2)
     assert np.isfinite(out.interior).all()
 
 

@@ -12,11 +12,10 @@ contracts:
   kernel, and
 * traced codegen execution (star-r2) within 5% of untraced wall-clock.
 
-It also records, with no gate, a **parity table**: process-CPU
-milliseconds per step of codegen (``CompiledKernel.run``) and of
-``CompiledKernel.run_numpy`` on the five kernels of the ``sweep-large``
-benchmark at a CI-sized grid, and their ratio; and a **cold-path
-table**: per ``sweep-large`` kernel at its full size, from a cold kernel
+It also records, with no gate, a **per-step table**: process-CPU
+milliseconds per step of codegen (``CompiledKernel.run``) on the five
+kernels of the ``sweep-large`` benchmark at a CI-sized grid; and a
+**cold-path table**: per ``sweep-large`` kernel at its full size, from a cold kernel
 cache and codegen memo, the process-CPU milliseconds of each step to
 the first codegen sweep (plan+lower, the seeded grid, codegen analysis,
 emission, the first sweep) and the number of specializations emitted.
@@ -72,9 +71,9 @@ TRACE_OVERHEAD_CEILING = 1.05
 #: of their per-pair traced/untraced ratios
 TRACE_PAIRS = 41
 
-#: the sweep-large kernels of the codegen/numpy parity table, on grids a
-#: CI runner sweeps in well under a second
-PARITY_KERNELS = (
+#: the sweep-large kernels of the codegen per-step table, on grids a CI
+#: runner sweeps in well under a second
+STEP_KERNELS = (
     ("heat-2d", (256, 256)),
     ("box-2d9p", (256, 256)),
     ("star-2d13p", (256, 256)),
@@ -82,8 +81,8 @@ PARITY_KERNELS = (
     ("heat-3d", (48, 48, 48)),
 )
 
-#: timed calls per engine per parity kernel (median reported)
-PARITY_REPEATS = 3
+#: timed calls per per-step kernel (median reported)
+STEP_REPEATS = 3
 
 #: the kernels and grids of the ``sweep-large`` benchmark, whose cold
 #: path the cold-path table splits into steps
@@ -139,22 +138,22 @@ def _speedup_case(spec) -> tuple:
 
 def _cpu_ms_per_step(call, steps: int) -> float:
     """Median process-CPU milliseconds per step over
-    :data:`PARITY_REPEATS` calls, after one untimed warm-up call."""
+    :data:`STEP_REPEATS` calls, after one untimed warm-up call."""
     call()
     times = []
-    for _ in range(PARITY_REPEATS):
+    for _ in range(STEP_REPEATS):
         c0 = time.process_time()
         call()
         times.append(time.process_time() - c0)
     return statistics.median(times) / steps * 1e3
 
 
-def _parity() -> list:
-    """Codegen vs ``run_numpy`` per step on :data:`PARITY_KERNELS`, on
-    the machine and kernels ``sweep-large`` times (record-only)."""
+def _per_step() -> list:
+    """Codegen per step on :data:`STEP_KERNELS`, on the machine and
+    kernels ``sweep-large`` times (record-only)."""
     machine = PAPER_MACHINES[0]
     rows = []
-    for name, shape in PARITY_KERNELS:
+    for name, shape in STEP_KERNELS:
         spec = library.get(name)
         halo = compile_kernel(spec, machine, Grid(shape, 16),
                               cache=False).halo()
@@ -163,12 +162,8 @@ def _parity() -> list:
         steps = 2 * kernel.plan.time_fusion
         codegen_ms = _cpu_ms_per_step(
             lambda: kernel.run(grid, steps, backend="codegen"), steps)
-        numpy_ms = _cpu_ms_per_step(
-            lambda: kernel.run_numpy(grid, steps), steps)
         rows.append({"kernel": name, "shape": list(shape),
-                     "codegen_cpu_ms_per_step": codegen_ms,
-                     "numpy_cpu_ms_per_step": numpy_ms,
-                     "codegen_over_numpy": codegen_ms / numpy_ms})
+                     "codegen_cpu_ms_per_step": codegen_ms})
     return rows
 
 
@@ -261,7 +256,7 @@ def measure() -> dict:
         "grid": list(SHAPE),
         "speedup_floor": SPEEDUP_FLOOR,
         "kernels": [star_case, box_case],
-        "parity": _parity(),
+        "per_step": _per_step(),
         "cold_path": _cold_path(),
     }
     data.update(stages)  # the per-stage span/metric breakdown, if any
@@ -284,12 +279,10 @@ def _report(data: dict) -> None:
             f"(floor {data['speedup_floor']:.0f}x)",
             f"  bitwise       {case['bitwise_identical']}",
         ]
-    for row in data["parity"]:
+    for row in data["per_step"]:
         lines.append(
-            f"parity          {row['kernel']:<13} "
-            f"codegen {row['codegen_cpu_ms_per_step']:7.2f} ms/step  "
-            f"numpy {row['numpy_cpu_ms_per_step']:7.2f} ms/step  "
-            f"ratio {row['codegen_over_numpy']:.2f}")
+            f"per step        {row['kernel']:<13} "
+            f"codegen {row['codegen_cpu_ms_per_step']:7.2f} ms/step")
     for row in data["cold_path"]:
         lines.append(
             f"cold path       {row['kernel']:<13} "

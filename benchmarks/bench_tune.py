@@ -10,9 +10,9 @@ comparison cannot flake on a separate re-run.  Asserts:
 * per workload, the tuned winner is never more than 5% slower than the
   default planner choice (by construction the winner is the trial
   maximum, so this guards the harness itself), and
-* at least one workload shows a measurable win (>= 1.2x) — on this
-  hardware the search should discover that the numpy fast path beats the
-  simulated-machine default by orders of magnitude.
+* at least one workload shows a measurable win (>= 1.2x) — on these
+  small grids the search should discover that an executor configuration
+  beats the cold SIMD-machine default by an order of magnitude.
 
 The second gate covers the *online* tuner: a cold service driven by
 :class:`repro.tune.OnlineTuner` must converge to within 5% of the best

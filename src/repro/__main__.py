@@ -286,15 +286,14 @@ def _cmd_run_inner(args) -> int:
                 "--shards runs the jigsaw compile pipeline; baseline "
                 "schemes cannot be sharded")
         # baseline schemes execute their generated program on the SIMD
-        # machine (the numpy fast path only knows jigsaw plans), so the
-        # default --backend numpy silently means machine/auto here
+        # machine, with no jigsaw plan
         from .schemes import generate, scheme_halo
         from .vectorize.driver import run_program
         grid = Grid.random(args.size,
                            scheme_halo(args.scheme, spec, machine),
                            seed=0, dtype=dtype)
         prog = generate(args.scheme, spec, machine, grid)
-        backend = "auto" if args.backend == "numpy" else args.backend
+        backend = args.backend
         # fused schemes (temporal) advance steps_per_iter steps per sweep;
         # round down the same way the jigsaw pipeline rounds to time_fusion
         steps = args.steps - args.steps % prog.steps_per_iter
@@ -349,48 +348,40 @@ def _cmd_run_inner(args) -> int:
                         f"machine/{tuned_cfg.exec_backend}",
                         f"tuned: {tuned_cfg.label()}")
             return 0
-        backend_flag = ("numpy" if tuned_cfg.engine == "numpy"
-                        else tuned_cfg.exec_backend)
+        backend_flag = tuned_cfg.exec_backend
         plan_kwargs = {"tuned": tuned_cfg}
     elif args.scheme is not None:
         plan_kwargs = dict(_JIGSAW_RUN_OPTIONS[args.scheme])
 
-    exec_backend = "auto" if backend_flag == "numpy" else backend_flag
     template = compile_kernel(spec, machine, Grid(args.size, 16, dtype=dtype),
-                              backend=exec_backend, **plan_kwargs)
+                              backend=backend_flag, **plan_kwargs)
     grid = Grid.random(args.size, template.halo(), seed=0, dtype=dtype)
-    kernel = compile_kernel(spec, machine, grid, backend=exec_backend,
+    kernel = compile_kernel(spec, machine, grid, backend=backend_flag,
                             **plan_kwargs)
     steps = args.steps - args.steps % kernel.plan.time_fusion
     if args.shards is not None:
-        # sharded execution always drives the compiled pipeline in the
-        # workers; --backend numpy (the default) means auto here, the
-        # same mapping the baseline-scheme path uses
-        exec_b = None if backend_flag == "numpy" else backend_flag
+        # sharded execution drives the compiled pipeline in the workers
         s = (args.temporal_block if args.temporal_block is not None
              else kernel.plan.time_fusion)
         t0 = time.perf_counter()
         kernel.run_sharded(grid, steps, shards=args.shards,
                            temporal_block=args.temporal_block,
-                           executor=args.shard_executor, backend=exec_b)
+                           executor=args.shard_executor,
+                           backend=backend_flag)
         dt = time.perf_counter() - t0
         _report_run(spec, args.size, steps, dt,
                     f"shard[{args.shards}]/{args.shard_executor}",
                     f"s={s}, plan: {kernel.plan.describe()}")
         return 0
+    # the SIMD machine: emitted-source codegen by default, the
+    # per-instruction interpreter with --backend interp
     t0 = time.perf_counter()
-    if backend_flag == "numpy":
-        kernel.run_numpy(grid, steps)
-        engine = "numpy path"
-    else:
-        # cycle-exact SIMD machine: emitted-source codegen by default,
-        # per-instruction interpreter with --backend interp
-        kernel.run(grid, steps, backend=backend_flag)
-        engine = f"machine/{backend_flag}"
+    kernel.run(grid, steps, backend=backend_flag)
     dt = time.perf_counter() - t0
     detail = (f"tuned: {tuned_cfg.label()}" if tuned_cfg is not None
               else f"plan: {kernel.plan.describe()}")
-    _report_run(spec, args.size, steps, dt, engine, detail)
+    _report_run(spec, args.size, steps, dt, f"machine/{backend_flag}",
+                detail)
     return 0
 
 
@@ -654,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin the SIMD-machine and scheme engines to one "
                         "execution backend (default: auto; interp times "
                         "the interpreter)")
-    p.add_argument("--engines", default="machine,numpy,parallel,scheme",
+    p.add_argument("--engines", default="machine,parallel,scheme",
                    help="comma-separated engine families to search "
                         "(default: %(default)s)")
     p.add_argument("--schemes", default="temporal,redundancy",
@@ -679,12 +670,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kernel")
     p.add_argument("--size", type=_size, required=True)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--backend", default="numpy",
-                   choices=("numpy",) + EXEC_BACKENDS,
-                   help="execution engine: the numpy fast path (default), "
-                        "or the cycle-exact SIMD machine with emitted-"
-                        "source execution (auto/codegen) or the "
-                        "per-instruction interpreter (interp)")
+    p.add_argument("--backend", default="auto", choices=EXEC_BACKENDS,
+                   help="SIMD-machine execution backend: emitted-source "
+                        "codegen with interpreter fallback (auto, the "
+                        "default; codegen) or the per-instruction "
+                        "interpreter (interp)")
     p.add_argument("--scheme", default=None, choices=SCHEMES,
                    help="run a specific vectorization scheme (jigsaw "
                         "variants use the compile pipeline; baselines run "

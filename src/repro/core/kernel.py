@@ -1,45 +1,29 @@
 """Compiled Jigsaw kernels — the user-facing execution object.
 
 A :class:`CompiledKernel` bundles a :class:`~repro.core.planner.JigsawPlan`
-with a concrete grid geometry and exposes three things:
+with a concrete grid geometry and exposes two things:
 
-* :meth:`run` — cycle-exact execution on the SIMD machine interpreter
-  (small grids; this is what the test suite validates against the
-  reference);
-* :meth:`run_numpy` — a fast numpy path computing the *same algorithm*
-  (ITM-fused spec, per-term flatten-then-1D passes), usable at realistic
-  problem sizes.  The low-rank structure makes this genuinely cheaper than
-  a dense tap-by-tap sweep;
+* :meth:`run` — execution of the lowered program on the SIMD machine:
+  emitted-source codegen (:mod:`repro.machine.codegen`) at realistic
+  problem sizes, bitwise equal to the cycle-exact interpreter it falls
+  back to (:meth:`run_numpy` is an alias of the codegen backend);
 * :meth:`trace` / :meth:`kernel_cost` / :meth:`estimate` — the analytic
   accounting that feeds the paper's tables and figures.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
-from .. import obs
 from ..config import MachineConfig
 from ..errors import VectorizeError
 from ..machine.perfmodel import KernelCost, PerformanceModel, PerfResult
 from ..machine.trace import TraceCounter
-from ..stencils.boundary import fill_halo
 from ..stencils.grid import Grid
 from ..vectorize.driver import measure_trace, run_program
 from ..vectorize.program import VectorProgram
 from .planner import JigsawPlan
-
-#: output points per axis-0 row block of :meth:`CompiledKernel.run_numpy`:
-#: 2^15 points keep a block's flattened temporaries in L2.  The codegen
-#: engine strip-mines by its own bound,
-#: :data:`repro.machine.codegen.SLAB_POINTS`, because its de-interleaved
-#: layout measures best at a larger slab
-NUMPY_SLAB_POINTS = 1 << 15
 
 
 @dataclass
@@ -128,83 +112,12 @@ class CompiledKernel:
 
     def run_numpy(self, grid: Grid, steps: int, *, boundary: str = "periodic",
                   value: float = 0.0) -> Grid:
-        """Fast numpy execution of the same (fused, flattened) algorithm.
-
-        Each fused sweep fills the halo once, then runs block by block
-        over interior rows of axis 0, at most :data:`NUMPY_SLAB_POINTS`
-        output points per block, so a block's temporaries stay
-        cache-resident.  Each flattened sum starts from its first
-        product and each output block from its first ``c * g`` product,
-        written straight into the block (no zero fill), so every output
-        element sees the same IEEE ops in the same order whatever the
-        block size; a 1-D grid (axis 0 is x) is one block."""
-        s = self.plan.time_fusion
-        if steps % s:
-            raise VectorizeError(
-                f"steps={steps} not a multiple of fused depth {s}"
-            )
-        if s > 1 and boundary != "periodic":
-            raise VectorizeError(
-                "temporally merged kernels are exact only with periodic boundaries"
-            )
-        terms = self.plan.terms
-        rx = max(max(abs(d) for d in t.v) for t in terms)
-        cur = grid.copy()
-        nxt = grid.like()
-        nx = grid.shape[-1]
-        n0 = grid.shape[0]
-        rows = (n0 if grid.ndim == 1
-                else max(1, NUMPY_SLAB_POINTS // math.prod(grid.shape[1:])))
-        observing = obs.enabled()
-        with obs.span("execute", kernel=self.plan.spec.name,
-                      backend="numpy", steps=steps) as espan:
-            for _ in range(steps // s):
-                t0 = time.perf_counter() if observing else 0.0
-                fill_halo(cur, boundary, value=value)
-                for k0 in range(0, n0, rows):
-                    k1 = min(n0, k0 + rows)
-                    out = nxt.interior[k0:k1]
-                    seeded = False
-                    for term in terms:
-                        g = self._flatten_numpy(cur, term, rx, k0, k1)
-                        for dx, c in term.v.items():
-                            src = g[..., rx + dx:rx + dx + nx]
-                            if seeded:
-                                np.add(out, c * src, out=out)
-                            else:  # the first product seeds the output
-                                np.multiply(c, src, out=out)
-                                seeded = True
-                cur, nxt = nxt, cur
-                if observing:
-                    obs.counter("exec.sweeps").inc()
-                    obs.histogram("exec.sweep_ms").observe(
-                        (time.perf_counter() - t0) * 1e3)
-            if observing:
-                espan.set(engine="numpy")
-        return cur
-
-    def _flatten_numpy(self, grid: Grid, term, rx: int, k0: int,
-                       k1: int) -> np.ndarray:
-        """Algorithm 2's Flattening on numpy views, for interior rows
-        ``k0:k1`` of axis 0 (ignored on a 1-D grid, whose axis 0 is x):
-        the x axis keeps an ``rx`` margin so the subsequent 1-D pass can
-        shift within it."""
-        hx = grid.halo[-1]
-        nx = grid.shape[-1]
-        spans = [(0, n) for n in grid.shape[:-1]]
-        if spans:
-            spans[0] = (k0, k1)
-        g = None
-        for outer, c in term.u.items():
-            sl = [slice(h + o + a, h + o + b)
-                  for (a, b), h, o in zip(spans, grid.halo, outer)]
-            sl.append(slice(hx - rx, hx - rx + nx + 2 * rx))
-            product = c * grid.data[tuple(sl)]
-            if g is None:  # the first product seeds the float64 sum
-                g = np.asarray(product, dtype=np.float64)
-            else:
-                np.add(g, product, out=g)
-        return g
+        """An alias of :meth:`run` on the codegen backend, kept for
+        callers of this name (``perfbench/sweep.py``).  Codegen runs the
+        same fused, flattened program faster than a separate numpy
+        engine did, and bitwise equal to the interpreter."""
+        return self.run(grid, steps, boundary=boundary, value=value,
+                        backend="codegen")
 
     # -- accounting ----------------------------------------------------------------
     def trace(self, grid: Optional[Grid] = None) -> TraceCounter:

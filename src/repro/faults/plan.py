@@ -112,8 +112,12 @@ class FaultRule:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An ordered collection of rules plus a seed (``repro chaos``
-    records the seed that generated its plan)."""
+    """An ordered collection of rules plus a seed.
+
+    ``seed`` is provenance only: it names the seed a generated plan came
+    from (``repro chaos`` builds ``chaos_plan(seed)``) and round-trips
+    through JSON, but no injection reads it.  Rules fire by hit count,
+    so two plans that differ only in ``seed`` inject identically."""
 
     rules: Tuple[FaultRule, ...] = ()
     seed: int = 0

@@ -10,14 +10,18 @@ stride.  This module exploits that regularity by *emitting source*:
   single numpy op per instruction per lane covers the entire sweep;
 * each input array the body loads is **de-interleaved** once per sweep
   into ``block`` lane-major planes, ``D[r, row*P + b] = a[row, b*block +
-  r]`` (``P`` the padded row pitch in blocks, see below), so every body
-  LOAD lane is a *unit-stride* view of one plane;
-* a body lane plane is one flat run of shape ``(*outer[:-1], Y*P)``:
-  the innermost outer loop's ``Y`` rows of ``P`` positions each, the
-  first ``trips`` of which are the row's x trips.  Numpy runs every op
-  as one long contiguous loop; the pad positions compute from halo,
-  zero pad or slack values and are never stored (stores write
-  ``plane.reshape(..., Y, P)[..., :trips]``);
+  r]`` (``P`` the padded row pitch in blocks, see below), in a
+  per-thread buffer reused across slabs and calls, so every body LOAD
+  lane is a *unit-stride* view of one plane;
+* a body lane plane is one flat run over the innermost outer loop's
+  ``Y`` rows of ``P`` positions each, the first ``trips`` of which are
+  the row's x trips.  When every dealt load steps the other outer loops
+  by the same whole rows, the run spans them too (a 3-D slab's z planes
+  are one run, the halo rows between planes included), else the plane
+  has shape ``(*outer[:-1], Y*P)``.  Numpy runs every op as one long
+  contiguous loop; the pad and between-plane positions compute from
+  halo, zero pad or slack values and are never stored (stores write
+  each row's first ``trips`` positions through a strided view);
 * every shuffle is a *rename*: each destination lane becomes the source
   lane the scalar semantics select (:func:`_probe_shuffle`), and a
   zeroed lane the hoisted zero scalar, so shuffles emit no statement;
@@ -156,6 +160,8 @@ _BINARY = {Op.ADD: ("add", "+"), Op.SUB: ("subtract", "-"),
            Op.MUL: ("multiply", "*")}
 
 #: per thread, the register file the emitted sweeps evaluate into
+#: (``buf``) and the buffers they de-interleave their inputs into
+#: (``deal``, by the emitted deal's index)
 _FILE = threading.local()
 
 
@@ -169,21 +175,44 @@ class CodegenFallback(Exception):
         self.reason = reason
 
 
-def _deal(arr: np.ndarray, block: int, pitch: int) -> np.ndarray:
+def _aligned(nbytes: int) -> np.ndarray:
+    """A fresh byte buffer of ``nbytes`` starting on an :data:`ALIGN`
+    boundary."""
+    raw = np.empty(nbytes + ALIGN - 1, np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:start + nbytes]
+
+
+def _deal(arr: np.ndarray, block: int, pitch: int, k: int) -> np.ndarray:
     """``arr`` de-interleaved into ``block`` lane-major planes, flat:
     plane ``r`` holds ``a[row, b*block + r]`` at ``(row + 1)*pitch + b``.
     A zeroed slack row leads and trails each plane; positions past the
-    row's last element are zero."""
+    row's last element are zero.  The planes live in this thread's
+    ``k``-th deal buffer, kept across calls like :func:`_register_file`
+    and grown to the largest deal it held; only the slack and the pad
+    are zeroed, and a row of exactly ``pitch`` blocks is one transpose."""
     n = arr.shape[-1]
     rows = arr.size // n
+    size = block * (rows + 2) * pitch
+    nbytes = size * arr.itemsize
+    bufs = _FILE.__dict__.setdefault("deal", {})
+    if k not in bufs or bufs[k].size < nbytes:
+        bufs[k] = _aligned(nbytes)
+    flat = bufs[k][:nbytes].view(arr.dtype)
+    planes = flat.reshape(block, rows + 2, pitch)
+    planes[:, 0] = 0
+    planes[:, -1] = 0
+    if pitch * block == n:
+        flat.reshape(block, -1)[:, pitch:-pitch] = arr.reshape(-1, block).T
+        return flat
     full = n // block
-    flat = np.zeros(block * (rows + 2) * pitch, arr.dtype)
-    planes = flat.reshape(block, rows + 2, pitch)[:, 1:-1]
+    inner = planes[:, 1:-1]
+    inner[:, :, full:] = 0
     src = arr.reshape(rows, n)
-    planes[:, :, :full] = src[:, :full * block].reshape(
+    inner[:, :, :full] = src[:, :full * block].reshape(
         rows, full, block).transpose(2, 0, 1)
     if n > full * block:
-        planes[:n - full * block, :, full] = src[:, full * block:].T
+        inner[:n - full * block, :, full] = src[:, full * block:].T
     return flat
 
 
@@ -194,9 +223,7 @@ def _register_file(nbytes: int) -> np.ndarray:
     specialization the thread has run, and lives across calls."""
     buf = getattr(_FILE, "buf", None)
     if buf is None or buf.size < nbytes:
-        raw = np.empty(nbytes + ALIGN - 1, np.uint8)
-        start = -raw.ctypes.data % ALIGN
-        buf = _FILE.buf = raw[start:start + nbytes]
+        buf = _FILE.buf = _aligned(nbytes)
     return buf
 
 
@@ -570,6 +597,10 @@ class CodegenProgram:
                     key(head, 0) == key(final, -1) for head, final in
                     zip(self._heads[name], self._finals[name])):
                 views.add(name)
+        # the recursive closure holds itself and ``self`` in a reference
+        # cycle; emptying its cell lets reference counting free a dropped
+        # program without waiting for a GC pass
+        del key
         return frozenset(views)
 
     def _liveness(self):
@@ -946,6 +977,15 @@ class CodegenProgram:
         pitch = max([1, trips + max(ext.values(), default=0)]
                     + [-(-arrays[n].shape[-1] // block) for n in dealt])
         span = rows * pitch
+        # every dealt load steps the lead dims by the same whole rows: one
+        # flat run then spans them all, the rows between lead planes
+        # computed too (never stored), so no op loops over the lead dims
+        steps = {placed[2] for placed in flat.values()}
+        fold = steps.pop() if lead and len(steps) == 1 else None
+        if fold is not None:
+            span = (rows + sum((n - 1) * k
+                               for n, k in zip(lead, fold))) * pitch
+            lead = ()
         ns = {"np": np, "_DT": self.dtype, "_deal": _deal,
               "_register_file": _register_file}
         vars_ = itertools.count()
@@ -1021,7 +1061,8 @@ class CodegenProgram:
                         deal_var[ref.array],
                         r * plane_size[ref.array] + (1 + row0) * pitch
                         + q - e, lead + (span + e,),
-                        tuple(k * pitch for k in lead_rows) + (1,)))
+                        tuple(k * pitch for k in lead_rows[:len(lead)])
+                        + (1,)))
             elif node.kind == "carry":
                 name = self.carried[node.data]
                 for j, lane in enumerate(lanes):
@@ -1063,6 +1104,10 @@ class CodegenProgram:
                 return text[lane]
             if not self.outer_dims:
                 return at(lane, 0) + (f"[:{trips}]" if pitch > trips else "")
+            if fold is not None:
+                return view(at(lane, 0), 0, self.outer_dims[:-1]
+                            + (rows, trips), tuple(k * pitch for k in fold)
+                            + (pitch, 1))
             return (f"{at(lane, 0)}.reshape({lead + (rows, pitch)})"
                     f"[..., :{trips}]")
 
@@ -1080,8 +1125,8 @@ class CodegenProgram:
         entry = [f"{var} = arrays[{name!r}].reshape(-1)"
                  for name, var in sorted(arr_var.items())
                  if name in stored_to]
-        entry += [f"{var} = _deal(arrays[{name!r}], {block}, {pitch})"
-                  for name, var in sorted(deal_var.items())]
+        entry += [f"{deal_var[name]} = _deal(arrays[{name!r}], {block}, "
+                  f"{pitch}, {k})" for k, name in enumerate(dealt)]
         nslots = next(slots)
         if nslots:
             entry.append(f"_R = _register_file({nslots * slot_bytes})")
@@ -1091,7 +1136,8 @@ class CodegenProgram:
     def _compile(self, key, src: str, ns: dict) -> _Specialized:
         code = compile(src, f"<codegen:{self.program.name}>", "exec")
         exec(code, ns)
-        return _Specialized(key=key, fn=ns["_sweep"], source=src)
+        # popped, so its globals do not hold the function in a cycle
+        return _Specialized(key=key, fn=ns.pop("_sweep"), source=src)
 
     def _check_stores(self, sites) -> None:
         """Raise ``layout`` unless every store site is a forward view and

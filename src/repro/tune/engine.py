@@ -9,7 +9,7 @@ the candidate's cores and temporal block.  Because the analytic models
 predict *hypothetical hardware* throughput while trials measure *Python
 wall-clock*, scores are scaled by per-engine wall-clock priors (codegen
 execution ≈1400× the interpreter per ``benchmarks/bench_machine.py``;
-the numpy path and the partitioned executor within 1.5× of codegen).
+the partitioned executor within 1.5× of codegen).
 The priors only order candidates for pruning — empirical timing always
 has the last word.
 
@@ -55,10 +55,8 @@ from .space import TuneConfig
 #: a 2-vCPU Xeon host, ``python benchmarks/bench_machine.py`` (512²,
 #: jigsaw) times codegen at 1343-1509x the interpreter, and a traced
 #: ``python3 perfbench/run.py --workload sweep-large --seed 0
-#: --seconds 10 --trace 1`` reads numpy at 1.07x codegen (geometric mean
-#: of ``engine.codegen.sweep_ms.*`` over ``engine.numpy.sweep_ms.*``)
-#: and the 2-part thread executor at 1.48x (``tiled_mstencil_s`` over
-#: ``codegen_mstencil_s``).
+#: --seconds 10 --trace 1`` reads the 2-part thread executor at 1.48x
+#: codegen (``tiled_mstencil_s`` over ``codegen_mstencil_s``).
 WALLCLOCK_PRIORS: Dict[str, float] = {
     "machine/interp": 1.0,
     "machine/auto": 1400.0,
@@ -66,7 +64,6 @@ WALLCLOCK_PRIORS: Dict[str, float] = {
     "scheme/interp": 1.0,
     "scheme/auto": 1400.0,
     "scheme/codegen": 1400.0,
-    "numpy": 1500.0,
     "parallel": 2100.0,
 }
 
@@ -317,11 +314,8 @@ def measure(
             grid = Grid.random(shape, halo, seed=seed, dtype=dtype)
 
             def run_once() -> None:
-                if config.engine == "machine":
-                    kernel.run(grid, steps_eff, boundary=boundary,
-                               backend=config.exec_backend)
-                else:
-                    kernel.run_numpy(grid, steps_eff, boundary=boundary)
+                kernel.run(grid, steps_eff, boundary=boundary,
+                           backend=config.exec_backend)
         elif config.engine == "scheme":
             tf = _scheme_fusion_arg(config)
             halo = scheme_halo(config.scheme, spec, machine, time_fusion=tf)

@@ -3,15 +3,12 @@ for one workload.
 
 A workload is ``(StencilSpec, MachineConfig, interior shape)``; a
 configuration (:class:`TuneConfig`) is one complete way to execute sweeps
-of it.  Four execution engines exist today:
+of it.  Three execution engines exist today:
 
 * ``"machine"`` — the cycle-exact SIMD machine
   (:meth:`repro.core.kernel.CompiledKernel.run`), parameterized by the
   plan (``time_fusion``, ``use_sdf``) and the execution backend
   (:data:`repro.vectorize.driver.EXEC_BACKENDS`);
-* ``"numpy"`` — the fused/flattened numpy fast path
-  (:meth:`~repro.core.kernel.CompiledKernel.run_numpy`), parameterized by
-  the plan only;
 * ``"parallel"`` — the outer-axis partitioned executor
   (:func:`repro.parallel.executor.run_parallel`), parameterized by the
   part count, the worker count, the temporal block (sub-steps per halo
@@ -44,7 +41,7 @@ from ..stencils.spec import StencilSpec
 from ..vectorize.driver import EXEC_BACKENDS
 
 #: the execution engines a configuration can select.
-ENGINES: Tuple[str, ...] = ("machine", "numpy", "parallel", "scheme")
+ENGINES: Tuple[str, ...] = ("machine", "parallel", "scheme")
 
 #: ITM depths the space considers (filtered by :func:`fusable` per spec).
 FUSION_LADDER: Tuple[int, ...] = (1, 2, 4)
@@ -131,7 +128,7 @@ class TuneConfig:
     def is_plan_aware(self) -> bool:
         """Whether the engine executes a compiled plan (so ``time_fusion``
         / ``use_sdf`` matter)."""
-        return self.engine in ("machine", "numpy")
+        return self.engine == "machine"
 
     def as_dict(self) -> Dict[str, Any]:
         """Canonical JSON content: engine-relevant fields only."""
@@ -150,14 +147,12 @@ class TuneConfig:
                 "scheme_fusion": self.scheme_fusion,
                 "exec_backend": self.exec_backend,
             }
-        out: Dict[str, Any] = {
+        return {
             "engine": self.engine,
             "time_fusion": self.time_fusion,
             "use_sdf": self.use_sdf,
+            "exec_backend": self.exec_backend,
         }
-        if self.engine == "machine":
-            out["exec_backend"] = self.exec_backend
-        return out
 
     @classmethod
     def from_dict(cls, payload: Any) -> "TuneConfig":
@@ -210,9 +205,7 @@ class TuneConfig:
                      if self.scheme_fusion > 1 else "")
             return f"scheme/{self.scheme}{depth} {self.exec_backend}"
         sdf = "sdf" if self.use_sdf else "no-sdf"
-        if self.engine == "machine":
-            return f"machine/{self.exec_backend} tf={self.time_fusion} {sdf}"
-        return f"numpy tf={self.time_fusion} {sdf}"
+        return f"machine/{self.exec_backend} tf={self.time_fusion} {sdf}"
 
 
 def worker_ladder(limit: Optional[int] = None) -> List[int]:
@@ -308,11 +301,6 @@ def enumerate_space(
                 for backend in exec_backends:
                     add(TuneConfig(engine="machine", time_fusion=depth,
                                    use_sdf=use_sdf, exec_backend=backend))
-    if "numpy" in engines:
-        for depth in depths:
-            for use_sdf in (True, False):
-                add(TuneConfig(engine="numpy", time_fusion=depth,
-                               use_sdf=use_sdf))
     if "parallel" in engines:
         # one part runs no windows, so deeper blocks only pay for copies
         for parts in PARTS_LADDER:

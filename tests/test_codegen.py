@@ -1420,7 +1420,7 @@ class TestStripMining:
 
 def _dealt(src):
     """``(block, pitch)`` a specialization deals array ``a`` with."""
-    m = re.search(r"_deal\(arrays\['a'\], (\d+), (\d+)\)", src)
+    m = re.search(r"_deal\(arrays\['a'\], (\d+), (\d+), 0\)", src)
     assert m, src
     return int(m.group(1)), int(m.group(2))
 
@@ -1467,6 +1467,36 @@ class TestFlatLayout:
         runs = re.findall(r"np\.ndarray\(\((\d+),\), _DT, _d0,", src)
         assert runs and {int(r) for r in runs} <= {pitch, pitch + 1}, src
         _through_driver(prog, grid, 2)
+
+    @pytest.mark.parametrize("rows_b, folded", [(5, True), (7, False)])
+    def test_z_planes_fold_into_one_run_when_loads_step_alike(self, rows_b,
+                                                              folded):
+        """A 3-D body whose two loaded arrays step z by the same number of
+        rows runs one flat run over every z plane (the rows between
+        planes computed, never stored); arrays stepping z by different
+        rows keep one run per plane.  Both equal the interpreter."""
+        b = ProgramBuilder(4)
+        u = b.load(b.mem(Affine.var("z"), Affine.var("y"), Affine.var("x")))
+        v = b.load(b.mem(Affine.var("z"), Affine.var("y", const=1),
+                         Affine.var("x"), array="b"))
+        b.store(b.fma(b.broadcast(0.5), u, v),
+                b.mem(Affine.var("z"), Affine.var("y"), Affine.var("x"),
+                      array="out"))
+        prog = b.build(name="fold", scheme="t",
+                       loops=[Loop("z", 0, 3, 1), Loop("y", 0, 4, 1),
+                              Loop("x", 0, 16, 4)],
+                       vectors_per_iter=1)
+        rng = np.random.default_rng(5)
+        arrays = {"a": rng.random((3, 5, 16)), "b": rng.random((3, rows_b, 16)),
+                  "out": np.zeros((3, 5, 16))}
+        src = emitted_source(prog, arrays)
+        runs = re.findall(r"np\.ndarray\(\(([\d, ]+)\), _DT, _d", src)
+        dims = {len([d for d in r.split(",") if d.strip()]) for r in runs}
+        assert dims == ({1} if folded else {2}), src
+        want = {k: v.copy() for k, v in arrays.items()}
+        SimdMachine(4).run(prog, want)
+        get_codegen(prog).run(arrays)
+        assert np.array_equal(arrays["out"], want["out"])
 
     def test_gather_load_read_through_a_view_carry(self):
         """A reversed x walk seeded by the same walk one trip earlier: the
@@ -1725,3 +1755,56 @@ class TestRegisterFile:
 
         with ThreadPoolExecutor(1) as pool:
             pool.submit(alternate).result(timeout=120)
+
+    @pytest.mark.parametrize("shape, block, pitch", [
+        ((16, 100, 112), 8, 14),   # rows of exactly pitch blocks
+        ((6, 37), 8, 5),           # a partial last block
+        ((6, 37), 8, 9),           # extra pad columns
+        ((45,), 4, 14),            # one row
+    ])
+    def test_deal_reuses_its_buffer_and_rezeroes_the_pad(self, shape, block,
+                                                         pitch):
+        """``_deal`` writes into this thread's reused buffer: after a
+        deal that filled the buffer with data, a deal with pad columns
+        and slack rows still reads zero there, and every deal equals the
+        layout's definition, in either precision."""
+        rng = np.random.default_rng(0)
+        for dtype in (np.float64, np.float32):
+            a = rng.random(shape).astype(dtype) + 1.0
+            n = shape[-1]
+            rows = a.size // n
+            want = np.zeros((block, rows + 2, pitch), dtype)
+            for b in range(-(-n // block)):
+                for r in range(min(block, n - b * block)):
+                    want[r, 1:-1, b] = a.reshape(rows, n)[:, b * block + r]
+            # fill the buffer with nonzero data first
+            codegen_mod._deal(np.full((rows + 2, pitch * block), 7.0, dtype),
+                              block, pitch, 0)
+            got = codegen_mod._deal(a, block, pitch, 0)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want.reshape(-1))
+        assert got.base is codegen_mod._FILE.deal[0].base
+
+    def test_dropped_program_is_freed_without_a_gc_pass(self):
+        """Lowering and emission leave no reference cycle: a lowered and
+        specialized program dropped by its last owner is freed by
+        reference counting alone."""
+        import gc
+        import weakref
+        spec = library.get("heat-3d")
+        halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
+        grid = Grid.random((4, 5, 32), halo, seed=1)
+        prog = generate("jigsaw", spec, GENERIC_AVX2, grid)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cg = CodegenProgram(prog)
+            cg.run({prog.input_array: grid.data,
+                    prog.output_array: grid.like().data})
+            assert cg._specs
+            alive = weakref.ref(cg)
+            del cg
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()

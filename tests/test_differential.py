@@ -12,9 +12,8 @@ case additionally runs on the emitted-source codegen backend
 **bitwise** — both backends execute the same instruction stream, so no
 rounding slack is allowed between them.  A strip-mining axis shrinks the
 codegen slab bound so every sweep runs slab by slab (with remainder
-slabs, deep temporal halos and scalar tails) and must stay bitwise; the
-same bound slabs the numpy fast path, whose row blocks must compose to
-its one-block sweep bitwise.  A separate axis re-runs cases with
+slabs, deep temporal halos and scalar tails) and must stay bitwise, on
+scheme programs and on compiled Jigsaw kernels alike.  A separate axis re-runs cases with
 observability recording enabled (:mod:`repro.obs`) and asserts that
 tracing never perturbs any backend's output bitwise.  Further axes
 cover the hardened runtime layers: sharded execution (random shard
@@ -37,13 +36,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32
 from repro.core import compile_kernel
-from repro.core import kernel as kernel_mod
 from repro.faults import FaultPlan, FaultRule, inject
 from repro.machine import codegen as codegen_mod
 from repro.machine.codegen import get_codegen
@@ -255,8 +253,7 @@ def test_backends_agree_on_tail_strip():
 # -- the strip-mining axis -----------------------------------------------------
 #
 # Sweeps above codegen's slab bound run slab by slab along the outermost
-# loop, and run_numpy sweeps in row blocks under a bound of its own.
-# Shrinking the bound to a few outer rows makes every case here
+# loop.  Shrinking the bound to a few outer rows makes every case here
 # strip-mined.  The outer extent varies too, so slab heights split it
 # evenly in some cases and leave a remainder slab in others.
 
@@ -276,7 +273,14 @@ SLAB_SETTINGS = settings(
 )
 
 
-@SLAB_SETTINGS
+#: each example runs every scheme family through the interpreter, so a
+#: failing example is reported as found: shrinking it ran for over five
+#: minutes before the suite printed anything
+STRIP_SETTINGS = settings(
+    SLAB_SETTINGS, phases=[p for p in Phase if p is not Phase.shrink])
+
+
+@STRIP_SETTINGS
 @given(spec=random_specs.filter(lambda s: s.ndim >= 2),
        rows=st.integers(min_value=1, max_value=4),
        outer=st.integers(min_value=5, max_value=9),
@@ -363,10 +367,11 @@ def test_flat_layout_codegen_matches_interp_bitwise(spec, f32, tail, seed):
        seed=st.integers(min_value=0, max_value=2**16))
 def test_row_slabbed_numpy_matches_unsliced_bitwise(spec, rows, fused,
                                                     dirichlet, sweeps, seed):
-    """``CompiledKernel.run_numpy`` slabs axis 0 under its own bound:
-    on 1-D/2-D/3-D specs, fused or not, periodic or dirichlet, a sweep
-    in blocks of ``rows`` rows must equal the one-block sweep bitwise
-    (a 1-D grid, whose axis 0 is x, stays one block)."""
+    """``CompiledKernel.run_numpy``, an alias of codegen, on Jigsaw
+    kernels compiled from 1-D/2-D/3-D specs, fused or not, periodic or
+    dirichlet: a sweep strip-mined into slabs of ``rows`` outer trips
+    must equal the one-slab sweep bitwise (a 1-D grid stays one
+    slab)."""
     machine = GENERIC_AVX2
     boundary = "dirichlet" if dirichlet and not fused else "periodic"
     fusion = "auto" if fused else 1
@@ -378,16 +383,19 @@ def test_row_slabbed_numpy_matches_unsliced_bitwise(spec, rows, fused,
     kernel = compile_kernel(spec, machine, grid, time_fusion=fusion,
                             cache=False)
     steps = sweeps * kernel.plan.time_fusion
-    saved = kernel_mod.NUMPY_SLAB_POINTS
+    cg = get_codegen(kernel.program)
+    per_row = (int(np.prod(cg.outer_dims[1:])) * cg.trips
+               * kernel.program.block)
+    saved = codegen_mod.SLAB_POINTS
     try:
-        kernel_mod.NUMPY_SLAB_POINTS = int(np.prod(shape))
+        codegen_mod.SLAB_POINTS = int(np.prod(cg.outer_dims[:1])) * per_row
         whole = kernel.run_numpy(grid, steps, boundary=boundary, value=0.5)
-        kernel_mod.NUMPY_SLAB_POINTS = rows * int(np.prod(shape[1:]))
+        codegen_mod.SLAB_POINTS = rows * per_row
         sliced = kernel.run_numpy(grid, steps, boundary=boundary, value=0.5)
     finally:
-        kernel_mod.NUMPY_SLAB_POINTS = saved
-    assert np.array_equal(sliced.interior, whole.interior), (
-        f"{spec.tag}: numpy sweep in {rows}-row blocks diverged bitwise "
+        codegen_mod.SLAB_POINTS = saved
+    assert np.array_equal(sliced.data, whole.data), (
+        f"{spec.tag}: codegen sweep in {rows}-row slabs diverged bitwise "
         f"after {steps} step(s) ({boundary})")
 
 

@@ -107,6 +107,24 @@ class TestRuleMatching:
         action = inj.decide("tile.sweep")
         assert action.kind == "delay"
 
+    def test_plan_seed_is_provenance_only(self):
+        """Two plans that differ only in ``seed`` decide every hit alike:
+        the seed is recorded and round-tripped, never drawn from."""
+        rules = (FaultRule("tile.sweep", kind="delay", after=1, every=2,
+                           times=3),
+                 FaultRule("pool.*", kind="raise", after=2))
+        a, b = _plan(*rules, seed=1), _plan(*rules, seed=99)
+        assert FaultPlan.from_json(b.to_json()).seed == 99
+
+        def decisions(plan):
+            inj = FaultInjector(plan)
+            return [(site, getattr(inj.decide(site), "kind", None))
+                    for _ in range(8)
+                    for site in ("tile.sweep", "pool.task_start")]
+
+        assert decisions(a) == decisions(b)
+        assert any(kind for _, kind in decisions(a))
+
 
 class TestInjectScoping:
     def test_no_active_injector_is_noop(self):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.config import GENERIC_AVX2
+from repro.config import GENERIC_AVX2, GENERIC_AVX2_F32
 from repro.errors import VectorizeError
 from repro.core import compile_kernel
-from repro.core import kernel as kernel_mod
+from repro.machine import codegen as codegen_mod
 from repro.stencils import apply_steps, library
 from repro.stencils.boundary import fill_halo
 from repro.stencils.grid import Grid
@@ -14,24 +14,27 @@ from repro.stencils.grid import Grid
 from _helpers import KERNELS, SIM_KERNELS
 
 
-def make_kernel(kernel, nx=32, fusion="auto", rows=6):
+def make_kernel(kernel, nx=32, fusion="auto", rows=6, machine=GENERIC_AVX2):
     """A kernel and a matching random grid; ``rows`` is the extent of
     axis 0 on 2-D and 3-D grids (the other outer axes get 6)."""
     spec = library.get(kernel)
     shape = ((rows,) + (6,) * (spec.ndim - 2) if spec.ndim > 1 else ()) + (nx,)
-    k0 = compile_kernel(spec, GENERIC_AVX2, Grid(shape, 16),
+    dtype = np.float32 if machine.element_bytes == 4 else np.float64
+    k0 = compile_kernel(spec, machine, Grid(shape, 16, dtype=dtype),
                         time_fusion=fusion)
-    g = k0.grid_like(shape, seed=7)
-    return compile_kernel(spec, GENERIC_AVX2, g, time_fusion=fusion), g
+    g = Grid.random(shape, k0.halo(), seed=7, dtype=dtype)
+    return compile_kernel(spec, machine, g, time_fusion=fusion), g
 
 
 @pytest.mark.parametrize("kernel", SIM_KERNELS)
 def test_sim_and_numpy_paths_agree_with_reference(kernel):
+    """Both SIMD-machine engines, the interpreter and codegen, against
+    the dense reference."""
     k, g = make_kernel(kernel)
     steps = 2 * k.plan.time_fusion
     ref = apply_steps(k.plan.spec, g, steps)
-    sim = k.run(g, steps)
-    fast = k.run_numpy(g, steps)
+    sim = k.run(g, steps, backend="interp")
+    fast = k.run(g, steps)
     assert np.allclose(sim.interior, ref.interior, rtol=1e-12, atol=1e-14)
     assert np.allclose(fast.interior, ref.interior, rtol=1e-12, atol=1e-14)
 
@@ -42,7 +45,7 @@ def test_numpy_path_large_grid():
     g = k0.grid_like((128, 128), seed=3)
     k = compile_kernel(spec, GENERIC_AVX2, g)
     steps = 2 * k.plan.time_fusion
-    fast = k.run_numpy(g, steps)
+    fast = k.run(g, steps)
     ref = apply_steps(spec, g, steps)
     assert np.allclose(fast.interior, ref.interior, rtol=1e-12)
 
@@ -50,20 +53,38 @@ def test_numpy_path_large_grid():
 def test_numpy_rejects_unaligned_steps():
     k, g = make_kernel("heat-1d", fusion=2)
     with pytest.raises(VectorizeError):
-        k.run_numpy(g, 3)
+        k.run(g, 3)
 
 
 def test_numpy_rejects_fused_dirichlet():
     k, g = make_kernel("heat-1d", fusion=2)
     with pytest.raises(VectorizeError):
-        k.run_numpy(g, 2, boundary="dirichlet")
+        k.run(g, 2, boundary="dirichlet")
 
 
 def test_numpy_dirichlet_unfused():
     k, g = make_kernel("heat-2d", fusion=1)
-    got = k.run_numpy(g, 2, boundary="dirichlet", value=0.25)
+    got = k.run(g, 2, boundary="dirichlet", value=0.25)
     ref = apply_steps(k.plan.spec, g, 2, boundary="dirichlet", value=0.25)
     assert np.allclose(got.interior, ref.interior, rtol=1e-12)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("kernel", ["heat-1d", "box-2d9p", "heat-3d"])
+def test_run_numpy_is_the_codegen_run(kernel, boundary):
+    """``run_numpy`` is an alias: bitwise ``run(..., backend="codegen")``."""
+    k, g = make_kernel(kernel, fusion=1, rows=7)
+    got = k.run_numpy(g, 2, boundary=boundary, value=0.25)
+    want = k.run(g, 2, boundary=boundary, value=0.25, backend="codegen")
+    assert np.array_equal(got.data, want.data)
+
+
+def test_x_extent_under_one_block_is_rejected():
+    """A grid whose x extent is under one vector block has no program to
+    run (the retired numpy engine accepted it)."""
+    k, g = make_kernel("heat-2d", nx=3, fusion=1)
+    with pytest.raises(VectorizeError):
+        k.run_numpy(g, 2, boundary="dirichlet")
 
 
 def test_geometry_mismatch_rejected():
@@ -102,9 +123,9 @@ def test_grid_like_has_kernel_halo():
 
 # -- row slabs -----------------------------------------------------------------
 #
-# run_numpy sweeps interior rows of axis 0 in blocks of at most
-# kernel.NUMPY_SLAB_POINTS output points.  The grids here have 7 rows, so a
-# 3-row bound leaves a 1-row remainder block.
+# run_numpy runs codegen, which strip-mines a sweep into row slabs of at
+# most codegen.SLAB_POINTS block-covered output points.  The grids here
+# have 7 rows, so a 3-row bound leaves a 1-row remainder slab.
 
 SLAB_CASES = [
     ("heat-1d", 1, "periodic"), ("heat-1d", 2, "periodic"),
@@ -116,27 +137,24 @@ SLAB_CASES = [
 ]
 
 
-def spy_blocks(monkeypatch, k):
-    """Record the ``(k0, k1)`` row block of every flatten call."""
-    blocks = []
-    flatten = k._flatten_numpy
+def spy_slabs(monkeypatch):
+    """Record the slab count of every codegen sweep."""
+    counts = []
+    slabs = codegen_mod.CodegenProgram.slabs
 
-    def spy(grid, term, rx, k0, k1):
-        blocks.append((k0, k1))
-        return flatten(grid, term, rx, k0, k1)
+    def spy(self, arrays):
+        calls = slabs(self, arrays)
+        counts.append(len(calls))
+        return calls
 
-    monkeypatch.setattr(k, "_flatten_numpy", spy)
-    return blocks
+    monkeypatch.setattr(codegen_mod.CodegenProgram, "slabs", spy)
+    return counts
 
 
-def expected_blocks(k, g, rows, steps):
-    """Blocks per flatten call: every term of every fused sweep visits
-    the row blocks in order; a 1-D grid is always one block."""
-    n0 = g.shape[0]
-    step = n0 if g.ndim == 1 else rows
-    per_sweep = [(k0, min(n0, k0 + step)) for k0 in range(0, n0, step)]
-    return [b for _ in range(steps // k.plan.time_fusion)
-            for b in per_sweep for _ in k.plan.terms]
+def points_per_row(k):
+    """Block-covered output points per outer trip of ``k``'s program."""
+    cg = codegen_mod.get_codegen(k.program)
+    return int(np.prod(cg.outer_dims[1:])) * cg.trips * k.program.block
 
 
 @pytest.mark.parametrize("kernel,fusion,boundary", SLAB_CASES)
@@ -146,68 +164,62 @@ def test_numpy_row_slabs_match_unsliced_bitwise(monkeypatch, kernel, fusion,
     k, g = make_kernel(kernel, fusion=fusion, rows=7)
     assert k.plan.time_fusion == fusion
     steps = 2 * fusion
-    per_row = int(np.prod(g.shape[1:]))
-    monkeypatch.setattr(kernel_mod, "NUMPY_SLAB_POINTS",
-                        int(np.prod(g.shape)))
+    per_row = points_per_row(k)
+    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", 7 * per_row)
     whole = k.run_numpy(g, steps, boundary=boundary, value=0.25)
-    monkeypatch.setattr(kernel_mod, "NUMPY_SLAB_POINTS", slab_rows * per_row)
-    blocks = spy_blocks(monkeypatch, k)
+    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", slab_rows * per_row)
+    counts = spy_slabs(monkeypatch)
     sliced = k.run_numpy(g, steps, boundary=boundary, value=0.25)
-    assert blocks == expected_blocks(k, g, slab_rows, steps)
-    assert np.array_equal(sliced.interior, whole.interior)
+    # a 1-D grid (axis 0 is x) is one slab
+    slabs = 1 if g.ndim == 1 else -(-7 // slab_rows)
+    assert counts == [slabs] * (steps // fusion)
+    assert np.array_equal(sliced.data, whole.data)
 
 
 @pytest.mark.parametrize("kernel", ["heat-1d", "heat-2d", "heat-3d"])
 def test_numpy_grid_within_bound_is_one_slab(monkeypatch, kernel):
     k, g = make_kernel(kernel, rows=7)
     steps = 2 * k.plan.time_fusion
-    points = int(np.prod(g.shape))
-    blocks = spy_blocks(monkeypatch, k)
-    for bound in (kernel_mod.NUMPY_SLAB_POINTS, points):
-        monkeypatch.setattr(kernel_mod, "NUMPY_SLAB_POINTS", bound)
-        blocks.clear()
+    points = 7 * points_per_row(k)
+    counts = spy_slabs(monkeypatch)
+    for bound in (codegen_mod.SLAB_POINTS, points):
+        monkeypatch.setattr(codegen_mod, "SLAB_POINTS", bound)
+        counts.clear()
         k.run_numpy(g, steps)
-        assert blocks == expected_blocks(k, g, g.shape[0], steps)
-    # one point fewer splits off the last row (the x axis of a 1-D grid
-    # is never split)
-    monkeypatch.setattr(kernel_mod, "NUMPY_SLAB_POINTS", points - 1)
-    blocks.clear()
+        assert counts == [1] * (steps // k.plan.time_fusion)
+    # one point fewer splits 7 rows into 6 and a remainder of 1 (the x
+    # axis of a 1-D grid is never split)
+    monkeypatch.setattr(codegen_mod, "SLAB_POINTS", points - 1)
+    counts.clear()
     k.run_numpy(g, steps)
-    assert blocks == expected_blocks(k, g, g.shape[0] - 1, steps)
+    assert counts == [1 if g.ndim == 1 else 2] * (steps // k.plan.time_fusion)
 
 
-# -- first-product seeding ----------------------------------------------------
+# -- the flattened numpy oracle -----------------------------------------------
 
 def zero_seeded_numpy(k, grid, steps, boundary, value):
-    """``run_numpy`` as it was before seeding: every flattened sum and
-    every output block starts from zeros and adds each product in turn."""
+    """The plan's fused, flattened algorithm in plain numpy (Algorithm 2's
+    Flattening, then 1-D passes): every flattened sum and the output
+    start from zeros and add each product in turn, in float64."""
     s = k.plan.time_fusion
     rx = max(max(abs(d) for d in t.v) for t in k.plan.terms)
     cur, nxt = grid.copy(), grid.like()
-    nx, n0 = grid.shape[-1], grid.shape[0]
-    per_row = int(np.prod(grid.shape[1:]))
-    rows = (n0 if grid.ndim == 1
-            else max(1, kernel_mod.NUMPY_SLAB_POINTS // per_row))
+    nx = grid.shape[-1]
     hx = grid.halo[-1]
     for _ in range(steps // s):
         fill_halo(cur, boundary, value=value)
-        for k0 in range(0, n0, rows):
-            k1 = min(n0, k0 + rows)
-            out = nxt.interior[k0:k1]
-            out.fill(0.0)
-            for term in k.plan.terms:
-                spans = [(0, n) for n in grid.shape[:-1]]
-                if spans:
-                    spans[0] = (k0, k1)
-                g = np.zeros(tuple(b - a for a, b in spans) + (nx + 2 * rx,))
-                for outer, c in term.u.items():
-                    sl = [slice(h + o + a, h + o + b)
-                          for (a, b), h, o in zip(spans, grid.halo, outer)]
-                    sl.append(slice(hx - rx, hx - rx + nx + 2 * rx))
-                    np.add(g, c * cur.data[tuple(sl)], out=g)
-                for dx, c in term.v.items():
-                    lo = rx + dx
-                    np.add(out, c * g[..., lo:lo + nx], out=out)
+        out = nxt.interior
+        out.fill(0.0)
+        for term in k.plan.terms:
+            g = np.zeros(grid.shape[:-1] + (nx + 2 * rx,))
+            for outer, c in term.u.items():
+                sl = [slice(h + o, h + o + n)
+                      for n, h, o in zip(grid.shape, grid.halo, outer)]
+                sl.append(slice(hx - rx, hx - rx + nx + 2 * rx))
+                np.add(g, c * cur.data[tuple(sl)], out=g)
+            for dx, c in term.v.items():
+                lo = rx + dx
+                np.add(out, c * g[..., lo:lo + nx], out=out)
         cur, nxt = nxt, cur
     return cur
 
@@ -217,8 +229,9 @@ def zero_seeded_numpy(k, grid, steps, boundary, value):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_numpy_first_product_seeding_matches_zero_seeded(kernel, fusion,
                                                          boundary):
-    """Seeding each sum with its first product instead of a zero fill
-    changes at most the sign of a zero, so the values are equal."""
+    """Codegen, whose registers start from their first product, agrees
+    with the zero-seeded flattened oracle on every library kernel, fused
+    or not; a fused dirichlet run is refused."""
     k, g = make_kernel(kernel, fusion=fusion, rows=7)
     steps = 2 * k.plan.time_fusion
     if boundary == "dirichlet" and k.plan.time_fusion > 1:
@@ -227,17 +240,21 @@ def test_numpy_first_product_seeding_matches_zero_seeded(kernel, fusion,
         return
     got = k.run_numpy(g, steps, boundary=boundary, value=0.25)
     want = zero_seeded_numpy(k, g, steps, boundary, 0.25)
-    assert np.array_equal(got.interior, want.interior)
+    assert np.allclose(got.interior, want.interior, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("kernel", ["heat-1d", "box-2d9p", "heat-3d"])
 def test_numpy_seeding_keeps_float32_grids_equal(kernel):
-    """A float32 grid: the flattened sums stay float64 (the first float32
-    product is widened, not summed in float32)."""
-    k, g = make_kernel(kernel, rows=7)
-    g32 = Grid.random(g.shape, g.halo, seed=5, dtype=np.float32)
+    """A float32 kernel runs float32 grids in float32, within float32
+    rounding of the float64-summed oracle; a float32 grid on a float64
+    kernel (which the retired numpy engine widened) is refused."""
+    k, g = make_kernel(kernel, rows=7, machine=GENERIC_AVX2_F32)
     steps = 2 * k.plan.time_fusion
-    got = k.run_numpy(g32, steps)
+    got = k.run_numpy(g, steps)
     assert got.data.dtype == np.float32
-    want = zero_seeded_numpy(k, g32, steps, "periodic", 0.0)
-    assert np.array_equal(got.interior, want.interior)
+    want = zero_seeded_numpy(k, g, steps, "periodic", 0.0)
+    assert np.allclose(got.interior, want.interior, rtol=1e-5, atol=1e-6)
+    k64, g64 = make_kernel(kernel, rows=7)
+    g32 = Grid.random(g64.shape, g64.halo, seed=5, dtype=np.float32)
+    with pytest.raises(VectorizeError):
+        k64.run_numpy(g32, steps)

@@ -21,7 +21,7 @@ class TestCompile:
         svc = _svc()
         k = svc.compile(library.get("heat-2d"), (64, 96))
         g = k.grid_like((64, 96), seed=0)
-        out = k.run_numpy(g, k.plan.time_fusion)
+        out = k.run(g, k.plan.time_fusion)
         ref = apply_steps(library.get("heat-2d"), g, k.plan.time_fusion)
         assert np.allclose(out.interior, ref.interior, rtol=1e-12)
 

@@ -64,10 +64,10 @@ class TestTuneConfig:
         with pytest.raises(TuneError):
             TuneConfig(engine="parallel", parts=0)
         with pytest.raises(TuneError):
-            TuneConfig(engine="numpy", temporal_block=2)  # parallel field
+            TuneConfig(engine="machine", temporal_block=2)  # parallel field
 
     def test_as_dict_drops_irrelevant_fields(self):
-        assert "exec_backend" not in TuneConfig(engine="numpy").as_dict()
+        assert "exec_backend" not in TuneConfig(engine="parallel").as_dict()
         assert "parts" not in TuneConfig(engine="machine").as_dict()
         par = TuneConfig(engine="parallel", parts=8).as_dict()
         assert "time_fusion" not in par and "use_sdf" not in par
@@ -75,16 +75,16 @@ class TestTuneConfig:
     def test_round_trips_through_dict(self):
         for cfg in (TuneConfig(engine="machine", time_fusion=2,
                                exec_backend="interp"),
-                    TuneConfig(engine="numpy", use_sdf=False),
+                    TuneConfig(engine="machine", use_sdf=False),
                     TuneConfig(engine="parallel", parts=4, workers=2,
                                temporal_block=2)):
             assert TuneConfig.from_dict(cfg.as_dict()) == cfg
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(TuneError):
-            TuneConfig.from_dict({"engine": "numpy", "gpu": True})
+            TuneConfig.from_dict({"engine": "machine", "gpu": True})
         with pytest.raises(TuneError):
-            TuneConfig.from_dict("numpy")
+            TuneConfig.from_dict("machine")
 
     def test_plan_kwargs_pin_defaults_for_non_plan_engines(self):
         cfg = TuneConfig(engine="parallel", parts=2)
@@ -171,10 +171,12 @@ class TestSearchSpace:
 
     def test_engine_filter_and_validation(self):
         only = enumerate_space(HEAT2D, MACHINE, (64, 64),
-                               engines=("numpy",))
-        assert {c.engine for c in only} == {"numpy"}
-        with pytest.raises(TuneError):
-            enumerate_space(HEAT2D, MACHINE, (64, 64), engines=("gpu",))
+                               engines=("machine",))
+        assert {c.engine for c in only} == {"machine"}
+        for retired in ("gpu", "numpy"):
+            with pytest.raises(TuneError):
+                enumerate_space(HEAT2D, MACHINE, (64, 64),
+                                engines=(retired,))
         with pytest.raises(TuneError):
             enumerate_space(HEAT2D, MACHINE, (64, 64),
                             exec_backends=("cuda",))
@@ -248,7 +250,7 @@ class TestSchemeSpace:
         with pytest.raises(TuneError, match="scheme"):
             TuneConfig(engine="machine", scheme="temporal")
         with pytest.raises(TuneError, match="scheme_fusion"):
-            TuneConfig(engine="numpy", scheme_fusion=2)
+            TuneConfig(engine="machine", scheme_fusion=2)
 
     def test_round_trip_and_label(self):
         cfg = TuneConfig(engine="scheme", scheme="temporal",
@@ -276,7 +278,7 @@ class TestWorkloadKey:
 
 
 def make_record(key, **over):
-    fields = dict(key=key, config=TuneConfig(engine="numpy"),
+    fields = dict(key=key, config=TuneConfig(engine="machine"),
                   mstencil_s=10.0, seconds=0.5, steps=2)
     fields.update(over)
     return TuningRecord(**fields)
@@ -300,7 +302,7 @@ class TestTuningDB:
         assert db.writes == 1
         fresh = TuningDB(str(tmp_path))
         rec = fresh.get("k1")
-        assert rec is not None and rec.config.engine == "numpy"
+        assert rec is not None and rec.config.engine == "machine"
         assert fresh.hits == 1
 
     def _entry_path(self, tmp_path, key):
@@ -498,6 +500,31 @@ class TestTunerEndToEnd:
         # and the re-tuned winner is stored again, valid on disk
         assert TuningDB(str(tmp_path)).get(report.key) is not None
 
+    def test_retired_numpy_engine_record_is_a_miss_and_retunes(self,
+                                                                tmp_path):
+        """A stored winner from before the numpy engine was retired
+        names ``"engine": "numpy"``: reading it raises TuneError inside
+        the database, so it is discarded as a miss and the workload is
+        tuned again, not a crash."""
+        db = TuningDB(str(tmp_path))
+        report = fast_tuner(db=db).tune(HEAT1D, (256,), steps=2)
+        path = os.path.join(str(tmp_path), f"{report.key}.json")
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["config"] = {"engine": "numpy", "time_fusion": 1,
+                             "use_sdf": True}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(TuneError):
+            TuneConfig.from_dict(payload["config"])
+        fresh = fast_tuner(db=TuningDB(str(tmp_path)))
+        assert fresh.tuned_config(HEAT1D, (256,)) is None
+        assert fresh.db.discards == 1 and not os.path.exists(path)
+        redo = fresh.tune(HEAT1D, (256,), steps=2)
+        assert not redo.from_db and len(redo.trials) >= 1
+        assert redo.best.config.engine != "numpy"
+        assert TuningDB(str(tmp_path)).get(report.key) is not None
+
     def test_tuned_config_lookup_without_search(self):
         tuner = fast_tuner()
         assert tuner.tuned_config(HEAT1D, (256,)) is None
@@ -530,7 +557,7 @@ class TestIntegration:
     def test_compile_kernel_applies_tuned_override(self):
         from repro.core import compile_kernel
         from repro.stencils.grid import Grid
-        cfg = TuneConfig(engine="numpy", time_fusion=1, use_sdf=False)
+        cfg = TuneConfig(engine="machine", time_fusion=1, use_sdf=False)
         grid = Grid((256,), 16)
         kernel = compile_kernel(HEAT1D, MACHINE, grid, cache=False,
                                 tuned=cfg)
