@@ -2,11 +2,11 @@
 
 The paper "fine-tuned the size and blocking of each stencil kernel based
 on relevant work to guarantee peak performance" (§4.1).  This example
-reruns that process with the analytic model: for each Table-3 kernel it
-searches spatial tiles and tessellation time depths, prints the best
-configurations, and compares them against the paper's published blocking.
+reruns that process with the analytic model: for each Table-3 kernel,
+``repro.experiments.table3`` searches spatial tiles and tessellation
+time depths, and the best blocking is printed beside the paper's.
 
-Also places the kernel on the machine's roofline, showing *why* the tuner
+Also places the kernel on the machine's roofline, showing *why* the search
 prefers deep time tiles: the kernel sits far left of the ridge point, and
 only temporal reuse moves it right.
 
@@ -15,36 +15,14 @@ Run:  python examples/autotune_blocking.py
 
 from repro.analysis.report import render_table
 from repro.analysis.roofline import roofline_table
-from repro.config import AMD_EPYC_7V13
+from repro.experiments import table3
 from repro.stencils import library
-from repro.stencils.library import table3_config
-from repro.tuning import autotune
 
-machine = AMD_EPYC_7V13
+machine = table3.MACHINE
 
-print(f"autotuning Table-3 kernels on {machine.name} "
-      f"({machine.total_cores} cores)\n")
-
-rows = []
-for kernel in ("heat-1d", "heat-2d", "box-2d9p", "heat-3d"):
-    cfg = table3_config(kernel)
-    spec = cfg.spec
-    result = autotune(spec, machine, problem_size=cfg.problem_size,
-                      steps=min(cfg.time_steps, 200))
-    best = result.best
-    rows.append([
-        kernel,
-        "x".join(map(str, cfg.tile_shape)) + f" / Tb={cfg.time_depth}",
-        "x".join(map(str, best.tile_shape)) + f" / Tb={best.time_depth}",
-        f"{best.gstencil_s:.1f}",
-        best.result.bottleneck,
-        result.evaluated,
-    ])
-print(render_table(
-    ["kernel", "paper blocking", "tuned blocking", "GStencil/s", "bound",
-     "candidates"],
-    rows,
-))
+print(f"Table-3 blockings: the paper's beside the model's best on "
+      f"{machine.name}\n")
+print(table3.run())
 
 # -- roofline: why deep time tiles win --------------------------------------------
 spec = library.get("heat-2d")
@@ -62,5 +40,5 @@ print(render_table(
     table,
 ))
 print("\nevery scheme's DRAM ceiling sits far below the compute peak — "
-      "stencils live left of the ridge point, so the tuner reaches for "
+      "stencils live left of the ridge point, so the search reaches for "
       "temporal reuse (ITM + deep tessellation) before anything else.")

@@ -7,8 +7,8 @@ Subcommands::
     inspect SCHEME KERNEL        print the generated program + mix
     estimate SCHEME KERNEL ...   modelled GStencil/s for a problem
     tune KERNEL --shape ...      model-guided + empirical autotuning
-                                 (persistent winner DB; --model-only for
-                                 the analytic blocking tuner)
+                                 (persistent winner DB; --model-only
+                                 prints the model's ranking alone)
     run KERNEL ...               execute a kernel and time it
                                  (--profile prints the span tree +
                                  metrics snapshot of the whole pipeline;
@@ -135,32 +135,30 @@ def cmd_estimate(args) -> int:
 
 def cmd_tune(args) -> int:
     from .stencils import library
+    from .tune import TuneBudget, Tuner, TuningDB, default_tuning_dir
     machine = get_machine(args.machine)
     spec = library.get(args.kernel)
     shape = args.shape if args.shape is not None else args.size
-    if args.model_only:
-        from .tuning import autotune
-        if shape is None:
-            raise ReproError(
-                "pass the problem extents via --shape (e.g. --shape 128 "
-                "128) or --size 128x128")
-        result = autotune(spec, machine, problem_size=shape,
-                          steps=args.steps, cores=args.cores)
-        print(result.summary())
-        rows = [
-            [c.scheme, "x".join(map(str, c.tile_shape)), c.time_depth,
-             c.gstencil_s, c.result.bottleneck]
-            for c in result.ranking[:args.top]
-        ]
-        print(render_table(["scheme", "tile", "Tb", "GStencil/s", "bound"],
-                           rows))
-        return 0
-
-    from .tune import TuneBudget, Tuner, TuningDB, default_tuning_dir
     if shape is None:
         raise ReproError(
             "pass the interior extents via --shape (e.g. --shape 128 128) "
             "or --size 128x128")
+    exec_backends = ((args.backend,) if args.backend is not None
+                     else ("auto",))
+    engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
+    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+    if args.model_only:
+        legal, ranked = Tuner(machine).rank(
+            spec, shape, steps=args.steps, engines=engines,
+            exec_backends=exec_backends, schemes=schemes)
+        print(f"{spec.name} @ {'x'.join(map(str, shape))} on "
+              f"{machine.name}: {len(ranked)} of {legal} legal "
+              f"configuration(s) ranked by the analytic model, 0 trials")
+        print(render_table(["configuration", "model"],
+                           [[cfg.label(), f"{score:.1f}"]
+                            for cfg, score in ranked[:args.top]]))
+        return 0
+
     db_dir = args.db_dir or default_tuning_dir()
     budget = TuneBudget(
         max_trials=args.budget_trials,
@@ -170,10 +168,6 @@ def cmd_tune(args) -> int:
         trial_timeout_s=args.trial_timeout,
         patience=args.patience,
     )
-    exec_backends = ((args.backend,) if args.backend is not None
-                     else ("auto",))
-    engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     tuner = Tuner(machine, db=TuningDB(db_dir), budget=budget)
     report = tuner.tune(spec, shape, steps=args.steps, engines=engines,
                         exec_backends=exec_backends, schemes=schemes,
@@ -659,10 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=8,
                    help="ranked rows to print (default: %(default)s)")
     p.add_argument("--model-only", action="store_true",
-                   help="legacy analytic blocking tuner (no empirical "
-                        "trials, no database)")
-    p.add_argument("--cores", type=int, default=None,
-                   help="core count for --model-only")
+                   help="print the analytic ranking alone: no trial, no "
+                        "database.  The model does not tell temporal "
+                        "blocks apart (parallel rows tie across s); "
+                        "trials decide s")
     _add_machine_arg(p)
     p.set_defaults(fn=cmd_tune)
 

@@ -5,11 +5,15 @@ analytic layer the repo already trusts: plan-aware engines are costed by
 :class:`~repro.machine.perfmodel.PerformanceModel` on the program the
 kernel cache lowers for the actual workload geometry, and parallel
 configurations by :class:`~repro.parallel.simulator.MulticoreModel` with
-the candidate's cores and temporal block.  Because the analytic models
-predict *hypothetical hardware* throughput while trials measure *Python
-wall-clock*, scores are scaled by per-engine wall-clock priors (codegen
-execution ≈1400× the interpreter per ``benchmarks/bench_machine.py``;
-the partitioned executor within 1.5× of codegen).
+the candidate's cores.  The model sees no tile for an axis-0 part, and
+untiled its per-block far traffic never exceeds the per-sweep near
+traffic, so the temporal block ``s`` would not move a score: the (parts,
+workers) pairs tie across ``s``, and trials, not the model, decide it.
+Because the analytic models predict *hypothetical hardware* throughput
+while trials measure *Python wall-clock*, scores are scaled by
+per-engine wall-clock priors (codegen execution ≈1400× the interpreter
+per ``benchmarks/bench_machine.py``; the partitioned executor within
+1.5× of codegen).
 The priors only order candidates for pruning — empirical timing always
 has the last word.
 
@@ -41,7 +45,7 @@ from ..errors import ReproError, TuneError
 from ..faults import failure_reason
 from ..machine.perfmodel import PerformanceModel
 from ..parallel.executor import MIN_PART_POINTS, run_parallel
-from ..parallel.simulator import MulticoreModel, ParallelSetup
+from ..parallel.simulator import MulticoreModel
 from ..schemes import generate as generate_scheme
 from ..schemes import model_cost, model_program, scheme_halo
 from ..stencils.grid import Grid
@@ -200,7 +204,6 @@ def model_score(
         est = MulticoreModel(machine).estimate(
             model_cost("jigsaw", spec, machine), spec,
             points=points, steps=steps, cores=cores,
-            setup=ParallelSetup(time_depth=config.temporal_block),
         )
         return est.gstencil_s * prior
     except ReproError:

@@ -12,7 +12,8 @@
 A database hit short-circuits the whole pipeline (zero trials); a miss
 runs the two-stage search (:mod:`repro.tune.engine`) and persists the
 winner with full measurement provenance, so the *next* identical workload
-is a hit.
+is a hit.  :meth:`Tuner.rank` is that search's first stage alone — the
+analytic ranking, no trial, no database (``repro tune --model-only``).
 """
 
 from __future__ import annotations
@@ -144,8 +145,24 @@ class Tuner:
                                 schemes=schemes,
                                 boundary=boundary, key=key, tspan=tspan)
 
-    def _search(self, spec, shape, *, steps, budget, engines,
-                exec_backends, schemes, boundary, key, tspan) -> TuneReport:
+    # -- stage 1 alone ---------------------------------------------------------
+    def rank(
+        self,
+        spec: StencilSpec,
+        shape: Sequence[int],
+        *,
+        steps: int = 4,
+        engines: Sequence[str] = ENGINES,
+        exec_backends: Sequence[str] = ("auto",),
+        schemes: Sequence[str] = DEFAULT_SCHEMES,
+    ) -> Tuple[int, List[Tuple[TuneConfig, float]]]:
+        """The legal space's size and its stage-1 ranking, best first.
+
+        No trial runs and the database is neither read nor written; a
+        search ranks through here before it times anything.
+        """
+        if steps < 1:
+            raise TuneError("steps must be >= 1")
         space = enumerate_space(spec, self.machine, shape,
                                 engines=engines,
                                 exec_backends=exec_backends,
@@ -160,6 +177,13 @@ class Tuner:
             raise TuneError(
                 f"the analytic model rejected every configuration for "
                 f"{spec.name} over {shape}")
+        return len(space), ranked
+
+    def _search(self, spec, shape, *, steps, budget, engines,
+                exec_backends, schemes, boundary, key, tspan) -> TuneReport:
+        legal, ranked = self.rank(spec, shape, steps=steps, engines=engines,
+                                  exec_backends=exec_backends,
+                                  schemes=schemes)
         baseline = default_config(spec, self.machine)
         selected = select_top(ranked, budget.max_trials, always=[baseline])
 
@@ -229,7 +253,7 @@ class Tuner:
         return TuneReport(
             spec_name=spec.name, machine_name=self.machine.name,
             shape=shape, steps=steps, key=key, best=best,
-            from_db=False, trials=tuple(trials), candidates=len(space),
+            from_db=False, trials=tuple(trials), candidates=legal,
             stopped=stopped, record=record,
         )
 

@@ -1,8 +1,13 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import os
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.config import AMD_EPYC_7V13
+from repro.stencils import library
+from repro.tune import Tuner
 
 
 def run_cli(capsys, *argv):
@@ -44,13 +49,28 @@ class TestCli:
         )
         assert code == 0
 
-    def test_tune_model_only(self, capsys):
+    def test_tune_model_only(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "tune", "heat-1d", "--size", "65536", "--steps", "10",
-            "--top", "3", "--model-only",
+            "--top", "3", "--model-only", "--db-dir", str(tmp_path),
         )
         assert code == 0
-        assert "Tb" in out
+        assert "0 trials" in out
+        header, *rows = [ln for ln in out.splitlines() if "|" in ln]
+        assert [c.strip() for c in header.split("|")] == ["configuration",
+                                                          "model"]
+        assert len(rows) == 3 and rows[0].startswith("parallel[")
+        # the search's own stage-1 order
+        _, ranked = Tuner(AMD_EPYC_7V13).rank(library.get("heat-1d"),
+                                              (65536,), steps=10)
+        assert [r.split("|")[0].strip() for r in rows] == [
+            c.label() for c, _ in ranked[:3]]
+        assert os.listdir(tmp_path) == []
+
+    def test_tune_has_no_cores_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["tune", "heat-1d", "--size", "64",
+                                       "--model-only", "--cores", "4"])
 
     def test_tune_empirical_then_db_hit(self, tmp_path, capsys):
         argv = ("tune", "heat-1d", "--shape", "2048", "--steps", "2",

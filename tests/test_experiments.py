@@ -6,7 +6,10 @@ import pytest
 from repro.config import AMD_EPYC_7V13, INTEL_XEON_6230R
 from repro.errors import ExperimentError
 from repro.experiments import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments import fig7, fig8, fig9, fig10, fig11, table1, table2
+from repro.experiments import (
+    fig7, fig8, fig9, fig10, fig11, table1, table2, table3,
+)
+from repro.stencils.library import TABLE3
 
 MACHINES = (AMD_EPYC_7V13,)
 
@@ -59,6 +62,65 @@ class TestTable2:
             jig_c = rows[(kernel, "jigsaw")]["measured"][2]
             reorg_c = rows[(kernel, "reorg")]["measured"][2]
             assert jig_c < reorg_c
+
+
+class TestTable3:
+    """The blocking search re-derives Table 3 under the multicore model."""
+
+    @pytest.fixture(scope="class")
+    def rankings(self):
+        return {cfg.kernel: (cfg, table3.search(cfg)) for cfg in TABLE3}
+
+    def test_rows_ranked_best_first(self, rankings):
+        for d in table3.data():
+            _, ranking = rankings[d["kernel"]]
+            gs = [r["gstencil_s"] for r in ranking]
+            assert gs == sorted(gs, reverse=True)
+            assert d["best"] == ranking[0]
+            assert d["candidates"] == len(ranking) > 10
+
+    def test_tiles_cover_axes(self, rankings):
+        for cfg, ranking in rankings.values():
+            n = cfg.problem_size
+            tiles = {r["tile"] for r in ranking}
+            assert n in tiles  # the untiled option
+            assert all(len(t) == len(n) for t in tiles)
+            assert all(a <= b for t in tiles for a, b in zip(t, n))
+
+    def test_best_beats_untiled(self, rankings):
+        for cfg, ranking in rankings.values():
+            untiled = next(r for r in ranking
+                           if r["tile"] == cfg.problem_size
+                           and r["time_depth"] == 1)
+            assert ranking[0]["gstencil_s"] >= untiled["gstencil_s"]
+
+    def test_best_uses_time_tiling(self, rankings):
+        # memory-bound 2-D and 3-D stencils want temporal reuse
+        for cfg, ranking in rankings.values():
+            if len(cfg.problem_size) > 1:
+                assert ranking[0]["time_depth"] > 1, cfg.kernel
+
+    def test_depths_respect_tessellation_bound(self, rankings):
+        for cfg, ranking in rankings.values():
+            r = max(cfg.spec.radius)
+            assert all(2 * r * row["time_depth"] <= min(row["tile"])
+                       for row in ranking)
+
+    def test_depths_for_radius3(self, rankings):
+        # star-1d7p (r=3): each tile's deepest depth is the bound itself,
+        # also where it is no power of two (128 // 6 = 21)
+        _, ranking = rankings["star-1d7p"]
+        deepest = {}
+        for row in ranking:
+            t = row["tile"][0]
+            deepest[t] = max(deepest.get(t, 1), row["time_depth"])
+        assert deepest[128] == 21
+        assert all(d == max(1, t // 6) for t, d in deepest.items())
+
+    def test_run_prints_paper_and_best_blocking(self):
+        text = table3.run()
+        assert "model best" in text and "GS/s" in text
+        assert "jigsaw 128x128" in text and "20x20x10" in text
 
 
 class TestFig7:

@@ -1,8 +1,7 @@
-"""Tests for the autotuning subsystem: the empirical tuner
-(:mod:`repro.tune` — search-space legality, budget validation, database
-robustness, end-to-end search with persistent winners, and the
-planner/compile/service integration) and the analytic model-driven tuner
-(:mod:`repro.tuning`, the last section)."""
+"""Tests for the autotuning subsystem (:mod:`repro.tune`): search-space
+legality, budget validation, database robustness, the analytic ranking
+alone, end-to-end search with persistent winners, and the
+planner/compile/service integration."""
 
 import json
 import os
@@ -26,7 +25,7 @@ from repro.tune import (
     enumerate_space,
     workload_key,
 )
-from repro.tune.engine import select_top, trial_steps
+from repro.tune.engine import rank_candidates, select_top, trial_steps
 from repro.schemes import SCHEMES
 from repro.vectorize.redundancy import has_sharing
 from repro.vectorize.temporal import legal_fusion
@@ -545,6 +544,63 @@ class TestTunerEndToEnd:
             tuner.tune(HEAT2D, (64,), steps=2)  # rank mismatch
 
 
+class TestTunerRank:
+    """Stage 1 alone (``repro tune --model-only``): the search's own
+    ranking, with no trial and no database access."""
+
+    def test_matches_the_search_ranking(self):
+        tuner = fast_tuner()
+        legal, ranked = tuner.rank(HEAT1D, (256,), steps=2)
+        space = enumerate_space(HEAT1D, MACHINE, (256,))
+        assert legal == len(space)
+        assert ranked == rank_candidates(HEAT1D, MACHINE, space, (256,),
+                                         steps=2, cache=KernelCache())
+        scores = [score for _, score in ranked]
+        assert scores == sorted(scores, reverse=True)
+        report = tuner.tune(HEAT1D, (256,), steps=2)
+        assert report.candidates == legal
+        score_of = {c.label(): sc for c, sc in ranked}
+        assert all(t.model_score == score_of[t.config.label()]
+                   for t in report.trials)
+
+    def test_touches_no_database(self, tmp_path):
+        tuner = fast_tuner(db=TuningDB(str(tmp_path)))
+        tuner.rank(HEAT1D, (256,), steps=2)
+        assert os.listdir(str(tmp_path)) == []
+        stats = tuner.db.stats_dict()
+        assert stats["hits"] == stats["misses"] == stats["writes"] == 0
+
+    def test_filters_restrict_the_ranking(self):
+        tuner = fast_tuner()
+        _, ranked = tuner.rank(HEAT1D, (256,), engines=("parallel",))
+        assert {c.engine for c, _ in ranked} == {"parallel"}
+        _, ranked = tuner.rank(HEAT1D, (256,), engines=("machine",),
+                               exec_backends=("interp",))
+        assert {c.exec_backend for c, _ in ranked} == {"interp"}
+        _, ranked = tuner.rank(HEAT2D, (64, 64), engines=("scheme",),
+                               schemes=("temporal",))
+        assert {c.scheme for c, _ in ranked} == {"temporal"}
+
+    def test_temporal_block_does_not_move_a_score(self):
+        # the model sees no tile for an axis-0 part, so s ties; trials
+        # decide it
+        _, ranked = fast_tuner().rank(HEAT2D, (256, 256),
+                                      engines=("parallel",))
+        by_layout = {}
+        for cfg, score in ranked:
+            by_layout.setdefault((cfg.parts, cfg.workers), set()).add(score)
+        assert all(len(scores) == 1 for scores in by_layout.values())
+
+    def test_rejects_bad_requests(self):
+        tuner = fast_tuner()
+        with pytest.raises(TuneError):
+            tuner.rank(HEAT1D, (256,), steps=0)
+        with pytest.raises(TuneError):
+            tuner.rank(HEAT2D, (64,))  # rank mismatch
+        with pytest.raises(TuneError):  # x extent below one 2W block
+            tuner.rank(HEAT1D, (4,), engines=("machine",))
+
+
 class TestIntegration:
     def test_planner_applies_tuned_override(self):
         cfg = TuneConfig(engine="machine", time_fusion=2, use_sdf=False,
@@ -621,96 +677,3 @@ class TestIntegration:
         k, = svc.compile_many([CompileRequest(HEAT1D, (256,))])
         assert k.plan.time_fusion == auto_fusion(HEAT1D, MACHINE)
         assert svc.stats()["tuning_entries"] == 0
-
-
-# ---------------------------------------------------------------------------
-# the model-driven tuner (repro.tuning) — the analytic counterpart of the
-# empirical search above, shared through candidate_tiles/candidate_depths
-# (merged from the former tests/test_tuning.py)
-# ---------------------------------------------------------------------------
-
-from repro.config import AMD_EPYC_7V13  # noqa: E402
-from repro.errors import ModelError  # noqa: E402
-from repro.tuning import (  # noqa: E402
-    TuneResult,
-    autotune,
-    candidate_depths,
-    candidate_tiles,
-)
-
-
-class TestModelCandidates:
-    def test_tiles_cover_axes(self):
-        tiles = candidate_tiles((256, 1024))
-        assert all(len(t) == 2 for t in tiles)
-        assert (256, 1024) in tiles  # the untiled option
-        assert all(t[0] <= 256 and t[1] <= 1024 for t in tiles)
-
-    def test_depths_respect_tessellation_bound(self):
-        spec = library.get("star-2d9p")  # r=2
-        depths = candidate_depths(spec, (64, 64))
-        assert depths[0] == 1
-        assert max(depths) == 64 // 4
-        assert all(2 * 2 * d <= 64 for d in depths)
-
-    def test_depths_for_radius3(self):
-        spec = library.get("star-1d7p")
-        assert max(candidate_depths(spec, (60,))) == 10
-
-
-class TestModelAutotune:
-    @pytest.fixture(scope="class")
-    def tuned(self):
-        return autotune(library.get("box-2d9p"), AMD_EPYC_7V13,
-                        problem_size=(2048, 2048), steps=100)
-
-    def test_returns_ranked_candidates(self, tuned: TuneResult):
-        gs = [c.gstencil_s for c in tuned.ranking]
-        assert gs == sorted(gs, reverse=True)
-        assert tuned.best is tuned.ranking[0]
-        assert tuned.evaluated > 10
-
-    def test_best_beats_untiled(self, tuned: TuneResult):
-        untiled = next(c for c in tuned.ranking
-                       if c.tile_shape == (2048, 2048) and c.time_depth == 1)
-        assert tuned.best.gstencil_s >= untiled.gstencil_s
-
-    def test_best_uses_time_tiling(self, tuned: TuneResult):
-        # memory-bound stencils want temporal reuse
-        assert tuned.best.time_depth > 1
-
-    def test_summary_text(self, tuned: TuneResult):
-        text = tuned.summary()
-        assert "GStencil/s" in text and "Tb=" in text
-
-    def test_infeasible_schemes_skipped(self):
-        # t4-jigsaw cannot lower 2-D kernels; the tuner must survive
-        result = autotune(library.get("heat-2d"), AMD_EPYC_7V13,
-                          problem_size=(512, 512), steps=10,
-                          schemes=("jigsaw", "t4-jigsaw"))
-        assert all(c.scheme == "jigsaw" for c in result.ranking)
-
-    def test_all_schemes_infeasible_raises(self):
-        with pytest.raises(ModelError):
-            autotune(library.get("heat-2d"), AMD_EPYC_7V13,
-                     problem_size=(512, 512), steps=10,
-                     schemes=("t4-jigsaw",))
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            autotune(library.get("heat-2d"), AMD_EPYC_7V13,
-                     problem_size=(512,), steps=10)
-        with pytest.raises(ModelError):
-            autotune(library.get("heat-2d"), AMD_EPYC_7V13,
-                     problem_size=(512, 512), steps=0)
-
-    def test_top_truncates(self):
-        result = autotune(library.get("heat-1d"), AMD_EPYC_7V13,
-                          problem_size=(1 << 16,), steps=10, top=3)
-        assert result.evaluated == 3
-
-    def test_explicit_tiles(self):
-        result = autotune(library.get("heat-1d"), AMD_EPYC_7V13,
-                          problem_size=(1 << 16,), steps=10,
-                          tiles=[(2048,)])
-        assert all(c.tile_shape == (2048,) for c in result.ranking)
