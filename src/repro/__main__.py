@@ -395,11 +395,6 @@ def cmd_serve(args) -> int:
     record = bool(args.metrics_json) or args.selftest is not None
     if record:
         obs.enable(reset=True)
-    online_cfg = None
-    if args.online_tune:
-        from .tune import OnlineTuneConfig
-        online_cfg = OnlineTuneConfig(epsilon=args.tune_epsilon,
-                                      max_trials=args.tune_trials)
     server = StencilServer(
         machine=machine,
         max_queue_depth=args.max_queue_depth,
@@ -408,8 +403,6 @@ def cmd_serve(args) -> int:
         batch_window_s=args.batch_window_ms / 1e3,
         max_batch=args.max_batch,
         executor_workers=args.executor_workers,
-        online_tune=args.online_tune,
-        online_tune_config=online_cfg,
         run_backend=args.run_backend,
         run_workers=args.run_workers,
         cache_dir=args.cache_dir,
@@ -424,10 +417,6 @@ def cmd_serve(args) -> int:
                   f"(queue depth {args.max_queue_depth}, "
                   f"batch <= {args.max_batch} / "
                   f"{args.batch_window_ms:g} ms window)")
-            if args.online_tune:
-                print("online tuning on: exploring in idle slots "
-                      f"(epsilon {args.tune_epsilon:g}, budget "
-                      f"{args.tune_trials or 'unlimited'})")
             if args.selftest is not None:
                 cfg = LoadConfig(requests=args.selftest,
                                  shape=args.size, steps=args.steps,
@@ -439,11 +428,6 @@ def cmd_serve(args) -> int:
                      "steps": cfg.steps, "seed": 0}]))[0]
                 report = await run_load(server, cfg, references=refs)
                 print(report.summary())
-                if server.online_tuner is not None:
-                    ts = server.online_tuner.stats()
-                    print(f"online tuning   {ts['trials']} trial(s), "
-                          f"{ts['promotions']} promotion(s), "
-                          f"{ts['gated']} gated step(s)")
                 print(f"tcp probe       "
                       f"{'ok' if probe.get('ok') else 'FAILED'} "
                       f"(checksum {str(probe.get('checksum'))[:12]}...)")
@@ -496,15 +480,15 @@ def cmd_chaos(args) -> int:
 
 def _server_stats(snapshot: dict) -> dict:
     """The serving-layer slice of a saved observability snapshot: every
-    ``server.*`` and ``tune.online.*`` counter/gauge, plus per-tenant
-    latency summaries pulled from the histograms."""
+    ``server.*`` counter/gauge, plus per-tenant latency summaries pulled
+    from the histograms."""
     metrics = snapshot.get("metrics", snapshot)
     out: dict = {"counters": {}, "gauges": {}, "latency_ms": {}}
     for name, value in (metrics.get("counters") or {}).items():
-        if name.startswith(("server.", "tune.online.")):
+        if name.startswith("server."):
             out["counters"][name] = value
     for name, value in (metrics.get("gauges") or {}).items():
-        if name.startswith(("server.", "tune.online.")):
+        if name.startswith("server."):
             out["gauges"][name] = value
     for name, hist in (metrics.get("histograms") or {}).items():
         if name.startswith("server.latency_ms"):
@@ -771,16 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="keep the server's tuning database in "
                         "<dir>/tuning (default: in memory)")
-    p.add_argument("--online-tune", action="store_true",
-                   help="explore tuning candidates in idle serving slots "
-                        "(epsilon-greedy, occupancy-gated, "
-                        "bitwise-verified promotion into the tuning DB)")
-    p.add_argument("--tune-epsilon", type=float, default=0.25,
-                   help="online-tune exploration probability "
-                        "(default: %(default)s)")
-    p.add_argument("--tune-trials", type=int, default=None, metavar="N",
-                   help="online-tune lifetime trial budget "
-                        "(default: unlimited)")
     p.add_argument("--selftest", type=int, default=None, metavar="N",
                    help="drive N verified requests through the running "
                         "server (plus one TCP probe), print the load "

@@ -78,8 +78,10 @@ TASK_RETRIES = 2
 #: parent finishes the run itself
 POOL_RESTARTS = 2
 #: fewest grid points worth one part of their own: smaller grids run as
-#: one part, which the thread backend sweeps inline without a pool
-MIN_PART_POINTS = 2 ** 15
+#: one part, which the thread backend sweeps inline without a pool.
+#: Measured on a 2-vCPU host (CHANGES.md): one part beats two on
+#: heat-2d up to 320², and two parts beat four at 512² and 64³.
+MIN_PART_POINTS = 2 ** 17
 
 
 def pool_context() -> multiprocessing.context.BaseContext:

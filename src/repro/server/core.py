@@ -37,18 +37,10 @@ inside each batch, and the two server fault sites (``server.enqueue``,
 ``server.batch_flush``) are retried against injected faults so a chaos
 run returns bitwise-identical responses.
 
-**Online autotuning** (``online_tune=True``).  A background
-:class:`~repro.tune.online.OnlineTuner` watches every admitted workload
-and explores the partitioned executor configurations the server
-runs — but only while the server is completely idle (no admitted
-request in flight, no batch open), so a trial can never delay a
-request.  Promoted winners (bitwise-verified against the incumbent)
-land in the service's shared :class:`~repro.tune.db.TuningDB`; each
-batch then runs on the stored winner for its workload, applied whole:
-its parts, worker count and temporal block reach
-``run_parallel`` exactly as the trial ran them.  A stored winner the
-server cannot run as measured (another engine or run backend) is
-ignored.
+**Placement.**  Every batch runs the served default,
+:func:`~repro.parallel.executor.default_parts` on the service's
+``run_workers``; ``repro tune`` and ``compile_many(tune=True)`` are the
+tuning entry points.
 
 Everything is instrumented under the ``server.*`` taxonomy (see
 ``docs/architecture.md``, Serving layer).
@@ -62,8 +54,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, \
-    Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,7 +65,6 @@ from ..faults import FaultInjected, fault_point
 from ..service import CompileRequest, KernelService, SweepJob
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
-from ..tune.online import OnlineTuneConfig, OnlineTuner
 from .admission import AdmissionController, ServerOverloaded
 
 #: how far batch size is shed under overload rung 1 (divisor of
@@ -213,8 +203,6 @@ class StencilServer:
         shed_occupancy: float = 0.5,
         executor_workers: int = 4,
         fault_retries: int = 3,
-        online_tune: bool = False,
-        online_tune_config: Optional[OnlineTuneConfig] = None,
         **service_kwargs,
     ) -> None:
         if service is not None and (machine is not None or service_kwargs):
@@ -233,15 +221,6 @@ class StencilServer:
             raise ReproError("executor_workers must be an integer >= 1")
         if not isinstance(fault_retries, int) or fault_retries < 0:
             raise ReproError("fault_retries must be an integer >= 0")
-        if not isinstance(online_tune, bool):
-            raise ReproError("online_tune must be a bool")
-        if online_tune_config is not None:
-            if not isinstance(online_tune_config, OnlineTuneConfig):
-                raise ReproError(
-                    "online_tune_config must be an OnlineTuneConfig")
-            if not online_tune:
-                raise ReproError(
-                    "online_tune_config requires online_tune=True")
         if service is None:
             service_kwargs.setdefault("failure_policy", "degrade")
             service_kwargs.setdefault("retries", 2)
@@ -258,11 +237,6 @@ class StencilServer:
         self.shed_occupancy = shed_occupancy
         self.executor_workers = executor_workers
         self.fault_retries = fault_retries
-        self.online_tune = online_tune
-        self.online_tune_config = online_tune_config
-        #: the live OnlineTuner between start() and stop() (kept after
-        #: stop for post-run stats); None when online_tune is off
-        self.online_tuner: Optional[OnlineTuner] = None
         #: batch keys in dispatch order (newest 256) — the flush-ordering
         #: contract tests read this
         self.flush_log: Deque[Tuple] = deque(maxlen=256)
@@ -297,28 +271,13 @@ class StencilServer:
         self._drained.set()
         self._closing = False
         self._flusher = self._loop.create_task(self._flush_loop())
-        if self.online_tune:
-            self.online_tuner = self.service.online_tuner(
-                config=self.online_tune_config, idle=self._tuner_idle)
-            self.online_tuner.start()
         return self
-
-    def _tuner_idle(self) -> bool:
-        """The occupancy gate: exploration only while nothing admitted
-        is in flight and no batch is open (read from the tuner thread —
-        both fields are single loop-thread writes, so a stale read only
-        delays or skips one trial, never admits one under load)."""
-        return (not self._closing and self._inflight == 0
-                and not self._batches)
 
     async def stop(self) -> None:
         """Flush everything outstanding, wait for completion, shut down."""
         if self._flusher is None:
             return
         self._closing = True
-        if self.online_tuner is not None:
-            # join off-loop: a trial in flight may hold the thread a while
-            await self._loop.run_in_executor(None, self.online_tuner.stop)
         self._wake.set()
         await self._drained.wait()
         self._flusher.cancel()
@@ -363,10 +322,6 @@ class StencilServer:
                 f"request rejected ({reason}) for tenant {tenant!r}",
                 reason=reason, tenant=tenant)
         obs.counter("server.admission.accepted").inc()
-        if self.online_tuner is not None:
-            self.online_tuner.observe(job.spec, job.shape,
-                                      steps=job.steps,
-                                      boundary=job.boundary)
         self._retry_faults("server.enqueue")
         pending = _Pending(job, tenant,
                            None if deadline_s is None else t0 + deadline_s,
@@ -440,36 +395,17 @@ class StencilServer:
         """One flushed chunk, on an executor thread: compile once through
         the shared cache, then run every job (the service's retry /
         degrade ladders guard both calls).  Returns each job's grid, or
-        the exception that job alone raised.
-
-        With online tuning on, the batch runs on the stored winner for
-        its workload (a pure lookup, zero trials).  Every placement is
-        bitwise-identical, so a promotion mid-stream never changes
-        responses."""
+        the exception that job alone raised."""
         self._retry_faults("server.batch_flush")
         job0 = chunk[0].job
-        where = self._placement(job0)
         with obs.span("server.batch", kernel=job0.spec.name,
                       jobs=len(chunk)):
             self.service.compile_many(
                 [CompileRequest(job0.spec, job0.shape)])
             return self.service.run_many(
                 [SweepJob(p.job.spec, p.job.materialize(), p.job.steps,
-                          boundary=p.job.boundary, value=p.job.value,
-                          **where)
+                          boundary=p.job.boundary, value=p.job.value)
                  for p in chunk])
-
-    def _placement(self, job: StencilJob) -> Dict[str, Any]:
-        """The ``SweepJob`` executor keywords of the servable stored
-        winner for ``job``'s workload (empty: the served default)."""
-        if self.online_tuner is None:
-            return {}
-        winner = self.online_tuner.winner(job.spec, job.shape,
-                                          boundary=job.boundary)
-        if winner is None:
-            return {}
-        obs.counter("tune.online.applied").inc()
-        return winner.run_kwargs()
 
     def _finish(self, chunk: Sequence[_Pending], fut) -> None:
         """Executor-side completion: hop back to the loop thread."""
@@ -534,9 +470,6 @@ class StencilServer:
         }
         for k, v in self.service.stats().items():
             out[f"service_{k}"] = v
-        if self.online_tuner is not None:
-            for k, v in self.online_tuner.stats().items():
-                out[f"online_{k}"] = v
         return out
 
 

@@ -360,13 +360,6 @@ class KernelService:
         :meth:`repro.tune.Tuner.tune` for keywords)."""
         return self.tuner().tune(spec, tuple(shape), **kwargs)
 
-    def online_tuner(self, *, config=None, idle=None):
-        """An :class:`~repro.tune.online.OnlineTuner` exploring this
-        service's workloads: shares the machine, kernel cache and tuning
-        database, so promotions are visible to every consumer."""
-        from .tune.online import OnlineTuner
-        return OnlineTuner(self, config=config, idle=idle)
-
     # -- execution -------------------------------------------------------------
     def run(self, job: SweepJob) -> Grid:
         """Execute one sweep job on the partitioned parallel executor.

@@ -13,19 +13,15 @@ remembers every winner:
 * :mod:`~repro.tune.db` — the content-addressed persistent
   :class:`TuningDB`;
 * :mod:`~repro.tune.tuner` — :class:`Tuner`, the front-end gluing the
-  three together;
-* :mod:`~repro.tune.online` — :class:`OnlineTuner`, the live-traffic
-  variant: epsilon-greedy trials in idle serving slots, bitwise-verified
-  atomic promotion into the shared database.
+  three together.
 
 Entry points: ``python -m repro tune``, ``KernelService.compile_many(...,
-tune=True)``, ``compile_kernel(..., tuned=cfg)``, and
-``repro serve --online-tune``.
+tune=True)`` and ``compile_kernel(..., tuned=cfg)``.  Tuning is offline
+only: the server runs ``default_parts`` on its ``run_workers``.
 """
 
 from .db import TuningDB, TuningRecord, default_tuning_dir, workload_key
 from .engine import Trial, TuneBudget
-from .online import OnlineTrial, OnlineTuneConfig, OnlineTuner
 from .space import (
     ENGINES,
     TuneConfig,
@@ -36,9 +32,6 @@ from .tuner import TuneReport, Tuner
 
 __all__ = [
     "ENGINES",
-    "OnlineTrial",
-    "OnlineTuneConfig",
-    "OnlineTuner",
     "Trial",
     "TuneBudget",
     "TuneConfig",

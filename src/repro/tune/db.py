@@ -14,17 +14,9 @@ configuration, non-finite score) is counted in ``discards``, deleted,
 and the workload is simply re-tuned.
 
 ``db_dir=None`` keeps the database purely in memory (used by services
-without a cache directory, and by tests).
-
-**Concurrent promotion.**  :meth:`TuningDB.promote` is the online
-tuner's write path and must survive many processes landing winners at
-once.  A read-modify-write on the entry file would let two writers race
-(each reads the old winner, each writes, one update is lost), so
-promotions use a per-writer delta-file discipline instead: every
-promotion writes its *own* ``<key>.p-<pid>-<uuid>.json`` file
-atomically, and readers merge the base entry with every delta,
-keeping the highest-throughput record.  No file is ever rewritten in
-place, so no update can be lost.
+without a cache directory, and by tests).  The offline
+:class:`~repro.tune.tuner.Tuner` is the only writer; each
+:meth:`TuningDB.put` replaces its entry file whole.
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -46,11 +37,6 @@ from .space import TuneConfig
 
 #: bump when the on-disk record layout changes; older entries re-tune.
 DB_FORMAT = 1
-
-#: separates a workload key from a promotion delta's writer suffix.
-#: Keys are SHA-256 hex (no dots), so ``name.split(".", 1)[0]`` always
-#: recovers the key from either ``<key>.json`` or ``<key>.p-*.json``.
-PROMOTE_INFIX = ".p-"
 
 
 def default_tuning_dir() -> str:
@@ -193,7 +179,6 @@ class TuningDB:
         self.misses = 0
         self.writes = 0
         self.discards = 0
-        self.promotions = 0
         self._lock = threading.RLock()
         self._memory: Dict[str, TuningRecord] = {}
         if db_dir is not None:
@@ -201,16 +186,15 @@ class TuningDB:
 
     # -- lookup ----------------------------------------------------------------
     def get(self, key: str) -> Optional[TuningRecord]:
-        """The stored record for ``key``, or ``None``.  Merges the base
-        entry with any promotion deltas (best throughput wins);
-        corrupted/stale disk entries are discarded (and deleted) — never
-        trusted, never fatal."""
+        """The stored record for ``key``, or ``None``.  A corrupted or
+        stale disk entry is discarded (and deleted) — never trusted,
+        never fatal."""
         with self._lock:
             rec = self._memory.get(key)
             if rec is not None:
                 self.hits += 1
                 return rec
-        rec = self._read_merged(key)
+        rec = self._read(key)
         if rec is None:
             with self._lock:
                 self.misses += 1
@@ -220,44 +204,25 @@ class TuningDB:
             self._memory[key] = rec
         return rec
 
-    def _read_merged(self, key: str) -> Optional[TuningRecord]:
-        """Best valid on-disk record for ``key`` across the base entry
-        and every promotion delta (invalid files are discarded)."""
-        paths: List[str] = []
-        base = self._entry_path(key)
-        if base is not None and os.path.exists(base):
-            paths.append(base)
-        paths.extend(self._delta_paths(key))
-        best: Optional[TuningRecord] = None
-        for path in paths:
-            payload = read_json(path)
-            try:
-                if payload is None:
-                    raise TuneError("unreadable entry")
-                rec = TuningRecord.from_dict(payload, key=key)
-            except TuneError:
-                with self._lock:
-                    self.discards += 1
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                continue
-            if best is None or rec.mstencil_s > best.mstencil_s:
-                best = rec
-        return best
-
-    def _delta_paths(self, key: str) -> List[str]:
-        """Promotion delta files for ``key``, name order."""
-        if self.db_dir is None:
-            return []
-        prefix = key + PROMOTE_INFIX
+    def _read(self, key: str) -> Optional[TuningRecord]:
+        """The valid on-disk record for ``key``, or ``None`` (an
+        invalid entry file is discarded)."""
+        path = self._entry_path(key)
+        if path is None or not os.path.exists(path):
+            return None
+        payload = read_json(path)
         try:
-            names = os.listdir(self.db_dir)
-        except OSError:
-            return []
-        return [os.path.join(self.db_dir, name) for name in sorted(names)
-                if name.startswith(prefix) and name.endswith(".json")]
+            if payload is None:
+                raise TuneError("unreadable entry")
+            return TuningRecord.from_dict(payload, key=key)
+        except TuneError:
+            with self._lock:
+                self.discards += 1
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+            return None
 
     def lookup(self, spec: StencilSpec, machine: MachineConfig,
                shape: Sequence[int], *,
@@ -280,39 +245,6 @@ class TuningDB:
         with self._lock:
             self.writes += 1
 
-    def promote(self, record: TuningRecord) -> bool:
-        """Land ``record`` iff it beats the current winner for its key;
-        returns whether it landed.
-
-        Lock-free across processes: instead of rewriting the base entry
-        (a read-modify-write that can lose a concurrent writer's
-        update), each promotion appends its own atomic delta file — see
-        the module docstring.  Readers take the best of base + deltas,
-        so two writers promoting concurrently (same key or different
-        keys) both land, and the faster record always wins.
-        """
-        with self._lock:
-            current = self._memory.get(record.key)
-        if current is None:
-            current = self._read_merged(record.key)
-        if current is not None and current.mstencil_s >= record.mstencil_s:
-            return False
-        with self._lock:
-            self._memory[record.key] = record
-            self.promotions += 1
-        if self.db_dir is not None:
-            path = os.path.join(
-                self.db_dir,
-                f"{record.key}{PROMOTE_INFIX}"
-                f"{os.getpid()}-{uuid.uuid4().hex[:8]}.json")
-            try:
-                write_json_atomic(path, record.to_dict())
-            except OSError:
-                return True  # a read-only directory degrades to memory-only
-            with self._lock:
-                self.writes += 1
-        return True
-
     # -- maintenance -----------------------------------------------------------
     def _entry_path(self, key: str) -> Optional[str]:
         if self.db_dir is None:
@@ -320,15 +252,13 @@ class TuningDB:
         return os.path.join(self.db_dir, f"{key}.json")
 
     def entries(self) -> List[str]:
-        """Keys present on disk — promotion deltas fold into their base
-        key (memory-only records included when no directory is
-        configured)."""
+        """Keys present on disk (memory-only records when no directory
+        is configured)."""
         if self.db_dir is None:
             with self._lock:
                 return sorted(self._memory)
-        return sorted({
-            name.split(".", 1)[0] for name in os.listdir(self.db_dir)
-            if name.endswith(".json")})
+        return sorted(name[:-len(".json")] for name in os.listdir(self.db_dir)
+                      if name.endswith(".json") and name.count(".") == 1)
 
     def clear(self) -> int:
         """Drop every record; returns the number of disk entries removed."""
@@ -352,14 +282,12 @@ class TuningDB:
                 "misses": self.misses,
                 "writes": self.writes,
                 "discards": self.discards,
-                "promotions": self.promotions,
                 "entries": len(self.entries()),
             }
 
 
 __all__ = [
     "DB_FORMAT",
-    "PROMOTE_INFIX",
     "TuningDB",
     "TuningRecord",
     "default_tuning_dir",

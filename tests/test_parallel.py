@@ -245,6 +245,11 @@ class TestDefaultTiling:
 
     def test_tile_count_follows_grid_points(self):
         assert default_parts((32, 32), 4) == 1
+        # one part below 2 * MIN_PART_POINTS = 2^18 points
+        assert default_parts((256, 256), 4) == 1
+        assert default_parts((384, 384), 4) == 1
+        assert default_parts((512, 512), 4) == 2
+        assert default_parts((64, 64, 64), 4) == 2
         assert default_parts((1024, 1024), 2) == 2
         assert default_parts((2 * MIN_PART_POINTS,), 8) == 2
         assert default_parts((3,), 4) == 1

@@ -20,7 +20,6 @@ from repro.server.net import interior_checksum, request_tcp, serve_tcp
 from repro.service import KernelService, SweepJob
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
-from repro.tune.space import TuneConfig
 
 SHAPE = (16, 16)
 STEPS = 2
@@ -269,75 +268,6 @@ class TestServing:
         assert server._effective_max_batch() == 8
         server._inflight = 5  # occupancy 0.5: rung 1
         assert server._effective_max_batch() == 2
-
-
-class TestServedWinner:
-    """With online tuning on, a batch runs on the stored winner only
-    when the server can execute it as it was measured — and then whole:
-    its parts, worker count and temporal block reach run_parallel."""
-
-    def _serve_on(self, monkeypatch, config):
-        import repro.service as service_mod
-        from repro.tune import OnlineTuneConfig, TuningRecord, workload_key
-        svc = KernelService(GENERIC_AVX2, failure_policy="degrade",
-                            retries=2)
-        job = _job(seed=4)
-        # an unbeatable stored rate: no online trial can displace it
-        svc.tuning_db.put(TuningRecord(
-            key=workload_key(job.spec, GENERIC_AVX2, job.shape),
-            config=config, mstencil_s=1e12, seconds=1e-6, steps=2))
-        calls = []
-        real = service_mod.run_parallel
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(service_mod, "run_parallel", spy)
-
-        async def main():
-            async with StencilServer(
-                    svc, online_tune=True,
-                    online_tune_config=OnlineTuneConfig(max_trials=1)
-            ) as server:
-                return await server.submit(job)
-
-        res = asyncio.run(main())
-        assert len(calls) == 1
-        assert np.array_equal(res.grid.interior, _expected(seed=4))
-        applied = obs.snapshot()["metrics"]["counters"].get(
-            "tune.online.applied", 0)
-        return svc, applied, calls[0]
-
-    @pytest.mark.parametrize("config", [
-        TuneConfig(engine="machine", time_fusion=1),
-        TuneConfig(engine="parallel", parts=4, workers=1,
-                   run_backend="process"),
-    ], ids=["machine-engine", "other-run-backend"])
-    def test_winner_the_server_cannot_run_is_ignored(self, observing,
-                                                     monkeypatch, config):
-        svc, applied, call = self._serve_on(monkeypatch, config)
-        assert applied == 0
-        assert call["workers"] == svc.run_workers
-        assert call["parts"] is None and call["temporal_block"] == 1
-
-    def test_tiled_winner_applies_tile_and_workers(self, observing,
-                                                   monkeypatch):
-        # an in-place layout: more parts than workers, no temporal block
-        _, applied, call = self._serve_on(monkeypatch, TuneConfig(
-            engine="parallel", parts=4, workers=1))
-        assert applied == 1
-        assert call["parts"] == 4 and call["workers"] == 1
-        assert call["temporal_block"] == 1
-
-    def test_shard_winner_applies_layout_and_workers(self, observing,
-                                                     monkeypatch):
-        # a window layout: a temporal block ships deep-halo windows
-        _, applied, call = self._serve_on(monkeypatch, TuneConfig(
-            engine="parallel", parts=2, workers=2, temporal_block=2))
-        assert applied == 1
-        assert call["parts"] == 2 and call["temporal_block"] == 2
-        assert call["workers"] == 2
 
 
 class TestTokenBucket:

@@ -323,6 +323,15 @@ class TestTuningDB:
         lambda d: {**d, "mstencil_s": -1.0},     # non-positive measurement
         lambda d: {**d, "seconds": "fast"},      # wrong type
         lambda d: [d],                           # not an object
+        # winners of the retired tile/shard executor families
+        lambda d: {**d, "config": {"engine": "tiled", "tile_shape": [64],
+                                   "workers": 1, "run_backend": "thread"}},
+        lambda d: {**d, "config": {"engine": "shard", "shards": 2,
+                                   "temporal_block": 2,
+                                   "run_backend": "thread"}},
+        lambda d: {**d, "config": {"engine": "parallel", "shards": 2,
+                                   "workers": 2, "temporal_block": 1,
+                                   "run_backend": "thread"}},
     ])
     def test_stale_entries_discarded(self, tmp_path, mutate):
         db = TuningDB(str(tmp_path))
@@ -344,79 +353,23 @@ class TestTuningDB:
         assert db.clear() == 2
         assert db.get("k1") is None
 
-
-class TestTuningDBPromote:
-    """The delta-file promotion path: concurrent writers merge instead
-    of clobbering (the bug `put()`'s whole-file overwrite had)."""
-
-    def test_promote_keeps_the_better_record(self):
-        db = TuningDB(None)
-        assert db.promote(make_record("k1", mstencil_s=10.0))
-        assert not db.promote(make_record("k1", mstencil_s=5.0))
-        assert db.promote(make_record("k1", mstencil_s=20.0))
-        assert db.get("k1").mstencil_s == 20.0
-        assert db.stats_dict()["promotions"] == 2
-
-    def test_delta_beats_stale_base_and_vice_versa(self, tmp_path):
+    def test_old_promotion_delta_is_ignored_and_cleared(self, tmp_path):
+        # tuning dirs written before the entry file became the only
+        # record may hold per-writer ``<key>.p-<pid>-<uuid>.json`` files
         db = TuningDB(str(tmp_path))
         db.put(make_record("k1", mstencil_s=10.0))
-        db.promote(make_record("k1", mstencil_s=15.0))
-        fresh = TuningDB(str(tmp_path))
-        assert fresh.get("k1").mstencil_s == 15.0
-        # a slower promotion never shadows a faster base
-        db2 = TuningDB(str(tmp_path))
-        assert not db2.promote(make_record("k1", mstencil_s=12.0))
-        assert TuningDB(str(tmp_path)).get("k1").mstencil_s == 15.0
-
-    def test_concurrent_writers_lose_no_updates(self, tmp_path):
-        """The regression `put()` could not pass: N writer instances
-        (one per simulated process) promoting the same and different
-        keys concurrently — a fresh reader must see every key at its
-        best-ever throughput."""
-        import threading
-
-        def writer(worker: int) -> None:
-            mine = TuningDB(str(tmp_path))  # own instance = own process
-            for i in range(8):
-                mine.promote(make_record(
-                    "shared", mstencil_s=1.0 + worker + i / 8.0))
-                mine.promote(make_record(
-                    f"own-{worker}", mstencil_s=float(worker + 1)))
-
-        threads = [threading.Thread(target=writer, args=(w,))
-                   for w in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        fresh = TuningDB(str(tmp_path))
-        assert fresh.get("shared").mstencil_s == 1.0 + 3 + 7 / 8.0
-        for w in range(4):
-            assert fresh.get(f"own-{w}").mstencil_s == float(w + 1)
-        assert fresh.entries() == sorted(
-            ["shared"] + [f"own-{w}" for w in range(4)])
-
-    def test_entries_dedupe_deltas(self, tmp_path):
-        db = TuningDB(str(tmp_path))
-        db.put(make_record("k1", mstencil_s=10.0))
-        db.promote(make_record("k1", mstencil_s=11.0))
-        db.promote(make_record("k1", mstencil_s=12.0))
-        assert db.entries() == ["k1"]
-        assert db.clear() >= 3  # base + both deltas removed
-        assert TuningDB(str(tmp_path)).get("k1") is None
-
-    def test_corrupted_delta_discarded(self, tmp_path):
-        from repro.tune.db import PROMOTE_INFIX
-        db = TuningDB(str(tmp_path))
-        db.put(make_record("k1", mstencil_s=10.0))
-        path = os.path.join(str(tmp_path),
-                            f"k1{PROMOTE_INFIX}999-deadbeef.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("{not json")
+        with open(os.path.join(str(tmp_path), "k1.p-999-deadbeef.json"),
+                  "w", encoding="utf-8") as fh:
+            json.dump(make_record("k1", mstencil_s=99.0).to_dict(), fh)
+        with open(os.path.join(str(tmp_path), "k2.p-999-deadbeef.json"),
+                  "w", encoding="utf-8") as fh:
+            json.dump(make_record("k2", mstencil_s=99.0).to_dict(), fh)
         fresh = TuningDB(str(tmp_path))
         assert fresh.get("k1").mstencil_s == 10.0
-        assert fresh.discards == 1
-        assert not os.path.exists(path)
+        assert fresh.get("k2") is None
+        assert fresh.entries() == ["k1"]
+        assert fresh.clear() == 3
+        assert os.listdir(str(tmp_path)) == []
 
 
 class TestTunerBudgetOverrun:
