@@ -103,6 +103,11 @@ def machine_digest(machine: MachineConfig) -> str:
     return _object_digest(machine, machine_fingerprint)
 
 
+#: plan keys memoized per spec object (see :func:`plan_key`); past this
+#: many option sets the memo starts over
+PLAN_KEY_MEMO = 64
+
+
 def plan_key(spec: StencilSpec, machine: MachineConfig, *,
              time_fusion: Union[int, str] = "auto",
              use_sdf: bool = True, backend: str = "auto") -> str:
@@ -111,29 +116,51 @@ def plan_key(spec: StencilSpec, machine: MachineConfig, *,
     ``backend`` is an execution-time preference carried on the plan; it
     keys plan lookups (so a cached plan honours the requested backend)
     but never the program cache (generated programs are backend-neutral).
+
+    Keys are memoized on the spec object, like its digest, per machine
+    digest and option set; the option types take part (``1`` and
+    ``True`` serialize differently), so a memo hit returns exactly the
+    key a fresh computation would.
     """
-    payload = {
-        "kind": "plan",
-        "spec": spec_digest(spec),
-        "machine": machine_digest(machine),
-        "time_fusion": time_fusion,
-        "use_sdf": use_sdf,
-    }
-    if backend != "auto":  # default keys stay stable across versions
-        payload["backend"] = backend
-    return digest(payload)
+    md = machine_digest(machine)
+    memo_key = (md, type(time_fusion), time_fusion, type(use_sdf), use_sdf,
+                backend)
+    memo = spec.__dict__.get("_plan_key_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(spec, "_plan_key_memo", memo)
+    key = memo.get(memo_key)
+    if key is None:
+        payload = {
+            "kind": "plan",
+            "spec": spec_digest(spec),
+            "machine": md,
+            "time_fusion": time_fusion,
+            "use_sdf": use_sdf,
+        }
+        if backend != "auto":  # default keys stay stable across versions
+            payload["backend"] = backend
+        key = digest(payload)
+        if len(memo) >= PLAN_KEY_MEMO:
+            memo.clear()
+        memo[memo_key] = key
+    return key
 
 
 def program_key(plan: JigsawPlan) -> str:
     """Content hash identifying one shape-free program: the plan inputs.
     The spec fixes the rank, and a grid only sets loop bounds, so no
-    grid field takes part."""
-    return digest({
-        "kind": "program",
-        "spec": spec_digest(plan.spec),
-        "machine": machine_digest(plan.machine),
-        "options": plan.cache_token(),
-    })
+    grid field takes part.  Computed once per plan object."""
+    cached = plan.__dict__.get("_program_key_memo")
+    if cached is None:
+        cached = digest({
+            "kind": "program",
+            "spec": spec_digest(plan.spec),
+            "machine": machine_digest(plan.machine),
+            "options": plan.cache_token(),
+        })
+        object.__setattr__(plan, "_program_key_memo", cached)
+    return cached
 
 
 # -- statistics ----------------------------------------------------------------

@@ -7,10 +7,27 @@ rejects them through :class:`~repro.server.admission.AdmissionController`
 (per-tenant token buckets + a global queue-depth ceiling), coalesces
 compatible admitted jobs into micro-batches, and executes each batch as
 one :meth:`~repro.service.KernelService.compile_many` /
-:meth:`~repro.service.KernelService.run_many` call on a thread-pool
-executor so the event loop never blocks on kernel work.  (The compile
+:meth:`~repro.service.KernelService.run_many` call.  (The compile
 only warms the shared kernel cache: every batch executes through
 :func:`~repro.parallel.executor.run_parallel`.)
+
+**Dispatch.**  One ``loop.call_at`` timer, armed for the earliest due
+batch, flushes: enqueueing re-arms it only for an earlier due, and each
+firing dispatches every due batch and re-arms for the next, so an idle
+server runs no callback at all.  A chunk whose work (points x
+max(steps, 1), summed over its jobs) is at most :data:`INLINE_WORK`
+runs on the loop thread and resolves at once — a sub-millisecond sweep
+costs less than the thread hop it would take.  Inline execution needs
+a loop that can never sleep or wait inside the batch, so it applies
+only when the service runs the ``thread`` backend with no
+``task_timeout_s`` (fixed at :meth:`StencilServer.start`), no fault
+plan is active (injected delays sleep) and the batch key's last chunk
+ran clean (:data:`PROVEN_KEYS`: a cold compile, or a geometry the
+engine refuses only after the service's retry backoff, takes the
+pool).  Every other chunk goes straight to the server's thread pool,
+and its completion comes back to the loop in one
+``call_soon_threadsafe`` hop.  Flushes run in a context captured at
+``start()``, so ``server.batch`` spans are roots on both paths.
 
 **Micro-batching.**  Jobs with the same batch key (stencil spec, shape,
 steps, boundary) join one open batch.  A batch flushes when it fills
@@ -49,8 +66,8 @@ Everything is instrumented under the ``server.*`` taxonomy (see
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import math
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,11 +75,12 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import obs
+from .. import faults, obs
 from ..config import GENERIC_AVX2, MachineConfig
 from ..errors import ReproError
 from ..faults import FaultInjected, fault_point
 from ..service import CompileRequest, KernelService, SweepJob
+from ..stencils.boundary import MODES
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
 from .admission import AdmissionController, ServerOverloaded
@@ -77,6 +95,19 @@ SHED_DIVISOR = 4
 #: churn's 32³ heat-3d x 2 steps (65 536, above its 96² x 2 = 18 432),
 #: 256x below the cap.
 WORK_CAP = 1 << 24
+
+#: the most work, in interior points x max(steps, 1) summed over a
+#: chunk's jobs, that runs on the loop thread instead of taking a
+#: thread hop.  Set from the inline-against-hop table in CHANGES.md: a
+#: 32² x 2-step job (2048) or two of them run inline, 48² x 2 (4608) and
+#: up take the pool, and the longest inline chunk stays near 1 ms warm.
+INLINE_WORK = 1 << 12
+
+#: batch keys remembered as having run clean, the other half of the
+#: inline test: a key's first chunk (a cold compile, or a geometry the
+#: engine refuses after the service's retry backoff) takes the pool.
+#: Past this many keys the set starts over.
+PROVEN_KEYS = 1024
 
 
 @dataclass(frozen=True)
@@ -110,7 +141,17 @@ class StencilJob:
             raise ReproError("shape extents must be >= 1")
         if self.steps < 0:
             raise ReproError("steps must be >= 0")
-        work = math.prod(self.shape) * max(self.steps, 1)
+        if self.boundary not in MODES:
+            raise ReproError(f"unknown boundary {self.boundary!r}; "
+                             f"known: {MODES}")
+        try:
+            finite = math.isfinite(self.value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ReproError(
+                f"value must be a finite number, got {self.value!r}")
+        work = self.work
         if work > WORK_CAP:
             raise ReproError(
                 f"{self.shape} x {self.steps} steps is {work} point-steps "
@@ -129,6 +170,12 @@ class StencilJob:
             raise ReproError(
                 f"grid halo {self.grid.halo} is below {self.spec.name}'s "
                 f"radius {self.spec.radius}")
+
+    @property
+    def work(self) -> int:
+        """Interior points x max(steps, 1): what the work cap and the
+        inline bound count."""
+        return math.prod(self.shape) * max(self.steps, 1)
 
     def batch_key(self) -> Tuple:
         """Jobs sharing this key may ride one micro-batch (one compile,
@@ -161,7 +208,7 @@ class _Pending:
                  future: "asyncio.Future") -> None:
         self.job = job
         self.tenant = tenant
-        self.deadline = deadline          #: absolute monotonic, or None
+        self.deadline = deadline          #: absolute loop time, or None
         self.t0 = t0
         self.future = future
 
@@ -186,7 +233,11 @@ class StencilServer:
                                          deadline_s=0.5)
 
     All public methods must be called from the event-loop thread that
-    entered the server (the executor threads only run kernel work).
+    entered the server.  Batches flush from one loop timer; a chunk
+    within :data:`INLINE_WORK` runs on that thread (thread run backend,
+    no task timeout, no active fault plan, a proven batch key), every
+    other chunk on the server's ``repro-serve`` threads, which hand each
+    result back with one ``call_soon_threadsafe``.
     """
 
     def __init__(
@@ -245,14 +296,21 @@ class StencilServer:
         self._closing = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._flusher: Optional[asyncio.Task] = None
-        self._wake: Optional[asyncio.Event] = None
         self._drained: Optional[asyncio.Event] = None
+        #: the flush timer and the loop time it is armed for
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer_at = math.inf
+        #: the context flushes run in, captured at ``start()``
+        self._root: Optional[contextvars.Context] = None
+        #: the service-fixed half of the inline test (see ``start()``)
+        self._inline_ok = False
+        #: batch keys whose last chunk ran clean (see PROVEN_KEYS)
+        self._proven: Dict[Tuple, None] = {}
 
     # -- lifecycle -------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._flusher is not None and not self._closing
+        return self._executor is not None and not self._closing
 
     @property
     def inflight(self) -> int:
@@ -260,32 +318,29 @@ class StencilServer:
         return self._inflight
 
     async def start(self) -> "StencilServer":
-        if self._flusher is not None:
+        if self._executor is not None:
             raise ReproError("server already started")
         self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
             max_workers=self.executor_workers,
             thread_name_prefix="repro-serve")
-        self._wake = asyncio.Event()
         self._drained = asyncio.Event()
         self._drained.set()
         self._closing = False
-        self._flusher = self._loop.create_task(self._flush_loop())
+        self._root = contextvars.copy_context()
+        # a batch may run on the loop thread only if nothing in it can
+        # wait: pooled process runs and timed-out tasks block on futures
+        self._inline_ok = (self.service.run_backend == "thread"
+                           and self.service.task_timeout_s is None)
         return self
 
     async def stop(self) -> None:
-        """Flush everything outstanding, wait for completion, shut down."""
-        if self._flusher is None:
+        """Dispatch every open batch now, wait for completion, shut down."""
+        if self._executor is None:
             return
         self._closing = True
-        self._wake.set()
+        self._root.run(self._flush)
         await self._drained.wait()
-        self._flusher.cancel()
-        try:
-            await self._flusher
-        except asyncio.CancelledError:
-            pass
-        self._flusher = None
         self._executor.shutdown(wait=True)
         self._executor = None
 
@@ -307,10 +362,10 @@ class StencilServer:
             raise ReproError("submit() takes a StencilJob")
         if deadline_s is not None and not deadline_s == deadline_s:
             raise ReproError("deadline_s must not be NaN")
-        if self._flusher is None or self._closing:
+        if self._executor is None or self._closing:
             raise ServerOverloaded("server is not accepting requests",
                                    reason="closed", tenant=tenant)
-        t0 = time.monotonic()
+        t0 = self._loop.time()
         obs.counter("server.requests").inc()
         obs.counter(f"server.requests.tenant.{tenant}").inc()
         reason = self.admission.check(tenant, self._inflight, deadline_s)
@@ -334,7 +389,7 @@ class StencilServer:
 
     def _enqueue(self, pending: _Pending) -> None:
         key = pending.job.batch_key()
-        now = time.monotonic()
+        now = self._loop.time()
         batch = self._batches.get(key)
         if batch is None:
             batch = self._batches[key] = _Batch(
@@ -344,8 +399,8 @@ class StencilServer:
             batch.due = min(batch.due,
                             pending.deadline - self.deadline_margin_s)
         if len(batch.jobs) >= self._effective_max_batch():
-            batch.due = 0.0  # full: flush at the next flusher wakeup
-        self._wake.set()
+            batch.due = 0.0  # full: flush at the next loop iteration
+        self._arm(batch.due)
 
     # -- overload ladder -------------------------------------------------------
     def occupancy(self) -> float:
@@ -358,43 +413,66 @@ class StencilServer:
         return self.max_batch
 
     # -- flushing --------------------------------------------------------------
-    async def _flush_loop(self) -> None:
-        while True:
-            self._wake.clear()
-            now = time.monotonic()
-            due = [b for b in self._batches.values()
-                   if self._closing or b.due <= now]
-            # urgent first: the deadline-ordering contract
-            due.sort(key=lambda b: b.due)
-            for batch in due:
-                del self._batches[batch.key]
-                self._dispatch(batch)
-            timeout = None
-            if self._batches:
-                timeout = max(0.0, min(b.due for b in self._batches.values())
-                              - time.monotonic())
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
+    def _arm(self, due: float) -> None:
+        """Make the flush timer fire by loop time ``due`` (a timer armed
+        for an earlier time already does)."""
+        if due >= self._timer_at:
+            return
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer_at = due
+        self._timer = self._loop.call_at(due, self._flush,
+                                         context=self._root)
+
+    def _flush(self) -> None:
+        """The timer callback: dispatch every due batch (every batch
+        once closing), most urgent first — the deadline-ordering
+        contract — then re-arm for the earliest batch left."""
+        if self._timer is not None:
+            self._timer.cancel()
+        # the loop may fire a timer up to its clock resolution early;
+        # whatever the timer was armed for is due
+        now = max(self._loop.time(), self._timer_at)
+        self._timer, self._timer_at = None, math.inf
+        due = [b for b in self._batches.values()
+               if self._closing or b.due <= now]
+        due.sort(key=lambda b: b.due)
+        for batch in due:
+            del self._batches[batch.key]
+        for batch in due:
+            self._dispatch(batch)
+        if self._batches:
+            self._arm(min(b.due for b in self._batches.values()))
 
     def _dispatch(self, batch: _Batch) -> None:
         obs.counter("server.batch.flushes").inc()
         self.flush_log.append(batch.key)
         eff = self._effective_max_batch()
+        key, work = batch.key, batch.jobs[0].job.work
         for i in range(0, len(batch.jobs), eff):
             chunk = batch.jobs[i:i + eff]
             obs.histogram("server.batch.size").observe(len(chunk))
-            fut = self._loop.run_in_executor(
-                self._executor, obs.propagate(self._execute_batch), chunk)
+            if (self._inline_ok and len(chunk) * work <= INLINE_WORK
+                    and key in self._proven and faults.active() is None):
+                obs.counter("server.batch.inline").inc()
+                try:
+                    grids = self._execute_batch(chunk)
+                except Exception as exc:
+                    self._resolve(key, chunk, None, exc)
+                else:
+                    self._resolve(key, chunk, grids, None)
+                continue
+            fut = self._executor.submit(obs.propagate(self._execute_batch),
+                                        chunk)
             fut.add_done_callback(
-                lambda f, c=chunk: self._finish(c, f))
+                lambda f, c=chunk: self._loop.call_soon_threadsafe(
+                    self._finish, key, c, f))
 
     def _execute_batch(self, chunk: Sequence[_Pending]
                        ) -> List[Union[Grid, Exception]]:
-        """One flushed chunk, on an executor thread: compile once through
-        the shared cache, then run every job (the service's retry /
-        degrade ladders guard both calls).  Returns each job's grid, or
+        """One flushed chunk, inline or on a pool thread: compile once
+        through the shared cache, then run every job (the service's retry
+        / degrade ladders guard both calls).  Returns each job's grid, or
         the exception that job alone raised."""
         self._retry_faults("server.batch_flush")
         job0 = chunk[0].job
@@ -407,16 +485,23 @@ class StencilServer:
                           boundary=p.job.boundary, value=p.job.value)
                  for p in chunk])
 
-    def _finish(self, chunk: Sequence[_Pending], fut) -> None:
-        """Executor-side completion: hop back to the loop thread."""
+    def _finish(self, key: Tuple, chunk: Sequence[_Pending], fut) -> None:
+        """A pooled chunk's completion, back on the loop thread."""
         exc = fut.exception()
-        grids = None if exc is not None else fut.result()
-        self._loop.call_soon_threadsafe(self._resolve, chunk, grids, exc)
+        self._resolve(key, chunk, None if exc is not None else fut.result(),
+                      exc)
 
-    def _resolve(self, chunk: Sequence[_Pending],
+    def _resolve(self, key: Tuple, chunk: Sequence[_Pending],
                  grids: Optional[List[Union[Grid, Exception]]],
                  exc: Optional[BaseException]) -> None:
-        now = time.monotonic()
+        now = self._loop.time()
+        if exc is None and not any(isinstance(g, BaseException)
+                                   for g in grids):
+            if len(self._proven) >= PROVEN_KEYS:
+                self._proven.clear()
+            self._proven[key] = None
+        else:
+            self._proven.pop(key, None)
         for i, p in enumerate(chunk):
             self._inflight -= 1
             failure = exc if exc is not None else grids[i]
@@ -443,7 +528,6 @@ class StencilServer:
         obs.gauge("server.queue_depth").set(self._inflight)
         if self._inflight == 0 and not self._batches:
             self._drained.set()
-        self._wake.set()  # freed capacity may un-shed the next flush
 
     # -- fault sites -----------------------------------------------------------
     def _retry_faults(self, site: str) -> None:

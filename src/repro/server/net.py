@@ -19,7 +19,11 @@ verification without shipping megabytes of float64 per response
 
 A malformed envelope gets ``"reason": "bad_request"`` and a line whose
 handling raises anything else ``"reason": "error"``: every line gets
-exactly one response.
+exactly one response.  That includes a line nested too deeply to parse,
+one that is not UTF-8, and one longer than the connection's
+:data:`LINE_LIMIT`, which is skipped to its newline and answered
+``{"id": null, ..., "reason": "bad_request"}`` while the connection
+keeps reading.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import asyncio
 import hashlib
 import json
 import math
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +52,10 @@ def interior_checksum(interior: np.ndarray) -> str:
 #: ``default_rng`` takes without wrapping
 SEED_LIMIT = 2 ** 63
 
+#: the longest request line a connection reads, in bytes (asyncio's
+#: default ``StreamReader`` limit)
+LINE_LIMIT = 2 ** 16
+
 
 def _wire_int(name: str, value: Any) -> int:
     """A wire integer: JSON floats, bools and strings are rejected, not
@@ -57,16 +65,25 @@ def _wire_int(name: str, value: Any) -> int:
     return value
 
 
+def _wire_float(name: str, value: Any) -> float:
+    """A finite JSON number (not a bool, a string, NaN, ±inf or an
+    integer too large for a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ReproError(f"{name} must be a finite number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ReproError(f"{name} must be a finite number, got {value!r}")
+    return out
+
+
 def _wire_deadline(value: Any) -> Optional[float]:
-    """``deadline_ms`` in seconds: absent, or a finite JSON number (not
-    a bool, a string or NaN)."""
+    """``deadline_ms`` in seconds: absent, or a finite JSON number."""
     if value is None:
         return None
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ReproError(f"deadline_ms must be a finite number, got "
-                         f"{value!r}")
-    return value / 1e3
+    return _wire_float("deadline_ms", value) / 1e3
 
 
 def _parse_request(payload: Dict[str, Any]) -> Tuple[StencilJob, str,
@@ -85,8 +102,8 @@ def _parse_request(payload: Dict[str, Any]) -> Tuple[StencilJob, str,
             tuple(_wire_int("shape entry", n) for n in shape),
             _wire_int("steps", payload.get("steps", 1)),
             seed=seed,
-            boundary=str(payload.get("boundary", "periodic")),
-            value=float(payload.get("value", 0.0)),
+            boundary=payload.get("boundary", "periodic"),
+            value=_wire_float("value", payload.get("value", 0.0)),
         )
     except ReproError:
         raise
@@ -98,17 +115,18 @@ def _parse_request(payload: Dict[str, Any]) -> Tuple[StencilJob, str,
     return job, tenant, deadline_s
 
 
+def _bad_line(error: str) -> Dict[str, Any]:
+    """The answer to a line with no readable envelope (so no id)."""
+    return {"id": None, "ok": False, "error": error, "reason": "bad_request"}
+
+
 async def _handle_line(server: StencilServer, line: str) -> Dict[str, Any]:
     try:
         payload = json.loads(line)
-    except ValueError as exc:
-        return {"id": None, "ok": False,
-                "error": f"request is not valid JSON: {exc}",
-                "reason": "bad_request"}
+    except (ValueError, RecursionError) as exc:
+        return _bad_line(f"request is not valid JSON: {exc}")
     if not isinstance(payload, dict):
-        return {"id": None, "ok": False,
-                "error": "request must be a JSON object",
-                "reason": "bad_request"}
+        return _bad_line("request must be a JSON object")
     rid = payload.get("id")
     try:
         job, tenant, deadline_s = _parse_request(payload)
@@ -147,21 +165,28 @@ async def serve_tcp(server: StencilServer, *, host: str = "127.0.0.1",
         write_lock = asyncio.Lock()
         tasks = set()
 
-        async def respond(line: str) -> None:
-            response = await _handle_line(server, line)
+        async def respond(line: Optional[str], error: str = "") -> None:
+            response = (_bad_line(error) if line is None
+                        else await _handle_line(server, line))
             async with write_lock:
                 writer.write((json.dumps(response) + "\n").encode("utf-8"))
                 await writer.drain()
 
         try:
             while True:
-                raw = await reader.readline()
-                if not raw:
+                raw = await _read_line(reader)
+                if raw is None:
                     break
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                task = asyncio.ensure_future(respond(line))
+                line, error = None, f"request line exceeds {LINE_LIMIT} bytes"
+                if raw is not _TOO_LONG:
+                    try:
+                        line = raw.decode("utf-8").strip()
+                    except UnicodeDecodeError as exc:
+                        error = f"request is not UTF-8: {exc}"
+                    else:
+                        if not line:
+                            continue
+                task = asyncio.ensure_future(respond(line, error))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
             if tasks:
@@ -173,7 +198,35 @@ async def serve_tcp(server: StencilServer, *, host: str = "127.0.0.1",
             except (ConnectionError, OSError):
                 pass
 
-    return await asyncio.start_server(handle, host=host, port=port)
+    return await asyncio.start_server(handle, host=host, port=port,
+                                      limit=LINE_LIMIT)
+
+
+#: what :func:`_read_line` returns for a line over :data:`LINE_LIMIT`
+_TOO_LONG = object()
+
+
+async def _read_line(reader: asyncio.StreamReader
+                     ) -> Union[bytes, object, None]:
+    """The next line (a final one may lack its newline), ``None`` at end
+    of stream, or :data:`_TOO_LONG` for a line over the reader's limit,
+    which is consumed through its newline so the next line reads
+    whole."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial or None
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:  # drop the long line: what is buffered, then up to "\n"
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return _TOO_LONG
+        except asyncio.IncompleteReadError:
+            return _TOO_LONG
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 async def request_tcp(host: str, port: int,

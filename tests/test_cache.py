@@ -32,10 +32,13 @@ from repro.config import (
 )
 from repro.core import compile_kernel, generate_jigsaw
 from repro.core.cache import (
+    PLAN_KEY_MEMO,
     KernelCache,
     default_cache,
+    digest,
     plan_key,
     program_key,
+    spec_digest,
 )
 from repro.errors import VectorizeError
 from repro.stencils import apply_steps, library
@@ -206,6 +209,40 @@ class TestKeySensitivity:
         p2 = cache.compile(SPEC, GENERIC_AVX512, _grid(GENERIC_AVX512)).program
         assert cache.stats.misses == 2
         assert p1.width != p2.width
+
+    def test_memoized_keys_equal_fresh_digests(self):
+        # memo hits, in any order, return the key a fresh digest gives;
+        # option types key the memo (1 and True serialize differently)
+        spec = library.get("heat-2d").renamed("memo")
+        options = [{}, {"time_fusion": 1}, {"time_fusion": True},
+                   {"use_sdf": False}, {"use_sdf": 0}, {"backend": "interp"},
+                   {"time_fusion": 2, "use_sdf": False, "backend": "codegen"}]
+
+        def fresh(machine, time_fusion="auto", use_sdf=True,
+                  backend="auto"):
+            payload = {"kind": "plan", "spec": spec_digest(spec),
+                       "machine": digest(dataclasses.asdict(machine)),
+                       "time_fusion": time_fusion, "use_sdf": use_sdf}
+            if backend != "auto":
+                payload["backend"] = backend
+            return digest(payload)
+
+        for _ in range(2):
+            for machine in (GENERIC_AVX2, GENERIC_AVX512):
+                for kw in reversed(options):
+                    assert plan_key(spec, machine, **kw) == fresh(machine,
+                                                                  **kw)
+        assert len({plan_key(spec, GENERIC_AVX2, **kw)
+                    for kw in options}) == len(options)
+        for time_fusion in range(PLAN_KEY_MEMO + 5):
+            plan_key(spec, GENERIC_AVX2, time_fusion=time_fusion)
+        assert len(spec._plan_key_memo) <= PLAN_KEY_MEMO
+        plan = KernelCache().plan(spec, GENERIC_AVX2)
+        assert program_key(plan) == digest({
+            "kind": "program", "spec": spec_digest(spec),
+            "machine": digest(dataclasses.asdict(GENERIC_AVX2)),
+            "options": plan.cache_token()})
+        assert program_key(plan) is program_key(plan)
 
     def test_pinned_keys_for_heat_2d(self):
         # hex digests computed before the fingerprint helpers moved into

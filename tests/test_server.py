@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import asyncio
+import collections
+import json
 import math
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import obs
+from repro import faults, obs
 from repro.config import GENERIC_AVX2
 from repro.errors import ReproError
 from repro.server import (AdmissionController, LoadConfig, LocalClient,
                           ServerOverloaded, StencilJob, StencilServer,
                           TokenBucket, reference_results, request_schedule,
                           run_load_sync)
-from repro.server.core import WORK_CAP
-from repro.server.net import interior_checksum, request_tcp, serve_tcp
+from repro.server.core import INLINE_WORK, WORK_CAP
+from repro.server.net import (LINE_LIMIT, interior_checksum, request_tcp,
+                              serve_tcp)
 from repro.service import KernelService, SweepJob
 from repro.stencils import apply_steps, library
 from repro.stencils.grid import Grid
@@ -110,6 +118,15 @@ class TestStencilJob:
                              ((3_000_000, 3_000_000), 1), ((32, 32), 10 ** 9)):
             with pytest.raises(ReproError, match="point-steps"):
                 StencilJob(spec, shape, steps, seed=0)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"boundary": "nope"}, "boundary"), ({"boundary": None}, "boundary"),
+        ({"value": float("nan")}, "value"), ({"value": float("inf")}, "value"),
+        ({"value": -float("inf")}, "value"), ({"value": "1.0"}, "value")])
+    def test_rejects_unknown_boundary_and_non_finite_value(self, kwargs,
+                                                           match):
+        with pytest.raises(ReproError, match=match):
+            StencilJob(library.get("heat-2d"), (32, 32), 2, seed=0, **kwargs)
 
     def test_batch_key_coalesces_across_seeds_not_shapes(self):
         a = _job(seed=0)
@@ -270,6 +287,129 @@ class TestServing:
         assert server._effective_max_batch() == 2
 
 
+def _record_threads(monkeypatch, method="run_many"):
+    """Wrap a :class:`KernelService` batch method to record the name of
+    the thread each batch called it on."""
+    threads = []
+    wrapped = getattr(KernelService, method)
+
+    def recording(self, *args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return wrapped(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelService, method, recording)
+    return threads
+
+
+#: one 2-step job inside the inline bound, and one above it
+SMALL = (16, 16)
+LARGE = (64, 64)
+
+
+class TestDispatch:
+    """The timer flush and the inline / pooled split."""
+
+    def test_bounds_straddle_the_test_shapes(self):
+        assert _job(shape=SMALL).work <= INLINE_WORK < _job(shape=LARGE).work
+
+    def test_idle_server_runs_no_flush_callback(self, monkeypatch):
+        calls = []
+        flush = StencilServer._flush
+        monkeypatch.setattr(StencilServer, "_flush",
+                            lambda self: calls.append(1) or flush(self))
+
+        async def go(server):
+            await asyncio.sleep(0.05)
+            idle = len(calls)
+            await server.submit(_job())
+            served = len(calls)
+            await asyncio.sleep(0.05)
+            return idle, served, len(calls)
+
+        idle, served, after = _serve(go, batch_window_s=0.001)
+        assert idle == 0
+        assert served == after == 1  # one wakeup for the batch, then none
+
+    def test_proven_chunk_in_bound_runs_inline_others_pooled(
+            self, monkeypatch):
+        threads = _record_threads(monkeypatch)
+
+        async def go(server):
+            out = []
+            for shape in (SMALL, SMALL, LARGE, LARGE):
+                out.append(await server.submit(_job(shape=shape)))
+            return threading.current_thread().name, out
+
+        loop_thread, results = _serve(go)
+        # a key's first chunk takes the pool; once it ran clean, a chunk
+        # inside the bound runs on the loop thread and one above never does
+        assert threads[0].startswith("repro-serve")
+        assert threads[1] == loop_thread
+        assert all(t.startswith("repro-serve") for t in threads[2:])
+        for shape, r in zip((SMALL, SMALL, LARGE, LARGE), results):
+            assert np.array_equal(r.grid.interior, _expected(shape=shape))
+
+    def test_chunk_in_bound_takes_the_pool_under_a_fault_plan(
+            self, monkeypatch):
+        threads = _record_threads(monkeypatch)
+
+        async def go(server):
+            await server.submit(_job())
+            with faults.inject(faults.FaultPlan()):
+                result = await server.submit(_job(seed=1))
+            return threading.current_thread().name, result
+
+        loop_thread, result = _serve(go)
+        assert len(threads) == 2 and loop_thread not in threads
+        assert np.array_equal(result.grid.interior, _expected(seed=1))
+
+    @pytest.mark.parametrize("service_kwargs", [
+        {"task_timeout_s": 30.0}, {"run_backend": "process"}])
+    def test_blocking_service_never_runs_inline(self, monkeypatch,
+                                                service_kwargs):
+        threads = _record_threads(monkeypatch)
+
+        async def go(server):
+            for seed in range(3):
+                await server.submit(_job(seed=seed))
+            return threading.current_thread().name
+
+        loop_thread = _serve(go, **service_kwargs)
+        assert len(threads) == 3 and loop_thread not in threads
+
+    def test_failing_key_is_never_retried_on_the_loop(self, monkeypatch):
+        # an x extent under one vector block fails inside the batch after
+        # the service's retry backoff; that must never run inline
+        threads = _record_threads(monkeypatch, "compile_many")
+        bad = _job(shape=(16, 4))
+
+        async def go(server):
+            for _ in range(2):
+                with pytest.raises(ReproError):
+                    await server.submit(bad)
+            return threading.current_thread().name
+
+        loop_thread = _serve(go, retry_backoff_s=0.0)
+        assert len(threads) == 2 and loop_thread not in threads
+
+    def test_batch_spans_are_roots_on_both_paths(self, observing,
+                                                 monkeypatch):
+        threads = _record_threads(monkeypatch)
+
+        async def go(server):
+            for seed in range(2):
+                with obs.span("client.request"):
+                    await server.submit(_job(seed=seed))
+            return threading.current_thread().name
+
+        loop_thread = _serve(go)
+        assert threads[0] != loop_thread and threads[1] == loop_thread
+        roots = obs.tracer().roots()
+        assert [r.name for r in roots].count("server.batch") == 2
+        for r in roots:
+            if r.name == "client.request":
+                assert not r.children
+
 class TestTokenBucket:
     def test_exhaustion_and_refill(self):
         t = [0.0]
@@ -421,10 +561,13 @@ class TestAdmissionEdgeCases:
                                    batch_window_s=60.0)
             await server.start()
             task = await go(server)
-            await server.stop()
-            return await task
+            assert not task.done()
+            t0 = time.monotonic()
+            await server.stop()  # dispatches at once, not at the window
+            return await task, time.monotonic() - t0
 
-        res = asyncio.run(main())
+        res, stop_s = asyncio.run(main())
+        assert stop_s < 30.0
         assert np.array_equal(res.grid.interior, _expected(seed=9))
 
 
@@ -523,7 +666,98 @@ class TestPercentile:
                 percentile([1.0], pct)
 
 
+async def _raw_exchange(port, lines):
+    """Write raw request ``lines`` (bytes, newline added) on one
+    connection, close its write side, and return every response line
+    the server sends before it closes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        for line in lines:
+            writer.write(line + b"\n")
+        writer.write_eof()
+        out = []
+        while True:
+            raw = await reader.readline()
+            if not raw:
+                return out
+            out.append(json.loads(raw))
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def _over_tcp(lines, **server_kwargs):
+    """Serve ``lines`` through :func:`_raw_exchange` on a fresh server."""
+    server_kwargs.setdefault("machine", GENERIC_AVX2)
+
+    async def main():
+        async with StencilServer(**server_kwargs) as server:
+            tcp = await serve_tcp(server, port=0)
+            try:
+                return await asyncio.wait_for(_raw_exchange(
+                    tcp.sockets[0].getsockname()[1], lines), 30)
+            finally:
+                tcp.close()
+                await tcp.wait_closed()
+
+    return asyncio.run(main())
+
+
+def _wire_job(rid, seed=0, **extra):
+    return json.dumps({"id": rid, "kernel": "heat-2d", "shape": list(SHAPE),
+                       "steps": STEPS, "seed": seed, **extra}).encode()
+
+
 class TestTcpFrontEnd:
+    def test_nested_brackets_line_is_a_bad_request(self):
+        # json.loads raises RecursionError, not ValueError, on this line
+        responses = _over_tcp([b"[" * 5000 + b"]" * 5000, _wire_job(1)])
+        assert len(responses) == 2
+        bad, ok = sorted(responses, key=lambda r: r["ok"])
+        assert bad["id"] is None and bad["reason"] == "bad_request"
+        assert ok["id"] == 1 and ok["ok"]
+
+    def test_overlong_line_is_answered_and_the_connection_reads_on(self):
+        lines = [_wire_job(0), b'{"id": 99, "pad": "' + b"x" * LINE_LIMIT
+                 + b'"}'] + [_wire_job(i, seed=i) for i in range(1, 9)]
+        responses = _over_tcp(lines)
+        assert len(responses) == 10
+        (long,) = [r for r in responses if not r["ok"]]
+        assert long["id"] is None and long["reason"] == "bad_request"
+        assert str(LINE_LIMIT) in long["error"]
+        ok = {r["id"]: r for r in responses if r["ok"]}
+        assert sorted(ok) == list(range(9))
+        for i in range(9):
+            assert ok[i]["checksum"] == interior_checksum(
+                _expected(seed=0 if i == 0 else i))
+
+    def test_non_utf8_line_is_a_bad_request(self):
+        responses = _over_tcp([b'{"id": 1, "tenant": "\xff"}', _wire_job(2)])
+        assert sorted((r["id"] is None, r["ok"]) for r in responses) == [
+            (False, True), (True, False)]
+
+    @pytest.mark.parametrize("extra", [
+        {"boundary": "nope"}, {"boundary": ["periodic"]},
+        {"value": "NaN-marker"}, {"value": True}])
+    def test_bad_boundary_or_value_is_refused_before_queueing(
+            self, monkeypatch, extra):
+        # a 60 s window: anything enqueued would wait for stop(); the
+        # refusal comes back at once and its neighbour still runs
+        enqueued = []
+        enqueue = StencilServer._enqueue
+        monkeypatch.setattr(StencilServer, "_enqueue",
+                            lambda self, p: enqueued.append(p.job)
+                            or enqueue(self, p))
+        line = _wire_job(1, **extra)
+        if extra.get("value") == "NaN-marker":
+            line = line.replace(b'"NaN-marker"', b"NaN")
+        t0 = time.monotonic()
+        responses = _over_tcp([line], batch_window_s=60.0)
+        assert time.monotonic() - t0 < 30.0
+        (bad,) = responses
+        assert bad["id"] == 1 and bad["reason"] == "bad_request", bad
+        assert enqueued == []
+
     def test_pipelined_requests_checksums_and_bad_request(self):
         async def main():
             async with StencilServer(machine=GENERIC_AVX2) as server:
@@ -682,6 +916,81 @@ class TestTcpFrontEnd:
 
         resp = asyncio.run(main())
         assert not resp["ok"] and resp["reason"] == "deadline"
+
+
+#: JSON scalars a request id may be (echoed back verbatim)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.text(max_size=8))
+#: wire field values: wrong types and bools, NaN and ±inf, negative and
+#: huge integers, containers and boundary names, known or not.  The
+#: integers stay in [-5, 5] or far outside any accepted range, so no
+#: accepted request asks for much work.
+_JUNK = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-5, 5),
+        st.sampled_from([-2 ** 70, -2 ** 63, 2 ** 31, 2 ** 63, 10 ** 30]),
+        st.floats(), st.text(max_size=6),
+        st.sampled_from(["heat-2d", "box-2d9p", "periodic", "dirichlet",
+                         "nope"])),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6)
+_FIELDS = ("kernel", "shape", "steps", "seed", "tenant", "deadline_ms",
+           "boundary", "value", "id", "unknown")
+
+
+@st.composite
+def _envelopes(draw):
+    """One request line: a valid 16x16 request with fuzzed fields, or
+    any JSON value at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_JUNK)
+    payload = {"kernel": "heat-2d", "shape": [16, 16], "steps": 1,
+               "seed": 0, "id": draw(_SCALARS)}
+    for key in draw(st.lists(st.sampled_from(_FIELDS), max_size=3)):
+        payload[key] = draw(_JUNK)
+    return payload
+
+
+@pytest.fixture(scope="module")
+def tcp_port():
+    """A TCP front end on a background loop, shared by the fuzz
+    examples (no retry backoff, so refused geometries answer fast)."""
+    client = LocalClient(machine=GENERIC_AVX2, retry_backoff_s=0.0).start()
+    try:
+        tcp = asyncio.run_coroutine_threadsafe(
+            serve_tcp(client.server, port=0), client._loop).result(30)
+        yield tcp.sockets[0].getsockname()[1]
+        client._loop.call_soon_threadsafe(tcp.close)
+    finally:
+        client.close()
+
+
+class TestWireFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lines=st.lists(_envelopes(), min_size=1, max_size=3))
+    def test_every_line_gets_one_answer_echoing_its_id(self, tcp_port,
+                                                       lines):
+        sent = [json.dumps(p).encode() for p in lines]
+        with socket.create_connection(("127.0.0.1", tcp_port),
+                                      timeout=30) as sock:
+            sock.sendall(b"".join(line + b"\n" for line in sent))
+            sock.shutdown(socket.SHUT_WR)
+            data = b""
+            while chunk := sock.recv(1 << 16):
+                data += chunk
+        responses = [json.loads(r) for r in data.splitlines()]
+        assert len(responses) == len(lines)
+        assert all(isinstance(r["ok"], bool) for r in responses)
+
+        def ids(values):
+            return collections.Counter(json.dumps(v, sort_keys=True)
+                                       for v in values)
+
+        assert ids(r["id"] for r in responses) == ids(
+            p.get("id") if isinstance(p, dict) else None for p in lines)
 
 
 class TestChaosServerStage:
