@@ -8,9 +8,9 @@ The framework has three pieces:
   (:data:`SITES`), the :func:`inject` context manager, and the
   :func:`fault_point` hook production code calls (a near-free no-op
   when no plan is active — no monkeypatching anywhere);
-* :mod:`repro.faults.policy` — the failure policies
-  (``raise | retry | degrade``), per-task timeouts and the
-  fallback-reason taxonomy the hardened service/executor layers share.
+* :mod:`repro.faults.policy` — the failure-reason taxonomy the
+  hardened service/executor layers share, and the per-trial timeout
+  the tuner uses.
 
 ``repro chaos`` (:mod:`repro.faults.chaos`, imported lazily to avoid a
 cycle with the service layer) runs a full compile-and-sweep workload
@@ -30,7 +30,7 @@ from .injector import (
     perform_shipped,
 )
 from .plan import FAULT_KINDS, FaultPlan, FaultRule
-from .policy import POLICIES, TaskTimeout, call_with_timeout, failure_reason
+from .policy import TaskTimeout, call_with_timeout, failure_reason
 
 __all__ = [
     "FAULT_KINDS",
@@ -40,7 +40,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "KILL_EXIT_CODE",
-    "POLICIES",
     "SITES",
     "TaskTimeout",
     "active",

@@ -180,8 +180,7 @@ def _workload(spec: StencilSpec, machine: MachineConfig,
     comparison."""
 
     def service(**kw) -> KernelService:
-        return KernelService(machine, failure_policy="degrade", retries=3,
-                             run_workers=4, **kw)
+        return KernelService(machine, retries=3, run_workers=4, **kw)
 
     results: Dict[str, np.ndarray] = {}
     if "pipeline" in stages:

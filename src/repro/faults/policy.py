@@ -1,21 +1,13 @@
-"""Failure policies shared by the hardened service/executor layers.
+"""Failure helpers shared by the hardened service and tuner layers.
 
-Three reactions to a failed task, in escalating order of tolerance:
-
-* ``"raise"``   — propagate the first failure (the pre-hardening
-  behavior, and the default);
-* ``"retry"``   — retry the same task up to the retry budget with
-  exponential backoff, then propagate;
-* ``"degrade"`` — retry first, then walk a degradation ladder
-  (codegen→interp for compiles, process→thread→serial for sweeps) before
-  giving up.
-
-:func:`call_with_timeout` bounds one blocking call by running it on a
-private daemon thread; a timed-out callee keeps running in the
-background (Python threads cannot be killed) but the caller gets a
-:class:`TaskTimeout` promptly and can retry or degrade.
 :func:`failure_reason` maps an exception onto the observability
-fallback-reason taxonomy (``fault | timeout | worker_lost | error``).
+failure-reason taxonomy (``fault | timeout | worker_lost | error``);
+the service's failure rule (:mod:`repro.service`) retries only the
+``fault`` and ``worker_lost`` buckets.  :func:`call_with_timeout`
+bounds one blocking call (a tuner trial) by running it on a private
+daemon thread; a timed-out callee keeps running in the background
+(Python threads cannot be killed) but the caller gets a
+:class:`TaskTimeout` promptly.
 """
 
 from __future__ import annotations
@@ -23,14 +15,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Optional, Tuple, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .. import obs
 from ..errors import ReproError
 from .injector import FaultInjected
-
-#: the failure policies the service layer accepts.
-POLICIES: Tuple[str, ...] = ("raise", "retry", "degrade")
 
 T = TypeVar("T")
 
@@ -73,7 +62,6 @@ def call_with_timeout(fn: Callable[[], T],
 
 
 __all__ = [
-    "POLICIES",
     "TaskTimeout",
     "call_with_timeout",
     "failure_reason",

@@ -7,7 +7,10 @@ cheap :class:`ServerOverloaded` responses instead of timeouts:
 
 * a per-tenant **token bucket** (``quota_rate`` tokens/second refill,
   ``quota_burst`` capacity) bounds each tenant's sustained request rate
-  while allowing short bursts;
+  while allowing short bursts.  The tenant is wire input, so the bucket
+  table is bounded: an unlimited quota keeps no buckets, and past
+  :data:`TENANT_BUCKETS` the buckets that have refilled to ``quota_burst``
+  — indistinguishable from fresh ones — are dropped;
 * a **global queue-depth** ceiling bounds the number of admitted
   requests that have not yet completed, which is the server's only
   unbounded resource.
@@ -23,10 +26,16 @@ import math
 import time
 from typing import Callable, Dict, Optional
 
+from .. import obs
 from ..errors import ReproError
 
 #: rejection reasons :class:`ServerOverloaded` may carry.
 REJECT_REASONS = ("quota", "queue", "deadline", "closed")
+
+#: the bucket-table size at which a metered controller drops its full
+#: buckets (the next sweep waits until the table has doubled from what
+#: is left, so sweeps cost amortized O(1) per new tenant).
+TENANT_BUCKETS = 4096
 
 
 class ServerOverloaded(ReproError):
@@ -106,13 +115,27 @@ class AdmissionController:
         self.quota_burst = float(quota_burst)
         self._clock = clock
         self._buckets: Dict[str, TokenBucket] = {}
+        #: the table size that triggers the next sweep of full buckets
+        self._sweep_at = TENANT_BUCKETS
 
     def bucket(self, tenant: str) -> TokenBucket:
         b = self._buckets.get(tenant)
         if b is None:
+            if len(self._buckets) >= self._sweep_at:
+                self._drop_full_buckets()
             b = self._buckets[tenant] = TokenBucket(
                 self.quota_rate, self.quota_burst, clock=self._clock)
         return b
+
+    def _drop_full_buckets(self) -> None:
+        """Forget every tenant whose bucket has refilled to the burst: a
+        fresh bucket starts full, so no admission decision changes."""
+        full = [t for t, b in self._buckets.items()
+                if b.available() >= self.quota_burst]
+        for t in full:
+            del self._buckets[t]
+        obs.counter("server.admission.buckets_dropped").inc(len(full))
+        self._sweep_at = max(TENANT_BUCKETS, 2 * len(self._buckets))
 
     def check(self, tenant: str, inflight: int,
               deadline_s: Optional[float]) -> Optional[str]:
@@ -123,13 +146,12 @@ class AdmissionController:
             return "queue"
         if self.quota_rate != math.inf and not self.bucket(tenant).try_take():
             return "quota"
-        if self.quota_rate == math.inf:
-            self.bucket(tenant)  # still track the tenant for introspection
         return None
 
     def tenants(self) -> tuple:
+        """The metered tenants that currently hold a bucket."""
         return tuple(sorted(self._buckets))
 
 
 __all__ = ["AdmissionController", "REJECT_REASONS", "ServerOverloaded",
-           "TokenBucket"]
+           "TENANT_BUCKETS", "TokenBucket"]

@@ -19,39 +19,38 @@ max(steps, 1), summed over its jobs) is at most :data:`INLINE_WORK`
 runs on the loop thread and resolves at once — a sub-millisecond sweep
 costs less than the thread hop it would take.  Inline execution needs
 a loop that can never sleep or wait inside the batch, so it applies
-only when the service runs the ``thread`` backend with no
-``task_timeout_s`` (fixed at :meth:`StencilServer.start`), no fault
-plan is active (injected delays sleep) and the batch key's last chunk
-ran clean (:data:`PROVEN_KEYS`: a cold compile, or a geometry the
-engine refuses only after the service's retry backoff, takes the
-pool).  Every other chunk goes straight to the server's thread pool,
-and its completion comes back to the loop in one
-``call_soon_threadsafe`` hop.  Flushes run in a context captured at
-``start()``, so ``server.batch`` spans are roots on both paths.
+only when the service runs the ``thread`` backend, no fault plan is
+active (injected delays sleep) and the batch key's last chunk ran clean
+(:data:`PROVEN_KEYS`: a key's cold compile takes the pool).  Every
+other chunk goes straight to the server's thread pool, and its
+completion comes back to the loop in one ``call_soon_threadsafe`` hop.
+Flushes run in a context captured at ``start()``, so ``server.batch``
+spans are roots on both paths.
 
 **Micro-batching.**  Jobs with the same batch key (stencil spec, shape,
 steps, boundary) join one open batch.  A batch flushes when it fills
 (``max_batch``), when its window expires (``batch_window_s`` after the
 first job arrived), or — the deadline-aware part — early enough that
-its most urgent job can still meet its deadline
-(``deadline - deadline_margin_s``).  Due batches dispatch in deadline
-order, so urgent work is never stuck behind a lazier batch that
+its most urgent job can still meet its deadline (``deadline -``
+:data:`DEADLINE_MARGIN_S`).  Due batches dispatch in deadline order,
+so urgent work is never stuck behind a lazier batch that
 happened to open first.
 
 **Overload ladder.**  Degradation rides the queue occupancy
 (admitted-but-unfinished / ``max_queue_depth``):
 
-1. occupancy >= ``shed_occupancy`` — batch size is shed to a quarter of
-   ``max_batch`` so each flush returns sooner (lower per-batch latency,
-   faster feedback to the admission gate);
+1. occupancy >= :data:`SHED_OCCUPANCY` — batch size is shed to a
+   quarter of ``max_batch`` so each flush returns sooner (lower
+   per-batch latency, faster feedback to the admission gate);
 2. occupancy at 1.0 — admission rejects with
    :class:`~repro.server.admission.ServerOverloaded` (the fast path:
    nothing is enqueued, nothing times out).
 
-The underlying :class:`~repro.service.KernelService` ladders
-(``failure_policy="degrade"``, retries, per-task timeouts) still apply
-inside each batch, and the two server fault sites (``server.enqueue``,
-``server.batch_flush``) are retried against injected faults so a chaos
+The underlying :class:`~repro.service.KernelService` failure rule still
+applies inside each batch (transient faults are retried, then walk the
+ladders; a deterministic error fails its jobs at once), and the two
+server fault sites (``server.enqueue``, ``server.batch_flush``) are
+retried :data:`FAULT_RETRIES` times against injected faults so a chaos
 run returns bitwise-identical responses.
 
 **Placement.**  Every batch runs the served default,
@@ -89,6 +88,18 @@ from .admission import AdmissionController, ServerOverloaded
 #: ``max_batch``, floored at 1).
 SHED_DIVISOR = 4
 
+#: the queue occupancy (in-flight / ``max_queue_depth``) at which
+#: overload rung 1 sheds batch size.
+SHED_OCCUPANCY = 0.5
+
+#: how long before its most urgent job's deadline a batch is due, in
+#: seconds.
+DEADLINE_MARGIN_S = 0.002
+
+#: how many times a server fault site (``server.enqueue``,
+#: ``server.batch_flush``) is retried against injected faults.
+FAULT_RETRIES = 3
+
 #: the most work one request may ask for, in interior points x
 #: max(steps, 1): 1024² x 16 steps, a 128 MiB float64 grid at most.  The
 #: largest request the tests, benchmarks and perfbench send is serve-
@@ -104,9 +115,8 @@ WORK_CAP = 1 << 24
 INLINE_WORK = 1 << 12
 
 #: batch keys remembered as having run clean, the other half of the
-#: inline test: a key's first chunk (a cold compile, or a geometry the
-#: engine refuses after the service's retry backoff) takes the pool.
-#: Past this many keys the set starts over.
+#: inline test: a key's first chunk, whose compile is cold, takes the
+#: pool.  Past this many keys the set starts over.
 PROVEN_KEYS = 1024
 
 
@@ -235,9 +245,9 @@ class StencilServer:
     All public methods must be called from the event-loop thread that
     entered the server.  Batches flush from one loop timer; a chunk
     within :data:`INLINE_WORK` runs on that thread (thread run backend,
-    no task timeout, no active fault plan, a proven batch key), every
-    other chunk on the server's ``repro-serve`` threads, which hand each
-    result back with one ``call_soon_threadsafe``.
+    no active fault plan, a proven batch key), every other chunk on the
+    server's ``repro-serve`` threads, which hand each result back with
+    one ``call_soon_threadsafe``.
     """
 
     def __init__(
@@ -250,10 +260,7 @@ class StencilServer:
         quota_burst: Optional[float] = None,
         batch_window_s: float = 0.005,
         max_batch: int = 16,
-        deadline_margin_s: float = 0.002,
-        shed_occupancy: float = 0.5,
         executor_workers: int = 4,
-        fault_retries: int = 3,
         **service_kwargs,
     ) -> None:
         if service is not None and (machine is not None or service_kwargs):
@@ -264,17 +271,9 @@ class StencilServer:
             raise ReproError("batch_window_s must be >= 0")
         if not isinstance(max_batch, int) or max_batch < 1:
             raise ReproError("max_batch must be an integer >= 1")
-        if not deadline_margin_s >= 0:
-            raise ReproError("deadline_margin_s must be >= 0")
-        if not 0.0 < shed_occupancy <= 1.0:
-            raise ReproError("shed_occupancy must be in (0, 1]")
         if not isinstance(executor_workers, int) or executor_workers < 1:
             raise ReproError("executor_workers must be an integer >= 1")
-        if not isinstance(fault_retries, int) or fault_retries < 0:
-            raise ReproError("fault_retries must be an integer >= 0")
         if service is None:
-            service_kwargs.setdefault("failure_policy", "degrade")
-            service_kwargs.setdefault("retries", 2)
             service = KernelService(machine or GENERIC_AVX2,
                                     **service_kwargs)
         self.service = service
@@ -284,10 +283,7 @@ class StencilServer:
         self.max_queue_depth = max_queue_depth
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
-        self.deadline_margin_s = deadline_margin_s
-        self.shed_occupancy = shed_occupancy
         self.executor_workers = executor_workers
-        self.fault_retries = fault_retries
         #: batch keys in dispatch order (newest 256) — the flush-ordering
         #: contract tests read this
         self.flush_log: Deque[Tuple] = deque(maxlen=256)
@@ -302,8 +298,6 @@ class StencilServer:
         self._timer_at = math.inf
         #: the context flushes run in, captured at ``start()``
         self._root: Optional[contextvars.Context] = None
-        #: the service-fixed half of the inline test (see ``start()``)
-        self._inline_ok = False
         #: batch keys whose last chunk ran clean (see PROVEN_KEYS)
         self._proven: Dict[Tuple, None] = {}
 
@@ -328,10 +322,6 @@ class StencilServer:
         self._drained.set()
         self._closing = False
         self._root = contextvars.copy_context()
-        # a batch may run on the loop thread only if nothing in it can
-        # wait: pooled process runs and timed-out tasks block on futures
-        self._inline_ok = (self.service.run_backend == "thread"
-                           and self.service.task_timeout_s is None)
         return self
 
     async def stop(self) -> None:
@@ -397,7 +387,7 @@ class StencilServer:
         batch.jobs.append(pending)
         if pending.deadline is not None:
             batch.due = min(batch.due,
-                            pending.deadline - self.deadline_margin_s)
+                            pending.deadline - DEADLINE_MARGIN_S)
         if len(batch.jobs) >= self._effective_max_batch():
             batch.due = 0.0  # full: flush at the next loop iteration
         self._arm(batch.due)
@@ -407,7 +397,7 @@ class StencilServer:
         return self._inflight / self.max_queue_depth
 
     def _effective_max_batch(self) -> int:
-        if self.occupancy() >= self.shed_occupancy:
+        if self.occupancy() >= SHED_OCCUPANCY:
             obs.counter("server.overload.shed_batch").inc()
             return max(1, self.max_batch // SHED_DIVISOR)
         return self.max_batch
@@ -452,7 +442,10 @@ class StencilServer:
         for i in range(0, len(batch.jobs), eff):
             chunk = batch.jobs[i:i + eff]
             obs.histogram("server.batch.size").observe(len(chunk))
-            if (self._inline_ok and len(chunk) * work <= INLINE_WORK
+            # a batch may run on the loop thread only if nothing in it
+            # can wait: pooled process runs block on futures
+            if (self.service.run_backend == "thread"
+                    and len(chunk) * work <= INLINE_WORK
                     and key in self._proven and faults.active() is None):
                 obs.counter("server.batch.inline").inc()
                 try:
@@ -471,8 +464,8 @@ class StencilServer:
     def _execute_batch(self, chunk: Sequence[_Pending]
                        ) -> List[Union[Grid, Exception]]:
         """One flushed chunk, inline or on a pool thread: compile once
-        through the shared cache, then run every job (the service's retry
-        / degrade ladders guard both calls).  Returns each job's grid, or
+        through the shared cache, then run every job (the service's
+        failure rule guards both calls).  Returns each job's grid, or
         the exception that job alone raised."""
         self._retry_faults("server.batch_flush")
         job0 = chunk[0].job
@@ -533,14 +526,14 @@ class StencilServer:
     def _retry_faults(self, site: str) -> None:
         """Hit ``site``; injected raises are retried (bounded) so chaos
         plans perturb latency, never results."""
-        for attempt in range(self.fault_retries + 1):
+        for attempt in range(FAULT_RETRIES + 1):
             try:
                 fault_point(site)
                 return
             except FaultInjected:
                 obs.counter("server.faults").inc()
                 obs.counter(f"server.faults.site.{site}").inc()
-                if attempt == self.fault_retries:
+                if attempt == FAULT_RETRIES:
                     raise
 
     # -- introspection ---------------------------------------------------------
@@ -557,4 +550,5 @@ class StencilServer:
         return out
 
 
-__all__ = ["JobResult", "SHED_DIVISOR", "StencilJob", "StencilServer"]
+__all__ = ["DEADLINE_MARGIN_S", "FAULT_RETRIES", "JobResult",
+           "SHED_DIVISOR", "SHED_OCCUPANCY", "StencilJob", "StencilServer"]

@@ -510,9 +510,7 @@ def test_codegen_fault_degrades_down_ladder_bitwise(spec, rules, steps,
     def service():
         # a fresh service per run keeps its kernel cache cold, so the
         # faulted compile actually reaches the compile.kernel site
-        return KernelService(machine, exec_backend="codegen",
-                             failure_policy="degrade", retries=3,
-                             retry_backoff_s=0.0)
+        return KernelService(machine, retries=3)
 
     kernel = service().compile(spec, shape)
     grid = kernel.grid_like(shape, seed=seed)

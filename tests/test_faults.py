@@ -309,34 +309,13 @@ class TestExecutorHardening:
 
 class TestServiceHardening:
     def test_compile_fault_retried(self):
-        svc = KernelService(GENERIC_AVX2, failure_policy="retry", retries=2)
+        svc = KernelService(GENERIC_AVX2, retries=2)
         with inject(_plan(FaultRule("compile.kernel"))):
             k = svc.compile(SPEC, (32, 32))
         assert k.exec_backend() == "auto"  # primary succeeded on retry
 
-    def test_compile_fault_raise_policy_propagates(self):
-        svc = KernelService(GENERIC_AVX2, failure_policy="raise")
-        with inject(_plan(FaultRule("compile.kernel"))):
-            with pytest.raises(FaultInjected):
-                svc.compile(SPEC, (32, 32))
-
-    def test_compile_timeout_degrades_to_interp(self, observing):
-        # a compile stuck past its timeout degrades to an interp-stamped
-        # kernel — bitwise-safe because codegen and interp agree exactly
-        svc = KernelService(GENERIC_AVX2, failure_policy="degrade",
-                            retries=0, task_timeout_s=0.2,
-                            retry_backoff_s=0.0)
-        with inject(_plan(FaultRule("compile.kernel", kind="delay",
-                                    delay_s=1.5))):
-            k = svc.compile(SPEC, (32, 32))
-        assert k.exec_backend() == "interp"
-        counters = obs.snapshot()["metrics"]["counters"]
-        assert counters["service.failures.reason.timeout"] >= 1
-        assert counters["service.fallback.to.interp"] == 1
-
     def test_run_fault_recovered_bitwise(self):
-        svc = KernelService(GENERIC_AVX2, failure_policy="degrade",
-                            retries=2, retry_backoff_s=0.0)
+        svc = KernelService(GENERIC_AVX2, retries=2)
         job = SweepJob(SPEC, Grid.random((40, 40), SPEC.radius, seed=4),
                        steps=3)
         clean = svc.run(job)
@@ -345,8 +324,7 @@ class TestServiceHardening:
         assert np.array_equal(clean.data, faulted.data)
 
     def test_run_many_faulted_matches_clean(self):
-        svc = KernelService(GENERIC_AVX2, failure_policy="degrade",
-                            retries=3, retry_backoff_s=0.0)
+        svc = KernelService(GENERIC_AVX2, retries=3)
         jobs = [SweepJob(SPEC, Grid.random((32, 32), SPEC.radius, seed=s),
                          steps=2) for s in (1, 2)]
         clean = svc.run_many(jobs)

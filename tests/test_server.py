@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from repro import faults, obs
 from repro.config import GENERIC_AVX2
-from repro.errors import ReproError
+from repro.errors import ReproError, VectorizeError
 from repro.server import (AdmissionController, LoadConfig, LocalClient,
                           ServerOverloaded, StencilJob, StencilServer,
                           TokenBucket, reference_results, request_schedule,
                           run_load_sync)
+from repro.server import admission as admission_mod
+from repro.server import core as server_core
 from repro.server.core import INLINE_WORK, WORK_CAP
 from repro.server.net import (LINE_LIMIT, interior_checksum, request_tcp,
                               serve_tcp)
@@ -145,10 +147,10 @@ class TestServerValidation:
         {"max_batch": 0},
         {"max_batch": 2.0},
         {"batch_window_s": -0.1},
-        {"deadline_margin_s": -1.0},
         {"executor_workers": 0},
-        {"fault_retries": -1},
-        {"shed_occupancy": 0.0},
+        {"batch_window_s": float("nan")},
+        {"max_queue_depth": 0},
+        {"quota_rate": 0.0},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ReproError):
@@ -217,74 +219,86 @@ class TestServing:
         assert hists["server.latency_ms.tenant.zeta"]["count"] == 1
         assert metrics["gauges"]["server.queue_depth"] == 0
 
-    def test_high_occupancy_is_bitwise_identical(self):
+    def test_high_occupancy_is_bitwise_identical(self, monkeypatch):
         async def go(server):
             return await asyncio.gather(
                 *(server.submit(_job(seed=s)) for s in range(3)))
 
         # a shed rung so low every flush runs under overload
-        results = _serve(go, max_queue_depth=64, shed_occupancy=0.01)
+        monkeypatch.setattr(server_core, "SHED_OCCUPANCY", 0.01)
+        results = _serve(go, max_queue_depth=64)
         for s, r in enumerate(results):
             assert np.array_equal(r.grid.interior, _expected(seed=s))
 
     def test_a_failing_job_fails_alone(self, monkeypatch):
-        """One batch member whose sweep raises through the service's real
-        retry / degrade ladder fails only its own future, and every job
-        runs in one ``run_many`` pass: the failing one walks its ladder
-        once, the others run once and equal apply_steps bitwise."""
-        import repro.service as service_mod
-        spec = library.get("heat-2d")
-        bad = Grid.random((32, 32), spec.radius, seed=9)
-        real_sweep = service_mod.run_parallel
-        real_once = KernelService._run_once
-        real_many = KernelService.run_many
-        runs, batches = [], []
+        """A batch member whose sweep raises a deterministic error fails
+        only its own future after one attempt; the others run once and
+        equal apply_steps bitwise."""
+        _fail_one_job(monkeypatch, ReproError, attempts=lambda svc: 1)
 
-        def run_parallel(spec, grid, steps, **kwargs):
-            if grid is bad:
-                raise ReproError("this job's sweep fails")
-            return real_sweep(spec, grid, steps, **kwargs)
-
-        def run_once(self, job, **kwargs):
-            runs.append(job.grid)
-            return real_once(self, job, **kwargs)
-
-        def run_many(self, jobs):
-            batches.append(len(jobs))
-            return real_many(self, jobs)
-
-        monkeypatch.setattr(service_mod, "run_parallel", run_parallel)
-        monkeypatch.setattr(KernelService, "_run_once", run_once)
-        monkeypatch.setattr(KernelService, "run_many", run_many)
-        jobs = [StencilJob(spec, (32, 32), STEPS, seed=s) for s in range(3)]
-        jobs.insert(2, StencilJob(spec, (32, 32), STEPS, grid=bad))
-        ladders = []
-
-        async def go(server):
-            svc = server.service
-            ladders.append(1 + svc.retries
-                           + (2 if svc.run_backend == "process" else 1))
-            return await asyncio.gather(
-                *(server.submit(job) for job in jobs),
-                return_exceptions=True)
-
-        results = _serve(go, batch_window_s=0.05, max_batch=16,
-                         retry_backoff_s=0.0)
-        assert batches == [4]
-        assert isinstance(results[2], ReproError)
-        assert sum(g is bad for g in runs) == ladders[0] == 4
-        assert len(runs) == ladders[0] + 3
-        for job, res in zip(jobs[:2] + jobs[3:], results[:2] + results[3:]):
-            assert res.batch_size == 4
-            want = apply_steps(spec, job.materialize(), STEPS)
-            assert np.array_equal(res.grid.interior, want.interior)
+    def test_a_faulted_job_walks_its_ladder_and_fails_alone(
+            self, monkeypatch):
+        """A sweep that keeps raising an injected fault is retried, then
+        walks the run ladder (1 + retries + serial), and still fails only
+        its own future."""
+        _fail_one_job(monkeypatch, faults.FaultInjected,
+                      attempts=lambda svc: 1 + svc.retries + 1)
 
     def test_overload_ladder_sheds_batch_size(self):
         server = StencilServer(machine=GENERIC_AVX2, max_queue_depth=10,
-                               max_batch=8, shed_occupancy=0.5)
+                               max_batch=8)
         assert server._effective_max_batch() == 8
         server._inflight = 5  # occupancy 0.5: rung 1
         assert server._effective_max_batch() == 2
+
+
+def _fail_one_job(monkeypatch, error, attempts):
+    """Serve four same-key jobs in one batch, the third of whose sweeps
+    always raises ``error``: assert one ``run_many`` pass, the failing
+    job's attempt count (``attempts(service)``), and bitwise results
+    for the rest."""
+    import repro.service as service_mod
+    spec = library.get("heat-2d")
+    bad = Grid.random((32, 32), spec.radius, seed=9)
+    real_sweep = service_mod.run_parallel
+    real_once = KernelService._run_once
+    real_many = KernelService.run_many
+    runs, batches = [], []
+
+    def run_parallel(spec, grid, steps, **kwargs):
+        if grid is bad:
+            raise error("this job's sweep fails")
+        return real_sweep(spec, grid, steps, **kwargs)
+
+    def run_once(self, job, **kwargs):
+        runs.append(job.grid)
+        return real_once(self, job, **kwargs)
+
+    def run_many(self, jobs):
+        batches.append(len(jobs))
+        return real_many(self, jobs)
+
+    monkeypatch.setattr(service_mod, "run_parallel", run_parallel)
+    monkeypatch.setattr(KernelService, "_run_once", run_once)
+    monkeypatch.setattr(KernelService, "run_many", run_many)
+    jobs = [StencilJob(spec, (32, 32), STEPS, seed=s) for s in range(3)]
+    jobs.insert(2, StencilJob(spec, (32, 32), STEPS, grid=bad))
+    expected = []
+
+    async def go(server):
+        expected.append(attempts(server.service))
+        return await asyncio.gather(
+            *(server.submit(job) for job in jobs), return_exceptions=True)
+
+    results = _serve(go, batch_window_s=0.05, max_batch=16)
+    assert batches == [4]
+    assert isinstance(results[2], error)
+    assert sum(g is bad for g in runs) == expected[0]
+    assert len(runs) == expected[0] + 3
+    for job, res in zip(jobs[:2] + jobs[3:], results[:2] + results[3:]):
+        assert res.batch_size == 4
+        want = apply_steps(spec, job.materialize(), STEPS)
+        assert np.array_equal(res.grid.interior, want.interior)
 
 
 def _record_threads(monkeypatch, method="run_many"):
@@ -363,8 +377,7 @@ class TestDispatch:
         assert len(threads) == 2 and loop_thread not in threads
         assert np.array_equal(result.grid.interior, _expected(seed=1))
 
-    @pytest.mark.parametrize("service_kwargs", [
-        {"task_timeout_s": 30.0}, {"run_backend": "process"}])
+    @pytest.mark.parametrize("service_kwargs", [{"run_backend": "process"}])
     def test_blocking_service_never_runs_inline(self, monkeypatch,
                                                 service_kwargs):
         threads = _record_threads(monkeypatch)
@@ -378,8 +391,8 @@ class TestDispatch:
         assert len(threads) == 3 and loop_thread not in threads
 
     def test_failing_key_is_never_retried_on_the_loop(self, monkeypatch):
-        # an x extent under one vector block fails inside the batch after
-        # the service's retry backoff; that must never run inline
+        # an x extent under one vector block fails inside the batch; a
+        # key that never ran clean never runs inline
         threads = _record_threads(monkeypatch, "compile_many")
         bad = _job(shape=(16, 4))
 
@@ -389,7 +402,7 @@ class TestDispatch:
                     await server.submit(bad)
             return threading.current_thread().name
 
-        loop_thread = _serve(go, retry_backoff_s=0.0)
+        loop_thread = _serve(go)
         assert len(threads) == 2 and loop_thread not in threads
 
     def test_batch_spans_are_roots_on_both_paths(self, observing,
@@ -409,6 +422,53 @@ class TestDispatch:
         for r in roots:
             if r.name == "client.request":
                 assert not r.children
+
+#: a 5x5 heat-2d request: a valid envelope whose x extent is under one
+#: scheme block, so the engine refuses it (deterministically) in bind
+REFUSED = (5, 5)
+
+
+class TestRefusedGeometry:
+    """A deterministic engine error is answered after one attempt: no
+    retry, no ladder, no backoff sleep."""
+
+    def test_answered_with_its_vectorize_error_at_once(self, observing):
+        async def go(server):
+            t0 = time.perf_counter()
+            with pytest.raises(VectorizeError):
+                await server.submit(_job(shape=REFUSED))
+            return time.perf_counter() - t0
+
+        assert _serve(go) < 0.05
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["service.failures"] == 1
+        assert "service.fallback" not in counters
+
+    def test_answered_at_once_over_tcp(self, observing):
+        line = json.dumps({"id": 1, "kernel": "heat-2d",
+                           "shape": list(REFUSED), "steps": STEPS,
+                           "seed": 0}).encode()
+
+        async def main():
+            async with StencilServer(machine=GENERIC_AVX2) as server:
+                tcp = await serve_tcp(server, port=0)
+                try:
+                    t0 = time.perf_counter()
+                    responses = await asyncio.wait_for(_raw_exchange(
+                        tcp.sockets[0].getsockname()[1], [line]), 30)
+                    return responses, time.perf_counter() - t0
+                finally:
+                    tcp.close()
+                    await tcp.wait_closed()
+
+        (resp,), elapsed = asyncio.run(main())
+        assert elapsed < 0.05
+        assert resp["id"] == 1 and not resp["ok"]
+        assert "block" in resp["error"], resp
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["service.failures"] == 1
+        assert "service.fallback" not in counters
+
 
 class TestTokenBucket:
     def test_exhaustion_and_refill(self):
@@ -463,6 +523,45 @@ class TestAdmission:
         assert adm.check("a", 0, None) == "quota"
         assert adm.check("b", 0, None) is None  # b has its own bucket
         assert adm.tenants() == ("a", "b")
+
+    def test_unlimited_quota_keeps_no_buckets(self):
+        adm = AdmissionController(max_queue_depth=10,
+                                  quota_rate=float("inf"))
+        for i in range(100):
+            assert adm.check(f"t{i}", 0, None) is None
+        assert adm.tenants() == ()
+
+    def test_bucket_table_stays_bounded(self, observing):
+        # 10^4 distinct tenants, one request each, 10 ms apart: a bucket
+        # refills in 1 s, so at most ~100 are ever short of the burst
+        t = [0.0]
+        adm = AdmissionController(max_queue_depth=10, quota_rate=1.0,
+                                  quota_burst=1.0, clock=lambda: t[0])
+        peak = 0
+        for i in range(10_000):
+            t[0] = i * 0.01
+            assert adm.check(f"t{i}", 0, None) is None
+            peak = max(peak, len(adm.tenants()))
+        assert peak <= admission_mod.TENANT_BUCKETS
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["server.admission.buckets_dropped"] >= (
+            10_000 - admission_mod.TENANT_BUCKETS)
+
+    def test_just_charged_tenant_survives_a_sweep(self, monkeypatch):
+        monkeypatch.setattr(admission_mod, "TENANT_BUCKETS", 8)
+        t = [0.0]
+        adm = AdmissionController(max_queue_depth=10, quota_rate=1.0,
+                                  quota_burst=1.0, clock=lambda: t[0])
+        assert adm.check("hot", 0, None) is None
+        for i in range(8):
+            adm.check(f"idle{i}", 0, None)
+        t[0] = 2.0  # every bucket so far has refilled
+        assert adm.check("hot", 0, None) is None  # charged again
+        t[0] = 2.5  # ... and still short of its burst
+        for i in range(20):
+            assert adm.check(f"new{i}", 0, None) is None  # sweeps run
+        assert "idle0" not in adm.tenants()
+        assert adm.check("hot", 0, None) == "quota"
 
     def test_validation(self):
         with pytest.raises(ReproError):
@@ -956,8 +1055,8 @@ def _envelopes(draw):
 @pytest.fixture(scope="module")
 def tcp_port():
     """A TCP front end on a background loop, shared by the fuzz
-    examples (no retry backoff, so refused geometries answer fast)."""
-    client = LocalClient(machine=GENERIC_AVX2, retry_backoff_s=0.0).start()
+    examples."""
+    client = LocalClient(machine=GENERIC_AVX2).start()
     try:
         tcp = asyncio.run_coroutine_threadsafe(
             serve_tcp(client.server, port=0), client._loop).result(30)

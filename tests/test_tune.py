@@ -575,7 +575,7 @@ class TestIntegration:
 
     def test_service_compile_many_tunes_and_reuses(self):
         from repro.service import CompileRequest, KernelService
-        svc = KernelService(MACHINE, tune_budget=FAST)
+        svc = KernelService(MACHINE)
         reqs = [CompileRequest(HEAT1D, (256,))]
         kernels = svc.compile_many(reqs, tune=True)
         assert len(kernels) == 1
@@ -605,8 +605,8 @@ class TestIntegration:
         cfg = TuneConfig(engine="machine", time_fusion=1, use_sdf=False,
                          exec_backend="batch")
         key = workload_key(HEAT1D, MACHINE, (256,))
-        TuningDB(str(tmp_path)).put(make_record(key, config=cfg))
-        svc = KernelService(MACHINE, tuning_db=TuningDB(str(tmp_path)))
+        TuningDB(str(tmp_path / "tuning")).put(make_record(key, config=cfg))
+        svc = KernelService(MACHINE, cache_dir=str(tmp_path))
         k, = svc.compile_many([CompileRequest(HEAT1D, (256,))], tune=True)
         assert k.plan.time_fusion == 1 and k.plan.use_sdf is False
         assert k.exec_backend() == "batch"
